@@ -328,11 +328,7 @@ def cmd_cluster(ws: Workspace, args: argparse.Namespace) -> int:
             )
         except ValidationError as exc:
             return skip(str(exc))
-        best = None
-        for model in models:
-            if best is None or model.silhouette > best.silhouette:
-                best = model
-        best = cluster.with_raw_centroids(best, scaler)
+        best = cluster.with_raw_centroids(cluster.best_by_silhouette(models), scaler)
         summaries = cluster.summarize_clusters(best, sample)
         ws.write_json(
             "clusters.json",

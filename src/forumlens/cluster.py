@@ -25,6 +25,7 @@ DEFAULT_K_MAX = 12
 DEFAULT_RESTARTS = 10
 
 _MAX_LLOYD_ITERATIONS = 300
+_SILHOUETTE_BLOCK_ROWS = 128
 _RELATIVE_INERTIA_TOL = 1e-8
 
 
@@ -119,8 +120,10 @@ def _lloyd(X: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray
     prev_inertia = math.inf
     path: list[float] = []
     labels = np.zeros(n, dtype=int)
+    # distances to the current centroids; each iteration's inertia pass
+    # computes the next iteration's assignment matrix
+    d2 = _squared_distances(X, centroids)
     for _ in range(_MAX_LLOYD_ITERATIONS):
-        d2 = _squared_distances(X, centroids)
         labels = d2.argmin(axis=1)
         # revive empty clusters at the point farthest from its centroid
         for _attempt in range(k):
@@ -139,7 +142,8 @@ def _lloyd(X: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray
             members = X[labels == c]
             if members.size:
                 centroids[c] = members.mean(axis=0)
-        inertia = float(_squared_distances(X, centroids)[np.arange(n), labels].sum())
+        d2 = _squared_distances(X, centroids)
+        inertia = float(d2[np.arange(n), labels].sum())
         path.append(inertia)
         if prev_labels is not None and np.array_equal(labels, prev_labels):
             break
@@ -221,30 +225,51 @@ def silhouette(X: np.ndarray, labels: Sequence[int]) -> float:
     smallest mean distance to any other cluster; score (b-a)/max(a,b), with
     singletons scored 0. Requires n >= 3 and at least 2 non-empty clusters.
     """
+    return silhouettes(X, [labels])[0]
+
+
+def silhouettes(X: np.ndarray, labelings: Sequence[Sequence[int]]) -> list[float]:
+    """:func:`silhouette` of every labeling from one pass over the distances.
+
+    Rows are taken in blocks of ``_SILHOUETTE_BLOCK_ROWS``; each block's
+    distances to all n points are computed once and shared by every
+    labeling, so memory stays O(block * n) and a k sweep costs one
+    O(n^2 * d) pass instead of one per k.
+    """
     X = np.asarray(X, dtype=float)
-    labels = np.asarray(labels, dtype=int)
     n = X.shape[0]
     if n < 3:
         raise ValidationError(f"silhouette requires at least 3 points: {n}")
-    if labels.shape != (n,):
-        raise ValidationError("labels must align with the rows of X")
-    clusters = np.unique(labels)
-    if clusters.size < 2:
-        raise ValidationError("silhouette requires at least 2 non-empty clusters")
+    groups = []
+    for labels in labelings:
+        labels = np.asarray(labels, dtype=int)
+        if labels.shape != (n,):
+            raise ValidationError("labels must align with the rows of X")
+        _, own, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+        if sizes.size < 2:
+            raise ValidationError("silhouette requires at least 2 non-empty clusters")
+        members = [np.flatnonzero(own == c) for c in range(sizes.size)]
+        groups.append((own, sizes, members))
 
-    dist = np.sqrt(_squared_distances(X, X))
-    scores = np.zeros(n)
-    sizes = {int(c): int((labels == c).sum()) for c in clusters}
-    sums = {int(c): dist[:, labels == c].sum(axis=1) for c in clusters}
-    for i in range(n):
-        own = int(labels[i])
-        if sizes[own] == 1:
-            continue
-        a = sums[own][i] / (sizes[own] - 1)
-        b = min(sums[int(c)][i] / sizes[int(c)] for c in clusters if int(c) != own)
-        top = max(a, b)
-        scores[i] = 0.0 if top == 0.0 else (b - a) / top
-    return float(scores.mean())
+    scores = np.zeros((len(groups), n))
+    for start in range(0, n, _SILHOUETTE_BLOCK_ROWS):
+        stop = min(start + _SILHOUETTE_BLOCK_ROWS, n)
+        rows = np.arange(stop - start)
+        dist = np.sqrt(_squared_distances(X[start:stop], X))
+        for out, (own, sizes, members) in zip(scores, groups):
+            # per-cluster distance sums of every row in the block, shape (k, rows)
+            sums = np.stack([dist[:, m].sum(axis=1) for m in members])
+            own_block = own[start:stop]
+            own_size = sizes[own_block]
+            means = sums / sizes[:, None]
+            means[own_block, rows] = np.inf
+            b = means.min(axis=0)
+            a = sums[own_block, rows] / np.maximum(own_size - 1, 1)
+            top = np.maximum(a, b)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                score = (b - a) / top
+            out[start:stop] = np.where((own_size == 1) | (top == 0.0), 0.0, score)
+    return [float(out.mean()) for out in scores]
 
 
 def sweep_k(
@@ -266,15 +291,12 @@ def sweep_k(
         raise ValidationError(f"k_max must be >= k_min: {k_max} < {k_min}")
     if k_max > X.shape[0]:
         raise ValidationError(f"k_max must not exceed the sample size {X.shape[0]}: {k_max}")
-    models = []
-    for k in range(k_min, k_max + 1):
-        model = kmeans(X, k, seed=seed, restarts=restarts)
-        if model.k < 2:
-            continue
-        models.append(replace(model, silhouette=silhouette(X, model.labels)))
-    if not models:
+    fitted = [kmeans(X, k, seed=seed, restarts=restarts) for k in range(k_min, k_max + 1)]
+    fitted = [model for model in fitted if model.k >= 2]
+    if not fitted:
         raise ValidationError("no k in range produced 2 or more distinct clusters")
-    return models
+    scores = silhouettes(X, [model.labels for model in fitted])
+    return [replace(model, silhouette=score) for model, score in zip(fitted, scores)]
 
 
 def select_k(
@@ -285,12 +307,18 @@ def select_k(
     restarts: int = DEFAULT_RESTARTS,
 ) -> KMeansModel:
     """The silhouette-maximizing model over the k sweep; ties pick smaller k."""
+    return best_by_silhouette(sweep_k(X, k_min, k_max, seed, restarts))
+
+
+def best_by_silhouette(models: Sequence[KMeansModel]) -> KMeansModel:
+    """The first model with the highest silhouette, so ties keep the earlier (smaller) k."""
     best: KMeansModel | None = None
-    for model in sweep_k(X, k_min, k_max, seed, restarts):
+    for model in models:
         assert model.silhouette is not None
         if best is None or model.silhouette > best.silhouette:
             best = model
-    assert best is not None
+    if best is None:
+        raise ValidationError("no models to select from")
     return best
 
 

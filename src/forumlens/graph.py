@@ -191,8 +191,10 @@ def degree_stats(
     graph: BimodalGraph, post_counts: dict[str, int] | None = None
 ) -> DegreeStats:
     """Degree statistics; pass per-actor post counts to add the one-timer block."""
-    actor_degrees = [len(s) for s in graph.actor_adjacency().values()]
-    capec_degrees = [len(s) for s in graph.capec_adjacency().values()]
+    # sorted id order: the float sums in SummaryStats must not follow set order,
+    # which varies with the interpreter's hash seed
+    actor_degrees = [len(s) for _, s in sorted(graph.actor_adjacency().items())]
+    capec_degrees = [len(s) for _, s in sorted(graph.capec_adjacency().items())]
     n_actors, n_capecs, n_edges = len(graph.actor_ids), len(graph.capec_ids), len(graph.edges)
 
     density = n_edges / (n_actors * n_capecs) if n_actors and n_capecs else 0.0

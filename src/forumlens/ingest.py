@@ -122,7 +122,10 @@ def _parse_record(
     ts = parse_timestamp(obj["timestamp"])
     if not valid_from <= ts <= valid_to:
         raise ValidationError(f"timestamp {ts.isoformat()} outside validity window")
-    mentions = frozenset(CveId.parse(c) for c in obj.get("mentions", ()))
+    raw_mentions = obj.get("mentions", [])
+    if not isinstance(raw_mentions, list) or not all(isinstance(c, str) for c in raw_mentions):
+        raise ValidationError("key 'mentions' must be a list of strings")
+    mentions = frozenset(CveId.parse(c) for c in raw_mentions)
     return PostRecord(
         post_id=obj["post_id"],
         actor_id=obj["actor_id"],

@@ -2,20 +2,26 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from forumlens.cluster import (
+    _SILHOUETTE_BLOCK_ROWS,
     ActivityDescriptor,
     ClusterLabel,
     KMeansModel,
     LabelConfig,
     Quadrant,
+    best_by_silhouette,
     feature_matrix,
     kmeans,
     label_clusters,
     select_k,
     silhouette,
+    silhouettes,
     standardize,
     summarize_clusters,
     sweep_k,
@@ -163,7 +169,7 @@ def test_kmeans_validation():
         kmeans(np.zeros((0, 2)), 1)
 
 
-def test_silhouette_matches_definitional_oracle():
+def _oracle_cases():
     rng = np.random.default_rng(5)
     for _ in range(15):
         n = int(rng.integers(5, 25))
@@ -171,9 +177,57 @@ def test_silhouette_matches_definitional_oracle():
         labels = rng.integers(0, 3, size=n)
         if len(set(labels.tolist())) < 2:
             labels[0] = (labels[0] + 1) % 3
+        yield X, labels
+    # duplicate rows: zero distances inside and across clusters
+    X = np.repeat(rng.normal(size=(6, 3)), 4, axis=0)
+    yield X, rng.integers(0, 3, size=24)
+    # singleton clusters next to a large one
+    X = rng.normal(size=(12, 2))
+    yield X, np.array([0] * 9 + [1, 2, 3])
+    # non-contiguous, unsorted label values
+    X = rng.normal(size=(20, 3))
+    yield X, rng.choice([-4, 7, 30], size=20)
+    # more rows than one block, and not a multiple of it
+    X = rng.normal(size=(2 * _SILHOUETTE_BLOCK_ROWS + 37, 3))
+    X[-10:] = X[:10]
+    yield X, rng.integers(0, 4, size=X.shape[0]) * 5
+
+
+def test_silhouette_matches_definitional_oracle():
+    for X, labels in _oracle_cases():
         assert silhouette(X, labels) == pytest.approx(
             silhouette_oracle(X, labels), rel=1e-9, abs=1e-9
         )
+
+
+def test_silhouettes_match_per_labeling_oracle():
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(150, 3))
+    X[100:120] = X[0]
+    labelings = [
+        rng.integers(0, 2, size=150),
+        rng.integers(0, 5, size=150) * 2 + 1,
+        np.array([3] + [9] * 149),
+    ]
+    scores = silhouettes(X, labelings)
+    assert len(scores) == 3
+    for score, labels in zip(scores, labelings):
+        assert score == pytest.approx(silhouette_oracle(X, labels), rel=1e-9, abs=1e-9)
+        assert score == silhouette(X, labels)
+    assert silhouettes(X, []) == []
+
+
+def test_silhouette_memory_is_blocked():
+    # An n x n x d difference tensor at n=3000, d=3 alone would take 216 MB.
+    X = np.random.default_rng(0).normal(size=(3000, 3))
+    labels = np.arange(3000) % 5
+    tracemalloc.start()
+    try:
+        silhouette(X, labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_silhouette_perfect_separation_near_one():
@@ -195,6 +249,8 @@ def test_silhouette_validation():
         silhouette(np.zeros((4, 2)), [0, 0, 0, 0])
     with pytest.raises(ValidationError):
         silhouette(np.zeros((4, 2)), [0, 1])
+    with pytest.raises(ValidationError):
+        silhouettes(np.zeros((4, 2)), [[0, 1, 0, 1], [0, 0, 0, 0]])
 
 
 def test_sweep_and_select_k_on_blobs():
@@ -211,6 +267,14 @@ def test_select_k_tie_prefers_smaller_k():
     X = _blobs(seed=2, centers=((0, 0, 0), (9, 9, 9)))
     best = select_k(standardize(X)[0], 2, 5, seed=1)
     assert best.k == 2
+
+
+def test_best_by_silhouette_ties_keep_first():
+    fitted = kmeans(_blobs(seed=0), 2, seed=0)
+    models = [replace(fitted, silhouette=value) for value in (0.5, 0.7, 0.7)]
+    assert best_by_silhouette(models) is models[1]
+    with pytest.raises(ValidationError):
+        best_by_silhouette([])
 
 
 def test_sweep_k_validation():

@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import forumlens
 from forumlens.errors import ValidationError
 from forumlens.graph import (
     BimodalGraph,
@@ -159,6 +166,36 @@ def test_degree_stats_one_timer_block():
     assert stats.posts.count == 3
     assert stats.posts_non_one_timers.count == 1
     assert stats.posts_non_one_timers.mean == pytest.approx(4.0)
+
+
+_DEGREE_STATS_SCRIPT = textwrap.dedent(
+    """
+    import random
+    from forumlens.graph import BimodalGraph, degree_stats
+    rng = random.Random(2)
+    edges = {(f"a{i}", rng.randrange(40)) for i in range(300) for _ in range(rng.randrange(1, 12))}
+    graph = BimodalGraph(
+        frozenset(a for a, _ in edges), frozenset(c for _, c in edges), frozenset(edges)
+    )
+    stats = degree_stats(graph)
+    print(repr(stats.actor_degree.as_dict()), repr(stats.capec_degree.as_dict()))
+    """
+)
+
+
+def test_degree_stats_independent_of_hash_seed():
+    # Set iteration order follows PYTHONHASHSEED; summing degrees in that
+    # order made std differ in the last digits from one interpreter to the next.
+    src = str(Path(forumlens.__file__).resolve().parents[1])
+    outputs = set()
+    for hash_seed in range(8):
+        env = {**os.environ, "PYTHONHASHSEED": str(hash_seed), "PYTHONPATH": src}
+        result = subprocess.run(
+            [sys.executable, "-c", _DEGREE_STATS_SCRIPT],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        outputs.add(result.stdout)
+    assert len(outputs) == 1
 
 
 def test_surviving_post_counts(corpus_and_snapshot):

@@ -24,7 +24,7 @@ from conftest import post
 
 
 def _line(post_id="p1", actor="alice", forum="f1", when="2021-01-01T00:00:00Z",
-          content="nothing to see"):
+          content="nothing to see", **extra):
     return json.dumps(
         {
             "post_id": post_id,
@@ -32,6 +32,7 @@ def _line(post_id="p1", actor="alice", forum="f1", when="2021-01-01T00:00:00Z",
             "forum_id": forum,
             "timestamp": when,
             "content": content,
+            **extra,
         }
     )
 
@@ -82,10 +83,12 @@ def test_parse_posts_skips_malformed_lines():
         _line(post_id="bad-ts", when="never"),
         _line(post_id="ancient", when="1970-01-01T00:00:00Z"),
         "",
+        _line(post_id="int-mentions", mentions=5),
+        _line(post_id="str-mentions", mentions="CVE-2021-1111"),
     ]
     parsed = parse_posts(lines)
     assert [r.post_id for r in parsed.records] == ["good"]
-    assert parsed.skipped == 4
+    assert parsed.skipped == 6
 
 
 def test_parse_posts_rejects_non_string_fields():
