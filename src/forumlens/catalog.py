@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
-from typing import Iterable, Literal
+from typing import Iterable
 
 from .errors import ValidationError
 from .ingest import CveId
@@ -79,7 +79,7 @@ class CatalogSnapshot:
     cves: dict[CveId, CveEntry]
     capecs: dict[int, CapecEntry]
     cwe_to_capecs: dict[str, frozenset[int]] = field(default_factory=dict)
-    _skill_cache: dict[tuple[int, str], SkillLevel | None] = field(
+    _skill_cache: dict[int, SkillLevel | None] = field(
         default_factory=dict, repr=False
     )
 
@@ -267,29 +267,20 @@ def map_cve_to_capecs(snapshot: CatalogSnapshot, cve: CveId) -> frozenset[int]:
     return frozenset(capecs)
 
 
-ImputationOrder = Literal["parents-then-children", "children-then-parents"]
-
-
-def effective_skill(
-    snapshot: CatalogSnapshot,
-    capec_id: int,
-    *,
-    order: ImputationOrder = "parents-then-children",
-) -> SkillLevel | None:
+def effective_skill(snapshot: CatalogSnapshot, capec_id: int) -> SkillLevel | None:
     """Effective required-skill level of a CAPEC, imputing through the hierarchy.
 
     Direct scenarios win and take their maximum, so a pattern with mixed
     scenarios is scored by its hardest one rather than an average. Without
-    scenarios, the value is imputed: by default the maximum over
-    parents' effective values (recursing upward through multi-level gaps),
-    falling back to the maximum direct value among children; ``order`` flips
-    that precedence. Returns None when nothing is known; unknown ids raise.
+    scenarios, the value is imputed: the maximum over parents' effective
+    values (recursing upward through multi-level gaps), falling back to the
+    maximum direct value among children. Returns None when nothing is known;
+    unknown ids raise.
     """
     if capec_id not in snapshot.capecs:
         raise KeyError(f"unknown CAPEC id: {capec_id}")
-    cache_key = (capec_id, order)
-    if cache_key in snapshot._skill_cache:
-        return snapshot._skill_cache[cache_key]
+    if capec_id in snapshot._skill_cache:
+        return snapshot._skill_cache[capec_id]
 
     def direct(cid: int) -> SkillLevel | None:
         scenarios = snapshot.capecs[cid].skill_scenarios
@@ -308,13 +299,8 @@ def effective_skill(
         child_values = [v for v in child_values if v is not None]
         return max(child_values) if child_values else None
 
-    value = direct(capec_id)
+    value = upward(capec_id)
     if value is None:
-        first, second = (upward, from_children)
-        if order == "children-then-parents":
-            first, second = (from_children, upward)
-        value = first(capec_id)
-        if value is None:
-            value = second(capec_id)
-    snapshot._skill_cache[cache_key] = value
+        value = from_children(capec_id)
+    snapshot._skill_cache[capec_id] = value
     return value

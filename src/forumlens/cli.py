@@ -2,7 +2,9 @@
 
 Subcommands map one-to-one onto pipeline stages over a persistent workspace
 directory. Exit codes: 0 success, 1 validation error (including stale
-artifacts and bad flags), 2 missing upstream stage, 3 I/O or lock trouble.
+artifacts and bad flags) or any unexpected error, 2 missing upstream stage,
+3 I/O or lock trouble. Errors print one line; ``-v`` adds the traceback of
+an unexpected one.
 """
 
 from __future__ import annotations
@@ -216,10 +218,11 @@ def cmd_graph(ws: Workspace, args: argparse.Namespace) -> int:
         full = graph.build_graph(corpus, snapshot)
         if full.n_nodes == 0:
             raise ValidationError("no post mentions a CVE that maps to any catalog CAPEC")
-        before = graph.degree_stats(full, graph.surviving_post_counts(corpus, snapshot, full))
+        per_post = graph.post_capec_sets(corpus, snapshot)
+        before = graph.degree_stats(full, graph.surviving_post_counts(corpus, per_post, full))
         filtered, removal = graph.filter_popular_capecs(full, threshold=args.capec_threshold)
         after = graph.degree_stats(
-            filtered, graph.surviving_post_counts(corpus, snapshot, filtered)
+            filtered, graph.surviving_post_counts(corpus, per_post, filtered)
         )
         graph.save_graph(filtered, ws.path("graph.json"))
         ws.write_json("graph_stats.json", {"before": before.as_dict(), "after": after.as_dict()})
@@ -415,8 +418,7 @@ def cmd_export_graph(ws: Workspace, args: argparse.Namespace) -> int:
         part = None
         if ws.path("communities.json").exists():
             part = _load_partition(ws)
-        ext = {"graphml": "graphml", "dot": "dot", "csv": "csv"}[args.format]
-        out = Path(args.out) if args.out else ws.path(f"graph.{ext}")
+        out = Path(args.out) if args.out else ws.path(f"graph.{args.format}")
         graph.export_graph(g, args.format, out, partition=part)
     print(f"exported {args.format} graph to {out}")
     return 0
@@ -459,15 +461,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     except WorkspaceLockedError as exc:
         logger.error("%s", exc)
         return 3
-    except ValidationError as exc:
-        logger.error("%s", exc)
-        return 1
     except ForumlensError as exc:
         logger.error("%s", exc)
         return 1
     except OSError as exc:
         logger.error("%s", exc)
         return 3
+    except Exception as exc:
+        logger.error("error: %s: %s", type(exc).__name__, exc, exc_info=args.verbose)
+        return 1
 
 
 if __name__ == "__main__":

@@ -339,18 +339,13 @@ class ActivityDescriptor(Enum):
     SHORT_LIVED = "ShortLived"
 
 
-@dataclass(frozen=True)
-class LabelConfig:
-    """Thresholds for the four-quadrant labels, in raw feature units.
-
-    The skill cut sits between observed low-side 2.00 and high-side 2.38
-    centroids; commitment splits at the majority mark.
-    """
-
-    skill_high: float = 2.2
-    commitment_high: float = 50.0
-    hyperactive_rate: float = 4.0
-    short_lived_days: float = 1.0
+# Thresholds for the four-quadrant labels, in raw feature units. The skill
+# cut sits between observed low-side 2.00 and high-side 2.38 centroids;
+# commitment splits at the majority mark.
+SKILL_HIGH = 2.2
+COMMITMENT_HIGH = 50.0
+HYPERACTIVE_RATE = 4.0
+SHORT_LIVED_DAYS = 1.0
 
 
 @dataclass(frozen=True)
@@ -363,15 +358,13 @@ class ClusterLabel:
 
 
 def label_clusters(
-    model: KMeansModel,
-    profiles: Sequence[ActorProfile],
-    config: LabelConfig = LabelConfig(),
+    model: KMeansModel, profiles: Sequence[ActorProfile]
 ) -> dict[int, ClusterLabel]:
     """Quadrant plus activity descriptor for every cluster.
 
     High skill and high commitment are read off the raw-unit centroid. A
     high/high cluster whose median member was active for no more than
-    ``short_lived_days`` is demoted to ProAmateur (ShortLived): sustained
+    ``SHORT_LIVED_DAYS`` is demoted to ProAmateur (ShortLived): sustained
     presence is part of professionalism, a one-day burst is not.
     """
     if len(profiles) != len(model.labels):
@@ -379,8 +372,8 @@ def label_clusters(
     labels: dict[int, ClusterLabel] = {}
     for cluster in range(model.k):
         skill, commit, rate = (float(v) for v in model.centroids_raw[cluster])
-        high_skill = skill >= config.skill_high
-        high_commit = commit >= config.commitment_high
+        high_skill = skill >= SKILL_HIGH
+        high_commit = commit >= COMMITMENT_HIGH
         if high_skill and high_commit:
             quadrant = Quadrant.PROFESSIONAL
         elif high_skill:
@@ -393,10 +386,10 @@ def label_clusters(
         members = [p for p, lab in zip(profiles, model.labels) if lab == cluster]
         if quadrant is Quadrant.PROFESSIONAL and members:
             window = median(p.activity_days for p in members)
-            if window <= config.short_lived_days:
+            if window <= SHORT_LIVED_DAYS:
                 labels[cluster] = ClusterLabel(Quadrant.PRO_AMATEUR, ActivityDescriptor.SHORT_LIVED)
                 continue
-        if rate >= config.hyperactive_rate:
+        if rate >= HYPERACTIVE_RATE:
             descriptor = ActivityDescriptor.HYPERACTIVE
         elif high_commit:
             descriptor = ActivityDescriptor.ACTIVE
@@ -433,11 +426,9 @@ class ClusterSummary:
 
 
 def summarize_clusters(
-    model: KMeansModel,
-    profiles: Sequence[ActorProfile],
-    config: LabelConfig = LabelConfig(),
+    model: KMeansModel, profiles: Sequence[ActorProfile]
 ) -> list[ClusterSummary]:
-    labels = label_clusters(model, profiles, config)
+    labels = label_clusters(model, profiles)
     n = len(profiles)
     counts = [0] * model.k
     for lab in model.labels:

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .catalog import CatalogSnapshot
 from .errors import ValidationError
-from .graph import BimodalGraph, node_key, surviving_post_counts
+from .graph import BimodalGraph, node_key, post_capec_sets, surviving_post_counts
 from .ingest import Corpus
 from .stats import SummaryStats
 
@@ -77,7 +77,7 @@ def _index_graph(graph: BimodalGraph) -> tuple[list[str], _WGraph]:
     return nodes, _WGraph(len(nodes), adj)
 
 
-def _quality(g: _WGraph, comm: Sequence[int], resolution: float = 1.0) -> float:
+def _quality(g: _WGraph, comm: Sequence[int]) -> float:
     W = g.total_weight
     if W <= 0:
         return 0.0
@@ -92,11 +92,11 @@ def _quality(g: _WGraph, comm: Sequence[int], resolution: float = 1.0) -> float:
                 intra[comm[v]] += w
     q = 0.0
     for c, d in degree.items():
-        q += intra[c] / W - resolution * (d / (2.0 * W)) ** 2
+        q += intra[c] / W - (d / (2.0 * W)) ** 2
     return q
 
 
-def _local_move(g: _WGraph, comm: list[int], rng: random.Random, resolution: float) -> int:
+def _local_move(g: _WGraph, comm: list[int], rng: random.Random) -> int:
     """Greedy single-node moves until a full pass changes nothing; in-place.
 
     When several destination communities offer the same (best) gain, one is
@@ -132,7 +132,7 @@ def _local_move(g: _WGraph, comm: list[int], rng: random.Random, resolution: flo
             for cand in sorted(to_comm):
                 if cand == cur:
                     continue
-                gain = (to_comm[cand] - k_v_cur) / W - resolution * k_v * (
+                gain = (to_comm[cand] - k_v_cur) / W - k_v * (
                     comm_strength[cand] - sigma_rest
                 ) / (2.0 * W * W)
                 if gain > best_gain + _GAIN_EPS:
@@ -146,7 +146,7 @@ def _local_move(g: _WGraph, comm: list[int], rng: random.Random, resolution: flo
             if comm_size[cur] > 1:
                 # fresh (empty) community; it must beat the best existing
                 # destination outright, a tie is never enough to split
-                gain = -k_v_cur / W + resolution * k_v * sigma_rest / (2.0 * W * W)
+                gain = -k_v_cur / W + k_v * sigma_rest / (2.0 * W * W)
                 if gain > best_gain + _GAIN_EPS:
                     best_gain, best_comm = gain, next_label
             if best_comm != cur:
@@ -166,7 +166,7 @@ def _local_move(g: _WGraph, comm: list[int], rng: random.Random, resolution: flo
             return total_moves
 
 
-def _refine(g: _WGraph, comm: Sequence[int], rng: random.Random, resolution: float) -> list[int]:
+def _refine(g: _WGraph, comm: Sequence[int], rng: random.Random) -> list[int]:
     """Refinement phase: merge singleton nodes into connected subsets of their community.
 
     Starting from singletons, a node may only join a refined community inside
@@ -194,8 +194,7 @@ def _refine(g: _WGraph, comm: Sequence[int], rng: random.Random, resolution: flo
         candidates = [
             cand
             for cand in sorted(to_ref)
-            if to_ref[cand] / W - resolution * k_v * ref_strength[cand] / (2.0 * W * W)
-            > _GAIN_EPS
+            if to_ref[cand] / W - k_v * ref_strength[cand] / (2.0 * W * W) > _GAIN_EPS
         ]
         if candidates:
             old = refined[v]
@@ -231,19 +230,14 @@ def _aggregate(
     return _WGraph(len(labels), adj), cid, init
 
 
-def _leiden_once(
-    g0: _WGraph,
-    rng: random.Random,
-    resolution: float,
-    init0: list[int] | None = None,
-) -> list[int]:
+def _leiden_once(g0: _WGraph, rng: random.Random, init0: list[int] | None = None) -> list[int]:
     g = g0
     node_map = list(range(g0.n))
     init: list[int] | None = list(init0) if init0 is not None else None
     while True:
         comm = list(init) if init is not None else list(range(g.n))
-        _local_move(g, comm, rng, resolution)
-        refined = _refine(g, comm, rng, resolution)
+        _local_move(g, comm, rng)
+        refined = _refine(g, comm, rng)
         if len(set(refined)) == g.n:
             return [comm[node_map[v]] for v in range(g0.n)]
         g2, cid, init2 = _aggregate(g, refined, comm)
@@ -301,22 +295,13 @@ def _labels_from_partition(
     return labels
 
 
-def modularity(graph: BimodalGraph, partition: Partition, resolution: float = 1.0) -> float:
+def modularity(graph: BimodalGraph, partition: Partition) -> float:
     """Newman modularity of a full assignment; 0 on an edgeless graph."""
     nodes, g = _index_graph(graph)
-    return _quality(g, _labels_from_partition(nodes, partition), resolution)
+    return _quality(g, _labels_from_partition(nodes, partition))
 
 
-def _components_labels(g: _WGraph) -> list[int]:
-    return _split_disconnected(g, [0] * g.n) if g.n else []
-
-
-def leiden(
-    graph: BimodalGraph,
-    seed: int = 0,
-    restarts: int = 10,
-    resolution: float = 1.0,
-) -> Partition:
+def leiden(graph: BimodalGraph, seed: int = 0, restarts: int = 10) -> Partition:
     """Best-of-``restarts`` Leiden partition; deterministic in (seed, restarts).
 
     Each restart runs the full level loop from its own derived seed; the
@@ -338,8 +323,8 @@ def leiden(
     master = random.Random(seed)
     run_seeds = [master.getrandbits(64) for _ in range(restarts)]
 
-    best_labels = _components_labels(g)
-    best_q = _quality(g, best_labels, resolution)
+    best_labels = _split_disconnected(g, [0] * g.n)
+    best_q = _quality(g, best_labels)
     for r, run_seed in enumerate(run_seeds):
         rng = random.Random(run_seed)
         if r % 2 == 0:
@@ -347,9 +332,9 @@ def leiden(
         else:
             width = max(2, g.n // 3)
             init0 = [rng.randrange(width) for _ in range(g.n)]
-        labels = _leiden_once(g, rng, resolution, init0)
+        labels = _leiden_once(g, rng, init0)
         labels = _split_disconnected(g, labels)
-        q = _quality(g, labels, resolution)
+        q = _quality(g, labels)
         if q > best_q:
             best_q, best_labels = q, labels
 
@@ -404,15 +389,15 @@ _STOPWORDS = frozenset(
 )
 
 
-def keyword_digest(names: Iterable[str], top_n: int = 5) -> tuple[str, ...]:
-    """Most frequent name tokens, minus stopwords and sub-3-letter fragments."""
+def keyword_digest(names: Iterable[str]) -> tuple[str, ...]:
+    """The 5 most frequent name tokens, minus stopwords and sub-3-letter fragments."""
     counts: dict[str, int] = defaultdict(int)
     for name in names:
         for token in set(_TOKEN_RE.findall(name.lower())):
             if len(token) >= 3 and token not in _STOPWORDS:
                 counts[token] += 1
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    return tuple(token for token, _ in ranked[:top_n])
+    return tuple(token for token, _ in ranked[:5])
 
 
 @dataclass(frozen=True)
@@ -453,7 +438,7 @@ def summarize_communities(
 ) -> list[CommunityOfInterest]:
     """Table-style overview of every community in the partition."""
     actor_adj = graph.actor_adjacency()
-    post_counts = surviving_post_counts(corpus, snapshot, graph)
+    post_counts = surviving_post_counts(corpus, post_capec_sets(corpus, snapshot), graph)
 
     members: dict[int, tuple[set[str], set[int]]] = defaultdict(lambda: (set(), set()))
     for actor in graph.actor_ids:

@@ -13,10 +13,10 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from .catalog import CatalogSnapshot, effective_skill
 from .community import Partition
@@ -95,19 +95,6 @@ def post_in_interest(post_capecs: frozenset[int] | set[int], coi_capecs: frozens
     return len(post_capecs & set(coi_capecs)) / len(post_capecs) >= 0.5
 
 
-def commitment(post_capec_seq: Iterable[frozenset[int]], coi_capecs: frozenset[int] | set[int]) -> float:
-    """Percentage of posts that are in-interest; errors on zero posts."""
-    total = 0
-    in_interest = 0
-    for capecs in post_capec_seq:
-        total += 1
-        if post_in_interest(capecs, coi_capecs):
-            in_interest += 1
-    if total == 0:
-        raise ValidationError("commitment requires at least one post")
-    return 100.0 * in_interest / total
-
-
 def activity_days(first_post: datetime, last_post: datetime) -> int:
     if last_post < first_post:
         raise ValidationError("last post precedes first post")
@@ -127,18 +114,13 @@ def build_profiles(
     graph: BimodalGraph,
     partition: Partition,
     skill_percentile: int = DEFAULT_SKILL_PERCENTILE,
-    skill_value_mode: str = "per-occurrence",
 ) -> list[ActorProfile]:
     """Score every actor that survived graph filtering.
 
-    Skill values are collected once per (post, CAPEC) occurrence by default;
-    ``skill_value_mode="per-unique"`` collapses them to one value per distinct
-    CAPEC. Actors whose CAPECs all lack catalog skill information cannot be
-    scored and are dropped with a warning.
+    Skill values are collected once per (post, CAPEC) occurrence. Actors
+    whose CAPECs all lack catalog skill information cannot be scored and are
+    dropped with a warning.
     """
-    if skill_value_mode not in ("per-occurrence", "per-unique"):
-        raise ValidationError(f"unknown skill value mode: {skill_value_mode!r}")
-
     coi_capecs: dict[int, set[int]] = {}
     for capec in graph.capec_ids:
         comm = partition.assignment.get(node_key("capec", capec))
@@ -167,15 +149,12 @@ def build_profiles(
         if comm is None:
             raise ValidationError(f"partition does not assign actor {actor!r}")
 
-        if skill_value_mode == "per-unique":
-            capec_pool: Iterable[int] = sorted(set().union(*(c for _, c in posts)))
-        else:
-            capec_pool = [c for _, capecs in posts for c in sorted(capecs)]
         values = []
-        for capec in capec_pool:
-            skill = effective_skill(snapshot, capec)
-            if skill is not None:
-                values.append(int(skill))
+        for _, capecs in posts:
+            for capec in sorted(capecs):
+                skill = effective_skill(snapshot, capec)
+                if skill is not None:
+                    values.append(int(skill))
         if not values:
             logger.warning("actor %s dropped: no skill information for any CAPEC", actor)
             continue
@@ -275,15 +254,7 @@ def load_profiles(path: str | Path) -> list[ActorProfile]:
                         activity_rate=float(row["activity_rate"]),
                     )
                 )
-            except (KeyError, TypeError) as exc:
-                raise ValidationError(f"malformed profile row in {path}: {row}") from exc
-            except ValueError as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ValidationError(f"malformed profile row in {path}: {row}") from exc
     return profiles
 
-
-def with_percentile(profile: ActorProfile, percentile: int) -> ActorProfile:
-    """Re-score one profile at a different percentile (requires skill values)."""
-    if not profile.skill_values:
-        raise ValidationError("profile carries no skill values to re-score")
-    return replace(profile, skill_score=float(skill_score(profile.skill_values, percentile)))

@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 from xml.etree import ElementTree
@@ -83,10 +83,12 @@ def build_graph(corpus: Corpus, snapshot: CatalogSnapshot) -> BimodalGraph:
 
 
 def surviving_post_counts(
-    corpus: Corpus, snapshot: CatalogSnapshot, graph: BimodalGraph
+    corpus: Corpus, per_post: dict[str, frozenset[int]], graph: BimodalGraph
 ) -> dict[str, int]:
-    """Per actor in the graph: posts whose CAPECs intersect the graph's CAPEC set."""
-    per_post = post_capec_sets(corpus, snapshot)
+    """Per actor in the graph: posts whose CAPECs intersect the graph's CAPEC set.
+
+    ``per_post`` is the corpus's :func:`post_capec_sets`.
+    """
     counts: dict[str, int] = {a: 0 for a in graph.actor_ids}
     for post in corpus.posts:
         if post.actor_id not in counts:
@@ -115,20 +117,12 @@ class RemovalReport:
 
 
 def filter_popular_capecs(
-    graph: BimodalGraph,
-    threshold: int = 500,
-    *,
-    fraction: float | None = None,
+    graph: BimodalGraph, threshold: int = 500
 ) -> tuple[BimodalGraph, RemovalReport]:
     """Remove CAPECs mentioned by strictly more than ``threshold`` actors.
 
-    ``fraction`` switches to a relative threshold: ``floor(fraction * n_actors)``.
     Actors left without any edge afterwards are removed as well.
     """
-    if fraction is not None:
-        if not 0 < fraction <= 1:
-            raise ValidationError(f"fraction must be in (0, 1]: {fraction}")
-        threshold = int(fraction * len(graph.actor_ids))
     if threshold < 1:
         raise ValidationError(f"threshold must be >= 1: {threshold}")
 

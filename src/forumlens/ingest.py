@@ -8,7 +8,6 @@ at least one CVE.
 
 from __future__ import annotations
 
-import io
 import json
 import logging
 import re
@@ -22,10 +21,11 @@ from .errors import ValidationError
 logger = logging.getLogger(__name__)
 
 # Case-insensitive CVE token, bounded so e.g. "XCVE-2022-1234" or a trailing
-# letter does not match. Hyphens are not token characters in forum text.
-_CVE_RE = re.compile(r"(?<![A-Za-z0-9])CVE-(\d{4})-(\d{4,})(?![A-Za-z0-9])", re.IGNORECASE)
+# letter does not match. Hyphens are not token characters in forum text. The
+# sequence is capped at 19 digits: int() refuses runs over 4,300 digits.
+_CVE_RE = re.compile(r"(?<![A-Za-z0-9])CVE-(\d{4})-(\d{4,19})(?![A-Za-z0-9])", re.IGNORECASE)
 
-# Default validity window for post timestamps; generous on purpose.
+# Validity window for post timestamps; generous on purpose.
 DEFAULT_VALID_FROM = datetime(1995, 1, 1, tzinfo=timezone.utc)
 DEFAULT_VALID_TO = datetime(2100, 1, 1, tzinfo=timezone.utc)
 
@@ -101,16 +101,14 @@ def parse_timestamp(value: str) -> datetime:
         text = text[:-1] + "+00:00"
     try:
         ts = datetime.fromisoformat(text)
-    except ValueError as exc:
+        if ts.tzinfo is None:
+            ts = ts.replace(tzinfo=timezone.utc)
+        return ts.astimezone(timezone.utc).replace(microsecond=0)
+    except (ValueError, OverflowError) as exc:
         raise ValidationError(f"unparseable timestamp: {value!r}") from exc
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc).replace(microsecond=0)
 
 
-def _parse_record(
-    line: str, valid_from: datetime, valid_to: datetime
-) -> PostRecord:
+def _parse_record(line: str) -> PostRecord:
     obj = json.loads(line)
     if not isinstance(obj, dict):
         raise ValidationError("record is not a JSON object")
@@ -120,7 +118,7 @@ def _parse_record(
         if not isinstance(obj[key], str):
             raise ValidationError(f"key {key!r} must be a string")
     ts = parse_timestamp(obj["timestamp"])
-    if not valid_from <= ts <= valid_to:
+    if not DEFAULT_VALID_FROM <= ts <= DEFAULT_VALID_TO:
         raise ValidationError(f"timestamp {ts.isoformat()} outside validity window")
     raw_mentions = obj.get("mentions", [])
     if not isinstance(raw_mentions, list) or not all(isinstance(c, str) for c in raw_mentions):
@@ -136,36 +134,33 @@ def _parse_record(
     )
 
 
-def _iter_lines(source: str | Path | IO[str] | Iterable[str]) -> Iterator[str]:
+def _iter_lines(source: str | Path | IO[str] | Iterable[str]) -> Iterator[str | bytes]:
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
+        # bytes: parse_posts decodes each line, so a bad byte costs one line
+        with open(source, "rb") as handle:
             yield from handle
-    elif isinstance(source, io.TextIOBase):
-        yield from source
     else:
         yield from source
 
 
-def parse_posts(
-    source: str | Path | IO[str] | Iterable[str],
-    *,
-    valid_from: datetime = DEFAULT_VALID_FROM,
-    valid_to: datetime = DEFAULT_VALID_TO,
-) -> ParsedPosts:
+def parse_posts(source: str | Path | IO[str] | Iterable[str]) -> ParsedPosts:
     """Parse a JSONL post stream.
 
-    Malformed lines (bad JSON, missing keys, unparseable or out-of-window
-    timestamps) are logged and counted in ``skipped``. An unreadable source
-    raises ``OSError``.
+    Malformed lines (invalid UTF-8, bad or too deeply nested JSON, missing
+    keys, unparseable or out-of-window timestamps) are logged and counted in
+    ``skipped``. An unreadable source raises ``OSError``.
     """
     records: list[PostRecord] = []
     skipped = 0
     for lineno, line in enumerate(_iter_lines(source), start=1):
-        if not line.strip():
-            continue
+        # ValueError covers ValidationError, JSONDecodeError and UnicodeDecodeError
         try:
-            records.append(_parse_record(line, valid_from, valid_to))
-        except (ValidationError, json.JSONDecodeError) as exc:
+            if isinstance(line, bytes):
+                line = line.decode("utf-8")
+            if not line.strip():
+                continue
+            records.append(_parse_record(line))
+        except (ValueError, RecursionError) as exc:
             skipped += 1
             logger.warning("skipping malformed line %d: %s", lineno, exc)
     return ParsedPosts(records=records, skipped=skipped)

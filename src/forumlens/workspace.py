@@ -83,8 +83,17 @@ class Workspace:
     def load_manifest(self) -> dict:
         if not self.manifest_path.exists():
             return {"version": MANIFEST_VERSION, "stages": {}}
-        with self.manifest_path.open("r", encoding="utf-8") as handle:
-            return json.load(handle)
+        try:
+            with self.manifest_path.open("r", encoding="utf-8") as handle:
+                manifest = json.load(handle)
+            if not isinstance(manifest, dict) or not isinstance(manifest.get("stages"), dict):
+                raise ValueError("no 'stages' object")
+        except ValueError as exc:
+            raise ForumlensError(
+                f"{self.manifest_path} is not a valid manifest ({exc}); "
+                "delete it and re-run the pipeline from the first stage"
+            ) from exc
+        return manifest
 
     def save_manifest(self, manifest: dict) -> None:
         self.root.mkdir(parents=True, exist_ok=True)

@@ -139,8 +139,8 @@ def test_effective_skill_order_flips_precedence():
         skills={1: "High", 3: "Low"},
         parents={2: [1], 3: [2]},
     )
-    assert effective_skill(snap, 2, order="parents-then-children") == SkillLevel.HIGH
-    assert effective_skill(snap, 2, order="children-then-parents") == SkillLevel.LOW
+    # a known parent wins over a known child
+    assert effective_skill(snap, 2) == SkillLevel.HIGH
 
 
 def test_effective_skill_none_when_unknown():

@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import forumlens
+from forumlens import cli
 from forumlens.cli import main
 from forumlens.graph import import_graph, load_graph
 
@@ -242,3 +248,38 @@ def test_single_stage_flags_validated(tmp_path):
     assert main(["communities", "--workspace", ws, "--restarts", "0"]) == 1
     assert main(["cluster", "--workspace", ws, "--k-min", "1"]) == 1
     assert main(["cluster", "--workspace", ws, "--k-min", "3", "--k-max", "2"]) == 1
+
+
+def test_corrupt_manifest_exits_1_without_traceback(tmp_path, caplog):
+    ws = tmp_path / "ws"
+    posts = tmp_path / "posts.jsonl"
+    posts.write_text("")
+    assert main(["ingest", "--workspace", str(ws), "--posts", str(posts)]) == 0
+    manifest = ws / "manifest.json"
+    manifest.write_bytes(manifest.read_bytes()[:50])
+
+    src = str(Path(forumlens.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "forumlens", "ingest", "--workspace", str(ws), "--posts", str(posts)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert "manifest.json" in result.stderr and "re-run" in result.stderr
+    # valid JSON without a "stages" object is just as unusable
+    manifest.write_text("[]\n")
+    assert main(["graph", "--workspace", str(ws)]) == 1
+    assert "manifest.json is not a valid manifest" in caplog.text
+
+
+@pytest.mark.parametrize("verbose", [False, True])
+def test_unexpected_error_exits_1_with_one_line(monkeypatch, caplog, tmp_path, verbose):
+    def broken_stage(ws, args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_report", broken_stage)
+    argv = ["report", "--workspace", str(tmp_path)] + (["-v"] if verbose else [])
+    assert main(argv) == 1
+    assert "error: RuntimeError: boom" in caplog.text
+    # the traceback is logged only under -v
+    assert ("Traceback" in caplog.text) == verbose

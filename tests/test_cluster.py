@@ -13,7 +13,6 @@ from forumlens.cluster import (
     ActivityDescriptor,
     ClusterLabel,
     KMeansModel,
-    LabelConfig,
     Quadrant,
     best_by_silhouette,
     feature_matrix,
@@ -432,13 +431,3 @@ def test_summarize_clusters_payload():
     assert {"cluster", "quadrant", "descriptor", "label", "centroid_raw", "members"} <= set(payload)
     quadrants = {s.label.quadrant for s in summaries}
     assert quadrants == {Quadrant.PROFESSIONAL, Quadrant.AMATEUR}
-
-
-def test_label_config_custom_thresholds():
-    config = LabelConfig(skill_high=2.5, commitment_high=80.0)
-    labels = label_clusters(
-        _model_from_raw([(2.4, 85.0, 0.1)], [0]),
-        [_profile(days=50)],
-        config,
-    )
-    assert labels[0].quadrant is Quadrant.AVERAGE_CAREER_CRIMINAL

@@ -171,7 +171,7 @@ def test_keyword_digest_ranks_and_filters():
         "Command Injection",
         "Blind SQL Injection",
     ]
-    digest = keyword_digest(names, top_n=3)
+    digest = keyword_digest(names)
     assert digest[0] == "injection"
     assert digest[1] == "sql"
     assert "via" not in digest and "the" not in digest
@@ -179,7 +179,7 @@ def test_keyword_digest_ranks_and_filters():
 
 def test_keyword_digest_counts_each_name_once():
     # "buffer" twice within one name still counts once for that name.
-    digest = keyword_digest(["Buffer buffer overflow", "Stack smash"], top_n=10)
+    digest = keyword_digest(["Buffer buffer overflow", "Stack smash"])
     assert digest.count("buffer") == 1
 
 

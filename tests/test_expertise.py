@@ -16,13 +16,11 @@ from forumlens.expertise import (
     activity_rate,
     build_profiles,
     build_sample,
-    commitment,
     load_profiles,
     post_in_interest,
     sample_stats,
     save_profiles,
     skill_score,
-    with_percentile,
 )
 from forumlens.graph import build_graph
 
@@ -99,14 +97,6 @@ def test_post_in_interest_majority_rule():
     assert not post_in_interest({9}, coi)
     with pytest.raises(ValidationError):
         post_in_interest(set(), coi)
-
-
-def test_commitment_percentage():
-    coi = {1, 2}
-    posts = [frozenset({1}), frozenset({9}), frozenset({1, 9}), frozenset({8, 9, 7})]
-    assert commitment(posts, coi) == pytest.approx(50.0)
-    with pytest.raises(ValidationError):
-        commitment([], coi)
 
 
 def test_activity_rate_worked_example():
@@ -186,23 +176,16 @@ def test_build_profiles_features():
     assert bob.skill_score == 2.0
 
 
-def test_build_profiles_per_unique_mode():
+def test_build_profiles_counts_skill_per_occurrence():
     corpus, snapshot, graph, partition = _profile_fixture()
     corpus = build_corpus(
-        corpus.posts
-        + [post("p5", "alice", "2021-01-25", "CVE-2021-0002 encore")]
+        corpus.posts + [post("p5", "alice", "2021-01-25", "CVE-2021-0002 encore")]
     )
-    per_occurrence = {p.actor_id: p for p in build_profiles(corpus, snapshot, graph, partition)}
-    per_unique = {
-        p.actor_id: p
-        for p in build_profiles(
-            corpus, snapshot, graph, partition, skill_value_mode="per-unique"
-        )
-    }
-    assert sorted(per_occurrence["alice"].skill_values) == [1, 2, 3, 3]
-    assert sorted(per_unique["alice"].skill_values) == [1, 2, 3]
-    with pytest.raises(ValidationError):
-        build_profiles(corpus, snapshot, graph, partition, skill_value_mode="bogus")
+    alice = next(
+        p for p in build_profiles(corpus, snapshot, graph, partition) if p.actor_id == "alice"
+    )
+    # CAPEC 66 appears in two posts, so its skill value counts twice
+    assert sorted(alice.skill_values) == [1, 2, 3, 3]
 
 
 def test_build_profiles_drops_unscorable_actor():
@@ -275,15 +258,3 @@ def test_load_profiles_rejects_wrong_columns(tmp_path):
     path.write_text("actor,score\nx,1\n")
     with pytest.raises(ValidationError):
         load_profiles(path)
-
-
-def test_with_percentile_rescoring(tmp_path):
-    corpus, snapshot, graph, partition = _profile_fixture()
-    alice = next(
-        p for p in build_profiles(corpus, snapshot, graph, partition) if p.actor_id == "alice"
-    )
-    assert with_percentile(alice, 30).skill_score == 1.0
-    assert with_percentile(alice, 100).skill_score == 3.0
-    stripped = load_profiles(save_profiles([alice], tmp_path / "one.csv"))
-    with pytest.raises(ValidationError):
-        with_percentile(stripped[0], 50)

@@ -123,21 +123,10 @@ def test_filter_actor_survives_via_other_capec():
     assert report.removed_actors == {"m1", "m2", "m3"}
 
 
-def test_filter_fraction_mode():
-    edges = _star(1, 8, "a") + [("a0", 2), ("a1", 2)]
-    graph = bigraph(edges)
-    filtered, report = filter_popular_capecs(graph, fraction=0.5)
-    # floor(0.5 * 8) = 4; CAPEC 1 has degree 8 > 4, CAPEC 2 has degree 2.
-    assert report.threshold == 4
-    assert filtered.capec_ids == {2}
-
-
 def test_filter_threshold_validation():
     graph = bigraph([("a", 1)])
     with pytest.raises(ValidationError):
         filter_popular_capecs(graph, threshold=0)
-    with pytest.raises(ValidationError):
-        filter_popular_capecs(graph, fraction=1.5)
 
 
 def test_filter_idempotent():
@@ -203,7 +192,7 @@ def test_surviving_post_counts(corpus_and_snapshot):
     graph = build_graph(corpus, snapshot)
     filtered, _ = filter_popular_capecs(graph, threshold=1)
     # CAPEC 63 (degree 2) is removed; only alice's p2 still maps into the graph.
-    counts = surviving_post_counts(corpus, snapshot, filtered)
+    counts = surviving_post_counts(corpus, post_capec_sets(corpus, snapshot), filtered)
     assert counts == {"alice": 1}
 
 

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import json
-from datetime import timezone
+from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, strategies as st
 
 from forumlens.errors import ValidationError
 from forumlens.ingest import (
@@ -47,6 +48,7 @@ def test_extract_cve_ids_word_boundaries():
     assert extract_cve_ids("CVE-2022-1234x") == set()
     assert extract_cve_ids("(CVE-2022-1234)") == {CveId(2022, 1234)}
     assert extract_cve_ids("CVE-2022-1234.") == {CveId(2022, 1234)}
+    assert extract_cve_ids("CVE-2022-" + "1" * 5000) == set()
 
 
 def test_extract_cve_ids_deduplicates():
@@ -75,7 +77,7 @@ def test_parse_timestamp_variants():
     assert shifted.hour == 10
 
 
-def test_parse_posts_skips_malformed_lines():
+def test_parse_posts_skips_malformed_lines(tmp_path):
     lines = [
         _line(post_id="good"),
         "{ not json",
@@ -85,10 +87,55 @@ def test_parse_posts_skips_malformed_lines():
         "",
         _line(post_id="int-mentions", mentions=5),
         _line(post_id="str-mentions", mentions="CVE-2021-1111"),
+        "[" * 100_000 + "]" * 100_000,
+        _line(post_id="overflow-ts", when="0001-01-01T00:00:00+14:00"),
+        _line(post_id="huge-cve", mentions=["CVE-2021-" + "1" * 5000]),
     ]
     parsed = parse_posts(lines)
     assert [r.post_id for r in parsed.records] == ["good"]
-    assert parsed.skipped == 6
+    assert parsed.skipped == 9
+
+    # invalid UTF-8 costs its own line only, not the rest of the file
+    path = tmp_path / "posts.jsonl"
+    path.write_bytes(b"\xff\n" + "\n".join(lines).encode("utf-8") + b"\n")
+    parsed = parse_posts(path)
+    assert [r.post_id for r in parsed.records] == ["good"]
+    assert parsed.skipped == 10
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=8,
+)
+# post-shaped objects, so lines also reach the key, timestamp and mention checks
+_POST_OBJECTS = st.fixed_dictionaries(
+    {key: st.text() for key in ("post_id", "actor_id", "forum_id", "content")}
+    | {
+        "timestamp": st.builds(
+            lambda when, sign, hours: f"{when.isoformat()}{sign}{hours:02d}:00",
+            # the ends of the datetime range, where a UTC offset overflows
+            st.datetimes(max_value=datetime(1, 1, 2))
+            | st.datetimes(min_value=datetime(9999, 12, 30))
+            | st.datetimes(),
+            st.sampled_from("+-"),
+            st.integers(0, 23),
+        )
+        | st.text()
+    },
+    optional={
+        "mentions": st.lists(
+            st.builds("CVE-{}-{:04d}".format, st.integers(1000, 9999), st.integers(1, 10**7))
+        )
+        | _JSON_VALUES
+    },
+)
+
+
+@given(st.lists(st.text() | (_JSON_VALUES | _POST_OBJECTS).map(json.dumps)))
+def test_parse_posts_never_raises(lines):
+    parsed = parse_posts(lines)
+    assert len(parsed.records) + parsed.skipped == sum(1 for line in lines if line.strip())
 
 
 def test_parse_posts_rejects_non_string_fields():
