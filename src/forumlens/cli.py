@@ -205,26 +205,26 @@ def cmd_convert_catalog(ws: Workspace, args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_corpus_and_snapshot(ws: Workspace):
-    corpus = ingest.load_corpus(ws.path("corpus.jsonl"))
-    snapshot = catalog.load_snapshot(ws.path("cve_cwe.csv"), ws.path("capec.json"))
-    return corpus, snapshot
+def _load_snapshot(ws: Workspace) -> catalog.CatalogSnapshot:
+    return catalog.load_snapshot(ws.path("cve_cwe.csv"), ws.path("capec.json"))
 
 
 def cmd_graph(ws: Workspace, args: argparse.Namespace) -> int:
     with ws.lock():
         ws.require_upstream("graph", force=args.force)
-        corpus, snapshot = _load_corpus_and_snapshot(ws)
-        full = graph.build_graph(corpus, snapshot)
+        # the corpus is only needed to resolve posts, so no name keeps it alive
+        posts = graph.post_capec_sets(
+            ingest.load_corpus(ws.path("corpus.jsonl")), _load_snapshot(ws)
+        )
+        full = graph.graph_of(posts)
         if full.n_nodes == 0:
             raise ValidationError("no post mentions a CVE that maps to any catalog CAPEC")
-        per_post = graph.post_capec_sets(corpus, snapshot)
-        before = graph.degree_stats(full, graph.surviving_post_counts(corpus, per_post, full))
+        before = graph.degree_stats(full, graph.surviving_post_counts(posts))
         filtered, removal = graph.filter_popular_capecs(full, threshold=args.capec_threshold)
-        after = graph.degree_stats(
-            filtered, graph.surviving_post_counts(corpus, per_post, filtered)
-        )
+        posts = graph.surviving_posts(posts, filtered)
+        after = graph.degree_stats(filtered, graph.surviving_post_counts(posts))
         graph.save_graph(filtered, ws.path("graph.json"))
+        graph.save_posts(posts, ws.path("capec_posts.json"))
         ws.write_json("graph_stats.json", {"before": before.as_dict(), "after": after.as_dict()})
         ws.write_json("removal.json", removal.as_dict())
         ws.record_stage(
@@ -244,9 +244,9 @@ def cmd_communities(ws: Workspace, args: argparse.Namespace) -> int:
     with ws.lock():
         ws.require_upstream("communities", force=args.force)
         g = graph.load_graph(ws.path("graph.json"))
-        corpus, snapshot = _load_corpus_and_snapshot(ws)
+        posts, snapshot = graph.load_posts(ws.path("capec_posts.json")), _load_snapshot(ws)
         part = community.leiden(g, seed=args.seed, restarts=args.restarts)
-        overview = community.summarize_communities(g, part, corpus, snapshot)
+        overview = community.summarize_communities(g, part, posts, snapshot)
         ws.write_json(
             "communities.json",
             {
@@ -278,11 +278,10 @@ def _load_partition(ws: Workspace) -> community.Partition:
 def cmd_expertise(ws: Workspace, args: argparse.Namespace) -> int:
     with ws.lock():
         ws.require_upstream("expertise", force=args.force)
-        corpus, snapshot = _load_corpus_and_snapshot(ws)
         g = graph.load_graph(ws.path("graph.json"))
-        part = _load_partition(ws)
+        posts, part = graph.load_posts(ws.path("capec_posts.json")), _load_partition(ws)
         profiles = expertise.build_profiles(
-            corpus, snapshot, g, part, skill_percentile=args.skill_percentile
+            posts, _load_snapshot(ws), g, part, skill_percentile=args.skill_percentile
         )
         sample = expertise.build_sample(profiles, min_posts=args.min_posts)
         expertise.save_profiles(profiles, ws.path("profiles.csv"))

@@ -21,8 +21,7 @@ from typing import Iterable, Sequence
 
 from .catalog import CatalogSnapshot
 from .errors import ValidationError
-from .graph import BimodalGraph, node_key, post_capec_sets, surviving_post_counts
-from .ingest import Corpus
+from .graph import ActorPosts, BimodalGraph, node_key
 from .stats import SummaryStats
 
 BRUTE_FORCE_NODE_CAP = 12
@@ -433,12 +432,11 @@ class CommunityOfInterest:
 def summarize_communities(
     graph: BimodalGraph,
     partition: Partition,
-    corpus: Corpus,
+    posts: ActorPosts,
     snapshot: CatalogSnapshot,
 ) -> list[CommunityOfInterest]:
-    """Table-style overview of every community in the partition."""
+    """Table-style overview of every community, from ``graph``'s surviving posts."""
     actor_adj = graph.actor_adjacency()
-    post_counts = surviving_post_counts(corpus, post_capec_sets(corpus, snapshot), graph)
 
     members: dict[int, tuple[set[str], set[int]]] = defaultdict(lambda: (set(), set()))
     for actor in graph.actor_ids:
@@ -455,7 +453,7 @@ def summarize_communities(
     overviews = []
     for comm in sorted(members):
         actors, capecs = members[comm]
-        counts = [post_counts.get(a, 0) for a in sorted(actors)]
+        counts = [len(posts.get(a, ())) for a in sorted(actors)]
         one_timers = sum(1 for c in counts if c == 1)
         overviews.append(
             CommunityOfInterest(

@@ -21,8 +21,7 @@ from typing import Sequence
 from .catalog import CatalogSnapshot, effective_skill
 from .community import Partition
 from .errors import ValidationError
-from .graph import BimodalGraph, node_key, post_capec_sets
-from .ingest import Corpus
+from .graph import ActorPosts, BimodalGraph, node_key
 
 logger = logging.getLogger(__name__)
 
@@ -109,13 +108,13 @@ def activity_rate(n_posts: int, first_post: datetime, last_post: datetime) -> fl
 
 
 def build_profiles(
-    corpus: Corpus,
+    posts: ActorPosts,
     snapshot: CatalogSnapshot,
     graph: BimodalGraph,
     partition: Partition,
     skill_percentile: int = DEFAULT_SKILL_PERCENTILE,
 ) -> list[ActorProfile]:
-    """Score every actor that survived graph filtering.
+    """Score every actor that survived graph filtering, from its surviving posts.
 
     Skill values are collected once per (post, CAPEC) occurrence. Actors
     whose CAPECs all lack catalog skill information cannot be scored and are
@@ -128,21 +127,10 @@ def build_profiles(
             raise ValidationError(f"partition does not assign CAPEC {capec}")
         coi_capecs.setdefault(comm, set()).add(capec)
 
-    posts_by_actor: dict[str, list[tuple[datetime, frozenset[int]]]] = {
-        actor: [] for actor in graph.actor_ids
-    }
-    per_post = post_capec_sets(corpus, snapshot)
-    for post in corpus.posts:
-        if post.actor_id not in posts_by_actor:
-            continue
-        surviving = frozenset(per_post[post.post_id] & graph.capec_ids)
-        if surviving:
-            posts_by_actor[post.actor_id].append((post.timestamp, surviving))
-
     profiles = []
-    for actor in sorted(posts_by_actor):
-        posts = sorted(posts_by_actor[actor], key=lambda item: item[0])
-        if not posts:
+    for actor in sorted(graph.actor_ids):
+        actor_posts = sorted(posts.get(actor, ()), key=lambda item: item[0])
+        if not actor_posts:
             # graph invariant: every actor kept an edge, hence a surviving post
             raise ValidationError(f"actor {actor!r} is in the graph but has no surviving posts")
         comm = partition.assignment.get(node_key("actor", actor))
@@ -150,7 +138,7 @@ def build_profiles(
             raise ValidationError(f"partition does not assign actor {actor!r}")
 
         values = []
-        for _, capecs in posts:
+        for _, capecs in actor_posts:
             for capec in sorted(capecs):
                 skill = effective_skill(snapshot, capec)
                 if skill is not None:
@@ -160,9 +148,9 @@ def build_profiles(
             continue
 
         interest = coi_capecs.get(comm, set())
-        n_posts = len(posts)
-        n_in = sum(1 for _, capecs in posts if post_in_interest(capecs, interest))
-        first, last = posts[0][0], posts[-1][0]
+        n_posts = len(actor_posts)
+        n_in = sum(1 for _, capecs in actor_posts if post_in_interest(capecs, interest))
+        first, last = actor_posts[0][0], actor_posts[-1][0]
         days = activity_days(first, last)
         profiles.append(
             ActorProfile(

@@ -14,6 +14,7 @@ import io
 import json
 import re
 from dataclasses import dataclass
+from datetime import datetime
 from pathlib import Path
 from typing import TYPE_CHECKING
 from xml.etree import ElementTree
@@ -59,43 +60,45 @@ class BimodalGraph:
         return adj
 
 
-def post_capec_sets(corpus: Corpus, snapshot: CatalogSnapshot) -> dict[str, frozenset[int]]:
-    """Map each post to the union of CAPECs its CVE mentions resolve to."""
-    result: dict[str, frozenset[int]] = {}
+# per actor, in corpus order: (timestamp, CAPEC ids) of each post that resolves
+ActorPosts = dict[str, list[tuple[datetime, frozenset[int]]]]
+
+
+def post_capec_sets(corpus: Corpus, snapshot: CatalogSnapshot) -> ActorPosts:
+    """Resolve posts to CAPECs; posts (and actors) resolving to none are left out."""
+    posts: ActorPosts = {}
     for post in corpus.posts:
-        capecs: set[int] = set()
-        for cve in post.mentions:
-            capecs.update(map_cve_to_capecs(snapshot, cve))
-        result[post.post_id] = frozenset(capecs)
-    return result
+        capecs = frozenset().union(*(map_cve_to_capecs(snapshot, cve) for cve in post.mentions))
+        if capecs:
+            posts.setdefault(post.actor_id, []).append((post.timestamp, capecs))
+    return posts
+
+
+def graph_of(posts: ActorPosts) -> BimodalGraph:
+    """The bimodal graph of resolved posts: one edge per (actor, CAPEC) pair."""
+    edges = frozenset((a, c) for a, a_posts in posts.items() for _, cs in a_posts for c in cs)
+    return BimodalGraph(frozenset(a for a, _ in edges), frozenset(c for _, c in edges), edges)
 
 
 def build_graph(corpus: Corpus, snapshot: CatalogSnapshot) -> BimodalGraph:
     """Build the bimodal graph; actors whose CVEs map to no CAPEC are dropped."""
-    edges: set[tuple[str, int]] = set()
-    per_post = post_capec_sets(corpus, snapshot)
-    for post in corpus.posts:
-        for capec in per_post[post.post_id]:
-            edges.add((post.actor_id, capec))
-    actors = frozenset(a for a, _ in edges)
-    capecs = frozenset(c for _, c in edges)
-    return BimodalGraph(actor_ids=actors, capec_ids=capecs, edges=frozenset(edges))
+    return graph_of(post_capec_sets(corpus, snapshot))
 
 
-def surviving_post_counts(
-    corpus: Corpus, per_post: dict[str, frozenset[int]], graph: BimodalGraph
-) -> dict[str, int]:
-    """Per actor in the graph: posts whose CAPECs intersect the graph's CAPEC set.
+def surviving_posts(posts: ActorPosts, graph: BimodalGraph) -> ActorPosts:
+    """Cut posts to ``graph``: only its actors and CAPECs stay; emptied posts and actors go."""
+    cut: ActorPosts = {}
+    for actor, actor_posts in posts.items():
+        if actor in graph.actor_ids:
+            kept = [(when, capecs & graph.capec_ids) for when, capecs in actor_posts]
+            if kept := [(when, capecs) for when, capecs in kept if capecs]:
+                cut[actor] = kept
+    return cut
 
-    ``per_post`` is the corpus's :func:`post_capec_sets`.
-    """
-    counts: dict[str, int] = {a: 0 for a in graph.actor_ids}
-    for post in corpus.posts:
-        if post.actor_id not in counts:
-            continue
-        if per_post[post.post_id] & graph.capec_ids:
-            counts[post.actor_id] += 1
-    return counts
+
+def surviving_post_counts(posts: ActorPosts) -> dict[str, int]:
+    """Posts per actor of a :func:`surviving_posts` table."""
+    return {actor: len(actor_posts) for actor, actor_posts in posts.items()}
 
 
 @dataclass(frozen=True)
@@ -158,12 +161,12 @@ class DegreeStats:
     capec_degree: SummaryStats
     density: float
     density_all_pairs: float
-    posts: SummaryStats | None = None
-    posts_non_one_timers: SummaryStats | None = None
-    one_timer_share: float | None = None
+    posts: SummaryStats
+    posts_non_one_timers: SummaryStats
+    one_timer_share: float
 
     def as_dict(self) -> dict:
-        out = {
+        return {
             "n_actors": self.n_actors,
             "n_capecs": self.n_capecs,
             "n_edges": self.n_edges,
@@ -171,20 +174,14 @@ class DegreeStats:
             "capec_degree": self.capec_degree.as_dict(),
             "density": self.density,
             "density_all_pairs": self.density_all_pairs,
+            "posts": self.posts.as_dict(),
+            "posts_non_one_timers": self.posts_non_one_timers.as_dict(),
+            "one_timer_share": self.one_timer_share,
         }
-        if self.posts is not None:
-            out["posts"] = self.posts.as_dict()
-        if self.posts_non_one_timers is not None:
-            out["posts_non_one_timers"] = self.posts_non_one_timers.as_dict()
-        if self.one_timer_share is not None:
-            out["one_timer_share"] = self.one_timer_share
-        return out
 
 
-def degree_stats(
-    graph: BimodalGraph, post_counts: dict[str, int] | None = None
-) -> DegreeStats:
-    """Degree statistics; pass per-actor post counts to add the one-timer block."""
+def degree_stats(graph: BimodalGraph, post_counts: dict[str, int]) -> DegreeStats:
+    """Degree statistics plus the one-timer block from per-actor post counts."""
     # sorted id order: the float sums in SummaryStats must not follow set order,
     # which varies with the interpreter's hash seed
     actor_degrees = [len(s) for _, s in sorted(graph.actor_adjacency().items())]
@@ -196,17 +193,7 @@ def degree_stats(
     all_pairs = n_nodes * (n_nodes - 1) / 2
     density_all = n_edges / all_pairs if all_pairs else 0.0
 
-    posts = posts_multi = None
-    one_timer_share = None
-    if post_counts is not None:
-        counts = [post_counts.get(a, 0) for a in sorted(graph.actor_ids)]
-        posts = SummaryStats.describe(counts)
-        multi = [c for c in counts if c > 1]
-        posts_multi = SummaryStats.describe(multi)
-        one_timer_share = (
-            sum(1 for c in counts if c == 1) / len(counts) if counts else 0.0
-        )
-
+    counts = [post_counts.get(a, 0) for a in sorted(graph.actor_ids)]
     return DegreeStats(
         n_actors=n_actors,
         n_capecs=n_capecs,
@@ -215,9 +202,9 @@ def degree_stats(
         capec_degree=SummaryStats.describe(capec_degrees),
         density=density,
         density_all_pairs=density_all,
-        posts=posts,
-        posts_non_one_timers=posts_multi,
-        one_timer_share=one_timer_share,
+        posts=SummaryStats.describe(counts),
+        posts_non_one_timers=SummaryStats.describe(c for c in counts if c > 1),
+        one_timer_share=sum(1 for c in counts if c == 1) / len(counts) if counts else 0.0,
     )
 
 
@@ -244,6 +231,18 @@ def load_graph(path: str | Path) -> BimodalGraph:
         capec_ids=frozenset(int(c) for c in payload["capecs"]),
         edges=frozenset((a, int(c)) for a, c in payload["edges"]),
     )
+
+
+def save_posts(posts: ActorPosts, path: str | Path) -> None:
+    """Write a resolved-post table: actor -> [[timestamp, sorted CAPEC ids], ...]."""
+    payload = {a: [[when.isoformat(), sorted(cs)] for when, cs in ps] for a, ps in posts.items()}
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    Path(path).write_text(text + "\n", encoding="utf-8")
+
+
+def load_posts(path: str | Path) -> ActorPosts:
+    items = json.loads(Path(path).read_text(encoding="utf-8")).items()
+    return {a: [(datetime.fromisoformat(ts), frozenset(cs)) for ts, cs in ps] for a, ps in items}
 
 
 def _community_of(partition: "Partition | None", key: str) -> int | None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -23,7 +23,9 @@ logger = logging.getLogger(__name__)
 # Case-insensitive CVE token, bounded so e.g. "XCVE-2022-1234" or a trailing
 # letter does not match. Hyphens are not token characters in forum text. The
 # sequence is capped at 19 digits: int() refuses runs over 4,300 digits.
-_CVE_RE = re.compile(r"(?<![A-Za-z0-9])CVE-(\d{4})-(\d{4,19})(?![A-Za-z0-9])", re.IGNORECASE)
+# The id's digits are ASCII only, while a digit of any script (\d) next to
+# the token still rules it out.
+_CVE_RE = re.compile(r"(?<![A-Za-z\d])CVE-([0-9]{4})-([0-9]{4,19})(?![A-Za-z\d])", re.IGNORECASE)
 
 # Validity window for post timestamps; generous on purpose.
 DEFAULT_VALID_FROM = datetime(1995, 1, 1, tzinfo=timezone.utc)
@@ -176,15 +178,14 @@ class CorpusStats:
 
 @dataclass
 class Corpus:
-    """Deduplicated posts that mention at least one CVE, with derived indexes."""
+    """Deduplicated posts that mention at least one CVE, with their counts."""
 
     posts: list[PostRecord]
-    actors: dict[str, list[PostRecord]] = field(repr=False, default_factory=dict)
     stats: CorpusStats = CorpusStats(0, 0, 0, 0)
 
 
 def build_corpus(posts: Iterable[PostRecord]) -> Corpus:
-    """Assemble a corpus: extract mentions, drop mention-less posts, index actors.
+    """Assemble a corpus: extract mentions, drop mention-less posts, count.
 
     Posts whose record already carries mentions keep them; otherwise mentions
     are extracted from ``content``. A duplicate ``post_id`` is fatal.
@@ -200,11 +201,11 @@ def build_corpus(posts: Iterable[PostRecord]) -> Corpus:
             continue
         kept.append(replace(post, mentions=mentions))
 
-    actors: dict[str, list[PostRecord]] = {}
+    actors: set[str] = set()
     forums: set[str] = set()
     cves: set[CveId] = set()
     for post in kept:
-        actors.setdefault(post.actor_id, []).append(post)
+        actors.add(post.actor_id)
         forums.add(post.forum_id)
         cves.update(post.mentions)
 
@@ -214,7 +215,7 @@ def build_corpus(posts: Iterable[PostRecord]) -> Corpus:
         n_forums=len(forums),
         n_cves=len(cves),
     )
-    return Corpus(posts=kept, actors=actors, stats=stats)
+    return Corpus(posts=kept, stats=stats)
 
 
 def _post_to_row(post: PostRecord) -> dict:

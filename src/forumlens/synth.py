@@ -32,6 +32,8 @@ from .graph import node_key
 from .ingest import Corpus, CveId, PostRecord, build_corpus, save_corpus
 
 SYNTH_CVE_YEAR = 1900  # reserved year: synthetic ids can never collide with real CVEs
+CVES_PER_CAPEC = 3
+BASE_DATE = datetime(2021, 1, 1, tzinfo=timezone.utc)  # earliest possible first post
 
 _COMMUNITY_THEMES = (
     "injection",
@@ -80,8 +82,6 @@ class SynthConfig:
     capecs_per_community: int = 10
     actors_per_community: int = 25
     noise: float = 0.05
-    cves_per_capec: int = 3
-    base_date: datetime = datetime(2021, 1, 1, tzinfo=timezone.utc)
     archetypes: tuple[Archetype, ...] = DEFAULT_ARCHETYPES
 
     def validate(self) -> None:
@@ -96,8 +96,6 @@ class SynthConfig:
             raise ValidationError(f"need at least 1 actor per community: {self.actors_per_community}")
         if not 0.0 <= self.noise < 0.5:
             raise ValidationError(f"noise must be in [0, 0.5): {self.noise}")
-        if not 1 <= self.cves_per_capec <= 10:
-            raise ValidationError(f"cves_per_capec must be in [1, 10]: {self.cves_per_capec}")
         if not self.archetypes:
             raise ValidationError("archetype mix is empty")
         if abs(sum(a.fraction for a in self.archetypes) - 1.0) > 1e-9:
@@ -170,7 +168,7 @@ def _build_catalog(config: SynthConfig) -> tuple[CatalogSnapshot, dict[int, int]
                 )
             )
             capec_community[capec] = comm
-            ids = _cve_ids(capec, config.cves_per_capec)
+            ids = _cve_ids(capec, CVES_PER_CAPEC)
             capec_cves[capec] = ids
             cves.extend(CveEntry(cve_id=CveId.parse(c), cwe_ids=frozenset([cwe])) for c in ids)
     return build_snapshot(cves, capecs), capec_community, capec_cves
@@ -247,7 +245,7 @@ def generate(config: SynthConfig) -> tuple[Corpus, CatalogSnapshot, GroundTruth]
 
             n_posts = rng.randint(*arch.posts_range)
             span = rng.randint(*arch.span_days_range)
-            start = config.base_date + timedelta(
+            start = BASE_DATE + timedelta(
                 days=rng.randint(0, 300), seconds=rng.randint(0, 86399)
             )
             if n_posts == 1:

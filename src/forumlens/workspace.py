@@ -31,7 +31,7 @@ STAGE_ARTIFACTS: dict[str, tuple[str, ...]] = {
     "synth": ("synth/posts.jsonl", "synth/cve_cwe.csv", "synth/capec.json", "synth/truth.json"),
     "ingest": ("corpus.jsonl", "corpus_stats.json"),
     "convert-catalog": ("cve_cwe.csv", "capec.json"),
-    "graph": ("graph.json", "graph_stats.json", "removal.json"),
+    "graph": ("graph.json", "graph_stats.json", "removal.json", "capec_posts.json"),
     "communities": ("communities.json",),
     "expertise": ("profiles.csv", "sample.csv", "sample_stats.json"),
     "cluster": ("clusters.json",),
@@ -96,10 +96,16 @@ class Workspace:
         return manifest
 
     def save_manifest(self, manifest: dict) -> None:
+        # write a sibling file and swap it in: a crash mid-write keeps the old manifest
         self.root.mkdir(parents=True, exist_ok=True)
-        with self.manifest_path.open("w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        tmp = self.manifest_path.with_name(MANIFEST_NAME + ".tmp")
+        try:
+            with tmp.open("w", encoding="utf-8") as handle:
+                json.dump(manifest, handle, indent=2, sort_keys=True)
+                handle.write("\n")
+            os.replace(tmp, self.manifest_path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
     def record_stage(self, stage: str, config: Mapping, artifacts: Sequence[str]) -> dict:
         """Hash the stage's artifacts and store them with its config."""

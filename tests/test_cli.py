@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import forumlens
-from forumlens import cli
+from forumlens import cli, ingest
 from forumlens.cli import main
 from forumlens.graph import import_graph, load_graph
+from forumlens.workspace import STAGE_ARTIFACTS
 
 
 def _synth_inputs(root, seed=3):
@@ -57,24 +59,26 @@ def pipeline_ws(tmp_path_factory):
 
 
 def test_run_all_produces_all_artifacts(pipeline_ws):
-    for name in (
-        "corpus.jsonl",
-        "corpus_stats.json",
-        "cve_cwe.csv",
-        "capec.json",
-        "graph.json",
-        "graph_stats.json",
-        "removal.json",
-        "communities.json",
-        "profiles.csv",
-        "sample.csv",
-        "sample_stats.json",
-        "clusters.json",
-        "report.json",
-        "report.txt",
-        "manifest.json",
-    ):
-        assert (pipeline_ws / name).is_file(), name
+    manifest = json.loads((pipeline_ws / "manifest.json").read_text())
+    for stage in manifest["stages"]:
+        for name in STAGE_ARTIFACTS[stage]:
+            assert (pipeline_ws / name).is_file(), name
+    assert "capec_posts.json" in STAGE_ARTIFACTS["graph"]
+
+
+def test_communities_and_expertise_do_not_load_the_corpus(pipeline_ws, tmp_path, monkeypatch):
+    ws = tmp_path / "ws"
+    shutil.copytree(pipeline_ws, ws)
+    rerun = STAGE_ARTIFACTS["communities"] + STAGE_ARTIFACTS["expertise"]
+    before = {name: (ws / name).read_bytes() for name in rerun}
+
+    def refuse(path):
+        raise AssertionError(f"corpus loaded from {path}")
+
+    monkeypatch.setattr(ingest, "load_corpus", refuse)
+    assert main(["communities", "--workspace", str(ws)]) == 0
+    assert main(["expertise", "--workspace", str(ws)]) == 0
+    assert {name: (ws / name).read_bytes() for name in rerun} == before
 
 
 def test_run_all_manifest_records_every_stage(pipeline_ws):

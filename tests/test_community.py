@@ -16,7 +16,7 @@ from forumlens.community import (
     summarize_communities,
 )
 from forumlens.errors import ValidationError
-from forumlens.graph import build_graph
+from forumlens.graph import build_graph, post_capec_sets, surviving_posts
 from forumlens.ingest import build_corpus
 
 from conftest import (
@@ -198,7 +198,8 @@ def test_summarize_communities_fields():
     )
     graph = build_graph(corpus, snapshot)
     partition = leiden(graph, seed=0)
-    overviews = summarize_communities(graph, partition, corpus, snapshot)
+    posts = surviving_posts(post_capec_sets(corpus, snapshot), graph)
+    overviews = summarize_communities(graph, partition, posts, snapshot)
 
     assert len(overviews) == len(partition.communities())
     by_actor = {next(iter(o.actor_ids)): o for o in overviews if o.actor_ids}

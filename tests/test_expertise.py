@@ -22,7 +22,7 @@ from forumlens.expertise import (
     save_profiles,
     skill_score,
 )
-from forumlens.graph import build_graph
+from forumlens.graph import build_graph, post_capec_sets, surviving_posts
 
 from conftest import post, snapshot_from, ts
 
@@ -154,9 +154,13 @@ def _profile_fixture():
     return corpus, snapshot, graph, partition
 
 
+def _profiles(corpus, snapshot, graph, partition):
+    posts = surviving_posts(post_capec_sets(corpus, snapshot), graph)
+    return build_profiles(posts, snapshot, graph, partition)
+
+
 def test_build_profiles_features():
-    corpus, snapshot, graph, partition = _profile_fixture()
-    profiles = {p.actor_id: p for p in build_profiles(corpus, snapshot, graph, partition)}
+    profiles = {p.actor_id: p for p in _profiles(*_profile_fixture())}
 
     alice = profiles["alice"]
     assert alice.community_id == 0
@@ -182,7 +186,7 @@ def test_build_profiles_counts_skill_per_occurrence():
         corpus.posts + [post("p5", "alice", "2021-01-25", "CVE-2021-0002 encore")]
     )
     alice = next(
-        p for p in build_profiles(corpus, snapshot, graph, partition) if p.actor_id == "alice"
+        p for p in _profiles(corpus, snapshot, graph, partition) if p.actor_id == "alice"
     )
     # CAPEC 66 appears in two posts, so its skill value counts twice
     assert sorted(alice.skill_values) == [1, 2, 3, 3]
@@ -196,7 +200,7 @@ def test_build_profiles_drops_unscorable_actor():
     corpus = build_corpus([post("p1", "alice", "2021-01-01", "CVE-2021-0001")])
     graph = build_graph(corpus, snapshot)
     partition = Partition(assignment={"actor:alice": 0, "capec:63": 0}, quality=0.0)
-    assert build_profiles(corpus, snapshot, graph, partition) == []
+    assert _profiles(corpus, snapshot, graph, partition) == []
 
 
 def test_build_sample_min_posts():
@@ -224,8 +228,7 @@ def test_build_sample_min_posts():
 
 
 def test_sample_stats_blocks():
-    corpus, snapshot, graph, partition = _profile_fixture()
-    profiles = build_profiles(corpus, snapshot, graph, partition)
+    profiles = _profiles(*_profile_fixture())
     stats = sample_stats(profiles)
     assert stats["n_actors"] == 2
     assert stats["n_posts"]["max"] == 3
@@ -236,8 +239,7 @@ def test_sample_stats_blocks():
 
 
 def test_profiles_csv_round_trip(tmp_path):
-    corpus, snapshot, graph, partition = _profile_fixture()
-    profiles = build_profiles(corpus, snapshot, graph, partition)
+    profiles = _profiles(*_profile_fixture())
     path = save_profiles(profiles, tmp_path / "profiles.csv")
     loaded = load_profiles(path)
     assert len(loaded) == len(profiles)

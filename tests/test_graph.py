@@ -18,15 +18,19 @@ from forumlens.graph import (
     degree_stats,
     export_graph,
     filter_popular_capecs,
+    graph_of,
     import_graph,
     load_graph,
+    load_posts,
     post_capec_sets,
     save_graph,
+    save_posts,
     surviving_post_counts,
+    surviving_posts,
 )
 from forumlens.ingest import build_corpus
 
-from conftest import bigraph, post, snapshot_from
+from conftest import bigraph, post, snapshot_from, ts
 
 
 def _star(capec: int, n_actors: int, prefix: str) -> list[tuple[str, int]]:
@@ -80,10 +84,13 @@ def test_build_graph_repeat_mentions_collapse():
 
 def test_post_capec_sets(corpus_and_snapshot):
     corpus, snapshot = corpus_and_snapshot
-    per_post = post_capec_sets(corpus, snapshot)
-    assert per_post["p1"] == {63}
-    assert per_post["p2"] == {66}
-    assert per_post["p4"] == frozenset()
+    posts = post_capec_sets(corpus, snapshot)
+    # carol's p4 resolves to no CAPEC, so neither the post nor carol is listed
+    assert posts == {
+        "alice": [(ts("2021-01-01"), {63}), (ts("2021-01-02"), {66})],
+        "bob": [(ts("2021-01-03"), {63})],
+    }
+    assert graph_of(posts) == build_graph(corpus, snapshot)
 
 
 def test_graph_rejects_dangling_edges():
@@ -139,7 +146,7 @@ def test_filter_idempotent():
 
 def test_degree_stats_densities():
     graph = bigraph([("a", 1), ("a", 2), ("b", 1)])
-    stats = degree_stats(graph)
+    stats = degree_stats(graph, {"a": 2, "b": 1})
     assert stats.n_actors == 2 and stats.n_capecs == 2 and stats.n_edges == 3
     assert stats.density == pytest.approx(3 / 4)
     assert stats.density_all_pairs == pytest.approx(3 / 6)
@@ -166,7 +173,7 @@ _DEGREE_STATS_SCRIPT = textwrap.dedent(
     graph = BimodalGraph(
         frozenset(a for a, _ in edges), frozenset(c for _, c in edges), frozenset(edges)
     )
-    stats = degree_stats(graph)
+    stats = degree_stats(graph, {a: 1 for a in graph.actor_ids})
     print(repr(stats.actor_degree.as_dict()), repr(stats.capec_degree.as_dict()))
     """
 )
@@ -192,8 +199,43 @@ def test_surviving_post_counts(corpus_and_snapshot):
     graph = build_graph(corpus, snapshot)
     filtered, _ = filter_popular_capecs(graph, threshold=1)
     # CAPEC 63 (degree 2) is removed; only alice's p2 still maps into the graph.
-    counts = surviving_post_counts(corpus, post_capec_sets(corpus, snapshot), filtered)
+    counts = surviving_post_counts(surviving_posts(post_capec_sets(corpus, snapshot), filtered))
     assert counts == {"alice": 1}
+
+
+def test_surviving_posts_cuts_drops_posts_and_actors():
+    t1, t2, t3 = ts("2021-01-01"), ts("2021-01-02"), ts("2021-01-03")
+    posts = {
+        "alice": [(t1, frozenset({1, 2})), (t2, frozenset({2})), (t3, frozenset({3}))],
+        "bob": [(t1, frozenset({2}))],
+        "carol": [(t2, frozenset({3}))],
+    }
+    graph = bigraph([("alice", 1), ("alice", 3), ("carol", 3)])
+    assert surviving_posts(posts, graph) == {
+        # {1, 2} is cut to {1}; {2} is left empty and dropped; order is kept
+        "alice": [(t1, {1}), (t3, {3})],
+        # bob's only post is dropped, and bob with it
+        "carol": [(t2, {3})],
+    }
+    assert surviving_posts(posts, bigraph([("carol", 3)])) == {"carol": [(t2, {3})]}
+
+
+def test_posts_table_round_trip(tmp_path):
+    posts = {
+        'quo"te, comma': [
+            (ts("2021-05-01T10:00:00"), frozenset({66, 7})),
+            (ts("2021-05-01T10:00:00"), frozenset({7})),
+            (ts("2021-05-01T10:00:00"), frozenset({120, 3, 66})),
+        ],
+        "m\u00fcller-\u0416": [(ts("2021-01-01"), frozenset({1}))],
+    }
+    path = tmp_path / "capec_posts.json"
+    save_posts(posts, path)
+    loaded = load_posts(path)
+    assert loaded == posts
+    assert [capecs for _, capecs in loaded['quo"te, comma']] == [{7, 66}, {7}, {3, 66, 120}]
+    save_posts(loaded, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
 def test_graph_json_round_trip(tmp_path):

@@ -97,8 +97,6 @@ def test_config_validation():
         _small_config(capecs_per_community=5).validate()
     with pytest.raises(ValidationError):
         _small_config(noise=0.5).validate()
-    with pytest.raises(ValidationError):
-        _small_config(cves_per_capec=0).validate()
 
 
 def test_write_and_load_round_trip(tmp_path):

@@ -44,6 +44,26 @@ def test_record_stage_writes_manifest(tmp_path):
     assert ws.stage_entry("graph") is None
 
 
+def test_interrupted_manifest_write_keeps_previous_manifest(tmp_path, monkeypatch):
+    ws = _ws_with_stage(tmp_path, "ingest", ("corpus.jsonl",))
+    _ws_with_stage(tmp_path, "convert-catalog", ("cve_cwe.csv", "capec.json"))
+    previous = ws.manifest_path.read_bytes()
+
+    def dump_part_then_fail(obj, handle, **kwargs):
+        handle.write('{"stages": {"ingest"')
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(json, "dump", dump_part_then_fail)
+    ws.path("graph.json").write_text("{}\n")
+    with pytest.raises(OSError):
+        ws.record_stage("graph", {}, ("graph.json",))
+    monkeypatch.undo()
+
+    assert ws.manifest_path.read_bytes() == previous
+    assert set(ws.load_manifest()["stages"]) == {"ingest", "convert-catalog"}
+    assert sorted(p.name for p in tmp_path.iterdir() if "manifest" in p.name) == ["manifest.json"]
+
+
 def test_require_missing_stage(tmp_path):
     ws = Workspace(tmp_path)
     with pytest.raises(MissingUpstreamError) as exc:
