@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import re
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -21,7 +20,7 @@ from xml.etree import ElementTree
 
 from .catalog import CatalogSnapshot, map_cve_to_capecs
 from .errors import ValidationError
-from .ingest import Corpus
+from .ingest import Corpus, CveId
 from .stats import SummaryStats
 
 if TYPE_CHECKING:
@@ -65,10 +64,18 @@ ActorPosts = dict[str, list[tuple[datetime, frozenset[int]]]]
 
 
 def post_capec_sets(corpus: Corpus, snapshot: CatalogSnapshot) -> ActorPosts:
-    """Resolve posts to CAPECs; posts (and actors) resolving to none are left out."""
+    """Resolve posts to CAPECs; posts (and actors) resolving to none are left out.
+
+    Each distinct mention set is resolved once per call, and posts with equal
+    mention sets share one CAPEC frozenset.
+    """
+    by_set: dict[frozenset[CveId], frozenset[int]] = {}
     posts: ActorPosts = {}
     for post in corpus.posts:
-        capecs = frozenset().union(*(map_cve_to_capecs(snapshot, cve) for cve in post.mentions))
+        capecs = by_set.get(post.mentions)
+        if capecs is None:
+            capecs = frozenset().union(*(map_cve_to_capecs(snapshot, c) for c in post.mentions))
+            by_set[post.mentions] = capecs
         if capecs:
             posts.setdefault(post.actor_id, []).append((post.timestamp, capecs))
     return posts
@@ -260,8 +267,8 @@ def export_graph(
     """Serialize the graph for external tools: 'graphml', 'dot' or 'csv'.
 
     Every node carries a ``mode`` attribute and, when a partition is given,
-    its ``community`` id. Exports of all three formats round-trip through
-    :func:`import_graph`.
+    its ``community`` id. Nodes are named by :func:`node_key`; the CSV form
+    has one row per edge and no node rows.
     """
     if fmt not in EXPORT_FORMATS:
         raise ValidationError(f"unknown export format {fmt!r}; expected one of {EXPORT_FORMATS}")
@@ -271,18 +278,6 @@ def export_graph(
         "csv": _to_csv,
     }[fmt](graph, partition)
     Path(path).write_text(text, encoding="utf-8")
-
-
-def import_graph(path: str | Path, fmt: str) -> BimodalGraph:
-    """Read back a graph exported by :func:`export_graph`."""
-    if fmt not in EXPORT_FORMATS:
-        raise ValidationError(f"unknown export format {fmt!r}; expected one of {EXPORT_FORMATS}")
-    text = Path(path).read_text(encoding="utf-8")
-    return {
-        "graphml": _from_graphml,
-        "dot": _from_dot,
-        "csv": _from_csv,
-    }[fmt](text)
 
 
 def _sorted_nodes(graph: BimodalGraph) -> list[tuple[str, str]]:
@@ -316,26 +311,6 @@ def _to_graphml(graph: BimodalGraph, partition: "Partition | None") -> str:
     return ElementTree.tostring(root, encoding="unicode", xml_declaration=True) + "\n"
 
 
-def _from_graphml(text: str) -> BimodalGraph:
-    root = ElementTree.fromstring(text)
-    actors: set[str] = set()
-    capecs: set[int] = set()
-    edges: set[tuple[str, int]] = set()
-    for node in root.iter():
-        local = node.tag.rsplit("}", 1)[-1]
-        if local == "node":
-            mode, _, raw = node.get("id", "").partition(":")
-            if mode == "actor":
-                actors.add(raw)
-            elif mode == "capec":
-                capecs.add(int(raw))
-        elif local == "edge":
-            _, _, actor = node.get("source", "").partition(":")
-            _, _, capec = node.get("target", "").partition(":")
-            edges.add((actor, int(capec)))
-    return BimodalGraph(frozenset(actors), frozenset(capecs), frozenset(edges))
-
-
 def _dot_quote(value: str) -> str:
     return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
@@ -357,35 +332,6 @@ def _to_dot(graph: BimodalGraph, partition: "Partition | None") -> str:
     return "\n".join(lines) + "\n"
 
 
-_DOT_NODE_RE = re.compile(r'^\s*"((?:[^"\\]|\\.)*)"\s*\[([^\]]*)\];\s*$')
-_DOT_EDGE_RE = re.compile(r'^\s*"((?:[^"\\]|\\.)*)"\s*--\s*"((?:[^"\\]|\\.)*)"\s*;\s*$')
-
-
-def _dot_unquote(value: str) -> str:
-    return value.replace('\\"', '"').replace("\\\\", "\\")
-
-
-def _from_dot(text: str) -> BimodalGraph:
-    actors: set[str] = set()
-    capecs: set[int] = set()
-    edges: set[tuple[str, int]] = set()
-    for line in text.splitlines():
-        m = _DOT_NODE_RE.match(line)
-        if m:
-            mode, _, raw = _dot_unquote(m.group(1)).partition(":")
-            if mode == "actor":
-                actors.add(raw)
-            elif mode == "capec":
-                capecs.add(int(raw))
-            continue
-        m = _DOT_EDGE_RE.match(line)
-        if m:
-            _, _, actor = _dot_unquote(m.group(1)).partition(":")
-            _, _, capec = _dot_unquote(m.group(2)).partition(":")
-            edges.add((actor, int(capec)))
-    return BimodalGraph(frozenset(actors), frozenset(capecs), frozenset(edges))
-
-
 def _to_csv(graph: BimodalGraph, partition: "Partition | None") -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -397,15 +343,3 @@ def _to_csv(graph: BimodalGraph, partition: "Partition | None") -> str:
             [actor, capec, "" if a_comm is None else a_comm, "" if c_comm is None else c_comm]
         )
     return buffer.getvalue()
-
-
-def _from_csv(text: str) -> BimodalGraph:
-    reader = csv.DictReader(io.StringIO(text))
-    edges: set[tuple[str, int]] = set()
-    for row in reader:
-        edges.add((row["actor_id"], int(row["capec_id"])))
-    return BimodalGraph(
-        actor_ids=frozenset(a for a, _ in edges),
-        capec_ids=frozenset(c for _, c in edges),
-        edges=frozenset(edges),
-    )

@@ -110,7 +110,7 @@ def parse_timestamp(value: str) -> datetime:
         raise ValidationError(f"unparseable timestamp: {value!r}") from exc
 
 
-def _parse_record(line: str) -> PostRecord:
+def _parse_record(line: str, cve_ids: dict[str, CveId]) -> PostRecord:
     obj = json.loads(line)
     if not isinstance(obj, dict):
         raise ValidationError("record is not a JSON object")
@@ -125,7 +125,8 @@ def _parse_record(line: str) -> PostRecord:
     raw_mentions = obj.get("mentions", [])
     if not isinstance(raw_mentions, list) or not all(isinstance(c, str) for c in raw_mentions):
         raise ValidationError("key 'mentions' must be a list of strings")
-    mentions = frozenset(CveId.parse(c) for c in raw_mentions)
+    get, put = cve_ids.get, cve_ids.setdefault
+    mentions = frozenset([get(c) or put(c, CveId.parse(c)) for c in raw_mentions])
     return PostRecord(
         post_id=obj["post_id"],
         actor_id=obj["actor_id"],
@@ -150,9 +151,12 @@ def parse_posts(source: str | Path | IO[str] | Iterable[str]) -> ParsedPosts:
 
     Malformed lines (invalid UTF-8, bad or too deeply nested JSON, missing
     keys, unparseable or out-of-window timestamps) are logged and counted in
-    ``skipped``. An unreadable source raises ``OSError``.
+    ``skipped``. An unreadable source raises ``OSError``. Each distinct
+    mention string is parsed once per call, and the posts naming it share
+    that one ``CveId``; a string that fails to parse fails every line with it.
     """
     records: list[PostRecord] = []
+    cve_ids: dict[str, CveId] = {}
     skipped = 0
     for lineno, line in enumerate(_iter_lines(source), start=1):
         # ValueError covers ValidationError, JSONDecodeError and UnicodeDecodeError
@@ -161,7 +165,7 @@ def parse_posts(source: str | Path | IO[str] | Iterable[str]) -> ParsedPosts:
                 line = line.decode("utf-8")
             if not line.strip():
                 continue
-            records.append(_parse_record(line))
+            records.append(_parse_record(line, cve_ids))
         except (ValueError, RecursionError) as exc:
             skipped += 1
             logger.warning("skipping malformed line %d: %s", lineno, exc)
@@ -187,8 +191,9 @@ class Corpus:
 def build_corpus(posts: Iterable[PostRecord]) -> Corpus:
     """Assemble a corpus: extract mentions, drop mention-less posts, count.
 
-    Posts whose record already carries mentions keep them; otherwise mentions
-    are extracted from ``content``. A duplicate ``post_id`` is fatal.
+    Posts whose record already carries mentions are kept as they are;
+    otherwise mentions are extracted from ``content`` into a copy. A
+    duplicate ``post_id`` is fatal.
     """
     kept: list[PostRecord] = []
     seen_ids: set[str] = set()
@@ -196,10 +201,12 @@ def build_corpus(posts: Iterable[PostRecord]) -> Corpus:
         if post.post_id in seen_ids:
             raise ValidationError(f"duplicate post_id: {post.post_id!r}")
         seen_ids.add(post.post_id)
-        mentions = post.mentions or frozenset(extract_cve_ids(post.content))
-        if not mentions:
-            continue
-        kept.append(replace(post, mentions=mentions))
+        if not post.mentions:
+            mentions = extract_cve_ids(post.content)
+            if not mentions:
+                continue
+            post = replace(post, mentions=frozenset(mentions))
+        kept.append(post)
 
     actors: set[str] = set()
     forums: set[str] = set()
@@ -218,22 +225,23 @@ def build_corpus(posts: Iterable[PostRecord]) -> Corpus:
     return Corpus(posts=kept, stats=stats)
 
 
-def _post_to_row(post: PostRecord) -> dict:
+def _post_to_row(post: PostRecord, names: dict[CveId, str]) -> dict:
     return {
         "post_id": post.post_id,
         "actor_id": post.actor_id,
         "forum_id": post.forum_id,
         "timestamp": post.timestamp.strftime("%Y-%m-%dT%H:%M:%SZ"),
         "content": post.content,
-        "mentions": sorted(str(c) for c in post.mentions),
+        "mentions": sorted([names.get(c) or names.setdefault(c, str(c)) for c in post.mentions]),
     }
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Persist a corpus as JSONL, one post per line, mentions explicit."""
+    names: dict[CveId, str] = {}  # each distinct CVE is formatted once per call
     with open(path, "w", encoding="utf-8") as handle:
         for post in corpus.posts:
-            handle.write(json.dumps(_post_to_row(post), sort_keys=True) + "\n")
+            handle.write(json.dumps(_post_to_row(post, names), sort_keys=True) + "\n")
 
 
 def load_corpus(path: str | Path) -> Corpus:

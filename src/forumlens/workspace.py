@@ -1,10 +1,12 @@
 """Persistent staged workspace: artifacts, manifest, hash gating, lock file.
 
 Every stage writes its artifacts into the workspace root and records their
-SHA-256 digests plus the flags it ran with in ``manifest.json``. A stage may
-run only when all upstream stages are recorded, their files exist, and their
-digests still match; a mismatch is refused as stale unless forced, in which
-case the manifest is re-baselined to the current file contents.
+SHA-256 digests, the flags it ran with, and the digests of the upstream
+artifacts it was built from (``inputs``) in ``manifest.json``. A stage may
+run only when all upstream stages are recorded, their files exist, their
+digests still match, and each upstream's ``inputs`` still match the manifest;
+a mismatch is refused as stale unless forced, in which case the manifest is
+re-baselined to the current file contents.
 """
 
 from __future__ import annotations
@@ -63,6 +65,11 @@ def sha256_file(path: str | Path) -> str:
     return digest.hexdigest()
 
 
+def _inputs(stage: str, stages: Mapping) -> dict:
+    """The recorded artifact digests of ``stage``'s upstream stages."""
+    return {u: stages[u]["artifacts"] for u in STAGE_UPSTREAM.get(stage, ()) if u in stages}
+
+
 def default_root() -> Path:
     return Path(os.environ.get(WORKSPACE_ENV_VAR, DEFAULT_WORKSPACE))
 
@@ -108,12 +115,13 @@ class Workspace:
             tmp.unlink(missing_ok=True)
 
     def record_stage(self, stage: str, config: Mapping, artifacts: Sequence[str]) -> dict:
-        """Hash the stage's artifacts and store them with its config."""
+        """Hash the stage's artifacts and store them with its config and inputs."""
         entry = {
             "config": dict(config),
             "artifacts": {name: sha256_file(self.path(name)) for name in artifacts},
         }
         manifest = self.load_manifest()
+        entry["inputs"] = _inputs(stage, manifest["stages"])
         manifest["stages"][stage] = entry
         self.save_manifest(manifest)
         return entry
@@ -122,13 +130,16 @@ class Workspace:
         return self.load_manifest()["stages"].get(stage)
 
     def require(self, stage: str, *, needed_by: str, force: bool = False) -> None:
-        """Ensure ``stage`` ran and its artifacts are intact before ``needed_by``.
+        """Ensure ``stage`` ran and its artifacts are intact and current before ``needed_by``.
 
         Missing stage or files raise a missing-upstream error naming the stage
-        to run; a digest mismatch is refused as stale. With ``force`` the
+        to run. A digest mismatch is refused as stale, and so is an upstream
+        whose artifacts changed after ``stage`` recorded them in its
+        ``inputs``; that check reads the manifest only. With ``force`` the
         manifest is re-baselined to the file contents on disk instead.
         """
-        entry = self.stage_entry(stage)
+        manifest = self.load_manifest()
+        entry = manifest["stages"].get(stage)
         if entry is None:
             raise MissingUpstreamError(
                 stage, f"stage {needed_by!r} needs {stage!r}, which has not been run yet"
@@ -150,14 +161,30 @@ class Workspace:
                         f"re-run {stage!r} or pass --force to accept the current file"
                     )
                 rebaselined[name] = current
+        # an entry written before inputs were recorded has none to compare
+        changed = sorted(
+            upstream
+            for upstream, digests in entry.get("inputs", {}).items()
+            if manifest["stages"].get(upstream, {}).get("artifacts") != digests
+        )
+        if changed and not force:
+            raise StaleArtifactError(
+                f"stage {stage!r} was built from artifacts of {', '.join(map(repr, changed))} "
+                f"that changed since; re-run {stage!r} or pass --force to accept it"
+            )
         if rebaselined:
             logger.warning(
                 "force: accepting changed artifacts from stage %s: %s",
                 stage,
                 ", ".join(sorted(rebaselined)),
             )
-            manifest = self.load_manifest()
-            manifest["stages"][stage]["artifacts"].update(rebaselined)
+            entry["artifacts"].update(rebaselined)
+        if changed:
+            logger.warning(
+                "force: accepting stage %s built from since-changed %s", stage, ", ".join(changed)
+            )
+            entry["inputs"] = _inputs(stage, manifest["stages"])
+        if rebaselined or changed:
             self.save_manifest(manifest)
 
     def require_upstream(self, stage: str, force: bool = False) -> None:

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import csv
 import random
+import re
 from datetime import datetime, timezone
+from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -73,6 +77,35 @@ def bigraph(edges: list[tuple[str, int]]) -> BimodalGraph:
     )
 
 
+_DOT_ID = r'"((?:[^"\\]|\\.)*)"'
+
+
+def read_export(path: str | Path, fmt: str) -> BimodalGraph:
+    """Read the nodes and edges of an ``export_graph`` file back into a graph."""
+    text = Path(path).read_text(encoding="utf-8")
+    if fmt == "csv":
+        rows = csv.DictReader(text.splitlines())
+        return bigraph([(row["actor_id"], int(row["capec_id"])) for row in rows])
+    if fmt == "graphml":
+        root = ElementTree.fromstring(text)
+        ns = "{http://graphml.graphdrawing.org/xmlns}"
+        nodes = [n.get("id") for n in root.iter(ns + "node")]
+        pairs = [(e.get("source"), e.get("target")) for e in root.iter(ns + "edge")]
+    else:
+        def unquote(key: str) -> str:
+            return re.sub(r"\\(.)", r"\1", key)
+
+        nodes = [unquote(k) for k in re.findall(rf"^  {_DOT_ID} \[", text, re.M)]
+        edge_re = rf"^  {_DOT_ID} -- {_DOT_ID};$"
+        pairs = [(unquote(a), unquote(c)) for a, c in re.findall(edge_re, text, re.M)]
+    modes = [key.split(":", 1) for key in nodes]
+    return BimodalGraph(
+        actor_ids=frozenset(raw for mode, raw in modes if mode == "actor"),
+        capec_ids=frozenset(int(raw) for mode, raw in modes if mode == "capec"),
+        edges=frozenset((a.split(":", 1)[1], int(c.split(":", 1)[1])) for a, c in pairs),
+    )
+
+
 def two_bicliques() -> BimodalGraph:
     """Two disjoint complete 2x2 bicliques: the Q = 0.5 hand example."""
     edges = [
@@ -133,6 +166,30 @@ def modularity_oracle(graph: BimodalGraph, assignment: dict[str, int]) -> float:
     return sum(
         intra.get(c, 0) / m - (d / (2 * m)) ** 2 for c, d in degree_sum.items()
     )
+
+
+def post_capec_oracle(
+    records: list[tuple[str, datetime, set[str]]],
+    cve_cwes: dict[str, list[str]],
+    capec_cwes: dict[int, list[str]],
+) -> dict[str, list[tuple[datetime, frozenset[int]]]]:
+    """Per-post CVE -> CWE -> CAPEC resolution off plain dicts, nothing shared or cached.
+
+    ``records`` are (actor, timestamp, canonical CVE ids) in corpus order;
+    posts and actors that resolve to no CAPEC are left out.
+    """
+    table: dict[str, list[tuple[datetime, frozenset[int]]]] = {}
+    for actor, when, cves in records:
+        capecs = {
+            capec
+            for cve in cves
+            for cwe in cve_cwes.get(cve, [])
+            for capec, related in capec_cwes.items()
+            if cwe in related
+        }
+        if capecs:
+            table.setdefault(actor, []).append((when, frozenset(capecs)))
+    return table
 
 
 def lloyd_reference(X, centroids, max_iter: int = 300, tol: float = 1e-8):

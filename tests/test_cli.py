@@ -14,8 +14,10 @@ import pytest
 import forumlens
 from forumlens import cli, ingest
 from forumlens.cli import main
-from forumlens.graph import import_graph, load_graph
+from forumlens.graph import load_graph
 from forumlens.workspace import STAGE_ARTIFACTS
+
+from conftest import read_export
 
 
 def _synth_inputs(root, seed=3):
@@ -111,8 +113,7 @@ def test_export_graph_round_trip(pipeline_ws, tmp_path):
         ["export-graph", "--workspace", str(pipeline_ws), "--format", "dot", "--out", str(out)]
     )
     assert code == 0
-    exported = import_graph(out, "dot")
-    assert exported == load_graph(pipeline_ws / "graph.json")
+    assert read_export(out, "dot") == load_graph(pipeline_ws / "graph.json")
 
 
 def test_missing_upstream_exits_2(tmp_path):
@@ -132,6 +133,65 @@ def test_stale_artifact_exits_1_then_force_recovers(tmp_path):
     assert main(["graph", "--workspace", str(ws)]) == 1
     assert main(["graph", "--workspace", str(ws), "--force"]) == 0
     assert main(["graph", "--workspace", str(ws)]) == 0
+
+
+def test_reingest_makes_later_stages_refuse_the_stale_graph(tmp_path, caplog):
+    first, second = (_synth_inputs(tmp_path / f"seed{seed}", seed=seed) for seed in (1, 2))
+    ws = tmp_path / "ws"
+    assert _run_all(ws, first) == 0
+    assert main(["ingest", "--workspace", str(ws), "--posts", str(second / "posts.jsonl")]) == 0
+    forced = tmp_path / "forced"
+    shutil.copytree(ws, forced)
+
+    # graph.json and capec_posts.json still come from the first corpus
+    for stage in ("communities", "expertise", "report"):
+        caplog.clear()
+        assert main([stage, "--workspace", str(ws)]) == 1
+        assert "stage 'graph' was built from artifacts of 'ingest'" in caplog.text
+        assert "re-run 'graph'" in caplog.text
+    assert main(["graph", "--workspace", str(ws)]) == 0
+    for stage in ("communities", "expertise", "cluster", "report"):
+        assert main([stage, "--workspace", str(ws)]) == 0
+
+    caplog.clear()
+    assert main(["communities", "--workspace", str(forced), "--force"]) == 0
+    assert "force: accepting stage graph built from since-changed ingest" in caplog.text
+    assert main(["expertise", "--workspace", str(forced)]) == 0
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        '{"post_id": "broken',
+        json.dumps(
+            {
+                "post_id": "extra",
+                "actor_id": "a",
+                "forum_id": "f",
+                "timestamp": "2021-01-01T00:00:00Z",
+                "content": "",
+                "mentions": ["CVE-21-1"],
+            }
+        ),
+    ],
+    ids=["json", "mention"],
+)
+def test_graph_on_malformed_corpus_exits_1_with_one_line(pipeline_ws, tmp_path, bad_line):
+    ws = tmp_path / "ws"
+    shutil.copytree(pipeline_ws, ws)
+    with (ws / "corpus.jsonl").open("a", encoding="utf-8") as handle:
+        handle.write(bad_line + "\n")
+
+    src = str(Path(forumlens.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "forumlens", "graph", "--workspace", str(ws), "--force"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    errors = [line for line in result.stderr.splitlines() if line.startswith("ERROR")]
+    assert len(errors) == 1
+    assert "corpus.jsonl has 1 malformed lines" in errors[0]
 
 
 def test_locked_workspace_exits_3(tmp_path):

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import forumlens
 from forumlens.errors import ValidationError
@@ -19,7 +22,6 @@ from forumlens.graph import (
     export_graph,
     filter_popular_capecs,
     graph_of,
-    import_graph,
     load_graph,
     load_posts,
     post_capec_sets,
@@ -28,9 +30,9 @@ from forumlens.graph import (
     surviving_post_counts,
     surviving_posts,
 )
-from forumlens.ingest import build_corpus
+from forumlens.ingest import CveId, build_corpus, parse_posts
 
-from conftest import bigraph, post, snapshot_from, ts
+from conftest import bigraph, post, post_capec_oracle, read_export, snapshot_from, ts
 
 
 def _star(capec: int, n_actors: int, prefix: str) -> list[tuple[str, int]]:
@@ -91,6 +93,114 @@ def test_post_capec_sets(corpus_and_snapshot):
         "bob": [(ts("2021-01-03"), {63})],
     }
     assert graph_of(posts) == build_graph(corpus, snapshot)
+
+
+_CVE_CWES = {
+    "CVE-2021-0001": ["CWE-79"],
+    "CVE-2021-0002": ["CWE-89"],
+    "CVE-2021-0003": [],
+    "CVE-2021-0004": ["CWE-79", "CWE-20"],
+}
+_CAPEC_CWES = {63: ["CWE-79"], 66: ["CWE-89"], 88: ["CWE-20", "CWE-89"]}
+
+# mention string -> the canonical id it parses to, or None when it does not parse
+_MENTIONS = {
+    "CVE-2021-0001": "CVE-2021-0001",
+    "cve-2021-0001": "CVE-2021-0001",
+    "CVE-2021-0002": "CVE-2021-0002",
+    "Cve-2021-0002": "CVE-2021-0002",
+    "CVE-2021-0003": "CVE-2021-0003",
+    "CVE-2021-00004": "CVE-2021-0004",
+    " CVE-2021-0004": "CVE-2021-0004",
+    "CVE-2020-0009": "CVE-2020-0009",
+    "CVE-21-0001": None,
+    "CVE-2021-0000": None,
+    "not a cve": None,
+    "": None,
+}
+
+
+def _interning_snapshot():
+    return snapshot_from(_CVE_CWES, [(c, f"capec {c}", cwes) for c, cwes in _CAPEC_CWES.items()])
+
+
+def _post_line(i: int, actor: str, day: int, mentions: list[str]) -> str:
+    record = {
+        "post_id": f"p{i}",
+        "actor_id": actor,
+        "forum_id": "f1",
+        "timestamp": f"2021-01-{day:02d}T00:00:00Z",
+        "content": "no id in the text",
+        "mentions": mentions,
+    }
+    return json.dumps(record)
+
+
+_POSTS = st.lists(
+    st.tuples(
+        st.sampled_from(["alice", "bob", "carol"]),
+        st.integers(1, 9),
+        st.lists(st.sampled_from(sorted(_MENTIONS)), max_size=4),
+    ),
+    max_size=25,
+)
+
+
+@given(_POSTS)
+def test_post_capec_sets_matches_per_post_oracle(posts):
+    lines = [_post_line(i, actor, day, mentions) for i, (actor, day, mentions) in enumerate(posts)]
+    parsed = parse_posts(lines)
+    got = post_capec_sets(build_corpus(parsed.records), _interning_snapshot())
+
+    valid = [p for p in posts if all(_MENTIONS[m] is not None for m in p[2])]
+    records = [(actor, ts(f"2021-01-{day:02d}"), {_MENTIONS[m] for m in ms}) for actor, day, ms in valid]
+    assert parsed.skipped == len(posts) - len(valid)
+    assert got == post_capec_oracle(records, _CVE_CWES, _CAPEC_CWES)
+
+
+def test_post_path_parses_and_resolves_each_distinct_value_once(monkeypatch):
+    snapshot = _interning_snapshot()
+    mention_lists = [
+        ["CVE-2021-0001"],
+        ["CVE-2021-0001", "CVE-2021-0002"],
+        ["CVE-2021-0002", "CVE-2021-0001", "CVE-2021-0001"],
+        ["cve-2021-0001"],
+        ["CVE-2021-0004", "CVE-2020-0009"],
+        ["CVE-2021-0001"],
+        ["not a cve"],
+        ["CVE-2021-0002", "not a cve"],
+    ]
+    lines = [_post_line(i, "alice", 1, ms) for i, ms in enumerate(mention_lists)]
+    parse, resolve = CveId.parse, forumlens.graph.map_cve_to_capecs
+    parsed_texts: Counter[str] = Counter()
+    resolved: Counter[CveId] = Counter()
+
+    def counting_parse(text):
+        parsed_texts[text] += 1
+        return parse(text)
+
+    def counting_resolve(snap, cve):
+        resolved[cve] += 1
+        return resolve(snap, cve)
+
+    monkeypatch.setattr(CveId, "parse", staticmethod(counting_parse))
+    monkeypatch.setattr(forumlens.graph, "map_cve_to_capecs", counting_resolve)
+    parsed = parse_posts(lines)
+    corpus = build_corpus(parsed.records)
+    table = post_capec_sets(corpus, snapshot)
+
+    # a failing string is parsed again on each line, so each such line is skipped
+    valid_strings = {m for ms in mention_lists for m in ms} - {"not a cve"}
+    assert parsed_texts == Counter({**dict.fromkeys(valid_strings, 1), "not a cve": 2})
+    assert parsed.skipped == 2
+    assert len({id(c) for p in corpus.posts for c in p.mentions}) <= len(valid_strings)
+    # each distinct mention set is resolved once, and its posts share the result
+    mention_sets = {p.mentions for p in corpus.posts}
+    assert len(mention_sets) == 3
+    assert resolved == Counter(cve for mentions in mention_sets for cve in mentions)
+    capec_sets = [capecs for actor_posts in table.values() for _, capecs in actor_posts]
+    assert len(capec_sets) == 6
+    assert len({id(capecs) for capecs in capec_sets}) == len(mention_sets)
 
 
 def test_graph_rejects_dangling_edges():
@@ -250,10 +360,7 @@ def test_export_round_trip(tmp_path, fmt):
     graph = bigraph([("alice", 63), ("bob quote\"", 66), ("alice", 66)])
     path = tmp_path / f"graph.{fmt}"
     export_graph(graph, fmt, path)
-    again = import_graph(path, fmt)
-    assert again.edges == graph.edges
-    assert again.actor_ids == graph.actor_ids
-    assert again.capec_ids == graph.capec_ids
+    assert read_export(path, fmt) == graph
 
 
 def test_export_with_partition_annotations(tmp_path):
@@ -272,5 +379,4 @@ def test_export_unknown_format(tmp_path):
     graph = bigraph([("a", 1)])
     with pytest.raises(ValidationError):
         export_graph(graph, "gexf", tmp_path / "x")
-    with pytest.raises(ValidationError):
-        import_graph(tmp_path / "x", "gexf")
+    assert not (tmp_path / "x").exists()
