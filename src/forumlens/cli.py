@@ -17,16 +17,9 @@ from typing import Sequence
 from . import __version__, catalog, cluster, community, convert, expertise, graph, ingest, synth
 from .errors import ForumlensError, MissingUpstreamError, ValidationError
 from .report import emit_report
-from .workspace import (
-    STAGE_ARTIFACTS,
-    Workspace,
-    WorkspaceLockedError,
-    default_root,
-)
+from .workspace import Workspace, WorkspaceLockedError, default_root
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_CAPEC_THRESHOLD = 500
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -50,8 +43,8 @@ def _add_graph_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--capec-threshold",
         type=int,
-        default=DEFAULT_CAPEC_THRESHOLD,
-        help="drop CAPECs referenced by strictly more than this many actors (default 500)",
+        default=graph.DEFAULT_CAPEC_THRESHOLD,
+        help="drop CAPECs referenced by strictly more than this many actors (default %(default)s)",
     )
 
 
@@ -63,11 +56,11 @@ def _add_communities_flags(parser: argparse.ArgumentParser) -> None:
 def _add_expertise_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--min-posts", type=int, default=expertise.DEFAULT_MIN_POSTS,
-        help="minimum posts to stay in the sample (default 4)",
+        help="minimum posts to stay in the sample (default %(default)s)",
     )
     parser.add_argument(
         "--skill-percentile", type=int, default=expertise.DEFAULT_SKILL_PERCENTILE,
-        help="percentile for the skill score (default 70)",
+        help="percentile for the skill score (default %(default)s)",
     )
 
 
@@ -77,7 +70,7 @@ def _add_cluster_flags(parser: argparse.ArgumentParser, seed_flag: str = "--seed
     parser.add_argument(seed_flag, dest="cluster_seed", type=int, default=0, help="k-means seed")
     parser.add_argument(
         "--cluster-restarts", type=int, default=cluster.DEFAULT_RESTARTS,
-        help="k-means restarts per k (default 10)",
+        help="k-means restarts per k (default %(default)s)",
     )
 
 
@@ -139,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-graph", help="export the filtered graph for external tools")
     _add_common(p)
-    p.add_argument("--format", choices=("graphml", "dot", "csv"), default="graphml")
+    p.add_argument("--format", choices=graph.EXPORT_FORMATS, default="graphml")
     p.add_argument("--out", default=None, help="output file (default: WORKSPACE/graph.<ext>)")
     p.set_defaults(func=cmd_export_graph)
 
@@ -167,11 +160,7 @@ def cmd_ingest(ws: Workspace, args: argparse.Namespace) -> int:
         corpus = ingest.build_corpus(parsed.records)
         ingest.save_corpus(corpus, ws.path("corpus.jsonl"))
         ingest.save_corpus_stats(corpus, ws.path("corpus_stats.json"))
-        ws.record_stage(
-            "ingest",
-            {"posts": str(args.posts), "skipped_lines": parsed.skipped},
-            STAGE_ARTIFACTS["ingest"],
-        )
+        ws.record_stage("ingest", {"posts": str(args.posts), "skipped_lines": parsed.skipped})
     s = corpus.stats
     print(
         f"ingested {s.n_posts} posts from {s.n_actors} actors "
@@ -200,22 +189,21 @@ def cmd_convert_catalog(ws: Workspace, args: argparse.Namespace) -> int:
             snapshot = catalog.load_snapshot(args.cve_cwe, args.capec_json)
             catalog.save_snapshot(snapshot, ws.root)
             config = {"cve_cwe": str(args.cve_cwe), "capec_json": str(args.capec_json)}
-        ws.record_stage("convert-catalog", config, STAGE_ARTIFACTS["convert-catalog"])
+        ws.record_stage("convert-catalog", config)
     print(f"catalog snapshot: {len(snapshot.cves)} CVEs, {len(snapshot.capecs)} CAPECs")
     return 0
 
 
 def _load_snapshot(ws: Workspace) -> catalog.CatalogSnapshot:
-    return catalog.load_snapshot(ws.path("cve_cwe.csv"), ws.path("capec.json"))
+    return catalog.load_snapshot(ws.require("cve_cwe.csv"), ws.require("capec.json"))
 
 
 def cmd_graph(ws: Workspace, args: argparse.Namespace) -> int:
     with ws.lock():
-        ws.require_upstream("graph", force=args.force)
+        # the catalog is checked first, so a missing one fails before the corpus parse
+        snapshot = _load_snapshot(ws)
         # the corpus is only needed to resolve posts, so no name keeps it alive
-        posts = graph.post_capec_sets(
-            ingest.load_corpus(ws.path("corpus.jsonl")), _load_snapshot(ws)
-        )
+        posts = graph.post_capec_sets(ingest.load_corpus(ws.require("corpus.jsonl")), snapshot)
         full = graph.graph_of(posts)
         if full.n_nodes == 0:
             raise ValidationError("no post mentions a CVE that maps to any catalog CAPEC")
@@ -227,9 +215,7 @@ def cmd_graph(ws: Workspace, args: argparse.Namespace) -> int:
         graph.save_posts(posts, ws.path("capec_posts.json"))
         ws.write_json("graph_stats.json", {"before": before.as_dict(), "after": after.as_dict()})
         ws.write_json("removal.json", removal.as_dict())
-        ws.record_stage(
-            "graph", {"capec_threshold": args.capec_threshold}, STAGE_ARTIFACTS["graph"]
-        )
+        ws.record_stage("graph", {"capec_threshold": args.capec_threshold})
     print(
         f"graph: {len(filtered.actor_ids)} actors, {len(filtered.capec_ids)} CAPECs, "
         f"{len(filtered.edges)} edges "
@@ -242,9 +228,8 @@ def cmd_communities(ws: Workspace, args: argparse.Namespace) -> int:
     if args.restarts < 1:
         raise ValidationError(f"--restarts must be >= 1: {args.restarts}")
     with ws.lock():
-        ws.require_upstream("communities", force=args.force)
-        g = graph.load_graph(ws.path("graph.json"))
-        posts, snapshot = graph.load_posts(ws.path("capec_posts.json")), _load_snapshot(ws)
+        g = graph.load_graph(ws.require("graph.json"))
+        posts, snapshot = graph.load_posts(ws.require("capec_posts.json")), _load_snapshot(ws)
         part = community.leiden(g, seed=args.seed, restarts=args.restarts)
         overview = community.summarize_communities(g, part, posts, snapshot)
         ws.write_json(
@@ -258,11 +243,7 @@ def cmd_communities(ws: Workspace, args: argparse.Namespace) -> int:
                 "communities": [o.as_dict() for o in overview],
             },
         )
-        ws.record_stage(
-            "communities",
-            {"seed": args.seed, "restarts": args.restarts},
-            STAGE_ARTIFACTS["communities"],
-        )
+        ws.record_stage("communities", {"seed": args.seed, "restarts": args.restarts})
     print(f"communities: {len(overview)} at modularity {part.quality:.4f}")
     return 0
 
@@ -277,9 +258,8 @@ def _load_partition(ws: Workspace) -> community.Partition:
 
 def cmd_expertise(ws: Workspace, args: argparse.Namespace) -> int:
     with ws.lock():
-        ws.require_upstream("expertise", force=args.force)
-        g = graph.load_graph(ws.path("graph.json"))
-        posts, part = graph.load_posts(ws.path("capec_posts.json")), _load_partition(ws)
+        g = graph.load_graph(ws.require("graph.json"))
+        posts, part = graph.load_posts(ws.require("capec_posts.json")), _load_partition(ws)
         profiles = expertise.build_profiles(
             posts, _load_snapshot(ws), g, part, skill_percentile=args.skill_percentile
         )
@@ -288,9 +268,7 @@ def cmd_expertise(ws: Workspace, args: argparse.Namespace) -> int:
         expertise.save_profiles(sample, ws.path("sample.csv"))
         ws.write_json("sample_stats.json", expertise.sample_stats(sample))
         ws.record_stage(
-            "expertise",
-            {"min_posts": args.min_posts, "skill_percentile": args.skill_percentile},
-            STAGE_ARTIFACTS["expertise"],
+            "expertise", {"min_posts": args.min_posts, "skill_percentile": args.skill_percentile}
         )
     print(f"profiles: {len(profiles)} actors, sample keeps {len(sample)}")
     return 0
@@ -304,8 +282,7 @@ def cmd_cluster(ws: Workspace, args: argparse.Namespace) -> int:
     if args.cluster_restarts < 1:
         raise ValidationError(f"--cluster-restarts must be >= 1: {args.cluster_restarts}")
     with ws.lock():
-        ws.require_upstream("cluster", force=args.force)
-        sample = expertise.load_profiles(ws.path("sample.csv"))
+        sample = expertise.load_profiles(ws.require("sample.csv"))
         n = len(sample)
 
         def skip(reason: str) -> int:
@@ -313,7 +290,7 @@ def cmd_cluster(ws: Workspace, args: argparse.Namespace) -> int:
             ws.write_json(
                 "clusters.json", {"skipped": True, "reason": reason, "n_sample": n}
             )
-            ws.record_stage("cluster", _cluster_config(args), STAGE_ARTIFACTS["cluster"])
+            ws.record_stage("cluster", _cluster_config(args))
             print(f"clustering skipped: {reason}")
             return 0
 
@@ -354,7 +331,7 @@ def cmd_cluster(ws: Workspace, args: argparse.Namespace) -> int:
                 "restarts": args.cluster_restarts,
             },
         )
-        ws.record_stage("cluster", _cluster_config(args), STAGE_ARTIFACTS["cluster"])
+        ws.record_stage("cluster", _cluster_config(args))
     print(f"clusters: k={best.k}, silhouette {best.silhouette:.4f}")
     for s in summaries:
         print(f"  cluster {s.cluster_id}: {s.n_members} actors, {s.label.display()}")
@@ -372,9 +349,8 @@ def _cluster_config(args: argparse.Namespace) -> dict:
 
 def cmd_report(ws: Workspace, args: argparse.Namespace) -> int:
     with ws.lock():
-        ws.require_upstream("report", force=args.force)
         json_path, txt_path = emit_report(ws)
-        ws.record_stage("report", {}, STAGE_ARTIFACTS["report"])
+        ws.record_stage("report", {})
     print(f"report written: {json_path} and {txt_path}")
     return 0
 
@@ -401,7 +377,6 @@ def cmd_synth(ws: Workspace, args: argparse.Namespace) -> int:
                     "capecs": args.capecs,
                     "noise": args.noise,
                 },
-                STAGE_ARTIFACTS["synth"],
             )
     print(
         f"synthetic corpus: {corpus.stats.n_posts} posts by {corpus.stats.n_actors} actors "
@@ -412,8 +387,7 @@ def cmd_synth(ws: Workspace, args: argparse.Namespace) -> int:
 
 def cmd_export_graph(ws: Workspace, args: argparse.Namespace) -> int:
     with ws.lock():
-        ws.require_upstream("export-graph", force=args.force)
-        g = graph.load_graph(ws.path("graph.json"))
+        g = graph.load_graph(ws.require("graph.json"))
         part = None
         if ws.path("communities.json").exists():
             part = _load_partition(ws)
@@ -451,7 +425,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    ws = Workspace(args.workspace if args.workspace else default_root())
+    ws = Workspace(args.workspace if args.workspace else default_root(), force=args.force)
     try:
         return args.func(ws, args)
     except MissingUpstreamError as exc:

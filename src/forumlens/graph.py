@@ -27,6 +27,7 @@ if TYPE_CHECKING:
     from .community import Partition
 
 EXPORT_FORMATS = ("graphml", "dot", "csv")
+DEFAULT_CAPEC_THRESHOLD = 500
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,7 @@ class RemovalReport:
 
 
 def filter_popular_capecs(
-    graph: BimodalGraph, threshold: int = 500
+    graph: BimodalGraph, threshold: int = DEFAULT_CAPEC_THRESHOLD
 ) -> tuple[BimodalGraph, RemovalReport]:
     """Remove CAPECs mentioned by strictly more than ``threshold`` actors.
 

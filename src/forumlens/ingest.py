@@ -24,8 +24,12 @@ logger = logging.getLogger(__name__)
 # letter does not match. Hyphens are not token characters in forum text. The
 # sequence is capped at 19 digits: int() refuses runs over 4,300 digits.
 # The id's digits are ASCII only, while a digit of any script (\d) next to
-# the token still rules it out.
-_CVE_RE = re.compile(r"(?<![A-Za-z\d])CVE-([0-9]{4})-([0-9]{4,19})(?![A-Za-z\d])", re.IGNORECASE)
+# the token still rules it out. Only valid ids match: the year is 1000-9999
+# and the sequence is not all zeros, so a token never fails ``CveId``.
+_CVE_RE = re.compile(
+    r"(?<![A-Za-z\d])CVE-([1-9][0-9]{3})-(?!0+(?![0-9]))([0-9]{4,19})(?![A-Za-z\d])",
+    re.IGNORECASE,
+)
 
 # Validity window for post timestamps; generous on purpose.
 DEFAULT_VALID_FROM = datetime(1995, 1, 1, tzinfo=timezone.utc)

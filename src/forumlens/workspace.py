@@ -1,12 +1,12 @@
 """Persistent staged workspace: artifacts, manifest, hash gating, lock file.
 
 Every stage writes its artifacts into the workspace root and records their
-SHA-256 digests, the flags it ran with, and the digests of the upstream
-artifacts it was built from (``inputs``) in ``manifest.json``. A stage may
-run only when all upstream stages are recorded, their files exist, their
-digests still match, and each upstream's ``inputs`` still match the manifest;
-a mismatch is refused as stale unless forced, in which case the manifest is
-re-baselined to the current file contents.
+SHA-256 digests, the flags it ran with, and the digests of the artifacts it
+opened (``inputs``) in ``manifest.json``. A stage opens an artifact only
+through ``Workspace.require``, which checks that the stage writing it is
+recorded, the file exists, its digest still matches, and that stage's
+``inputs`` still match the manifest; a mismatch is refused as stale unless
+forced, in which case the manifest is re-baselined to the current contents.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import logging
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 from .errors import ForumlensError, MissingUpstreamError, StaleArtifactError
 
@@ -40,17 +40,8 @@ STAGE_ARTIFACTS: dict[str, tuple[str, ...]] = {
     "report": ("report.json", "report.txt"),
 }
 
-STAGE_UPSTREAM: dict[str, tuple[str, ...]] = {
-    "synth": (),
-    "ingest": (),
-    "convert-catalog": (),
-    "graph": ("ingest", "convert-catalog"),
-    "communities": ("ingest", "convert-catalog", "graph"),
-    "expertise": ("ingest", "convert-catalog", "graph", "communities"),
-    "cluster": ("expertise",),
-    "report": ("ingest", "convert-catalog", "graph", "communities", "expertise", "cluster"),
-    "export-graph": ("graph",),
-}
+# the stage that writes each artifact
+_WRITER = {name: stage for stage, names in STAGE_ARTIFACTS.items() for name in names}
 
 
 class WorkspaceLockedError(ForumlensError):
@@ -65,9 +56,9 @@ def sha256_file(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def _inputs(stage: str, stages: Mapping) -> dict:
-    """The recorded artifact digests of ``stage``'s upstream stages."""
-    return {u: stages[u]["artifacts"] for u in STAGE_UPSTREAM.get(stage, ()) if u in stages}
+def _digest(stages: Mapping, name: str) -> str | None:
+    """The digest the manifest records for artifact ``name``, or None."""
+    return stages.get(_WRITER.get(name), {}).get("artifacts", {}).get(name)
 
 
 def default_root() -> Path:
@@ -77,8 +68,10 @@ def default_root() -> Path:
 class Workspace:
     """File-based pipeline workspace rooted at one directory."""
 
-    def __init__(self, root: str | Path):
+    def __init__(self, root: str | Path, force: bool = False):
         self.root = Path(root)
+        self.force = force
+        self._reads: dict[str, str] = {}
 
     def path(self, name: str) -> Path:
         return self.root / name
@@ -114,82 +107,74 @@ class Workspace:
         finally:
             tmp.unlink(missing_ok=True)
 
-    def record_stage(self, stage: str, config: Mapping, artifacts: Sequence[str]) -> dict:
-        """Hash the stage's artifacts and store them with its config and inputs."""
+    def record_stage(self, stage: str, config: Mapping) -> dict:
+        """Hash the stage's artifacts and store them with its config and inputs.
+
+        ``inputs`` are the digests of the artifacts ``require`` checked since
+        the last record.
+        """
         entry = {
             "config": dict(config),
-            "artifacts": {name: sha256_file(self.path(name)) for name in artifacts},
+            "artifacts": {name: sha256_file(self.path(name)) for name in STAGE_ARTIFACTS[stage]},
+            "inputs": self._reads,
         }
+        self._reads = {}
         manifest = self.load_manifest()
-        entry["inputs"] = _inputs(stage, manifest["stages"])
         manifest["stages"][stage] = entry
         self.save_manifest(manifest)
         return entry
 
-    def stage_entry(self, stage: str) -> dict | None:
-        return self.load_manifest()["stages"].get(stage)
+    def require(self, name: str) -> Path:
+        """Check artifact ``name`` before a stage opens it, and return its path.
 
-    def require(self, stage: str, *, needed_by: str, force: bool = False) -> None:
-        """Ensure ``stage`` ran and its artifacts are intact and current before ``needed_by``.
-
-        Missing stage or files raise a missing-upstream error naming the stage
-        to run. A digest mismatch is refused as stale, and so is an upstream
-        whose artifacts changed after ``stage`` recorded them in its
-        ``inputs``; that check reads the manifest only. With ``force`` the
-        manifest is re-baselined to the file contents on disk instead.
+        A missing writing stage or file raises a missing-upstream error naming
+        the stage to run. A digest mismatch is refused as stale, and so is a
+        writing stage whose ``inputs`` differ from the manifest now; that
+        check reads the manifest only. With ``force`` the manifest is
+        re-baselined to what is current instead.
         """
+        stage = _WRITER[name]
         manifest = self.load_manifest()
-        entry = manifest["stages"].get(stage)
+        stages = manifest["stages"]
+        entry = stages.get(stage)
         if entry is None:
             raise MissingUpstreamError(
-                stage, f"stage {needed_by!r} needs {stage!r}, which has not been run yet"
+                stage, f"artifact {name!r} comes from stage {stage!r}, which has not been run yet"
             )
-        rebaselined = {}
-        for name, digest in entry["artifacts"].items():
-            path = self.path(name)
-            if not path.exists():
-                raise MissingUpstreamError(
-                    stage,
-                    f"stage {needed_by!r} needs artifact {name!r} from {stage!r}; "
-                    f"re-run {stage!r}",
-                )
-            current = sha256_file(path)
-            if current != digest:
-                if not force:
-                    raise StaleArtifactError(
-                        f"artifact {name!r} changed since stage {stage!r} recorded it; "
-                        f"re-run {stage!r} or pass --force to accept the current file"
-                    )
-                rebaselined[name] = current
+        path = self.path(name)
+        recorded = entry["artifacts"].get(name)
+        if recorded is None or not path.exists():
+            raise MissingUpstreamError(
+                stage, f"artifact {name!r} from stage {stage!r} is missing; re-run {stage!r}"
+            )
+        current = sha256_file(path)
+        if current != recorded and not self.force:
+            raise StaleArtifactError(
+                f"artifact {name!r} changed since stage {stage!r} recorded it; "
+                f"re-run {stage!r} or pass --force to accept the current file"
+            )
         # an entry written before inputs were recorded has none to compare
+        inputs = entry.get("inputs", {})
         changed = sorted(
-            upstream
-            for upstream, digests in entry.get("inputs", {}).items()
-            if manifest["stages"].get(upstream, {}).get("artifacts") != digests
+            {_WRITER.get(n, n) for n, digest in inputs.items() if _digest(stages, n) != digest}
         )
-        if changed and not force:
+        if changed and not self.force:
             raise StaleArtifactError(
                 f"stage {stage!r} was built from artifacts of {', '.join(map(repr, changed))} "
                 f"that changed since; re-run {stage!r} or pass --force to accept it"
             )
-        if rebaselined:
-            logger.warning(
-                "force: accepting changed artifacts from stage %s: %s",
-                stage,
-                ", ".join(sorted(rebaselined)),
-            )
-            entry["artifacts"].update(rebaselined)
+        if current != recorded:
+            logger.warning("force: accepting changed artifacts from stage %s: %s", stage, name)
+            entry["artifacts"][name] = current
         if changed:
             logger.warning(
                 "force: accepting stage %s built from since-changed %s", stage, ", ".join(changed)
             )
-            entry["inputs"] = _inputs(stage, manifest["stages"])
-        if rebaselined or changed:
+            entry["inputs"] = {n: d for n in inputs if (d := _digest(stages, n)) is not None}
+        if current != recorded or changed:
             self.save_manifest(manifest)
-
-    def require_upstream(self, stage: str, force: bool = False) -> None:
-        for upstream in STAGE_UPSTREAM.get(stage, ()):
-            self.require(upstream, needed_by=stage, force=force)
+        self._reads[name] = current
+        return path
 
     @contextmanager
     def lock(self) -> Iterator[None]:
@@ -222,5 +207,5 @@ class Workspace:
         return path
 
     def read_json(self, name: str) -> dict:
-        with self.path(name).open("r", encoding="utf-8") as handle:
+        with self.require(name).open("r", encoding="utf-8") as handle:
             return json.load(handle)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import forumlens
-from forumlens import cli, ingest
+from forumlens import cli, ingest, workspace
 from forumlens.cli import main
 from forumlens.graph import load_graph
 from forumlens.workspace import STAGE_ARTIFACTS
@@ -347,3 +347,84 @@ def test_unexpected_error_exits_1_with_one_line(monkeypatch, caplog, tmp_path, v
     assert "error: RuntimeError: boom" in caplog.text
     # the traceback is logged only under -v
     assert ("Traceback" in caplog.text) == verbose
+
+
+@pytest.mark.parametrize("token", ["CVE-2021-0000", "CVE-0999-1234"])
+def test_ingest_skips_an_invalid_cve_token_in_content(tmp_path, token):
+    posts = tmp_path / "posts.jsonl"
+    rows = [
+        {"post_id": "p1", "actor_id": "a", "forum_id": "f",
+         "timestamp": "2021-01-01T00:00:00Z", "content": "see CVE-2021-1234"},
+        {"post_id": "p2", "actor_id": "b", "forum_id": "f",
+         "timestamp": "2021-01-02T00:00:00Z", "content": f"typo {token}"},
+    ]
+    posts.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    ws = tmp_path / "ws"
+    assert main(["ingest", "--workspace", str(ws), "--posts", str(posts)]) == 0
+    assert json.loads((ws / "corpus_stats.json").read_text())["posts"] == 1
+
+
+@pytest.mark.parametrize("change", ["edit", "regraph"])
+def test_export_graph_refuses_a_stale_partition(pipeline_ws, tmp_path, caplog, change):
+    ws = tmp_path / "ws"
+    shutil.copytree(pipeline_ws, ws)
+    if change == "edit":
+        data = json.loads((ws / "communities.json").read_text())
+        data["modularity"] = 0.0
+        (ws / "communities.json").write_text(json.dumps(data))
+    else:
+        assert main(["graph", "--workspace", str(ws), "--capec-threshold", "3"]) == 0
+    out = tmp_path / "exported.csv"
+    argv = ["export-graph", "--workspace", str(ws), "--format", "csv", "--out", str(out)]
+
+    caplog.clear()
+    assert main(argv) == 1
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "'communities'" in errors[0].getMessage()
+    assert not out.exists()
+    assert main(argv + ["--force"]) == 0
+    assert out.is_file()
+
+
+# the artifacts each downstream stage opens
+STAGE_READS = {
+    "communities": {"graph.json", "capec_posts.json", "cve_cwe.csv", "capec.json"},
+    "expertise": {
+        "graph.json", "capec_posts.json", "communities.json", "cve_cwe.csv", "capec.json",
+    },
+    "cluster": {"sample.csv"},
+    "report": {
+        "corpus_stats.json", "graph_stats.json", "removal.json", "communities.json",
+        "sample_stats.json", "clusters.json",
+    },
+}
+
+
+@pytest.mark.parametrize("stage", list(STAGE_READS))
+def test_stage_hashes_only_what_it_opens_and_writes(pipeline_ws, tmp_path, monkeypatch, stage):
+    ws = tmp_path / "ws"
+    shutil.copytree(pipeline_ws, ws)
+    hashed = []
+    real = workspace.sha256_file
+
+    def recording(path):
+        hashed.append(Path(path).relative_to(ws).as_posix())
+        return real(path)
+
+    monkeypatch.setattr(workspace, "sha256_file", recording)
+    assert main([stage, "--workspace", str(ws)]) == 0
+    assert sorted(hashed) == sorted(STAGE_READS[stage] | set(STAGE_ARTIFACTS[stage]))
+    assert "corpus.jsonl" not in hashed
+    inputs = json.loads((ws / "manifest.json").read_text())["stages"][stage]["inputs"]
+    assert set(inputs) == STAGE_READS[stage]
+
+
+def test_corpus_edit_leaves_communities_running_and_graph_refusing(pipeline_ws, tmp_path):
+    ws = tmp_path / "ws"
+    shutil.copytree(pipeline_ws, ws)
+    before = (ws / "communities.json").read_bytes()
+    with (ws / "corpus.jsonl").open("a") as handle:
+        handle.write("\n")
+    assert main(["communities", "--workspace", str(ws)]) == 0
+    assert (ws / "communities.json").read_bytes() == before
+    assert main(["graph", "--workspace", str(ws)]) == 1

@@ -6,7 +6,7 @@ import json
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from forumlens.errors import ValidationError
 from forumlens.ingest import (
@@ -52,6 +52,9 @@ def test_extract_cve_ids_word_boundaries():
     # ids are ASCII digits only: Arabic-Indic digits neither form nor extend one
     assert extract_cve_ids("CVE-\u0662\u0660\u0662\u0661-\u0661\u0662\u0663\u0664") == set()
     assert extract_cve_ids("CVE-2021-1234\u0663") == set()
+    # a CVE-shaped token that is no valid id is not a mention
+    assert extract_cve_ids("typo CVE-2021-0000") == set()
+    assert extract_cve_ids("CVE-0999-1234") == set()
 
 
 def test_extract_cve_ids_deduplicates():
@@ -113,15 +116,24 @@ _JSON_VALUES = st.recursive(
     lambda children: st.lists(children) | st.dictionaries(st.text(), children),
     max_leaves=8,
 )
+# CVE-shaped tokens, valid or not: any year, sequences that may be all zeros
+_CVE_TOKENS = st.builds(
+    "CVE-{:04d}-{}".format,
+    st.sampled_from([0, 999]) | st.integers(0, 9999),
+    st.sampled_from(["0000", "00000"]) | st.from_regex(r"\A[0-9]{4,8}\Z"),
+)
 # post-shaped objects, so lines also reach the key, timestamp and mention checks
 _POST_OBJECTS = st.fixed_dictionaries(
-    {key: st.text() for key in ("post_id", "actor_id", "forum_id", "content")}
+    {key: st.text() for key in ("post_id", "actor_id", "forum_id")}
+    | {"content": st.text() | st.lists(st.text() | _CVE_TOKENS).map(" ".join)}
     | {
         "timestamp": st.builds(
             lambda when, sign, hours: f"{when.isoformat()}{sign}{hours:02d}:00",
             # the ends of the datetime range, where a UTC offset overflows
             st.datetimes(max_value=datetime(1, 1, 2))
             | st.datetimes(min_value=datetime(9999, 12, 30))
+            # inside the validity window, so lines also reach the corpus build
+            | st.datetimes(min_value=datetime(1995, 1, 2), max_value=datetime(2099, 12, 30))
             | st.datetimes(),
             st.sampled_from("+-"),
             st.integers(0, 23),
@@ -131,6 +143,7 @@ _POST_OBJECTS = st.fixed_dictionaries(
     optional={
         "mentions": st.lists(
             st.builds("CVE-{}-{:04d}".format, st.integers(1000, 9999), st.integers(1, 10**7))
+            | _CVE_TOKENS
         )
         | _JSON_VALUES
     },
@@ -138,9 +151,19 @@ _POST_OBJECTS = st.fixed_dictionaries(
 
 
 @given(st.lists(st.text() | (_JSON_VALUES | _POST_OBJECTS).map(json.dumps)))
+@example(
+    [
+        json.dumps({"post_id": "p", "actor_id": "a", "forum_id": "f",
+                    "timestamp": "2021-01-01T00:00:00Z", "content": "typo CVE-2021-0000"}),
+    ]
+)
 def test_parse_posts_never_raises(lines):
     parsed = parse_posts(lines)
     assert len(parsed.records) + parsed.skipped == sum(1 for line in lines if line.strip())
+    # a duplicate post_id is fatal by contract, so build from one record per id
+    unique = list({r.post_id: r for r in parsed.records}.values())
+    corpus = build_corpus(unique)
+    assert all(p.mentions for p in corpus.posts)
 
 
 def test_parse_posts_rejects_non_string_fields():

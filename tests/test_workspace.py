@@ -10,7 +10,6 @@ import pytest
 from forumlens.errors import MissingUpstreamError, StaleArtifactError
 from forumlens.workspace import (
     STAGE_ARTIFACTS,
-    STAGE_UPSTREAM,
     Workspace,
     WorkspaceLockedError,
     default_root,
@@ -18,12 +17,25 @@ from forumlens.workspace import (
 )
 
 
-def _ws_with_stage(tmp_path, stage="ingest", names=("corpus.jsonl",)):
+def _ws_with_stage(tmp_path, stage="ingest"):
     ws = Workspace(tmp_path)
     ws.root.mkdir(exist_ok=True)
-    for name in names:
+    for name in STAGE_ARTIFACTS[stage]:
         ws.path(name).write_text(f"content of {name}\n")
-    ws.record_stage(stage, {"flag": 1}, names)
+    ws.record_stage(stage, {"flag": 1})
+    return ws
+
+
+def _graph_built_from_ingest(tmp_path):
+    """A workspace whose graph stage opened corpus.jsonl and capec.json."""
+    _ws_with_stage(tmp_path, "ingest")
+    _ws_with_stage(tmp_path, "convert-catalog")
+    ws = Workspace(tmp_path)
+    ws.require("corpus.jsonl")
+    ws.require("capec.json")
+    for name in STAGE_ARTIFACTS["graph"]:
+        ws.path(name).write_text(f"content of {name}\n")
+    ws.record_stage("graph", {})
     return ws
 
 
@@ -39,14 +51,26 @@ def test_record_stage_writes_manifest(tmp_path):
     assert manifest["version"] == 1
     entry = manifest["stages"]["ingest"]
     assert entry["config"] == {"flag": 1}
-    assert entry["artifacts"]["corpus.jsonl"] == sha256_file(ws.path("corpus.jsonl"))
-    assert ws.stage_entry("ingest") == entry
-    assert ws.stage_entry("graph") is None
+    assert entry["artifacts"] == {
+        name: sha256_file(ws.path(name)) for name in STAGE_ARTIFACTS["ingest"]
+    }
+    assert entry["inputs"] == {}
+    assert ws.load_manifest()["stages"] == {"ingest": entry}
+
+
+def test_record_stage_stores_the_digests_require_checked(tmp_path):
+    ws = _graph_built_from_ingest(tmp_path)
+    assert ws.load_manifest()["stages"]["graph"]["inputs"] == {
+        "corpus.jsonl": sha256_file(ws.path("corpus.jsonl")),
+        "capec.json": sha256_file(ws.path("capec.json")),
+    }
+    # the reads are consumed: the next stage starts from none
+    assert ws.record_stage("graph", {})["inputs"] == {}
 
 
 def test_interrupted_manifest_write_keeps_previous_manifest(tmp_path, monkeypatch):
-    ws = _ws_with_stage(tmp_path, "ingest", ("corpus.jsonl",))
-    _ws_with_stage(tmp_path, "convert-catalog", ("cve_cwe.csv", "capec.json"))
+    ws = _ws_with_stage(tmp_path, "ingest")
+    _ws_with_stage(tmp_path, "convert-catalog")
     previous = ws.manifest_path.read_bytes()
 
     def dump_part_then_fail(obj, handle, **kwargs):
@@ -54,9 +78,10 @@ def test_interrupted_manifest_write_keeps_previous_manifest(tmp_path, monkeypatc
         raise OSError("no space left on device")
 
     monkeypatch.setattr(json, "dump", dump_part_then_fail)
-    ws.path("graph.json").write_text("{}\n")
+    for name in STAGE_ARTIFACTS["graph"]:
+        ws.path(name).write_text("{}\n")
     with pytest.raises(OSError):
-        ws.record_stage("graph", {}, ("graph.json",))
+        ws.record_stage("graph", {})
     monkeypatch.undo()
 
     assert ws.manifest_path.read_bytes() == previous
@@ -67,53 +92,80 @@ def test_interrupted_manifest_write_keeps_previous_manifest(tmp_path, monkeypatc
 def test_require_missing_stage(tmp_path):
     ws = Workspace(tmp_path)
     with pytest.raises(MissingUpstreamError) as exc:
-        ws.require("ingest", needed_by="graph")
+        ws.require("corpus.jsonl")
     assert exc.value.stage == "ingest"
 
 
 def test_require_missing_artifact_file(tmp_path):
     ws = _ws_with_stage(tmp_path)
     ws.path("corpus.jsonl").unlink()
-    with pytest.raises(MissingUpstreamError):
-        ws.require("ingest", needed_by="graph")
+    with pytest.raises(MissingUpstreamError) as exc:
+        ws.require("corpus.jsonl")
+    assert exc.value.stage == "ingest"
 
 
 def test_require_stale_artifact(tmp_path):
     ws = _ws_with_stage(tmp_path)
     ws.path("corpus.jsonl").write_text("tampered\n")
     with pytest.raises(StaleArtifactError):
-        ws.require("ingest", needed_by="graph")
+        ws.require("corpus.jsonl")
+
+
+def test_require_checks_only_the_artifact_it_opens(tmp_path):
+    ws = _ws_with_stage(tmp_path)
+    ws.path("corpus_stats.json").write_text("tampered\n")
+    assert ws.require("corpus.jsonl") == ws.path("corpus.jsonl")
+    with pytest.raises(StaleArtifactError):
+        ws.require("corpus_stats.json")
 
 
 def test_require_force_rebaselines(tmp_path):
     ws = _ws_with_stage(tmp_path)
     ws.path("corpus.jsonl").write_text("tampered\n")
-    ws.require("ingest", needed_by="graph", force=True)
+    Workspace(tmp_path, force=True).require("corpus.jsonl")
     # The manifest now matches the file on disk; a plain require passes.
-    ws.require("ingest", needed_by="graph")
-    entry = ws.stage_entry("ingest")
+    ws.require("corpus.jsonl")
+    entry = ws.load_manifest()["stages"]["ingest"]
     assert entry["artifacts"]["corpus.jsonl"] == sha256_file(ws.path("corpus.jsonl"))
 
 
-def test_require_upstream_walks_dependencies(tmp_path):
+def test_require_refuses_a_stage_built_from_changed_inputs(tmp_path, caplog):
+    ws = _graph_built_from_ingest(tmp_path)
+    ws.path("corpus.jsonl").write_text("re-ingested\n")
+    ws.record_stage("ingest", {})
+    with pytest.raises(StaleArtifactError, match="stage 'graph' was built from artifacts of 'ingest'"):
+        ws.require("graph.json")
+
+    Workspace(tmp_path, force=True).require("graph.json")
+    assert "force: accepting stage graph built from since-changed ingest" in caplog.text
+    inputs = ws.load_manifest()["stages"]["graph"]["inputs"]
+    assert inputs["corpus.jsonl"] == sha256_file(ws.path("corpus.jsonl"))
+    ws.require("graph.json")
+
+
+def test_require_refuses_inputs_keyed_by_stage(tmp_path):
+    # the earlier manifest layout kept inputs per upstream stage; its keys
+    # name no artifact, so they read as changed
+    ws = _graph_built_from_ingest(tmp_path)
+    manifest = ws.load_manifest()
+    stages = manifest["stages"]
+    stages["graph"]["inputs"] = {s: stages[s]["artifacts"] for s in ("ingest", "convert-catalog")}
+    ws.save_manifest(manifest)
+    with pytest.raises(StaleArtifactError, match="re-run 'graph'"):
+        ws.require("graph.json")
+    Workspace(tmp_path, force=True).require("graph.json")
+    ws.require("graph.json")
+
+
+def test_every_artifact_has_one_writing_stage(tmp_path):
+    names = [name for artifacts in STAGE_ARTIFACTS.values() for name in artifacts]
+    assert len(names) == len(set(names))
     ws = Workspace(tmp_path)
-    with pytest.raises(MissingUpstreamError):
-        ws.require_upstream("graph")
-    _ws_with_stage(tmp_path, "ingest", ("corpus.jsonl",))
-    _ws_with_stage(tmp_path, "convert-catalog", ("cve_cwe.csv", "capec.json"))
-    ws.require_upstream("graph")
-
-
-def test_stage_tables_consistent():
-    # Every stage with upstreams must itself have declared artifacts, except
-    # the export, which writes a caller-chosen file.
-    for stage in STAGE_UPSTREAM:
-        if stage == "export-graph":
-            continue
-        assert stage in STAGE_ARTIFACTS
-    for stage, ups in STAGE_UPSTREAM.items():
-        for upstream in ups:
-            assert upstream in STAGE_ARTIFACTS
+    for stage, artifacts in STAGE_ARTIFACTS.items():
+        for name in artifacts:
+            with pytest.raises(MissingUpstreamError) as exc:
+                ws.require(name)
+            assert exc.value.stage == stage
 
 
 def test_lock_lifecycle(tmp_path):
@@ -140,8 +192,13 @@ def test_json_round_trip(tmp_path):
     ws = Workspace(tmp_path)
     payload = {"alpha": 1, "nested": {"b": [1, 2, 3]}}
     path = ws.write_json("sub/dir/data.json", payload)
-    assert path.is_file()
-    assert ws.read_json("sub/dir/data.json") == payload
+    assert json.loads(path.read_text()) == payload
+    ws.write_json("communities.json", payload)
+    # reads are gated: an artifact no stage recorded is refused
+    with pytest.raises(MissingUpstreamError):
+        ws.read_json("communities.json")
+    ws.record_stage("communities", {})
+    assert ws.read_json("communities.json") == payload
 
 
 def test_default_root_env_var(monkeypatch, tmp_path):
