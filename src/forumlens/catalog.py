@@ -20,6 +20,7 @@ from typing import Iterable
 
 from .errors import ValidationError
 from .ingest import CveId
+from .workspace import replacing, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -221,11 +222,10 @@ def load_snapshot(cve_cwe_path: str | Path, capec_path: str | Path) -> CatalogSn
 def save_snapshot(snapshot: CatalogSnapshot, directory: str | Path) -> tuple[Path, Path]:
     """Write the snapshot back out in the normalized file format."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     cve_path = directory / "cve_cwe.csv"
     capec_path = directory / "capec.json"
 
-    with open(cve_path, "w", newline="", encoding="utf-8") as handle:
+    with replacing(cve_path) as handle:
         writer = csv.writer(handle)
         writer.writerow(["cve_id", "cwe_id"])
         for cve in sorted(snapshot.cves):
@@ -249,7 +249,7 @@ def save_snapshot(snapshot: CatalogSnapshot, directory: str | Path) -> tuple[Pat
                 "skill_scenarios": [s.label() for s in entry.skill_scenarios],
             }
         )
-    capec_path.write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(capec_path, rows)
     return cve_path, capec_path
 
 

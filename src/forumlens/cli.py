@@ -177,7 +177,6 @@ def cmd_convert_catalog(ws: Workspace, args: argparse.Namespace) -> int:
             "provide either --nvd-json with --capec-xml, or --cve-cwe with --capec-json"
         )
     with ws.lock():
-        ws.root.mkdir(parents=True, exist_ok=True)
         if raw:
             if not (args.nvd_json and args.capec_xml):
                 raise ValidationError("--nvd-json and --capec-xml must be given together")
@@ -388,9 +387,8 @@ def cmd_synth(ws: Workspace, args: argparse.Namespace) -> int:
 def cmd_export_graph(ws: Workspace, args: argparse.Namespace) -> int:
     with ws.lock():
         g = graph.load_graph(ws.require("graph.json"))
-        part = None
-        if ws.path("communities.json").exists():
-            part = _load_partition(ws)
+        # the manifest decides, so a recorded partition is checked and a stray file ignored
+        part = _load_partition(ws) if "communities" in ws.load_manifest()["stages"] else None
         out = Path(args.out) if args.out else ws.path(f"graph.{args.format}")
         graph.export_graph(g, args.format, out, partition=part)
     print(f"exported {args.format} graph to {out}")
@@ -431,15 +429,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except MissingUpstreamError as exc:
         logger.error("%s", exc)
         return 2
-    except WorkspaceLockedError as exc:
+    except (WorkspaceLockedError, OSError) as exc:
         logger.error("%s", exc)
         return 3
     except ForumlensError as exc:
         logger.error("%s", exc)
         return 1
-    except OSError as exc:
-        logger.error("%s", exc)
-        return 3
     except Exception as exc:
         logger.error("error: %s: %s", type(exc).__name__, exc, exc_info=args.verbose)
         return 1

@@ -22,6 +22,7 @@ from .catalog import CatalogSnapshot, effective_skill
 from .community import Partition
 from .errors import ValidationError
 from .graph import ActorPosts, BimodalGraph, node_key
+from .workspace import replacing
 
 logger = logging.getLogger(__name__)
 
@@ -196,7 +197,7 @@ def sample_stats(profiles: Sequence[ActorProfile]) -> dict:
 
 def save_profiles(profiles: Sequence[ActorProfile], path: str | Path) -> Path:
     path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
+    with replacing(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(PROFILE_COLUMNS)
         for p in profiles:

@@ -22,6 +22,7 @@ from .catalog import CatalogSnapshot, map_cve_to_capecs
 from .errors import ValidationError
 from .ingest import Corpus, CveId
 from .stats import SummaryStats
+from .workspace import replacing
 
 if TYPE_CHECKING:
     from .community import Partition
@@ -229,7 +230,8 @@ def save_graph(graph: BimodalGraph, path: str | Path) -> None:
         "capecs": sorted(graph.capec_ids),
         "edges": sorted([a, c] for a, c in graph.edges),
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
+    with replacing(path) as handle:
+        handle.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def load_graph(path: str | Path) -> BimodalGraph:
@@ -244,8 +246,8 @@ def load_graph(path: str | Path) -> BimodalGraph:
 def save_posts(posts: ActorPosts, path: str | Path) -> None:
     """Write a resolved-post table: actor -> [[timestamp, sorted CAPEC ids], ...]."""
     payload = {a: [[when.isoformat(), sorted(cs)] for when, cs in ps] for a, ps in posts.items()}
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    with replacing(path) as handle:
+        handle.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_posts(path: str | Path) -> ActorPosts:
@@ -278,7 +280,8 @@ def export_graph(
         "dot": _to_dot,
         "csv": _to_csv,
     }[fmt](graph, partition)
-    Path(path).write_text(text, encoding="utf-8")
+    with replacing(path) as handle:
+        handle.write(text)
 
 
 def _sorted_nodes(graph: BimodalGraph) -> list[tuple[str, str]]:

@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator
 
 from .errors import ValidationError
+from .workspace import replacing, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -243,7 +244,7 @@ def _post_to_row(post: PostRecord, names: dict[CveId, str]) -> dict:
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Persist a corpus as JSONL, one post per line, mentions explicit."""
     names: dict[CveId, str] = {}  # each distinct CVE is formatted once per call
-    with open(path, "w", encoding="utf-8") as handle:
+    with replacing(path) as handle:
         for post in corpus.posts:
             handle.write(json.dumps(_post_to_row(post, names), sort_keys=True) + "\n")
 
@@ -263,4 +264,4 @@ def save_corpus_stats(corpus: Corpus, path: str | Path) -> None:
         "forums": corpus.stats.n_forums,
         "distinct_cves": corpus.stats.n_cves,
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, payload)

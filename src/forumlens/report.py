@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .workspace import Workspace
+from .workspace import Workspace, replacing
 
 
 def build_report(ws: Workspace) -> dict:
@@ -59,16 +59,8 @@ def _table(headers: Sequence[str], rows: Iterable[Sequence[str]]) -> list[str]:
 
 
 def _stats_row(name: str, block: dict) -> list[str]:
-    return [
-        name,
-        str(block["count"]),
-        _fmt(float(block["mean"])),
-        _fmt(float(block["std"])),
-        _fmt(float(block["min"])),
-        _fmt(float(block["median"])),
-        _fmt(float(block["p75"])),
-        _fmt(float(block["max"])),
-    ]
+    values = (block[key] for key in ("mean", "std", "min", "median", "p75", "max"))
+    return [name, str(block["count"]), *(_fmt(float(v)) for v in values)]
 
 
 def render_text(report: dict) -> str:
@@ -157,12 +149,11 @@ def render_text(report: dict) -> str:
         lines.append(
             f"k: {clusters['k']}  silhouette: {_fmt(float(clusters['silhouette']), 4)}"
         )
+        centroid = ("skill", "commitment", "activity_rate")
         rows = [
             [
                 row["cluster"],
-                _fmt(float(row["centroid_raw"]["skill"])),
-                _fmt(float(row["centroid_raw"]["commitment"])),
-                _fmt(float(row["centroid_raw"]["activity_rate"])),
+                *(_fmt(float(row["centroid_raw"][f])) for f in centroid),
                 row["members"],
                 _fmt(float(row["pct_of_sample"]), 1),
                 row["label"],
@@ -183,6 +174,6 @@ def emit_report(ws: Workspace) -> tuple:
     """Write report.json and report.txt; returns both paths."""
     report = build_report(ws)
     json_path = ws.write_json("report.json", report)
-    txt_path = ws.path("report.txt")
-    txt_path.write_text(render_text(report), encoding="utf-8")
-    return json_path, txt_path
+    with replacing(ws.path("report.txt")) as handle:
+        handle.write(render_text(report))
+    return json_path, ws.path("report.txt")

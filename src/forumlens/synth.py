@@ -30,6 +30,7 @@ from .community import Partition
 from .errors import ValidationError
 from .graph import node_key
 from .ingest import Corpus, CveId, PostRecord, build_corpus, save_corpus
+from .workspace import write_json
 
 SYNTH_CVE_YEAR = 1900  # reserved year: synthetic ids can never collide with real CVEs
 CVES_PER_CAPEC = 3
@@ -290,14 +291,10 @@ def write_synth(
 ) -> dict[str, Path]:
     """Write posts.jsonl, the catalog snapshot pair, and truth.json."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     posts_path = out / "posts.jsonl"
     save_corpus(corpus, posts_path)
     cve_path, capec_path = save_snapshot(snapshot, out)
-    truth_path = out / "truth.json"
-    with truth_path.open("w", encoding="utf-8") as handle:
-        json.dump(truth.as_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    truth_path = write_json(out / "truth.json", truth.as_dict())
     return {
         "posts": posts_path,
         "cve_cwe": cve_path,

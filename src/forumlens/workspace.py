@@ -1,4 +1,4 @@
-"""Persistent staged workspace: artifacts, manifest, hash gating, lock file.
+"""Persistent staged workspace: artifacts, manifest, hash gating, lock, file writes.
 
 Every stage writes its artifacts into the workspace root and records their
 SHA-256 digests, the flags it ran with, and the digests of the artifacts it
@@ -11,13 +11,14 @@ forced, in which case the manifest is re-baselined to the current contents.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import logging
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, TextIO
 
 from .errors import ForumlensError, MissingUpstreamError, StaleArtifactError
 
@@ -54,6 +55,34 @@ def sha256_file(path: str | Path) -> str:
         for chunk in iter(lambda: handle.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+@contextmanager
+def replacing(path: str | Path) -> Iterator[TextIO]:
+    """Write ``<path>.tmp`` and move it over ``path`` once the block succeeds.
+
+    Every file the package writes goes through here, so a crash or kill
+    leaves the previous file or the complete new one under ``path``, never a
+    partial one; on an exception the temp file is removed.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline="") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path: str | Path, payload: object) -> Path:
+    """Write ``payload`` as indented JSON with sorted keys and a final newline."""
+    with replacing(path) as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    return Path(path)
 
 
 def _digest(stages: Mapping, name: str) -> str | None:
@@ -96,16 +125,7 @@ class Workspace:
         return manifest
 
     def save_manifest(self, manifest: dict) -> None:
-        # write a sibling file and swap it in: a crash mid-write keeps the old manifest
-        self.root.mkdir(parents=True, exist_ok=True)
-        tmp = self.manifest_path.with_name(MANIFEST_NAME + ".tmp")
-        try:
-            with tmp.open("w", encoding="utf-8") as handle:
-                json.dump(manifest, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            os.replace(tmp, self.manifest_path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        write_json(self.manifest_path, manifest)
 
     def record_stage(self, stage: str, config: Mapping) -> dict:
         """Hash the stage's artifacts and store them with its config and inputs.
@@ -178,33 +198,24 @@ class Workspace:
 
     @contextmanager
     def lock(self) -> Iterator[None]:
-        """Single-writer lock; raises if another process holds it."""
+        """Single-writer lock; raises if another process holds it.
+
+        The kernel holds a flock on ``.lock`` and drops it when the holder
+        exits or is killed. The file is never unlinked, so all lockers share
+        one inode.
+        """
         self.root.mkdir(parents=True, exist_ok=True)
-        lock_path = self.root / ".lock"
-        try:
-            fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise WorkspaceLockedError(
-                f"workspace {self.root} is locked by another process; "
-                f"remove {lock_path} if that process is gone"
-            ) from None
-        try:
-            os.write(fd, f"{os.getpid()}\n".encode("ascii"))
-            os.close(fd)
-            yield
-        finally:
+        with open(self.root / ".lock", "a") as handle:
             try:
-                lock_path.unlink()
-            except FileNotFoundError:
-                pass
+                fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise WorkspaceLockedError(
+                    f"workspace {self.root} is locked by another running process"
+                ) from None
+            yield
 
     def write_json(self, name: str, payload: Mapping) -> Path:
-        path = self.path(name)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        return path
+        return write_json(self.path(name), payload)
 
     def read_json(self, name: str) -> dict:
         with self.require(name).open("r", encoding="utf-8") as handle:

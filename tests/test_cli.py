@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ import forumlens
 from forumlens import cli, ingest, workspace
 from forumlens.cli import main
 from forumlens.graph import load_graph
-from forumlens.workspace import STAGE_ARTIFACTS
+from forumlens.workspace import STAGE_ARTIFACTS, Workspace
 
 from conftest import read_export
 
@@ -196,11 +197,50 @@ def test_graph_on_malformed_corpus_exits_1_with_one_line(pipeline_ws, tmp_path, 
 
 def test_locked_workspace_exits_3(tmp_path):
     ws = tmp_path / "ws"
-    ws.mkdir()
-    (ws / ".lock").write_text("linger\n")
     posts = tmp_path / "posts.jsonl"
     posts.write_text("")
-    assert main(["ingest", "--workspace", str(ws), "--posts", str(posts)]) == 3
+    with Workspace(ws).lock():
+        assert main(["ingest", "--workspace", str(ws), "--posts", str(posts)]) == 3
+
+
+def test_lock_of_a_killed_process_does_not_block(tmp_path):
+    ws = tmp_path / "ws"
+    posts = tmp_path / "posts.jsonl"
+    posts.write_text("")
+    argv = ["ingest", "--workspace", str(ws), "--posts", str(posts)]
+    holder = (
+        "import sys, time\n"
+        "from forumlens.workspace import Workspace\n"
+        "with Workspace(sys.argv[1]).lock():\n"
+        "    print('locked', flush=True)\n"
+        "    time.sleep(60)\n"
+    )
+    src = str(Path(forumlens.__file__).resolve().parents[1])
+    child = subprocess.Popen(
+        [sys.executable, "-c", holder, str(ws)],
+        env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE, text=True,
+    )
+    try:
+        assert child.stdout.readline() == "locked\n"
+        assert main(argv) == 3
+    finally:
+        child.kill()
+        child.wait(timeout=60)
+        child.stdout.close()
+    assert child.returncode == -signal.SIGKILL
+    assert main(argv) == 0
+
+
+def test_leftover_lock_file_naming_a_dead_pid_does_not_block(tmp_path):
+    ws = tmp_path / "ws"
+    ws.mkdir()
+    dead = subprocess.run(
+        [sys.executable, "-c", "import os; print(os.getpid())"], capture_output=True, text=True
+    )
+    (ws / ".lock").write_text(dead.stdout)
+    posts = tmp_path / "posts.jsonl"
+    posts.write_text("")
+    assert main(["ingest", "--workspace", str(ws), "--posts", str(posts)]) == 0
 
 
 def test_unreadable_input_exits_3(tmp_path):
@@ -428,3 +468,29 @@ def test_corpus_edit_leaves_communities_running_and_graph_refusing(pipeline_ws, 
     assert main(["communities", "--workspace", str(ws)]) == 0
     assert (ws / "communities.json").read_bytes() == before
     assert main(["graph", "--workspace", str(ws)]) == 1
+
+
+@pytest.mark.parametrize("state", ["recorded-but-missing", "unrecorded-stray-file"])
+def test_export_graph_takes_the_partition_from_the_manifest(pipeline_ws, tmp_path, caplog, state):
+    ws = tmp_path / "ws"
+    shutil.copytree(pipeline_ws, ws)
+    argv = ["export-graph", "--workspace", str(ws), "--format", "csv", "--out"]
+    if state == "recorded-but-missing":
+        (ws / "communities.json").unlink()
+        caplog.clear()
+        assert main(argv + [str(tmp_path / "out.csv")]) == 2
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and "'communities'" in errors[0].getMessage()
+        assert not (tmp_path / "out.csv").exists()
+    else:
+        # the graph alone, then a communities.json that no recorded stage wrote
+        workspace = Workspace(ws)
+        manifest = workspace.load_manifest()
+        del manifest["stages"]["communities"]
+        workspace.save_manifest(manifest)
+        stray = (ws / "communities.json").read_bytes()
+        (ws / "communities.json").unlink()
+        assert main(argv + [str(tmp_path / "plain.csv")]) == 0
+        (ws / "communities.json").write_bytes(stray)
+        assert main(argv + [str(tmp_path / "out.csv")]) == 0
+        assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()

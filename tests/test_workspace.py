@@ -1,13 +1,20 @@
-"""Tests for the staged workspace: manifest hashes, gating, and locking."""
+"""Tests for the staged workspace: manifest hashes, gating, locking, writes."""
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
+from datetime import datetime, timezone
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import forumlens
 from forumlens.errors import MissingUpstreamError, StaleArtifactError
+from forumlens.expertise import ActorProfile, save_profiles
+from forumlens.ingest import PostRecord, build_corpus, save_corpus
 from forumlens.workspace import (
     STAGE_ARTIFACTS,
     Workspace,
@@ -175,7 +182,9 @@ def test_lock_lifecycle(tmp_path):
         with pytest.raises(WorkspaceLockedError):
             with ws.lock():
                 pass
-    assert not (tmp_path / ".lock").exists()
+    # released: the next holder gets it, through the same file
+    with Workspace(tmp_path).lock():
+        assert (tmp_path / ".lock").exists()
 
 
 def test_lock_released_on_error(tmp_path):
@@ -183,8 +192,7 @@ def test_lock_released_on_error(tmp_path):
     with pytest.raises(RuntimeError):
         with ws.lock():
             raise RuntimeError("boom")
-    assert not (tmp_path / ".lock").exists()
-    with ws.lock():
+    with Workspace(tmp_path).lock():
         pass
 
 
@@ -206,3 +214,120 @@ def test_default_root_env_var(monkeypatch, tmp_path):
     assert str(default_root()) == "workspace"
     monkeypatch.setenv("FORUMLENS_WORKSPACE", str(tmp_path / "elsewhere"))
     assert default_root() == tmp_path / "elsewhere"
+
+
+class _Fails:
+    """A record whose every field raises, like a serializer failing midway."""
+
+    def __getattr__(self, name):
+        raise OSError("no space left on device")
+
+
+def _post(post_id: str) -> PostRecord:
+    when = datetime(2021, 1, 1, tzinfo=timezone.utc)
+    return PostRecord(post_id, "alice", "f1", when, f"{post_id} on CVE-2021-1111")
+
+
+def _profile(actor_id: str) -> ActorProfile:
+    return ActorProfile(actor_id, 0, (2,), 2.0, 5, 4, 80.0, None, None, 10, 0.5)
+
+
+def _write_communities(ws: Workspace, payload) -> None:
+    ws.write_json("communities.json", payload)
+
+
+def _write_corpus(ws: Workspace, posts) -> None:
+    save_corpus(SimpleNamespace(posts=posts), ws.path("corpus.jsonl"))
+
+
+def _write_profiles(ws: Workspace, profiles) -> None:
+    save_profiles(profiles, ws.path("profiles.csv"))
+
+
+@pytest.mark.parametrize(
+    "name, write, complete, failing",
+    [
+        ("communities.json", _write_communities, {"modularity": 0.5}, {"modularity": _Fails()}),
+        (
+            "corpus.jsonl",
+            _write_corpus,
+            build_corpus([_post("p1")]).posts,
+            [*build_corpus([_post("p1"), _post("p2")]).posts, _Fails()],
+        ),
+        ("profiles.csv", _write_profiles, [_profile("a")], [_profile("a"), _profile("b"), _Fails()]),
+    ],
+    ids=["write_json", "save_corpus", "save_profiles"],
+)
+def test_interrupted_artifact_write_keeps_previous_bytes(tmp_path, name, write, complete, failing):
+    ws = Workspace(tmp_path)
+    write(ws, complete)
+    previous = ws.path(name).read_bytes()
+    # a value json cannot encode raises TypeError; a record's field, OSError
+    with pytest.raises((OSError, TypeError)):
+        write(ws, failing)
+    assert ws.path(name).read_bytes() == previous
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+
+# --- one writer ---------------------------------------------------------------
+
+_PACKAGE = Path(forumlens.__file__).parent
+
+
+def _write_calls(source: str) -> list[str]:
+    """Calls in ``source`` that write a file, rename one, or may open one for writing."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        owner = getattr(func.value, "id", None) if isinstance(func, ast.Attribute) else None
+        if name in ("write_text", "write_bytes") or (
+            owner == "os" and name in ("replace", "rename", "open")
+        ):
+            found.append(f"line {node.lineno}: {owner + '.' if owner else ''}{name}")
+        elif name == "open":
+            # builtin open(path, mode) or Path.open(mode)
+            pos = 1 if isinstance(func, ast.Name) else 0
+            mode = next((k.value for k in node.keywords if k.arg == "mode"), None)
+            if mode is None and len(node.args) > pos:
+                mode = node.args[pos]
+            read_only = mode is None or (
+                isinstance(mode, ast.Constant) and not set("wax+") & set(mode.value)
+            )
+            if not read_only:
+                found.append(f"line {node.lineno}: open for writing")
+    return found
+
+
+@pytest.mark.parametrize(
+    "snippet",
+    [
+        "p.write_text(s)",
+        "Path(p).write_bytes(b)",
+        "os.replace(a, b)",
+        "os.open(p, flags)",
+        "open(p, 'w')",
+        "open(p, mode='ab')",
+        "p.open('r+')",
+        "p.open(mode)",
+    ],
+)
+def test_write_scan_flags_each_way_to_write(snippet):
+    assert _write_calls(snippet)
+
+
+def test_write_scan_passes_reads():
+    assert _write_calls("open(p)\nopen(p, 'rb')\np.open('r', encoding='utf-8')\ns.replace('a', 'b')") == []
+
+
+def test_only_workspace_module_writes_files():
+    sources = sorted(_PACKAGE.glob("*.py"))
+    assert _PACKAGE / "workspace.py" in sources
+    offenders = {
+        path.name: calls
+        for path in sources
+        if path.name != "workspace.py" and (calls := _write_calls(path.read_text(encoding="utf-8")))
+    }
+    assert offenders == {}, "write files through forumlens.workspace.replacing"
