@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .catalog import CatalogSnapshot
 from .errors import ValidationError
-from .graph import ActorPosts, BimodalGraph, node_key
+from .graph import ActorPosts, BimodalGraph, node_key, sorted_nodes
 from .stats import SummaryStats
 
 BRUTE_FORCE_NODE_CAP = 12
@@ -58,14 +58,8 @@ class _WGraph:
         self.total_weight = sum(self.strength) / 2.0
 
 
-def _graph_nodes(graph: BimodalGraph) -> list[str]:
-    keys = [node_key("actor", a) for a in sorted(graph.actor_ids)]
-    keys += [node_key("capec", c) for c in sorted(graph.capec_ids)]
-    return keys
-
-
 def _index_graph(graph: BimodalGraph) -> tuple[list[str], _WGraph]:
-    nodes = _graph_nodes(graph)
+    nodes = [node_key(mode, raw) for mode, raw in sorted_nodes(graph)]
     index = {key: i for i, key in enumerate(nodes)}
     adj: list[dict[int, float]] = [dict() for _ in nodes]
     for actor, capec in graph.edges:

@@ -284,7 +284,8 @@ def export_graph(
         handle.write(text)
 
 
-def _sorted_nodes(graph: BimodalGraph) -> list[tuple[str, str]]:
+def sorted_nodes(graph: BimodalGraph) -> list[tuple[str, str]]:
+    """Every node as (mode, id): actors sorted, then CAPECs sorted by number."""
     nodes = [("actor", a) for a in sorted(graph.actor_ids)]
     nodes += [("capec", str(c)) for c in sorted(graph.capec_ids)]
     return nodes
@@ -299,7 +300,7 @@ def _to_graphml(graph: BimodalGraph, partition: "Partition | None") -> str:
         key.set("attr.name", attr)
         key.set("attr.type", "string" if attr == "mode" else "long")
     g = ElementTree.SubElement(root, "graph", edgedefault="undirected")
-    for mode, raw in _sorted_nodes(graph):
+    for mode, raw in sorted_nodes(graph):
         key = node_key(mode, raw)
         node = ElementTree.SubElement(g, "node", id=key)
         data = ElementTree.SubElement(node, "data", key="d_mode")
@@ -321,7 +322,7 @@ def _dot_quote(value: str) -> str:
 
 def _to_dot(graph: BimodalGraph, partition: "Partition | None") -> str:
     lines = ["graph bimodal {"]
-    for mode, raw in _sorted_nodes(graph):
+    for mode, raw in sorted_nodes(graph):
         key = node_key(mode, raw)
         attrs = [f"mode={mode}"]
         comm = _community_of(partition, key)

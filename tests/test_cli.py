@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import shutil
@@ -281,17 +282,18 @@ def test_synth_into_workspace_records_stage(tmp_path):
     assert main(["synth", "--workspace", str(ws), "--seed", "1", "--communities", "2",
                  "--actors", "4", "--capecs", "6"]) == 0
     manifest = json.loads((ws / "manifest.json").read_text())
-    assert "synth" in manifest["stages"]
+    assert {stage: entry["config"] for stage, entry in manifest["stages"].items()} == {
+        "synth": {"seed": 1, "communities": 2, "actors": 4, "capecs": 6, "noise": 0.05},
+    }
     assert (ws / "synth" / "posts.jsonl").is_file()
 
-    # Writing elsewhere leaves the workspace manifest untouched.
+    # Writing elsewhere records nothing: the workspace gets no manifest.
     elsewhere = tmp_path / "elsewhere"
     ws2 = tmp_path / "ws2"
     assert main(["synth", "--workspace", str(ws2), "--out", str(elsewhere), "--seed", "1",
                  "--communities", "2", "--actors", "4", "--capecs", "6"]) == 0
     assert (elsewhere / "posts.jsonl").is_file()
-    manifest2 = json.loads((ws2 / "manifest.json").read_text()) if (ws2 / "manifest.json").exists() else {"stages": {}}
-    assert "synth" not in manifest2["stages"]
+    assert not (ws2 / "manifest.json").exists()
 
 
 def test_cluster_skips_tiny_sample(tmp_path):
@@ -347,11 +349,37 @@ def test_cluster_skips_tiny_sample(tmp_path):
     assert "clustering skipped" in (ws / "report.txt").read_text()
 
 
-def test_single_stage_flags_validated(tmp_path):
-    ws = str(tmp_path / "ws")
-    assert main(["communities", "--workspace", ws, "--restarts", "0"]) == 1
-    assert main(["cluster", "--workspace", ws, "--k-min", "1"]) == 1
-    assert main(["cluster", "--workspace", ws, "--k-min", "3", "--k-max", "2"]) == 1
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["graph", "--capec-threshold", "0"],
+        ["communities", "--restarts", "0"],
+        ["expertise", "--min-posts", "0"],
+        ["expertise", "--skill-percentile", "0"],
+        ["expertise", "--skill-percentile", "101"],
+        ["cluster", "--k-min", "1"],
+        ["cluster", "--k-min", "3", "--k-max", "2"],
+        ["cluster", "--cluster-restarts", "0"],
+        ["run-all", "--posts", "p.jsonl", "--cve-cwe", "c.csv", "--capec-json", "c.json",
+         "--min-posts", "0"],
+        ["run-all", "--posts", "p.jsonl", "--cve-cwe", "c.csv"],
+    ],
+    ids=[
+        "capec-threshold-0", "restarts-0", "min-posts-0", "skill-percentile-0",
+        "skill-percentile-101", "k-min-1", "k-max-below-k-min", "cluster-restarts-0",
+        "run-all-min-posts-0", "run-all-half-catalog-pair",
+    ],
+)
+def test_bad_flag_exits_1_before_anything_is_read(tmp_path, monkeypatch, caplog, argv):
+    opened = []
+    monkeypatch.setattr(Workspace, "require", lambda self, name: opened.append(name))
+    monkeypatch.setattr(ingest, "parse_posts", lambda path: opened.append(path))
+    ws = tmp_path / "ws"
+    assert main([argv[0], "--workspace", str(ws), *argv[1:]]) == 1
+    assert opened == []
+    assert not ws.exists()  # the lock was never taken
+    [error] = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert error.getMessage().startswith("--")
 
 
 def test_corrupt_manifest_exits_1_without_traceback(tmp_path, caplog):
@@ -494,3 +522,87 @@ def test_export_graph_takes_the_partition_from_the_manifest(pipeline_ws, tmp_pat
         (ws / "communities.json").write_bytes(stray)
         assert main(argv + [str(tmp_path / "out.csv")]) == 0
         assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
+def test_run_all_holds_one_lock_from_first_stage_to_last(tmp_path, monkeypatch):
+    inputs = _synth_inputs(tmp_path)
+    ws = tmp_path / "ws"
+    probe = (
+        "import fcntl, sys\n"
+        "with open(sys.argv[1], 'a') as handle:\n"
+        "    try:\n"
+        "        fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)\n"
+        "    except BlockingIOError:\n"
+        "        sys.exit(7)\n"
+    )
+    real, codes = cli.cmd_graph, []
+
+    def graph_stage(stage_ws, args):
+        # between convert-catalog and graph another process tries to take the lock
+        child = subprocess.run([sys.executable, "-c", probe, str(ws / ".lock")], timeout=60)
+        codes.append(child.returncode)
+        return real(stage_ws, args)
+
+    monkeypatch.setattr(cli, "cmd_graph", graph_stage)
+    assert _run_all(ws, inputs) == 0
+    assert codes == [7]
+
+
+def test_run_all_records_each_stage_config_and_prints_one_line_per_stage(tmp_path, capsys):
+    inputs = _synth_inputs(tmp_path)
+    capsys.readouterr()
+    ws = tmp_path / "ws"
+    assert _run_all(
+        ws, inputs, "--capec-threshold", "6", "--seed", "2", "--restarts", "3",
+        "--min-posts", "2", "--skill-percentile", "50", "--k-min", "2", "--k-max", "4",
+        "--cluster-seed", "5", "--cluster-restarts", "2",
+    ) == 0
+    manifest = json.loads((ws / "manifest.json").read_text())
+    assert {stage: entry["config"] for stage, entry in manifest["stages"].items()} == {
+        "ingest": {"posts": str(inputs / "posts.jsonl"), "skipped_lines": 0},
+        "convert-catalog": {
+            "cve_cwe": str(inputs / "cve_cwe.csv"), "capec_json": str(inputs / "capec.json"),
+        },
+        "graph": {"capec_threshold": 6},
+        "communities": {"seed": 2, "restarts": 3},
+        "expertise": {"min_posts": 2, "skill_percentile": 50},
+        "cluster": {"k_min": 2, "k_max": 4, "seed": 5, "restarts": 2},
+        "report": {},
+    }
+    assert capsys.readouterr().out.splitlines() == [
+        "ingested 294 posts from 24 actors (3 forums, 54 distinct CVEs)",
+        "catalog snapshot: 54 CVEs, 18 CAPECs",
+        "graph: 24 actors, 10 CAPECs, 57 edges (removed 8 CAPECs, 0 actors)",
+        "communities: 4 at modularity 0.5766",
+        "profiles: 24 actors, sample keeps 24",
+        "clusters: k=4, silhouette 0.7881",
+        "  cluster 0: 7 actors, Professional (Active)",
+        "  cluster 1: 10 actors, AverageCareerCriminal (Active)",
+        "  cluster 2: 5 actors, Professional (Active)",
+        "  cluster 3: 2 actors, Amateur (Discrete)",
+        f"report written: {ws / 'report.json'} and {ws / 'report.txt'}",
+    ]
+
+
+def _lock_and_record_calls(source: str) -> list[tuple[str, str]]:
+    """(top-level definition, method) of each ``.lock(`` or ``.record_stage(`` call."""
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("lock", "record_stage")
+            ):
+                found.append((getattr(top, "name", "<module>"), node.func.attr))
+    return found
+
+
+def test_only_main_locks_the_workspace_and_records_stages():
+    package = Path(forumlens.__file__).parent
+    sites = [
+        (path.name, *call)
+        for path in sorted(package.glob("*.py"))
+        for call in _lock_and_record_calls(path.read_text(encoding="utf-8"))
+    ]
+    assert sorted(sites) == [("cli.py", "main", "lock"), ("cli.py", "main", "record_stage")]
