@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import logging
+import multiprocessing
+import os
 import random
 
 import pytest
 
+from forumlens import community
 from forumlens.community import (
     BRUTE_FORCE_NODE_CAP,
+    POOL_MIN_NODES,
     Partition,
     brute_force_best_partition,
     keyword_digest,
@@ -16,8 +23,9 @@ from forumlens.community import (
     summarize_communities,
 )
 from forumlens.errors import ValidationError
-from forumlens.graph import build_graph, post_capec_sets, surviving_posts
+from forumlens.graph import BimodalGraph, build_graph, post_capec_sets, surviving_posts
 from forumlens.ingest import build_corpus
+from forumlens.synth import SynthConfig, generate
 
 from conftest import (
     bigraph,
@@ -148,6 +156,72 @@ def test_leiden_validates_inputs():
         leiden(empty, seed=0)
     with pytest.raises(ValidationError):
         leiden(two_bicliques(), seed=0, restarts=0)
+
+
+# Synth 4x25 graphs, leiden(seed=s): the digest of the sorted-key JSON of the
+# assignment and Q, recorded from the dict-of-dicts implementation before the
+# levels became CSR arrays. Any change to a draw, a candidate order or a gain
+# expression moves the partition or the last bits of Q.
+RECORDED = {
+    0: ("85a1eeb163a923e0c965c166aaf3f9708df0531bfebe507a6c53933db16a33ca", 0.5026394960281505),
+    1: ("31d7ceb6f01d005470465768a40bf4cae59993df19ee18078da03f380689eb05", 0.5008718009572406),
+    2: ("85a1eeb163a923e0c965c166aaf3f9708df0531bfebe507a6c53933db16a33ca", 0.5120662807787684),
+}
+
+
+def _digest(assignment: dict[str, int]) -> str:
+    return hashlib.sha256(json.dumps(assignment, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(RECORDED))
+def test_leiden_reproduces_recorded_partitions(seed, caplog):
+    corpus, snapshot, _ = generate(SynthConfig(seed=seed, n_communities=4, actors_per_community=25))
+    graph = build_graph(corpus, snapshot)
+    assert graph.n_nodes < POOL_MIN_NODES
+    with caplog.at_level(logging.DEBUG, logger="forumlens.community"):
+        found = leiden(graph, seed=seed)
+    assert (_digest(found.assignment), found.quality) == RECORDED[seed]
+    assert "10 restarts on 140 nodes in-process" in caplog.text
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="the restart pool is Linux-only")
+def test_pool_and_in_process_restarts_give_equal_partitions(monkeypatch, caplog):
+    corpus, snapshot, _ = generate(SynthConfig(seed=3, n_communities=4, actors_per_community=250))
+    graph = build_graph(corpus, snapshot)
+    assert graph.n_nodes >= POOL_MIN_NODES
+    caplog.set_level(logging.DEBUG, logger="forumlens.community")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    pooled = leiden(graph, seed=41)
+    assert "over 2 processes" in caplog.text
+
+    # a daemonic process, such as a pool worker, may not start processes of its own
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        in_daemon = pool.apply(leiden, (graph,), {"seed": 41})
+
+    caplog.clear()
+    monkeypatch.setattr(community, "POOL_MIN_NODES", graph.n_nodes + 1)
+    alone = leiden(graph, seed=41)
+    assert "in-process" in caplog.text
+    assert pooled.assignment == alone.assignment == in_daemon.assignment
+    assert pooled.quality == alone.quality == in_daemon.quality == 0.48996398694754423
+
+
+def test_edgeless_graph_and_star_keep_their_partitions():
+    # values recorded before the levels became arrays; these take the empty
+    # and zero-count paths of the CSR build, bincount and the component split
+    edgeless = BimodalGraph(frozenset({"a", "b"}), frozenset({1}), frozenset())
+    found = leiden(edgeless, seed=0)
+    assert found == Partition({"actor:a": 0, "actor:b": 1, "capec:1": 2}, 0.0)
+    assert modularity(edgeless, Partition(dict.fromkeys(found.assignment, 0), 0.0)) == 0.0
+    assert modularity(bigraph([]), Partition({}, 0.0)) == 0.0
+
+    star = bigraph([(f"a{i}", 7) for i in range(5)])
+    keys = sorted(f"actor:a{i}" for i in range(5)) + ["capec:7"]
+    assert leiden(star, seed=0) == Partition(dict.fromkeys(keys, 0), 0.0)
+    singletons = Partition({key: i for i, key in enumerate(keys)}, 0.0)
+    assert modularity(star, singletons) == -0.3
+    halves = Partition({key: int(key in ("capec:7", "actor:a0", "actor:a1")) for key in keys}, 0.0)
+    assert modularity(star, halves) == -0.1799999999999999
 
 
 def test_brute_force_node_cap():

@@ -6,22 +6,26 @@ between the temp write and the rename of the stage's last artifact, or after
 all its writes but before ``record_stage``. Afterwards no artifact name may
 hold a partial file, no lock may block, the next plain run must either run or
 name the stage to re-run, and re-running that stage must give the bytes of an
-uninterrupted run.
+uninterrupted run. A ``communities`` run SIGKILLed while its Leiden restart
+pool is up must free the lock within seconds and leave no worker behind.
 """
 
 from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import forumlens
 from forumlens.cli import main
-from forumlens.workspace import STAGE_ARTIFACTS, Workspace
+from forumlens.community import POOL_MIN_NODES
+from forumlens.workspace import STAGE_ARTIFACTS, Workspace, WorkspaceLockedError
 
 PIPELINE = ("ingest", "convert-catalog", "graph", "communities", "expertise", "cluster", "report")
 KILLED = 70
@@ -129,5 +133,95 @@ def test_killed_stage_recovers_by_rerunning_it(base, tmp_path, caplog, stage, po
 
     for argv in [killed, *_downstream(stage)]:
         assert _run(ws, argv) == 0
+    assert _artifacts(ws) == expected
+    assert sorted(ws.rglob("*.tmp")) == []
+
+
+def _stat(pid: int) -> list[str] | None:
+    """The fields after the command name in /proc/<pid>/stat (state, ppid, ...)."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    except (OSError, IndexError):
+        return None
+
+
+def _children(pid: int) -> list[int]:
+    found = []
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            fields = _stat(int(entry.name))
+            if fields is not None and int(fields[1]) == pid:
+                found.append(int(entry.name))
+    return found
+
+
+# A ``communities`` run whose restarts each sleep first: the kill then lands
+# while every pool worker is inside a restart, however fast the machine.
+_SLOW_RESTARTS = """
+import sys, time
+from forumlens import cli, community
+
+real = community._restart
+
+def slow(g, job):
+    time.sleep(60)
+    return real(g, job)
+
+community._restart = slow
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="Leiden restarts use a process pool only on Linux with two or more CPUs",
+)
+def test_killed_leiden_pool_frees_the_lock_and_leaves_no_worker(tmp_path):
+    inputs, ws = tmp_path / "inputs", tmp_path / "ws"
+    synth = ["synth", "--workspace", str(tmp_path / "scratch"), "--out", str(inputs), "--seed", "5"]
+    assert main(synth + ["--communities", "4", "--actors", "250"]) == 0
+    assert _run(ws, ["ingest", "--posts", str(inputs / "posts.jsonl")]) == 0
+    catalog = ["--cve-cwe", str(inputs / "cve_cwe.csv"), "--capec-json", str(inputs / "capec.json")]
+    assert _run(ws, ["convert-catalog", *catalog]) == 0
+    assert _run(ws, ["graph"]) == 0
+    assert len(Workspace(ws).read_json("graph.json")["actors"]) >= POOL_MIN_NODES
+
+    reference = tmp_path / "reference"
+    shutil.copytree(ws, reference)
+    assert _run(reference, ["communities"]) == 0
+    expected = _artifacts(reference)
+
+    src = str(Path(forumlens.__file__).resolve().parents[1])
+    child = subprocess.Popen(
+        [sys.executable, "-c", _SLOW_RESTARTS, "communities", "--workspace", str(ws)],
+        env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        workers: list[int] = []
+        while not workers and child.poll() is None and time.monotonic() < deadline:
+            workers = _children(child.pid)
+            time.sleep(0.005)
+        assert workers, "the communities run never started its restart pool"
+        time.sleep(0.2)  # each worker takes a restart
+        os.kill(child.pid, signal.SIGKILL)
+    finally:
+        child.kill()
+        child.wait(timeout=60)
+
+    # the workers inherited the flocked descriptor; they must die with their parent
+    deadline = time.monotonic() + 5
+    while True:
+        try:
+            with Workspace(ws).lock():
+                break
+        except WorkspaceLockedError:
+            assert time.monotonic() < deadline, "the lock was still held 5 s after the kill"
+            time.sleep(0.01)
+    for pid in workers:
+        fields = _stat(pid)
+        assert fields is None or fields[0] in "ZX", f"worker {pid} still running"
+
+    assert _run(ws, ["communities"]) == 0
     assert _artifacts(ws) == expected
     assert sorted(ws.rglob("*.tmp")) == []
