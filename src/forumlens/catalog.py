@@ -13,7 +13,7 @@ import csv
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
 from typing import Iterable
@@ -73,16 +73,15 @@ class CapecEntry:
     skill_scenarios: tuple[SkillLevel, ...] = ()
 
 
-@dataclass
+@dataclass(frozen=True)
 class CatalogSnapshot:
-    """Immutable-after-load catalog with a derived CWE -> CAPECs index."""
+    """A validated catalog with its derived CWE -> CAPECs index and the
+    effective skill of every CAPEC; :func:`build_snapshot` makes one."""
 
     cves: dict[CveId, CveEntry]
     capecs: dict[int, CapecEntry]
-    cwe_to_capecs: dict[str, frozenset[int]] = field(default_factory=dict)
-    _skill_cache: dict[int, SkillLevel | None] = field(
-        default_factory=dict, repr=False
-    )
+    cwe_to_capecs: dict[str, frozenset[int]]
+    skills: dict[int, SkillLevel | None]
 
 
 def _derive_cwe_index(capecs: dict[int, CapecEntry]) -> dict[str, frozenset[int]]:
@@ -93,37 +92,19 @@ def _derive_cwe_index(capecs: dict[int, CapecEntry]) -> dict[str, frozenset[int]
     return {cwe: frozenset(ids) for cwe, ids in index.items()}
 
 
-def _check_acyclic(capecs: dict[int, CapecEntry]) -> None:
-    # DFS over parent links; the child relation is its mirror.
-    WHITE, GREY, BLACK = 0, 1, 2
-    state = {cid: WHITE for cid in capecs}
-
-    def visit(cid: int, trail: list[int]) -> None:
-        state[cid] = GREY
-        trail.append(cid)
-        for parent in capecs[cid].parent_ids:
-            if state.get(parent, BLACK) == GREY:
-                cycle = trail[trail.index(parent):] + [parent]
-                raise ValidationError(
-                    "cyclic CAPEC hierarchy: " + " -> ".join(str(c) for c in cycle)
-                )
-            if state.get(parent) == WHITE:
-                visit(parent, trail)
-        trail.pop()
-        state[cid] = BLACK
-
-    for cid in capecs:
-        if state[cid] == WHITE:
-            visit(cid, [])
-
-
 def build_snapshot(
     cve_entries: Iterable[CveEntry], capec_entries: Iterable[CapecEntry]
 ) -> CatalogSnapshot:
-    """Validate entries and assemble a snapshot with the derived CWE index.
+    """Validate entries and assemble a snapshot with its derived tables.
 
     Duplicate CVE or CAPEC ids and cyclic hierarchies are fatal; hierarchy links
     that point at ids outside the snapshot are dropped with a warning.
+
+    A CAPEC's effective skill is the maximum of its direct scenarios, so a
+    pattern with mixed scenarios is scored by its hardest one. Without
+    scenarios it is imputed: the maximum over its parents' imputed-upward
+    values (through gaps of any depth), else the maximum direct value among
+    its children, else None. One parents-first pass fills every value.
     """
     cves: dict[CveId, CveEntry] = {}
     for entry in cve_entries:
@@ -155,6 +136,32 @@ def build_snapshot(
             children[cid].add(kid)
             parents[kid].add(cid)
 
+    # Kahn's order: a CAPEC is visited once all its parents are, so its
+    # upward value reads theirs; CAPECs never visited sit on or below a cycle.
+    direct = {cid: max(e.skill_scenarios, default=None) for cid, e in capecs.items()}
+    waiting = {cid: len(ps) for cid, ps in parents.items()}
+    order = [cid for cid, n in waiting.items() if n == 0]
+    up: dict[int, SkillLevel | None] = {}
+    for cid in order:  # grows while it is walked
+        known = [up[p] for p in parents[cid] if up[p] is not None]
+        up[cid] = direct[cid] if direct[cid] is not None else max(known, default=None)
+        for kid in children[cid]:
+            waiting[kid] -= 1
+            if waiting[kid] == 0:
+                order.append(kid)
+    if len(up) < len(capecs):
+        # every unvisited CAPEC has an unvisited parent, so following them must loop
+        trail = [min(cid for cid in capecs if cid not in up)]
+        while trail[-1] not in trail[:-1]:
+            trail.append(min(p for p in parents[trail[-1]] if p not in up))
+        cycle = trail[trail.index(trail[-1]):]
+        raise ValidationError("cyclic CAPEC hierarchy: " + " -> ".join(map(str, cycle)))
+
+    skills = {cid: up[cid] for cid in capecs}
+    for cid, value in skills.items():
+        if value is None:
+            below = [direct[k] for k in children[cid] if direct[k] is not None]
+            skills[cid] = max(below, default=None)
     capecs = {
         cid: CapecEntry(
             capec_id=cid,
@@ -166,8 +173,12 @@ def build_snapshot(
         )
         for cid, entry in capecs.items()
     }
-    _check_acyclic(capecs)
-    return CatalogSnapshot(cves=cves, capecs=capecs, cwe_to_capecs=_derive_cwe_index(capecs))
+    return CatalogSnapshot(
+        cves=cves,
+        capecs=capecs,
+        cwe_to_capecs=_derive_cwe_index(capecs),
+        skills=skills,
+    )
 
 
 def load_snapshot(cve_cwe_path: str | Path, capec_path: str | Path) -> CatalogSnapshot:
@@ -268,39 +279,10 @@ def map_cve_to_capecs(snapshot: CatalogSnapshot, cve: CveId) -> frozenset[int]:
 
 
 def effective_skill(snapshot: CatalogSnapshot, capec_id: int) -> SkillLevel | None:
-    """Effective required-skill level of a CAPEC, imputing through the hierarchy.
-
-    Direct scenarios win and take their maximum, so a pattern with mixed
-    scenarios is scored by its hardest one rather than an average. Without
-    scenarios, the value is imputed: the maximum over parents' effective
-    values (recursing upward through multi-level gaps), falling back to the
-    maximum direct value among children. Returns None when nothing is known;
-    unknown ids raise.
+    """Effective required-skill level of a CAPEC, as :func:`build_snapshot`
+    imputed it through the hierarchy; None when nothing is known. Unknown ids
+    raise KeyError.
     """
-    if capec_id not in snapshot.capecs:
+    if capec_id not in snapshot.skills:
         raise KeyError(f"unknown CAPEC id: {capec_id}")
-    if capec_id in snapshot._skill_cache:
-        return snapshot._skill_cache[capec_id]
-
-    def direct(cid: int) -> SkillLevel | None:
-        scenarios = snapshot.capecs[cid].skill_scenarios
-        return max(scenarios) if scenarios else None
-
-    def upward(cid: int) -> SkillLevel | None:
-        value = direct(cid)
-        if value is not None:
-            return value
-        parent_values = [upward(p) for p in sorted(snapshot.capecs[cid].parent_ids)]
-        parent_values = [v for v in parent_values if v is not None]
-        return max(parent_values) if parent_values else None
-
-    def from_children(cid: int) -> SkillLevel | None:
-        child_values = [direct(c) for c in sorted(snapshot.capecs[cid].child_ids)]
-        child_values = [v for v in child_values if v is not None]
-        return max(child_values) if child_values else None
-
-    value = upward(capec_id)
-    if value is None:
-        value = from_children(capec_id)
-    snapshot._skill_cache[capec_id] = value
-    return value
+    return snapshot.skills[capec_id]

@@ -215,6 +215,12 @@ def cmd_graph(ws: Workspace, args: argparse.Namespace) -> dict:
         raise ValidationError("no post mentions a CVE that maps to any catalog CAPEC")
     before = graph.degree_stats(full, graph.surviving_post_counts(posts))
     filtered, removal = graph.filter_popular_capecs(full, threshold=args.capec_threshold)
+    if not filtered.capec_ids:
+        least = min(removal.removed_capecs.values())
+        raise ValidationError(
+            f"--capec-threshold {args.capec_threshold} removes every CAPEC; the least-shared "
+            f"one has {least} actors, so a threshold of {least} or more keeps it"
+        )
     posts = graph.surviving_posts(posts, filtered)
     after = graph.degree_stats(filtered, graph.surviving_post_counts(posts))
     graph.save_graph(filtered, ws.path("graph.json"))

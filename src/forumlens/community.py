@@ -337,23 +337,6 @@ def leiden(graph: BimodalGraph, seed: int = 0, restarts: int = 10) -> Partition:
     return Partition(assignment=dict(zip(nodes, _renumber(best_labels))), quality=best_q)
 
 
-def _set_partitions(n: int) -> Iterable[list[int]]:
-    # Restricted-growth strings: canonical enumeration of all set partitions.
-    labels = [0] * n
-
-    def rec(i: int, max_used: int):
-        if i == n:
-            yield list(labels)
-            return
-        for c in range(max_used + 2):
-            labels[i] = c
-            yield from rec(i + 1, max(max_used, c))
-
-    if n == 0:
-        return
-    yield from rec(1, 0)
-
-
 def brute_force_best_partition(graph: BimodalGraph) -> Partition:
     """Exhaustive modularity maximum over all set partitions; test oracle.
 
@@ -368,12 +351,38 @@ def brute_force_best_partition(graph: BimodalGraph) -> Partition:
     if graph.n_nodes == 0:
         raise ValidationError("cannot partition an empty graph")
     nodes, g = _index_graph(graph)
+    W = g.total_weight
     best_labels = [0] * g.n
     best_q = _quality(g, best_labels)
-    for labels in _set_partitions(g.n):
-        q = _quality(g, labels)
-        if q > best_q:
-            best_q, best_labels = q, list(labels)
+    earlier = [[(j, w) for j, w in g.adj[i] if j < i] for i in range(g.n)]
+    strength, loop = g.strength.tolist(), g.loop.tolist()
+    # Restricted-growth strings enumerate each set partition once, labels in
+    # order of first appearance; per-label intra-edge and degree totals ride
+    # along, and each leaf sums Q's terms in label order, as _quality does.
+    labels, intra, degree = [0] * g.n, [0.0] * g.n, [0.0] * g.n
+
+    def grow(i: int, n_used: int) -> None:
+        nonlocal best_q, best_labels
+        if i == g.n:
+            q = 0.0
+            for e, d in zip(intra[:n_used], degree[:n_used]):
+                q += e / W - (d / (2.0 * W)) ** 2
+            if q > best_q:
+                best_q, best_labels = q, list(labels)
+            return
+        inside = [loop[i]] * (n_used + 1)
+        for j, w in earlier[i]:
+            inside[labels[j]] += w
+        for c in range(n_used + 1):
+            labels[i] = c
+            intra[c] += inside[c]
+            degree[c] += strength[i]
+            grow(i + 1, max(n_used, c + 1))
+            intra[c] -= inside[c]
+            degree[c] -= strength[i]
+
+    if W > 0:  # on an edgeless graph every partition scores 0.0, so the first stands
+        grow(0, 0)
     return Partition(assignment=dict(zip(nodes, _renumber(best_labels))), quality=best_q)
 
 

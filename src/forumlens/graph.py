@@ -235,11 +235,14 @@ def save_graph(graph: BimodalGraph, path: str | Path) -> None:
 
 
 def load_graph(path: str | Path) -> BimodalGraph:
+    """Read a saved graph; every edge shares its actor's ``actor_ids`` string."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    actors = {a: a for a in payload["actors"]}
     return BimodalGraph(
-        actor_ids=frozenset(payload["actors"]),
+        actor_ids=frozenset(actors),
         capec_ids=frozenset(int(c) for c in payload["capecs"]),
-        edges=frozenset((a, int(c)) for a, c in payload["edges"]),
+        # an unknown actor keeps its own string, and the graph's check refuses it
+        edges=frozenset((actors.get(a, a), int(c)) for a, c in payload["edges"]),
     )
 
 

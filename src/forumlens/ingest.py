@@ -80,7 +80,8 @@ class PostRecord:
     """One forum post.
 
     ``mentions`` is empty until the corpus-build step extracts CVE ids from
-    ``content`` (or a persisted corpus row carries them explicitly).
+    ``content``, unless the record's source (a persisted corpus row, the
+    synthetic generator) carries them explicitly.
     """
 
     post_id: str

@@ -144,15 +144,11 @@ def _capec_skill(j: int) -> SkillLevel:
     return (SkillLevel.LOW, SkillLevel.MEDIUM, SkillLevel.HIGH)[j % 3]
 
 
-def _cve_ids(capec: int, count: int) -> list[str]:
-    return [f"CVE-{SYNTH_CVE_YEAR}-{capec * 10 + i}" for i in range(count)]
-
-
-def _build_catalog(config: SynthConfig) -> tuple[CatalogSnapshot, dict[int, int], dict[int, list[str]]]:
+def _build_catalog(config: SynthConfig) -> tuple[CatalogSnapshot, dict[int, int], dict[int, list[CveId]]]:
     cves: list[CveEntry] = []
     capecs: list[CapecEntry] = []
     capec_community: dict[int, int] = {}
-    capec_cves: dict[int, list[str]] = {}
+    capec_cves: dict[int, list[CveId]] = {}
     for comm in range(config.n_communities):
         theme = _COMMUNITY_THEMES[comm % len(_COMMUNITY_THEMES)]
         for j in range(config.capecs_per_community):
@@ -169,9 +165,9 @@ def _build_catalog(config: SynthConfig) -> tuple[CatalogSnapshot, dict[int, int]
                 )
             )
             capec_community[capec] = comm
-            ids = _cve_ids(capec, CVES_PER_CAPEC)
+            ids = [CveId(SYNTH_CVE_YEAR, capec * 10 + i) for i in range(CVES_PER_CAPEC)]
             capec_cves[capec] = ids
-            cves.extend(CveEntry(cve_id=CveId.parse(c), cwe_ids=frozenset([cwe])) for c in ids)
+            cves.extend(CveEntry(cve_id=c, cwe_ids=frozenset([cwe])) for c in ids)
     return build_snapshot(cves, capecs), capec_community, capec_cves
 
 
@@ -265,7 +261,7 @@ def generate(config: SynthConfig) -> tuple[Corpus, CatalogSnapshot, GroundTruth]
                 else:
                     capec_picks = home.take(1) + list(fixed_foreign)
                 mentions = [rng.choice(capec_cves[c]) for c in capec_picks]
-                content = "discussing " + " and ".join(mentions) + " exploitation notes"
+                content = "discussing " + " and ".join(map(str, mentions)) + " exploitation notes"
                 posts.append(
                     PostRecord(
                         post_id=f"p{serial:06d}",
@@ -273,7 +269,7 @@ def generate(config: SynthConfig) -> tuple[Corpus, CatalogSnapshot, GroundTruth]
                         forum_id=f"f{comm}",
                         timestamp=start + timedelta(seconds=offset),
                         content=content,
-                        mentions=frozenset(),
+                        mentions=frozenset(mentions),
                     )
                 )
                 serial += 1

@@ -69,6 +69,34 @@ def snapshot_from(
     return build_snapshot(cve_entries, capec_entries)
 
 
+def effective_skill_oracle(snapshot: CatalogSnapshot, capec_id: int) -> SkillLevel | None:
+    """The skill-imputation rule by its recursive definition, off a built snapshot.
+
+    Direct scenarios take their maximum; else the maximum over parents of
+    their upward values; else the maximum direct value among children.
+    Exponential on shared ancestors and bounded by the recursion limit, so
+    for small hierarchies only.
+    """
+    capecs = snapshot.capecs
+
+    def direct(cid: int) -> SkillLevel | None:
+        scenarios = capecs[cid].skill_scenarios
+        return max(scenarios) if scenarios else None
+
+    def upward(cid: int) -> SkillLevel | None:
+        value = direct(cid)
+        if value is not None:
+            return value
+        parent_values = [v for p in capecs[cid].parent_ids if (v := upward(p)) is not None]
+        return max(parent_values) if parent_values else None
+
+    value = upward(capec_id)
+    if value is None:
+        child_values = [v for c in capecs[capec_id].child_ids if (v := direct(c)) is not None]
+        value = max(child_values) if child_values else None
+    return value
+
+
 def bigraph(edges: list[tuple[str, int]]) -> BimodalGraph:
     return BimodalGraph(
         actor_ids=frozenset(a for a, _ in edges),

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from forumlens.catalog import (
     CapecEntry,
@@ -20,7 +23,7 @@ from forumlens.catalog import (
 from forumlens.errors import ValidationError
 from forumlens.ingest import CveId
 
-from conftest import snapshot_from
+from conftest import effective_skill_oracle, snapshot_from
 
 
 def test_normalize_cwe_forms():
@@ -100,14 +103,15 @@ def test_cyclic_hierarchy_fatal():
 
 
 def test_effective_skill_direct_takes_max():
-    snap = snapshot_from(cve_to_cwes={}, capecs=[(5, "multi", [])])
-    entry = snap.capecs[5]
-    snap.capecs[5] = CapecEntry(
+    entry = CapecEntry(
         capec_id=5,
-        name=entry.name,
+        name="multi",
         skill_scenarios=(SkillLevel.LOW, SkillLevel.HIGH, SkillLevel.MEDIUM),
     )
+    snap = build_snapshot([], [entry])
     assert effective_skill(snap, 5) == SkillLevel.HIGH
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        snap.skills = {}
 
 
 def test_effective_skill_imputes_from_parent():
@@ -148,6 +152,60 @@ def test_effective_skill_none_when_unknown():
     assert effective_skill(snap, 1) is None
     with pytest.raises(KeyError):
         effective_skill(snap, 999)
+
+
+_LEVELS = st.sampled_from(list(SkillLevel))
+
+
+@st.composite
+def _acyclic_hierarchies(draw) -> list[CapecEntry]:
+    """Entries of a random acyclic hierarchy: ids drawn in a parents-first order,
+    each link declared on the child's side, the parent's side or both, plus
+    links to ids outside the snapshot (100 and up)."""
+    ids = draw(st.lists(st.integers(1, 60), min_size=1, max_size=12, unique=True))
+    parents = {cid: set(draw(st.sets(st.integers(100, 103), max_size=1))) for cid in ids}
+    children = {cid: set(draw(st.sets(st.integers(100, 103), max_size=1))) for cid in ids}
+    for j, kid in enumerate(ids):
+        for parent in ids[:j]:
+            side = draw(st.sampled_from(["none", "none", "none", "child", "parent", "both"]))
+            if side in ("child", "both"):
+                parents[kid].add(parent)
+            if side in ("parent", "both"):
+                children[parent].add(kid)
+    return [
+        CapecEntry(
+            capec_id=cid,
+            name=f"c{cid}",
+            parent_ids=frozenset(parents[cid]),
+            child_ids=frozenset(children[cid]),
+            skill_scenarios=tuple(draw(st.lists(_LEVELS, max_size=2))),
+        )
+        for cid in draw(st.permutations(ids))
+    ]
+
+
+@given(_acyclic_hierarchies())
+def test_effective_skill_matches_the_recursive_definition(entries):
+    snap = build_snapshot([], entries)
+    for cid in snap.capecs:
+        assert effective_skill(snap, cid) == effective_skill_oracle(snap, cid)
+
+
+def test_effective_skill_on_a_deep_diamond_ladder():
+    # 30 stacked diamonds under one known root: 2**30 upward paths reach it
+    levels = 30
+    entries = [CapecEntry(0, "root", skill_scenarios=(SkillLevel.MEDIUM,))]
+    for k in range(levels):
+        top, bottom = 3 * k, 3 * (k + 1)
+        entries += [
+            CapecEntry(top + 1, "left", parent_ids=frozenset({top})),
+            CapecEntry(top + 2, "right", parent_ids=frozenset({top})),
+            CapecEntry(bottom, "join", parent_ids=frozenset({top + 1, top + 2})),
+        ]
+    start = time.perf_counter()
+    snap = build_snapshot([], entries)
+    assert effective_skill(snap, 3 * levels) == SkillLevel.MEDIUM
+    assert time.perf_counter() - start < 1.0
 
 
 def test_snapshot_round_trip(tmp_path):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import json
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import forumlens
-from forumlens import cli, ingest, workspace
+from forumlens import catalog, cli, ingest, workspace
 from forumlens.cli import main
 from forumlens.graph import load_graph
 from forumlens.workspace import STAGE_ARTIFACTS, Workspace
@@ -258,6 +259,40 @@ def test_convert_catalog_argument_validation(tmp_path):
     assert main(["convert-catalog", "--workspace", ws, "--nvd-json", "x", "--cve-cwe", "y"]) == 1
 
 
+def test_convert_catalog_takes_a_deep_hierarchy(tmp_path):
+    # a parent chain deeper than Python's default recursion limit, deepest first
+    depth = 1500
+    rows = [{"id": i, "name": f"c{i}", "parents": [i - 1]} for i in range(depth, 1, -1)]
+    rows.append({"id": 1, "name": "root", "skill_scenarios": ["Low"]})
+    (tmp_path / "capec.json").write_text(json.dumps(rows))
+    (tmp_path / "cve_cwe.csv").write_text("cve_id,cwe_id\n")
+    ws = tmp_path / "ws"
+    argv = ["convert-catalog", "--workspace", str(ws)]
+    argv += ["--cve-cwe", str(tmp_path / "cve_cwe.csv"), "--capec-json", str(tmp_path / "capec.json")]
+    assert main(argv) == 0
+    snapshot = catalog.load_snapshot(ws / "cve_cwe.csv", ws / "capec.json")
+    assert catalog.effective_skill(snapshot, depth) == catalog.SkillLevel.LOW
+
+
+def test_graph_refuses_a_threshold_that_removes_every_capec(pipeline_ws, tmp_path, caplog):
+    ws = tmp_path / "ws"
+    shutil.copytree(pipeline_ws, ws)
+    before = {name: (ws / name).read_bytes() for name in STAGE_ARTIFACTS["graph"]}
+    recorded = json.loads((ws / "manifest.json").read_text())["stages"]["graph"]
+
+    caplog.clear()
+    assert main(["graph", "--workspace", str(ws), "--capec-threshold", "3"]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "--capec-threshold 3 removes every CAPEC" in errors[0]
+    assert {name: (ws / name).read_bytes() for name in before} == before
+    assert json.loads((ws / "manifest.json").read_text())["stages"]["graph"] == recorded
+
+    # the threshold the message names keeps a CAPEC
+    least = re.search(r"has (\d+) actors", errors[0]).group(1)
+    assert main(["graph", "--workspace", str(ws), "--capec-threshold", least]) == 0
+    assert load_graph(ws / "graph.json").capec_ids
+
+
 def test_unknown_command_exits_1(capsys):
     assert main(["no-such-command"]) == 1
     capsys.readouterr()
@@ -441,7 +476,7 @@ def test_export_graph_refuses_a_stale_partition(pipeline_ws, tmp_path, caplog, c
         data["modularity"] = 0.0
         (ws / "communities.json").write_text(json.dumps(data))
     else:
-        assert main(["graph", "--workspace", str(ws), "--capec-threshold", "3"]) == 0
+        assert main(["graph", "--workspace", str(ws), "--capec-threshold", "5"]) == 0
     out = tmp_path / "exported.csv"
     argv = ["export-graph", "--workspace", str(ws), "--format", "csv", "--out", str(out)]
 

@@ -355,6 +355,21 @@ def test_graph_json_round_trip(tmp_path):
     assert load_graph(path) == graph
 
 
+def test_load_graph_shares_each_actor_string(tmp_path):
+    path = tmp_path / "graph.json"
+    # names longer than one character: CPython shares one-character strings anyway
+    save_graph(bigraph([("alice", 1), ("bob", 2), ("alice", 2), ("bob", 3)]), path)
+    loaded = load_graph(path)
+    members = {a: a for a in loaded.actor_ids}
+    assert all(actor is members[actor] for actor, _ in loaded.edges)
+
+    payload = json.loads(path.read_text())
+    payload["edges"].append(["ghost", 1])
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValidationError):
+        load_graph(path)
+
+
 @pytest.mark.parametrize("fmt", ["graphml", "dot", "csv"])
 def test_export_round_trip(tmp_path, fmt):
     graph = bigraph([("alice", 63), ("bob quote\"", 66), ("alice", 66)])

@@ -7,7 +7,7 @@ import pytest
 from forumlens.community import Partition, leiden
 from forumlens.errors import ValidationError
 from forumlens.graph import build_graph, filter_popular_capecs
-from forumlens.ingest import load_corpus
+from forumlens.ingest import extract_cve_ids, load_corpus
 from forumlens.synth import (
     SYNTH_CVE_YEAR,
     GroundTruth,
@@ -50,7 +50,7 @@ def test_generate_truth_is_consistent():
 
     # Every mentioned CVE resolves through the catalog to exactly one CAPEC.
     for post in corpus.posts:
-        assert post.mentions
+        assert post.mentions and post.mentions == extract_cve_ids(post.content)
         for cve in post.mentions:
             assert cve.year == SYNTH_CVE_YEAR
             entry = snapshot.cves[cve]
