@@ -9,18 +9,16 @@ are connected by construction, and a final component split (which never
 lowers Q) keeps every returned community connected. Each level is CSR arrays
 with whole-number weights, so sums are exact in any order; numpy does quality,
 aggregation and the split, and the move loops walk per-level Python neighbour
-lists. Restarts are seeded up front and share nothing: on Linux with more than
-one CPU, from ``POOL_MIN_NODES`` nodes, they run on a ``fork`` pool of one
-process per CPU, with the same result.
+lists. Restarts are seeded up front and share nothing: from ``POOL_MIN_NODES``
+nodes they run through :func:`forumlens.pool.map_jobs`, the ``fork`` pool of
+one process per CPU that the k-means sweep also uses, with the same result.
 """
 
 from __future__ import annotations
 
 import logging
-import os
 import random
 import re
-import signal
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -30,6 +28,7 @@ import numpy as np
 from .catalog import CatalogSnapshot
 from .errors import ValidationError
 from .graph import ActorPosts, BimodalGraph, node_key, sorted_nodes
+from .pool import map_jobs
 from .stats import SummaryStats
 
 logger = logging.getLogger(__name__)
@@ -257,41 +256,6 @@ def _restart(g0: _Level, job: tuple[int, int]) -> tuple[float, list[int], int]:
     return _quality(g0, labels), labels, levels
 
 
-_pool_level: _Level | None = None  # a pool worker's level-0 graph, inherited through fork
-
-
-def _pool_init(g: _Level, parent: int) -> None:
-    import ctypes
-
-    global _pool_level
-    _pool_level = g
-    prctl = ctypes.CDLL(None).prctl
-    prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
-    # PR_SET_PDEATHSIG: die with the parent, or a killed run's workers keep its workspace lock
-    prctl(1, signal.SIGKILL)
-    if os.getppid() != parent:  # it died before prctl took effect
-        os._exit(1)
-
-
-def _pool_restart(job: tuple[int, int]) -> tuple[float, list[int], int]:
-    return _restart(_pool_level, job)
-
-
-def _map_restarts(g: _Level, jobs: list[tuple[int, int]]) -> tuple[list, int]:
-    """``_restart`` over ``jobs`` in order, and how many processes ran them. Only Linux
-    has ``os.sched_getaffinity``, and with it ``fork`` (``g`` is not pickled) and ``prctl``."""
-    procs = 1
-    if g.n >= POOL_MIN_NODES and hasattr(os, "sched_getaffinity"):
-        import multiprocessing
-
-        if not multiprocessing.current_process().daemon:  # a daemon may not have children
-            procs = min(len(os.sched_getaffinity(0)), len(jobs))
-    if procs < 2:
-        return [_restart(g, job) for job in jobs], 1
-    with multiprocessing.get_context("fork").Pool(procs, _pool_init, (g, os.getpid())) as pool:
-        return pool.map(_pool_restart, jobs, chunksize=1), procs
-
-
 def _renumber(labels: Iterable[int]) -> list[int]:
     """Labels renumbered 0, 1, ... in order of first appearance."""
     first: dict[int, int] = {}
@@ -323,7 +287,7 @@ def leiden(graph: BimodalGraph, seed: int = 0, restarts: int = 10) -> Partition:
 
     master = random.Random(seed)
     run_seeds = [master.getrandbits(64) for _ in range(restarts)]
-    runs, procs = _map_restarts(g, list(enumerate(run_seeds)))
+    runs, procs = map_jobs(_restart, g, list(enumerate(run_seeds)), g.n >= POOL_MIN_NODES)
 
     best_labels = _split_disconnected(g, [0] * g.n)
     best_q, best = _quality(g, best_labels), None

@@ -254,8 +254,18 @@ def save_posts(posts: ActorPosts, path: str | Path) -> None:
 
 
 def load_posts(path: str | Path) -> ActorPosts:
+    """Read a resolved-post table; posts with equal CAPEC lists share one frozenset."""
     items = json.loads(Path(path).read_text(encoding="utf-8")).items()
-    return {a: [(datetime.fromisoformat(ts), frozenset(cs)) for ts, cs in ps] for a, ps in items}
+    shared: dict[tuple[int, ...], frozenset[int]] = {}
+
+    def capecs(ids: list[int]) -> frozenset[int]:
+        key = tuple(ids)
+        found = shared.get(key)
+        if found is None:
+            found = shared[key] = frozenset(ids)
+        return found
+
+    return {a: [(datetime.fromisoformat(ts), capecs(cs)) for ts, cs in ps] for a, ps in items}
 
 
 def _community_of(partition: "Partition | None", key: str) -> int | None:

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import csv
+import math
 import random
 import re
 from datetime import datetime, timezone
 from pathlib import Path
 from xml.etree import ElementTree
 
+import numpy as np
 import pytest
 
 from forumlens.catalog import CapecEntry, CatalogSnapshot, CveEntry, SkillLevel, build_snapshot
@@ -264,6 +266,78 @@ def lloyd_reference(X, centroids, max_iter: int = 300, tol: float = 1e-8):
             break
         prev_labels, prev_inertia = list(labels), inertia
     return labels, inertia
+
+
+def lloyd_every_row(X, centroids, max_iter: int = 300, tol: float = 1e-8):
+    """Lloyd iteration as first written: ``np.einsum`` distances for every row
+    and ``mean`` over each cluster's member rows. Returns (labels, centroids,
+    inertia, path); the bits :func:`forumlens.cluster.kmeans` must keep."""
+    X, centroids = np.asarray(X, dtype=float), np.array(centroids, dtype=float)
+    n, k = X.shape[0], centroids.shape[0]
+
+    def d2(C):
+        diff = X[:, None, :] - C[None, :, :]
+        return np.einsum("ijk,ijk->ij", diff, diff)
+
+    prev_labels, prev_inertia, path = None, math.inf, []
+    dist = d2(centroids)
+    for _ in range(max_iter):
+        labels = dist.argmin(axis=1)
+        for _attempt in range(k):
+            empties = np.flatnonzero(np.bincount(labels, minlength=k) == 0)
+            if empties.size == 0:
+                break
+            to_own = dist[np.arange(n), labels].copy()
+            for c in empties:
+                far = int(to_own.argmax())
+                centroids[c] = X[far]
+                to_own[far] = -1.0
+            dist = d2(centroids)
+            labels = dist.argmin(axis=1)
+        for c in range(k):
+            members = X[labels == c]
+            if members.size:
+                centroids[c] = members.mean(axis=0)
+        dist = d2(centroids)
+        inertia = float(dist[np.arange(n), labels].sum())
+        path.append(inertia)
+        if prev_labels is not None and np.array_equal(labels, prev_labels):
+            break
+        if math.isfinite(prev_inertia) and abs(prev_inertia - inertia) < tol * max(prev_inertia, 1e-12):
+            break
+        prev_labels, prev_inertia = labels, inertia
+    return labels, centroids, path[-1], path
+
+
+def silhouettes_every_row(X, labelings, block: int = 128) -> list[float]:
+    """Silhouettes as first written: ``np.einsum`` distances, and every row
+    scored on its own, in row-order blocks. The bits
+    :func:`forumlens.cluster.silhouettes` must keep."""
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    scores = []
+    for labels in labelings:
+        _, own, sizes = np.unique(np.asarray(labels), return_inverse=True, return_counts=True)
+        members = [np.flatnonzero(own == c) for c in range(sizes.size)]
+        out = np.zeros(n)
+        for start in range(0, n, block):
+            stop = min(start + block, n)
+            diff = X[start:stop, None, :] - X[None, :, :]
+            dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+            rows = np.arange(stop - start)
+            sums = np.stack([dist[:, m].sum(axis=1) for m in members])
+            own_block = own[start:stop]
+            own_size = sizes[own_block]
+            means = sums / sizes[:, None]
+            means[own_block, rows] = np.inf
+            b = means.min(axis=0)
+            a = sums[own_block, rows] / np.maximum(own_size - 1, 1)
+            top = np.maximum(a, b)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                score = (b - a) / top
+            out[start:stop] = np.where((own_size == 1) | (top == 0.0), 0.0, score)
+        scores.append(float(out.mean()))
+    return scores
 
 
 def silhouette_oracle(X, labels) -> float:

@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+import logging
+import multiprocessing
+import os
+import re
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from forumlens import cluster
 from forumlens.cluster import (
     _SILHOUETTE_BLOCK_ROWS,
+    _compact,
+    _kmeans_pp_init,
+    _squared_distances,
     ActivityDescriptor,
     ClusterLabel,
     KMeansModel,
@@ -29,7 +37,7 @@ from forumlens.cluster import (
 from forumlens.errors import ValidationError
 from forumlens.expertise import ActorProfile
 
-from conftest import lloyd_reference, silhouette_oracle
+from conftest import lloyd_every_row, lloyd_reference, silhouette_oracle, silhouettes_every_row
 
 
 def _profile(skill=2.0, commit=50.0, rate=1.0, days=10, n_posts=5, actor="a"):
@@ -125,6 +133,45 @@ def test_kmeans_matches_reference_from_same_start():
         assert set(map(frozenset, groups.values())) == set(map(frozenset, ref_groups.values()))
 
 
+def test_squared_distances_sum_three_columns_in_einsums_order():
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        X = rng.normal(size=(int(rng.integers(1, 300)), 3)) * rng.uniform(0.01, 100.0, size=3)
+        C = rng.normal(size=(int(rng.integers(1, 13)), 3))
+        diff = X[:, None, :] - C[None, :, :]
+        assert np.array_equal(_squared_distances(X, C), np.einsum("ijk,ijk->ij", diff, diff))
+    for d in (1, 2, 4, 7):
+        X, C = rng.normal(size=(50, d)), rng.normal(size=(6, d))
+        diff = X[:, None, :] - C[None, :, :]
+        expected = np.einsum("ijk,ijk->ij", diff, diff)
+        assert np.allclose(_squared_distances(X, C), expected, rtol=1e-12, atol=0.0)
+
+
+def _with_duplicates(rng, n, d=3):
+    """n rows drawn from about n/3 distinct ones."""
+    distinct = rng.normal(size=(max(2, n // 3), d))
+    return distinct[rng.integers(0, distinct.shape[0], size=n)]
+
+
+def test_kmeans_keeps_the_bits_of_every_row_lloyd():
+    # distances once per distinct row, and member means from bincount sums,
+    # against the every-row einsum and mean() iteration
+    rng = np.random.default_rng(29)
+    for trial in range(40):
+        n = int(rng.integers(4, 200))
+        X = _with_duplicates(rng, n)
+        if trial % 4 == 0:
+            X[:, 1] = -0.0  # signed zeros in a constant column
+        k = int(rng.integers(1, min(8, n) + 1))
+        init = X[rng.choice(n, size=k, replace=False)]  # may repeat a row: revives run
+        model = kmeans(X, k, init=init)
+        labels, centroids, inertia, path = lloyd_every_row(X, init)
+        dense, kept, k_eff = _compact(labels, centroids)
+        assert (model.k, model.labels) == (k_eff, dense)
+        assert model.centroids.tobytes() == kept.tobytes()
+        assert model.inertia == inertia and model.inertia_path == tuple(path)
+
+
 def test_kmeans_recovers_separated_blobs():
     X = _blobs(seed=3)
     model = kmeans(X, 3, seed=0)
@@ -216,6 +263,38 @@ def test_silhouettes_match_per_labeling_oracle():
     assert silhouettes(X, []) == []
 
 
+def _distinct_row_cases():
+    rng = np.random.default_rng(31)
+    # duplicates that share every label
+    X = _with_duplicates(rng, 120)
+    row_label = {row.tobytes(): i % 4 for i, row in enumerate(np.unique(X, axis=0))}
+    yield X, [[row_label[row.tobytes()] for row in X], [row_label[row.tobytes()] % 2 for row in X]]
+    # duplicates split across labels, and one labeling that keeps them together
+    yield X, [rng.integers(0, 4, size=120), [row_label[row.tobytes()] for row in X]]
+    # singletons, one of them a duplicate of a row in a large cluster
+    X = rng.normal(size=(15, 3))
+    X[14] = X[0]
+    yield X, [[0] * 12 + [1, 2, 3], [0] * 7 + [1] * 7 + [2]]
+    # more rows than two blocks, not a multiple of one, mostly duplicated
+    n = 2 * _SILHOUETTE_BLOCK_ROWS + 37
+    X = _with_duplicates(rng, n)
+    X[:40] = rng.normal(size=(40, 3))
+    yield X, [rng.integers(0, k, size=n) for k in (2, 3, 5)]
+    # every row equal in X: all distances zero
+    yield np.zeros((9, 3)), [[0, 0, 0, 1, 1, 1, 2, 2, 2]]
+
+
+@pytest.mark.parametrize("pooled", [False, True])
+def test_silhouettes_keep_the_bits_of_scoring_every_row(monkeypatch, pooled):
+    if pooled and not hasattr(os, "sched_getaffinity"):
+        pytest.skip("the pool is Linux-only")
+    if pooled:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(cluster, "POOL_MIN_ROWS", 0 if pooled else 10**9)
+    for X, labelings in _distinct_row_cases():
+        assert silhouettes(X, labelings) == silhouettes_every_row(X, labelings)
+
+
 def test_silhouette_memory_is_blocked():
     # An n x n x d difference tensor at n=3000, d=3 alone would take 216 MB.
     X = np.random.default_rng(0).normal(size=(3000, 3))
@@ -276,6 +355,58 @@ def test_best_by_silhouette_ties_keep_first():
         best_by_silhouette([])
 
 
+def _sweep_case(seed):
+    rng = np.random.default_rng(seed)
+    X = np.vstack([_blobs(seed=seed, n_per=25), _with_duplicates(rng, 90) * 4.0])
+    return standardize(np.round(X, 1))[0]
+
+
+@pytest.mark.parametrize("pooled", [False, True])
+def test_sweep_k_equals_kmeans_per_k(monkeypatch, caplog, pooled):
+    if pooled and not hasattr(os, "sched_getaffinity"):
+        pytest.skip("the pool is Linux-only")
+    if pooled:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(cluster, "POOL_MIN_ROWS", 0 if pooled else 10**9)
+    caplog.set_level(logging.DEBUG, logger="forumlens.cluster")
+    for case in range(3):
+        X, seed, restarts = _sweep_case(case), 40 + case, 4
+        caplog.clear()
+        models = sweep_k(X, 2, 8, seed=seed, restarts=restarts)
+        assert ("over 2 processes" if pooled else "in-process") in caplog.text
+
+        expected = [m for m in (kmeans(X, k, seed, restarts) for k in range(2, 9)) if m.k >= 2]
+        scores = silhouettes_every_row(X, [m.labels for m in expected])
+        assert len(models) == len(expected)
+        for model, want, score in zip(models, expected, scores):
+            assert (model.k, model.labels, model.silhouette) == (want.k, want.labels, score)
+            assert model.centroids.tobytes() == want.centroids.tobytes()
+            assert (model.inertia, model.inertia_path) == (want.inertia, want.inertia_path)
+
+        # each k's winner is its first restart of least inertia, fitted the first way
+        won = {int(k): int(r) for k, r in re.findall(r"k=(\d+): restart (\d+) won", caplog.text)}
+        for k in range(2, 9):
+            inertias = [
+                lloyd_every_row(X, _kmeans_pp_init(X, k, np.random.default_rng([seed, r])))[2]
+                for r in range(restarts)
+            ]
+            if k in won:
+                assert won[k] == inertias.index(min(inertias))
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="the pool is Linux-only")
+def test_sweep_k_runs_in_process_inside_a_daemon(monkeypatch):
+    # a daemonic process, such as a pool worker, may not start processes of its own
+    X = _sweep_case(0)
+    monkeypatch.setattr(cluster, "POOL_MIN_ROWS", 0)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        in_daemon = pool.apply(sweep_k, (X, 2, 5), {"seed": 3, "restarts": 3})
+    alone = sweep_k(X, 2, 5, seed=3, restarts=3)
+    assert [(m.labels, m.inertia, m.silhouette) for m in in_daemon] == [
+        (m.labels, m.inertia, m.silhouette) for m in alone
+    ]
+
+
 def test_sweep_k_validation():
     X = _blobs(seed=0)
     with pytest.raises(ValidationError):
@@ -284,6 +415,8 @@ def test_sweep_k_validation():
         sweep_k(X, 4, 3)
     with pytest.raises(ValidationError):
         sweep_k(X, 2, X.shape[0] + 1)
+    with pytest.raises(ValidationError):
+        sweep_k(X, 2, 5, restarts=0)
 
 
 def _model_from_raw(centroids_raw, labels):

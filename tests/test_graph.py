@@ -348,6 +348,20 @@ def test_posts_table_round_trip(tmp_path):
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
+def test_load_posts_shares_each_capec_set(tmp_path):
+    posts = {
+        "alice": [(ts("2021-01-01"), frozenset({3, 7})), (ts("2021-01-02"), frozenset({7}))],
+        "bob": [(ts("2021-01-03"), frozenset({7, 3})), (ts("2021-01-04"), frozenset({3, 7}))],
+    }
+    path = tmp_path / "capec_posts.json"
+    save_posts(posts, path)
+    loaded = load_posts(path)
+    assert loaded == posts
+    sets = [capecs for a_posts in loaded.values() for _, capecs in a_posts]
+    assert len({id(capecs) for capecs in sets}) == 2
+    assert sets[0] is sets[2] is sets[3] and sets[1] is not sets[0]
+
+
 def test_graph_json_round_trip(tmp_path):
     graph = bigraph([("a", 1), ("b", 2), ("a", 2)])
     path = tmp_path / "graph.json"

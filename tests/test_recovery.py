@@ -6,8 +6,9 @@ between the temp write and the rename of the stage's last artifact, or after
 all its writes but before ``record_stage``. Afterwards no artifact name may
 hold a partial file, no lock may block, the next plain run must either run or
 name the stage to re-run, and re-running that stage must give the bytes of an
-uninterrupted run. A ``communities`` run SIGKILLed while its Leiden restart
-pool is up must free the lock within seconds and leave no worker behind.
+uninterrupted run. A ``communities`` or ``cluster`` run SIGKILLed while its
+job pool (Leiden restarts, k-means fits) is up must free the lock within
+seconds and leave no worker behind.
 """
 
 from __future__ import annotations
@@ -171,29 +172,55 @@ community._restart = slow
 sys.exit(cli.main(sys.argv[1:]))
 """
 
+# The same for a ``cluster`` run's k-means fits, with the pool taken at any
+# sample size, since this workspace's sample is smaller than ``POOL_MIN_ROWS``.
+_SLOW_FITS = """
+import sys, time
+from forumlens import cli, cluster
 
-@pytest.mark.skipif(
+real = cluster._fit
+
+def slow(rows, job):
+    time.sleep(60)
+    return real(rows, job)
+
+cluster._fit, cluster.POOL_MIN_ROWS = slow, 0
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+_needs_pool = pytest.mark.skipif(
     not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
-    reason="Leiden restarts use a process pool only on Linux with two or more CPUs",
+    reason="the job pool runs only on Linux with two or more CPUs",
 )
-def test_killed_leiden_pool_frees_the_lock_and_leaves_no_worker(tmp_path):
-    inputs, ws = tmp_path / "inputs", tmp_path / "ws"
-    synth = ["synth", "--workspace", str(tmp_path / "scratch"), "--out", str(inputs), "--seed", "5"]
+
+
+@pytest.fixture(scope="module")
+def pool_graph(tmp_path_factory):
+    """A workspace through ``graph`` whose graph reaches ``POOL_MIN_NODES``."""
+    root = tmp_path_factory.mktemp("pool")
+    inputs, ws = root / "inputs", root / "ws"
+    synth = ["synth", "--workspace", str(root / "scratch"), "--out", str(inputs), "--seed", "5"]
     assert main(synth + ["--communities", "4", "--actors", "250"]) == 0
     assert _run(ws, ["ingest", "--posts", str(inputs / "posts.jsonl")]) == 0
     catalog = ["--cve-cwe", str(inputs / "cve_cwe.csv"), "--capec-json", str(inputs / "capec.json")]
     assert _run(ws, ["convert-catalog", *catalog]) == 0
     assert _run(ws, ["graph"]) == 0
     assert len(Workspace(ws).read_json("graph.json")["actors"]) >= POOL_MIN_NODES
+    return ws
 
-    reference = tmp_path / "reference"
+
+def _kill_with_pool_up(ws: Path, script: str, stage: str) -> None:
+    """SIGKILL ``stage`` run through ``script`` once its pool is up; then the lock
+    must free within 5 s, no worker may be left, and a re-run must write the
+    bytes of an uninterrupted run."""
+    reference = ws.parent / "reference"
     shutil.copytree(ws, reference)
-    assert _run(reference, ["communities"]) == 0
+    assert _run(reference, [stage]) == 0
     expected = _artifacts(reference)
 
     src = str(Path(forumlens.__file__).resolve().parents[1])
     child = subprocess.Popen(
-        [sys.executable, "-c", _SLOW_RESTARTS, "communities", "--workspace", str(ws)],
+        [sys.executable, "-c", script, stage, "--workspace", str(ws)],
         env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
     try:
@@ -202,8 +229,8 @@ def test_killed_leiden_pool_frees_the_lock_and_leaves_no_worker(tmp_path):
         while not workers and child.poll() is None and time.monotonic() < deadline:
             workers = _children(child.pid)
             time.sleep(0.005)
-        assert workers, "the communities run never started its restart pool"
-        time.sleep(0.2)  # each worker takes a restart
+        assert workers, f"the {stage} run never started its pool"
+        time.sleep(0.2)  # each worker takes a job
         os.kill(child.pid, signal.SIGKILL)
     finally:
         child.kill()
@@ -222,6 +249,22 @@ def test_killed_leiden_pool_frees_the_lock_and_leaves_no_worker(tmp_path):
         fields = _stat(pid)
         assert fields is None or fields[0] in "ZX", f"worker {pid} still running"
 
-    assert _run(ws, ["communities"]) == 0
+    assert _run(ws, [stage]) == 0
     assert _artifacts(ws) == expected
     assert sorted(ws.rglob("*.tmp")) == []
+
+
+@_needs_pool
+def test_killed_leiden_pool_frees_the_lock_and_leaves_no_worker(pool_graph, tmp_path):
+    ws = tmp_path / "ws"
+    shutil.copytree(pool_graph, ws)
+    _kill_with_pool_up(ws, _SLOW_RESTARTS, "communities")
+
+
+@_needs_pool
+def test_killed_cluster_pool_frees_the_lock_and_leaves_no_worker(pool_graph, tmp_path):
+    ws = tmp_path / "ws"
+    shutil.copytree(pool_graph, ws)
+    assert _run(ws, ["communities"]) == 0
+    assert _run(ws, ["expertise"]) == 0
+    _kill_with_pool_up(ws, _SLOW_FITS, "cluster")
