@@ -4,7 +4,8 @@ The snapshot is a normalized offline form of the public MITRE/NVD data:
 ``cve_cwe.csv`` holds one (cve_id, cwe_id) pair per row and ``capec.json``
 holds one entry per attack pattern with its CWE links, hierarchy links and
 required-skill scenarios. Converting official feed exports into this form
-lives in :mod:`forumlens.convert`.
+lives in :mod:`forumlens.convert`. CWE and CAPEC ids are read only here, by
+:func:`normalize_cwe` and :func:`parse_capec_id`.
 """
 
 from __future__ import annotations
@@ -55,6 +56,15 @@ def normalize_cwe(value: str | int) -> str:
     if m is None:
         raise ValidationError(f"not a CWE identifier: {value!r}")
     return f"CWE-{int(m.group(1))}"
+
+
+def parse_capec_id(value: object) -> int:
+    """A CAPEC id from a non-negative JSON integer (not a bool) or a decimal string."""
+    if type(value) is int and value >= 0:
+        return value
+    if isinstance(value, str) and re.fullmatch(r"\s*[0-9]+\s*", value):
+        return int(value)
+    raise ValidationError(f"not a CAPEC identifier: {value!r}")
 
 
 @dataclass(frozen=True)
@@ -212,19 +222,22 @@ def load_snapshot(cve_cwe_path: str | Path, capec_path: str | Path) -> CatalogSn
     capec_entries = []
     for obj in raw_capecs:
         try:
+            for field in ("related_cwes", "parents", "children", "skill_scenarios"):
+                if not isinstance(obj.get(field, []), list):
+                    raise ValidationError(f"{field} must be a list: {obj[field]!r}")
             capec_entries.append(
                 CapecEntry(
-                    capec_id=int(obj["id"]),
+                    capec_id=parse_capec_id(obj["id"]),
                     name=str(obj.get("name", "")),
                     related_cwes=frozenset(normalize_cwe(c) for c in obj.get("related_cwes", ())),
-                    parent_ids=frozenset(int(p) for p in obj.get("parents", ())),
-                    child_ids=frozenset(int(c) for c in obj.get("children", ())),
+                    parent_ids=frozenset(parse_capec_id(p) for p in obj.get("parents", ())),
+                    child_ids=frozenset(parse_capec_id(c) for c in obj.get("children", ())),
                     skill_scenarios=tuple(
                         SkillLevel.parse(s) for s in obj.get("skill_scenarios", ())
                     ),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ValidationError(f"{capec_path}: malformed CAPEC entry {obj!r}: {exc}") from exc
 
     return build_snapshot(cve_entries, capec_entries)

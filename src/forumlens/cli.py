@@ -191,12 +191,14 @@ def cmd_ingest(ws: Workspace, args: argparse.Namespace) -> dict:
 
 def cmd_convert_catalog(ws: Workspace, args: argparse.Namespace) -> dict:
     if args.nvd_json:
-        snapshot = convert.convert_catalog(args.nvd_json, args.capec_xml, ws.root)
+        snapshot = catalog.build_snapshot(
+            convert.parse_nvd_cve_json(args.nvd_json), convert.parse_capec_xml(args.capec_xml)
+        )
         config = {"nvd_json": str(args.nvd_json), "capec_xml": str(args.capec_xml)}
     else:
         snapshot = catalog.load_snapshot(args.cve_cwe, args.capec_json)
-        catalog.save_snapshot(snapshot, ws.root)
         config = {"cve_cwe": str(args.cve_cwe), "capec_json": str(args.capec_json)}
+    catalog.save_snapshot(snapshot, ws.root)
     print(f"catalog snapshot: {len(snapshot.cves)} CVEs, {len(snapshot.capecs)} CAPECs")
     return config
 

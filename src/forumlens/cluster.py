@@ -130,21 +130,23 @@ def _rows(X: np.ndarray) -> _Rows:
     return _Rows(X, distinct, inverse.reshape(-1))
 
 
-def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_pp_init(rows: _Rows, k: int, rng: np.random.Generator) -> np.ndarray:
+    X, distinct, inverse = rows
     n = X.shape[0]
     centers = np.empty((k, X.shape[1]), dtype=float)
     first = int(rng.integers(n))
     centers[0] = X[first]
-    closest = ((X - centers[0]) ** 2).sum(axis=1)
+    closest = ((distinct - centers[0]) ** 2).sum(axis=1)
     for i in range(1, k):
-        total = closest.sum()
+        weights = closest[inverse]  # per distinct row, gathered to all n rows for the draw
+        total = weights.sum()
         if total <= 0.0:
             # remaining points coincide with chosen centers; reuse the first
             idx = int(rng.integers(n))
         else:
-            idx = int(rng.choice(n, p=closest / total))
+            idx = int(rng.choice(n, p=weights / total))
         centers[i] = X[idx]
-        closest = np.minimum(closest, ((X - centers[i]) ** 2).sum(axis=1))
+        closest = np.minimum(closest, ((distinct - centers[i]) ** 2).sum(axis=1))
     return centers
 
 
@@ -207,7 +209,7 @@ def _lloyd(rows: _Rows, centroids: np.ndarray) -> _Run:
 def _fit(rows: _Rows, job: tuple[int, int, int]) -> _Run:
     """One k-means++ restart: ``job`` is (k, seed, restart)."""
     k, seed, r = job
-    return _lloyd(rows, _kmeans_pp_init(rows.X, k, np.random.default_rng([seed, r])))
+    return _lloyd(rows, _kmeans_pp_init(rows, k, np.random.default_rng([seed, r])))
 
 
 def _best(runs: Sequence[_Run]) -> int:

@@ -56,6 +56,21 @@ class Partition:
             groups[comm].add(key)
         return {c: frozenset(members) for c, members in groups.items()}
 
+    def members(self, graph: BimodalGraph) -> dict[int, tuple[frozenset[str], frozenset[int]]]:
+        """Each community's (actors, CAPECs) in ``graph``, in community order; a
+        node left unassigned is refused, the first in sorted node order named."""
+        groups: dict[int, tuple[set[str], set[int]]] = defaultdict(lambda: (set(), set()))
+        for mode, raw in sorted_nodes(graph):
+            key = node_key(mode, raw)
+            if key not in self.assignment:
+                raise ValidationError(f"partition does not assign node {key!r}")
+            actors, capecs = groups[self.assignment[key]]
+            if mode == "actor":
+                actors.add(raw)
+            else:
+                capecs.add(int(raw))
+        return {c: (frozenset(a), frozenset(p)) for c, (a, p) in sorted(groups.items())}
+
 
 class _Level:
     """One Leiden level as CSR: ``indices[indptr[v]:indptr[v + 1]]`` are v's other
@@ -264,10 +279,8 @@ def _renumber(labels: Iterable[int]) -> list[int]:
 
 def modularity(graph: BimodalGraph, partition: Partition) -> float:
     """Newman modularity of a full assignment; 0 on an edgeless graph."""
+    partition.members(graph)  # refuses an incomplete assignment
     nodes, g = _index_graph(graph)
-    for key in nodes:
-        if key not in partition.assignment:
-            raise ValidationError(f"partition does not assign node {key!r}")
     return _quality(g, [partition.assignment[key] for key in nodes])
 
 
@@ -404,29 +417,15 @@ def summarize_communities(
 ) -> list[CommunityOfInterest]:
     """Table-style overview of every community, from ``graph``'s surviving posts."""
     actor_adj = graph.actor_adjacency()
-
-    members: dict[int, tuple[set[str], set[int]]] = defaultdict(lambda: (set(), set()))
-    for actor in graph.actor_ids:
-        comm = partition.assignment.get(node_key("actor", actor))
-        if comm is None:
-            raise ValidationError(f"partition does not assign actor {actor!r}")
-        members[comm][0].add(actor)
-    for capec in graph.capec_ids:
-        comm = partition.assignment.get(node_key("capec", capec))
-        if comm is None:
-            raise ValidationError(f"partition does not assign CAPEC {capec}")
-        members[comm][1].add(capec)
-
     overviews = []
-    for comm in sorted(members):
-        actors, capecs = members[comm]
+    for comm, (actors, capecs) in partition.members(graph).items():
         counts = [len(posts.get(a, ())) for a in sorted(actors)]
         one_timers = sum(1 for c in counts if c == 1)
         overviews.append(
             CommunityOfInterest(
                 community_id=comm,
-                actor_ids=frozenset(actors),
-                capec_ids=frozenset(capecs),
+                actor_ids=actors,
+                capec_ids=capecs,
                 one_timer_pct=100.0 * one_timers / len(actors) if actors else 0.0,
                 out_degree=SummaryStats.describe(len(actor_adj[a]) for a in sorted(actors)),
                 specialized_posts=SummaryStats.describe(counts),

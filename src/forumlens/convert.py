@@ -14,17 +14,14 @@ from __future__ import annotations
 
 import json
 import logging
-import re
 from pathlib import Path
 from xml.etree import ElementTree
 
-from .catalog import CapecEntry, CatalogSnapshot, CveEntry, SkillLevel, build_snapshot, save_snapshot
+from .catalog import CapecEntry, CveEntry, SkillLevel, normalize_cwe, parse_capec_id
 from .errors import ValidationError
 from .ingest import CveId
 
 logger = logging.getLogger(__name__)
-
-_CWE_VALUE_RE = re.compile(r"CWE-(\d+)", re.IGNORECASE)
 
 
 def _localname(tag: str) -> str:
@@ -44,10 +41,10 @@ def parse_nvd_cve_json(path: str | Path) -> list[CveEntry]:
             return
         cwes = entries.setdefault(cve, set())
         for desc in descriptions:
-            value = desc.get("value", "")
-            m = _CWE_VALUE_RE.search(value)
-            if m:  # ignores NVD-CWE-noinfo / NVD-CWE-Other
-                cwes.add(f"CWE-{int(m.group(1))}")
+            try:
+                cwes.add(normalize_cwe(desc.get("value", "")))
+            except ValidationError:  # NVD-CWE-noinfo / NVD-CWE-Other name no CWE
+                pass
 
     if "vulnerabilities" in data:  # 2.0 API shape
         for item in data["vulnerabilities"]:
@@ -87,53 +84,42 @@ def parse_capec_xml(path: str | Path) -> list[CapecEntry]:
         capec_id = node.get("ID")
         if capec_id is None:
             continue
-        name = node.get("Name", "")
-
-        cwes: set[str] = set()
-        parents: set[int] = set()
-        children: set[int] = set()
-        skills: list[SkillLevel] = []
-        for child in node.iter():
-            local = _localname(child.tag)
-            if local == "Related_Weakness" and child.get("CWE_ID"):
-                cwes.add(f"CWE-{int(child.get('CWE_ID'))}")
-            elif local == "Related_Attack_Pattern" and child.get("CAPEC_ID"):
-                nature = (child.get("Nature") or "").lower()
-                other = int(child.get("CAPEC_ID"))
-                if nature == "childof":
-                    parents.add(other)
-                elif nature == "parentof":
-                    children.add(other)
-            elif local == "Skill" and child.get("Level"):
-                try:
-                    skills.append(SkillLevel.parse(child.get("Level")))
-                except ValidationError:
-                    logger.warning(
-                        "CAPEC %s: ignoring unknown skill level %r", capec_id, child.get("Level")
-                    )
-
-        entries.append(
-            CapecEntry(
-                capec_id=int(capec_id),
-                name=name,
-                related_cwes=frozenset(cwes),
-                parent_ids=frozenset(parents),
-                child_ids=frozenset(children),
-                skill_scenarios=tuple(skills),
-            )
-        )
+        try:
+            entries.append(_capec_entry(node, capec_id))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: attack pattern ID={capec_id!r}: {exc}") from exc
     return entries
 
 
-def convert_catalog(
-    nvd_json: str | Path, capec_xml: str | Path, out_dir: str | Path
-) -> CatalogSnapshot:
-    """Convert official feeds and write the normalized snapshot to ``out_dir``."""
-    cve_entries = parse_nvd_cve_json(nvd_json)
-    capec_entries = parse_capec_xml(capec_xml)
-    snapshot = build_snapshot(cve_entries, capec_entries)
-    save_snapshot(snapshot, out_dir)
-    logger.info(
-        "converted catalog: %d CVEs, %d CAPECs", len(snapshot.cves), len(snapshot.capecs)
+def _capec_entry(node: ElementTree.Element, capec_id: str) -> CapecEntry:
+    cwes: set[str] = set()
+    parents: set[int] = set()
+    children: set[int] = set()
+    skills: list[SkillLevel] = []
+    for child in node.iter():
+        local = _localname(child.tag)
+        if local == "Related_Weakness" and child.get("CWE_ID"):
+            cwes.add(normalize_cwe(child.get("CWE_ID")))
+        elif local == "Related_Attack_Pattern" and child.get("CAPEC_ID"):
+            nature = (child.get("Nature") or "").lower()
+            other = parse_capec_id(child.get("CAPEC_ID"))
+            if nature == "childof":
+                parents.add(other)
+            elif nature == "parentof":
+                children.add(other)
+        elif local == "Skill" and child.get("Level"):
+            try:
+                skills.append(SkillLevel.parse(child.get("Level")))
+            except ValidationError:
+                logger.warning(
+                    "CAPEC %s: ignoring unknown skill level %r", capec_id, child.get("Level")
+                )
+
+    return CapecEntry(
+        capec_id=parse_capec_id(capec_id),
+        name=node.get("Name", ""),
+        related_cwes=frozenset(cwes),
+        parent_ids=frozenset(parents),
+        child_ids=frozenset(children),
+        skill_scenarios=tuple(skills),
     )
-    return snapshot

@@ -21,7 +21,7 @@ from typing import Sequence
 from .catalog import CatalogSnapshot, effective_skill
 from .community import Partition
 from .errors import ValidationError
-from .graph import ActorPosts, BimodalGraph, node_key
+from .graph import ActorPosts, BimodalGraph
 from .workspace import replacing
 
 logger = logging.getLogger(__name__)
@@ -121,12 +121,8 @@ def build_profiles(
     whose CAPECs all lack catalog skill information cannot be scored and are
     dropped with a warning.
     """
-    coi_capecs: dict[int, set[int]] = {}
-    for capec in graph.capec_ids:
-        comm = partition.assignment.get(node_key("capec", capec))
-        if comm is None:
-            raise ValidationError(f"partition does not assign CAPEC {capec}")
-        coi_capecs.setdefault(comm, set()).add(capec)
+    members = partition.members(graph)
+    community_of = {a: comm for comm, (actors, _) in members.items() for a in actors}
 
     profiles = []
     for actor in sorted(graph.actor_ids):
@@ -134,9 +130,7 @@ def build_profiles(
         if not actor_posts:
             # graph invariant: every actor kept an edge, hence a surviving post
             raise ValidationError(f"actor {actor!r} is in the graph but has no surviving posts")
-        comm = partition.assignment.get(node_key("actor", actor))
-        if comm is None:
-            raise ValidationError(f"partition does not assign actor {actor!r}")
+        comm = community_of[actor]
 
         values = []
         for _, capecs in actor_posts:
@@ -148,7 +142,7 @@ def build_profiles(
             logger.warning("actor %s dropped: no skill information for any CAPEC", actor)
             continue
 
-        interest = coi_capecs.get(comm, set())
+        interest = members[comm][1]
         n_posts = len(actor_posts)
         n_in = sum(1 for _, capecs in actor_posts if post_in_interest(capecs, interest))
         first, last = actor_posts[0][0], actor_posts[-1][0]

@@ -25,7 +25,9 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .catalog import CapecEntry, CatalogSnapshot, CveEntry, SkillLevel, build_snapshot, save_snapshot
+from .catalog import (
+    CapecEntry, CatalogSnapshot, CveEntry, SkillLevel, build_snapshot, normalize_cwe, save_snapshot
+)
 from .community import Partition
 from .errors import ValidationError
 from .graph import node_key
@@ -153,7 +155,7 @@ def _build_catalog(config: SynthConfig) -> tuple[CatalogSnapshot, dict[int, int]
         theme = _COMMUNITY_THEMES[comm % len(_COMMUNITY_THEMES)]
         for j in range(config.capecs_per_community):
             capec = _capec_id(comm, j)
-            cwe = f"CWE-{50000 + capec}"
+            cwe = normalize_cwe(50000 + capec)
             capecs.append(
                 CapecEntry(
                     capec_id=capec,

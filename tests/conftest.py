@@ -309,6 +309,25 @@ def lloyd_every_row(X, centroids, max_iter: int = 300, tol: float = 1e-8):
     return labels, centroids, path[-1], path
 
 
+def kmeans_pp_init_every_row(X, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding as first written, with distances for every row; the
+    draws :func:`forumlens.cluster._kmeans_pp_init` must keep."""
+    n = X.shape[0]
+    centers = np.empty((k, X.shape[1]), dtype=float)
+    first = int(rng.integers(n))
+    centers[0] = X[first]
+    closest = ((X - centers[0]) ** 2).sum(axis=1)
+    for i in range(1, k):
+        total = closest.sum()
+        if total <= 0.0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=closest / total))
+        centers[i] = X[idx]
+        closest = np.minimum(closest, ((X - centers[i]) ** 2).sum(axis=1))
+    return centers
+
+
 def silhouettes_every_row(X, labelings, block: int = 128) -> list[float]:
     """Silhouettes as first written: ``np.einsum`` distances, and every row
     scored on its own, in row-order blocks. The bits

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import json
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import forumlens
 from forumlens.catalog import (
     CapecEntry,
     CveEntry,
@@ -240,3 +243,37 @@ def test_load_snapshot_rejects_bad_files(tmp_path):
 
     with pytest.raises(ValidationError):
         load_snapshot(tmp_path / "missing.csv", capec_path)
+
+    # one CAPEC id syntax: a JSON integer (not a bool or float) or a decimal string
+    for bad in ({"id": True}, {"id": 12.9}, {"id": 5, "parents": "20"}):
+        capec_path.write_text(json.dumps([bad]))
+        with pytest.raises(ValidationError, match="capec.json"):
+            load_snapshot(csv_path, capec_path)
+
+
+def _constants_outside_docstrings(tree: ast.AST) -> list[str]:
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    return [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings
+    ]
+
+
+def test_only_the_catalog_spells_cwe_ids():
+    # f-string parts are constants too, so f"CWE-{n}" outside catalog.py is caught
+    package = Path(forumlens.__file__).parent
+    spelled = sorted(
+        path.name
+        for path in package.glob("*.py")
+        if path.name != "catalog.py"
+        and any("CWE-" in text for text in _constants_outside_docstrings(ast.parse(path.read_text())))
+    )
+    assert spelled == []

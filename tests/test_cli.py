@@ -252,11 +252,19 @@ def test_unreadable_input_exits_3(tmp_path):
     assert code == 3
 
 
-def test_convert_catalog_argument_validation(tmp_path):
+def test_convert_catalog_argument_validation(tmp_path, caplog):
     ws = str(tmp_path / "ws")
     # Neither input pair, or a mixed pair, is a usage error.
     assert main(["convert-catalog", "--workspace", ws]) == 1
     assert main(["convert-catalog", "--workspace", ws, "--nvd-json", "x", "--cve-cwe", "y"]) == 1
+    # A malformed id exits 1 with a message naming the file and the attack pattern.
+    (tmp_path / "cve_cwe.csv").write_text("cve_id,cwe_id\n")
+    (tmp_path / "capec.json").write_text(json.dumps([{"id": "CAPEC-66", "name": "SQL Injection"}]))
+    caplog.clear()
+    pair = ["--cve-cwe", str(tmp_path / "cve_cwe.csv"), "--capec-json", str(tmp_path / "capec.json")]
+    assert main(["convert-catalog", "--workspace", ws, *pair]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert "capec.json" in errors[0] and "CAPEC-66" in errors[0]
 
 
 def test_convert_catalog_takes_a_deep_hierarchy(tmp_path):

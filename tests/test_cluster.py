@@ -17,6 +17,7 @@ from forumlens.cluster import (
     _SILHOUETTE_BLOCK_ROWS,
     _compact,
     _kmeans_pp_init,
+    _rows,
     _squared_distances,
     ActivityDescriptor,
     ClusterLabel,
@@ -37,7 +38,13 @@ from forumlens.cluster import (
 from forumlens.errors import ValidationError
 from forumlens.expertise import ActorProfile
 
-from conftest import lloyd_every_row, lloyd_reference, silhouette_oracle, silhouettes_every_row
+from conftest import (
+    kmeans_pp_init_every_row,
+    lloyd_every_row,
+    lloyd_reference,
+    silhouette_oracle,
+    silhouettes_every_row,
+)
 
 
 def _profile(skill=2.0, commit=50.0, rate=1.0, days=10, n_posts=5, actor="a"):
@@ -170,6 +177,19 @@ def test_kmeans_keeps_the_bits_of_every_row_lloyd():
         assert (model.k, model.labels) == (k_eff, dense)
         assert model.centroids.tobytes() == kept.tobytes()
         assert model.inertia == inertia and model.inertia_path == tuple(path)
+
+
+def test_kmeans_pp_init_keeps_the_draws_of_every_row_seeding():
+    # distances once per distinct row, gathered back before the weights are summed
+    rng = np.random.default_rng(31)
+    for trial in range(40):
+        n = int(rng.integers(1, 200))
+        X = _with_duplicates(rng, n)
+        if trial % 4 == 0:
+            X[:, 1] = -0.0
+        k = int(rng.integers(1, min(12, n) + 1))  # may exceed the distinct rows: zero weights
+        got = _kmeans_pp_init(_rows(X), k, np.random.default_rng([trial, 0]))
+        assert np.array_equal(got, kmeans_pp_init_every_row(X, k, np.random.default_rng([trial, 0])))
 
 
 def test_kmeans_recovers_separated_blobs():
@@ -387,7 +407,7 @@ def test_sweep_k_equals_kmeans_per_k(monkeypatch, caplog, pooled):
         won = {int(k): int(r) for k, r in re.findall(r"k=(\d+): restart (\d+) won", caplog.text)}
         for k in range(2, 9):
             inertias = [
-                lloyd_every_row(X, _kmeans_pp_init(X, k, np.random.default_rng([seed, r])))[2]
+                lloyd_every_row(X, _kmeans_pp_init(_rows(X), k, np.random.default_rng([seed, r])))[2]
                 for r in range(restarts)
             ]
             if k in won:

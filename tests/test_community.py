@@ -23,6 +23,7 @@ from forumlens.community import (
     summarize_communities,
 )
 from forumlens.errors import ValidationError
+from forumlens.expertise import build_profiles
 from forumlens.graph import BimodalGraph, build_graph, post_capec_sets, surviving_posts
 from forumlens.ingest import build_corpus
 from forumlens.synth import SynthConfig, generate
@@ -84,10 +85,42 @@ def test_modularity_matches_direct_formula_on_random_graphs():
         )
 
 
-def test_modularity_requires_full_assignment():
-    graph = bigraph([("a", 1)])
-    with pytest.raises(ValidationError):
-        modularity(graph, Partition(assignment={"actor:a": 0}, quality=0.0))
+_MEMBERSHIP_USERS = {
+    "modularity": lambda graph, partition, posts, snapshot: modularity(graph, partition),
+    "summarize_communities": summarize_communities,
+    "build_profiles": lambda graph, partition, posts, snapshot: build_profiles(
+        posts, snapshot, graph, partition
+    ),
+}
+
+
+@pytest.mark.parametrize("user", sorted(_MEMBERSHIP_USERS))
+@pytest.mark.parametrize(
+    "missing, named",
+    [(("actor:bob", "actor:alice"), "actor:alice"), (("capec:63", "capec:7"), "capec:7")],
+    ids=["actor", "capec"],
+)
+def test_modularity_requires_full_assignment(user, missing, named):
+    snapshot = snapshot_from(
+        cve_to_cwes={"CVE-2021-0001": ["CWE-79"], "CVE-2021-0002": ["CWE-89"]},
+        capecs=[(63, "Cross-Site Scripting", ["CWE-79"]), (7, "Blind SQL Injection", ["CWE-89"])],
+        skills={63: "Low", 7: "High"},
+    )
+    corpus = build_corpus(
+        [
+            post("p1", "bob", "2021-01-01", "CVE-2021-0001 CVE-2021-0002"),
+            post("p2", "alice", "2021-01-02", "CVE-2021-0002"),
+        ]
+    )
+    graph = build_graph(corpus, snapshot)
+    posts = surviving_posts(post_capec_sets(corpus, snapshot), graph)
+    assignment = {key: 0 for key in ("actor:alice", "actor:bob", "capec:7", "capec:63")}
+    _MEMBERSHIP_USERS[user](graph, Partition(assignment, 0.0), posts, snapshot)  # complete: accepted
+    for key in missing:
+        del assignment[key]
+    # the lowest node in sorted order, CAPECs by number, is the one named
+    with pytest.raises(ValidationError, match=f"does not assign node '{named}'"):
+        _MEMBERSHIP_USERS[user](graph, Partition(assignment, 0.0), posts, snapshot)
 
 
 def test_leiden_recovers_bicliques():

@@ -6,8 +6,8 @@ import json
 
 import pytest
 
-from forumlens.catalog import SkillLevel, load_snapshot
-from forumlens.convert import convert_catalog, parse_capec_xml, parse_nvd_cve_json
+from forumlens.catalog import SkillLevel, build_snapshot, load_snapshot, save_snapshot
+from forumlens.convert import parse_capec_xml, parse_nvd_cve_json
 from forumlens.errors import ValidationError
 from forumlens.ingest import CveId
 
@@ -25,7 +25,8 @@ _NVD_20 = {
             "cve": {
                 "id": "CVE-2021-0001",
                 "weaknesses": [
-                    {"description": [{"lang": "en", "value": "NVD-CWE-noinfo"}]},
+                    {"description": [{"lang": "en", "value": "NVD-CWE-noinfo"},
+                                     {"lang": "en", "value": "NVD-CWE-Other"}]},
                 ],
             }
         },
@@ -79,13 +80,30 @@ _CAPEC_XML = """<?xml version="1.0"?>
 </Attack_Pattern_Catalog>
 """
 
+_ONE_PATTERN = """<?xml version="1.0"?>
+<Attack_Pattern_Catalog xmlns="http://capec.mitre.org/capec-3">
+  <Attack_Patterns>
+    <Attack_Pattern ID="{capec}" Name="SQL Injection">
+      <Related_Weaknesses><Related_Weakness CWE_ID="{cwe}"/></Related_Weaknesses>
+      <Related_Attack_Patterns>
+        <Related_Attack_Pattern Nature="ChildOf" CAPEC_ID="{parent}"/>
+      </Related_Attack_Patterns>
+    </Attack_Pattern>
+  </Attack_Patterns>
+</Attack_Pattern_Catalog>
+"""
+
+
+def _one_pattern(capec="66", cwe="89", parent="248"):
+    return _ONE_PATTERN.format(capec=capec, cwe=cwe, parent=parent)
+
 
 def test_parse_nvd_20_shape(tmp_path):
     path = tmp_path / "nvd.json"
     path.write_text(json.dumps(_NVD_20))
     entries = {e.cve_id: e for e in parse_nvd_cve_json(path)}
     assert entries[CveId(2022, 45451)].cwe_ids == {"CWE-269"}
-    # NVD-CWE-noinfo carries no CWE number and contributes nothing.
+    # NVD-CWE-noinfo and NVD-CWE-Other carry no CWE number and contribute nothing.
     assert entries[CveId(2021, 1)].cwe_ids == frozenset()
 
 
@@ -115,12 +133,22 @@ def test_parse_capec_xml(tmp_path):
     assert entries[122].child_ids == {233}
     assert set(entries[122].skill_scenarios) == {SkillLevel.LOW, SkillLevel.MEDIUM}
 
+    path.write_text(_one_pattern(cwe="CWE-89"))
+    (entry,) = parse_capec_xml(path)
+    assert (entry.capec_id, entry.related_cwes, entry.parent_ids) == (66, {"CWE-89"}, {248})
+
 
 def test_parse_capec_rejects_bad_xml(tmp_path):
     path = tmp_path / "capec.xml"
     path.write_text("<unclosed")
     with pytest.raises(ValidationError):
         parse_capec_xml(path)
+
+    for bad in (_one_pattern(capec="CAPEC-66"), _one_pattern(cwe="x"), _one_pattern(parent="y")):
+        path.write_text(bad)
+        with pytest.raises(ValidationError) as caught:
+            parse_capec_xml(path)
+        assert str(path) in str(caught.value) and "attack pattern ID=" in str(caught.value)
 
 
 def test_convert_catalog_end_to_end(tmp_path):
@@ -130,7 +158,8 @@ def test_convert_catalog_end_to_end(tmp_path):
     xml.write_text(_CAPEC_XML)
     out = tmp_path / "catalog"
 
-    snapshot = convert_catalog(nvd, xml, out)
+    snapshot = build_snapshot(parse_nvd_cve_json(nvd), parse_capec_xml(xml))
+    save_snapshot(snapshot, out)
     assert (out / "cve_cwe.csv").is_file()
     assert (out / "capec.json").is_file()
 
