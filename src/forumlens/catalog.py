@@ -39,9 +39,9 @@ class SkillLevel(IntEnum):
     def parse(cls, value: "str | int | SkillLevel") -> "SkillLevel":
         if isinstance(value, SkillLevel):
             return value
-        if isinstance(value, int):
+        if type(value) is int:
             return cls(value)
-        name = value.strip().upper()
+        name = value.strip().upper() if isinstance(value, str) else None
         if name in cls.__members__:
             return cls[name]
         raise ValidationError(f"unknown skill level: {value!r}")
@@ -207,11 +207,14 @@ def load_snapshot(cve_cwe_path: str | Path, capec_path: str | Path) -> CatalogSn
             if missing:
                 raise ValidationError(f"{cve_cwe_path}: missing columns {sorted(missing)}")
         for row in reader:
-            cve = CveId.parse(row["cve_id"])
-            cwes = cwe_map.setdefault(cve, set())
-            raw = (row.get("cwe_id") or "").strip()
-            if raw:
-                cwes.add(normalize_cwe(raw))
+            try:
+                cve = CveId.parse(row["cve_id"])
+                cwes = cwe_map.setdefault(cve, set())
+                raw = (row.get("cwe_id") or "").strip()
+                if raw:
+                    cwes.add(normalize_cwe(raw))
+            except (AttributeError, ValueError) as exc:
+                raise ValidationError(f"{cve_cwe_path}: line {reader.line_num}: {exc}") from exc
     cve_entries = [
         CveEntry(cve_id=cve, cwe_ids=frozenset(cwes)) for cve, cwes in cwe_map.items()
     ]

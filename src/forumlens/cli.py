@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -227,7 +228,7 @@ def cmd_graph(ws: Workspace, args: argparse.Namespace) -> dict:
     after = graph.degree_stats(filtered, graph.surviving_post_counts(posts))
     graph.save_graph(filtered, ws.path("graph.json"))
     graph.save_posts(posts, ws.path("capec_posts.json"))
-    ws.write_json("graph_stats.json", {"before": before.as_dict(), "after": after.as_dict()})
+    ws.write_json("graph_stats.json", {"before": before, "after": after})
     ws.write_json("removal.json", removal.as_dict())
     print(
         f"graph: {len(filtered.actor_ids)} actors, {len(filtered.capec_ids)} CAPECs, "
@@ -250,7 +251,7 @@ def cmd_communities(ws: Workspace, args: argparse.Namespace) -> dict:
             "seed": args.seed,
             "restarts": args.restarts,
             "assignment": part.assignment,
-            "communities": [o.as_dict() for o in overview],
+            "communities": overview,
         },
     )
     print(f"communities: {len(overview)} at modularity {part.quality:.4f}")
@@ -321,12 +322,8 @@ def cmd_cluster(ws: Workspace, args: argparse.Namespace) -> dict:
             "sweep": [
                 {"k": m.k, "silhouette": m.silhouette, "inertia": m.inertia} for m in models
             ],
-            "scaler": {
-                "mean": list(scaler.mean),
-                "std": list(scaler.std),
-                "constant": list(scaler.constant),
-            },
-            "clusters": [s.as_dict() for s in summaries],
+            "scaler": asdict(scaler),
+            "clusters": summaries,
             "assignments": {
                 p.actor_id: int(lab) for p, lab in zip(sample, best.labels)
             },
@@ -336,7 +333,7 @@ def cmd_cluster(ws: Workspace, args: argparse.Namespace) -> dict:
     )
     print(f"clusters: k={best.k}, silhouette {best.silhouette:.4f}")
     for s in summaries:
-        print(f"  cluster {s.cluster_id}: {s.n_members} actors, {s.label.display()}")
+        print(f"  cluster {s['cluster']}: {s['members']} actors, {s['label']}")
     return config
 
 

@@ -501,50 +501,30 @@ def label_clusters(
     return labels
 
 
-@dataclass(frozen=True)
-class ClusterSummary:
-    cluster_id: int
-    label: ClusterLabel
-    centroid_raw: tuple[float, ...]
-    centroid_std: tuple[float, ...]
-    n_members: int
-    pct_of_sample: float
-
-    def as_dict(self) -> dict:
-        return {
-            "cluster": self.cluster_id,
-            "quadrant": self.label.quadrant.value,
-            "descriptor": self.label.descriptor.value,
-            "label": self.label.display(),
-            "centroid_raw": {
-                "skill": self.centroid_raw[0],
-                "commitment": self.centroid_raw[1],
-                "activity_rate": self.centroid_raw[2],
-            },
-            "centroid_std": list(self.centroid_std),
-            "members": self.n_members,
-            "pct_of_sample": self.pct_of_sample,
-        }
-
-
-def summarize_clusters(
-    model: KMeansModel, profiles: Sequence[ActorProfile]
-) -> list[ClusterSummary]:
+def summarize_clusters(model: KMeansModel, profiles: Sequence[ActorProfile]) -> list[dict]:
+    """One row per cluster: its label, raw and standardized centroid and share of the sample."""
     labels = label_clusters(model, profiles)
     n = len(profiles)
     counts = [0] * model.k
     for lab in model.labels:
         counts[lab] += 1
-    return [
-        ClusterSummary(
-            cluster_id=c,
-            label=labels[c],
-            centroid_raw=tuple(float(v) for v in model.centroids_raw[c]),
-            centroid_std=tuple(float(v) for v in model.centroids[c]),
-            n_members=counts[c],
-            pct_of_sample=100.0 * counts[c] / n if n else 0.0,
+    summaries = []
+    for c in range(model.k):
+        skill, commitment, activity_rate = (float(v) for v in model.centroids_raw[c])
+        summaries.append(
+            {
+                "cluster": c,
+                "quadrant": labels[c].quadrant.value,
+                "descriptor": labels[c].descriptor.value,
+                "label": labels[c].display(),
+                "centroid_raw": {
+                    "skill": skill,
+                    "commitment": commitment,
+                    "activity_rate": activity_rate,
+                },
+                "centroid_std": [float(v) for v in model.centroids[c]],
+                "members": counts[c],
+                "pct_of_sample": 100.0 * counts[c] / n if n else 0.0,
+            }
         )
-        for c in range(model.k)
-    ]
-
-
+    return summaries

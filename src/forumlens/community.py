@@ -29,7 +29,7 @@ from .catalog import CatalogSnapshot
 from .errors import ValidationError
 from .graph import ActorPosts, BimodalGraph, node_key, sorted_nodes
 from .pool import map_jobs
-from .stats import SummaryStats
+from .stats import describe
 
 logger = logging.getLogger(__name__)
 
@@ -382,56 +382,29 @@ def keyword_digest(names: Iterable[str]) -> tuple[str, ...]:
     return tuple(token for token, _ in ranked[:5])
 
 
-@dataclass(frozen=True)
-class CommunityOfInterest:
-    """Per-community overview mirroring the reference tables' columns."""
-
-    community_id: int
-    actor_ids: frozenset[str]
-    capec_ids: frozenset[int]
-    one_timer_pct: float
-    out_degree: SummaryStats
-    specialized_posts: SummaryStats
-    keywords: tuple[str, ...]
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.actor_ids) + len(self.capec_ids)
-
-    def as_dict(self) -> dict:
-        return {
-            "community": self.community_id,
-            "nodes": self.n_nodes,
-            "actors": len(self.actor_ids),
-            "capecs": len(self.capec_ids),
-            "one_timer_pct": self.one_timer_pct,
-            "out_degree": self.out_degree.as_dict(),
-            "specialized_posts": self.specialized_posts.as_dict(),
-            "keywords": list(self.keywords),
-            "capec_ids": sorted(self.capec_ids),
-        }
-
-
 def summarize_communities(
     graph: BimodalGraph, partition: Partition, posts: ActorPosts, snapshot: CatalogSnapshot
-) -> list[CommunityOfInterest]:
-    """Table-style overview of every community, from ``graph``'s surviving posts."""
+) -> list[dict]:
+    """Table-style overview of every community, from ``graph``'s surviving posts:
+    one row per community, mirroring the reference tables' columns."""
     actor_adj = graph.actor_adjacency()
     overviews = []
     for comm, (actors, capecs) in partition.members(graph).items():
         counts = [len(posts.get(a, ())) for a in sorted(actors)]
         one_timers = sum(1 for c in counts if c == 1)
         overviews.append(
-            CommunityOfInterest(
-                community_id=comm,
-                actor_ids=actors,
-                capec_ids=capecs,
-                one_timer_pct=100.0 * one_timers / len(actors) if actors else 0.0,
-                out_degree=SummaryStats.describe(len(actor_adj[a]) for a in sorted(actors)),
-                specialized_posts=SummaryStats.describe(counts),
-                keywords=keyword_digest(
-                    snapshot.capecs[c].name for c in capecs if c in snapshot.capecs
+            {
+                "community": comm,
+                "nodes": len(actors) + len(capecs),
+                "actors": len(actors),
+                "capecs": len(capecs),
+                "one_timer_pct": 100.0 * one_timers / len(actors) if actors else 0.0,
+                "out_degree": describe(len(actor_adj[a]) for a in sorted(actors)),
+                "specialized_posts": describe(counts),
+                "keywords": list(
+                    keyword_digest(snapshot.capecs[c].name for c in capecs if c in snapshot.capecs)
                 ),
-            )
+                "capec_ids": sorted(capecs),
+            }
         )
     return overviews

@@ -22,6 +22,7 @@ from .catalog import CatalogSnapshot, effective_skill
 from .community import Partition
 from .errors import ValidationError
 from .graph import ActorPosts, BimodalGraph
+from .stats import describe
 from .workspace import replacing
 
 logger = logging.getLogger(__name__)
@@ -176,16 +177,14 @@ def build_sample(
 
 def sample_stats(profiles: Sequence[ActorProfile]) -> dict:
     """Descriptive statistics of the sample, one block per feature."""
-    from .stats import SummaryStats
-
     return {
         "n_actors": len(profiles),
-        "n_posts": SummaryStats.describe(p.n_posts for p in profiles).as_dict(),
-        "skill_values_len": SummaryStats.describe(len(p.skill_values) for p in profiles).as_dict(),
-        "skill_score": SummaryStats.describe(p.skill_score for p in profiles).as_dict(),
-        "commitment_pct": SummaryStats.describe(p.commitment_pct for p in profiles).as_dict(),
-        "activity_days": SummaryStats.describe(p.activity_days for p in profiles).as_dict(),
-        "activity_rate": SummaryStats.describe(p.activity_rate for p in profiles).as_dict(),
+        "n_posts": describe(p.n_posts for p in profiles),
+        "skill_values_len": describe(len(p.skill_values) for p in profiles),
+        "skill_score": describe(p.skill_score for p in profiles),
+        "commitment_pct": describe(p.commitment_pct for p in profiles),
+        "activity_days": describe(p.activity_days for p in profiles),
+        "activity_rate": describe(p.activity_rate for p in profiles),
     }
 
 

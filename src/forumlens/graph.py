@@ -21,7 +21,7 @@ from xml.etree import ElementTree
 from .catalog import CatalogSnapshot, map_cve_to_capecs
 from .errors import ValidationError
 from .ingest import Corpus, CveId
-from .stats import SummaryStats
+from .stats import describe
 from .workspace import replacing
 
 if TYPE_CHECKING:
@@ -154,44 +154,14 @@ def filter_popular_capecs(
     return filtered, report
 
 
-@dataclass(frozen=True)
-class DegreeStats:
-    """Per-mode degree statistics plus both density conventions.
+def degree_stats(graph: BimodalGraph, post_counts: dict[str, int]) -> dict:
+    """Degree statistics plus the one-timer block from per-actor post counts.
 
     ``density`` uses bipartite-possible pairs (|E| / |actors|*|capecs|);
     ``density_all_pairs`` uses all node pairs, the convention under which the
     2,584-node reference network has density 0.009.
     """
-
-    n_actors: int
-    n_capecs: int
-    n_edges: int
-    actor_degree: SummaryStats
-    capec_degree: SummaryStats
-    density: float
-    density_all_pairs: float
-    posts: SummaryStats
-    posts_non_one_timers: SummaryStats
-    one_timer_share: float
-
-    def as_dict(self) -> dict:
-        return {
-            "n_actors": self.n_actors,
-            "n_capecs": self.n_capecs,
-            "n_edges": self.n_edges,
-            "actor_degree": self.actor_degree.as_dict(),
-            "capec_degree": self.capec_degree.as_dict(),
-            "density": self.density,
-            "density_all_pairs": self.density_all_pairs,
-            "posts": self.posts.as_dict(),
-            "posts_non_one_timers": self.posts_non_one_timers.as_dict(),
-            "one_timer_share": self.one_timer_share,
-        }
-
-
-def degree_stats(graph: BimodalGraph, post_counts: dict[str, int]) -> DegreeStats:
-    """Degree statistics plus the one-timer block from per-actor post counts."""
-    # sorted id order: the float sums in SummaryStats must not follow set order,
+    # sorted id order: the float sums in describe must not follow set order,
     # which varies with the interpreter's hash seed
     actor_degrees = [len(s) for _, s in sorted(graph.actor_adjacency().items())]
     capec_degrees = [len(s) for _, s in sorted(graph.capec_adjacency().items())]
@@ -203,18 +173,18 @@ def degree_stats(graph: BimodalGraph, post_counts: dict[str, int]) -> DegreeStat
     density_all = n_edges / all_pairs if all_pairs else 0.0
 
     counts = [post_counts.get(a, 0) for a in sorted(graph.actor_ids)]
-    return DegreeStats(
-        n_actors=n_actors,
-        n_capecs=n_capecs,
-        n_edges=n_edges,
-        actor_degree=SummaryStats.describe(actor_degrees),
-        capec_degree=SummaryStats.describe(capec_degrees),
-        density=density,
-        density_all_pairs=density_all,
-        posts=SummaryStats.describe(counts),
-        posts_non_one_timers=SummaryStats.describe(c for c in counts if c > 1),
-        one_timer_share=sum(1 for c in counts if c == 1) / len(counts) if counts else 0.0,
-    )
+    return {
+        "n_actors": n_actors,
+        "n_capecs": n_capecs,
+        "n_edges": n_edges,
+        "actor_degree": describe(actor_degrees),
+        "capec_degree": describe(capec_degrees),
+        "density": density,
+        "density_all_pairs": density_all,
+        "posts": describe(counts),
+        "posts_non_one_timers": describe(c for c in counts if c > 1),
+        "one_timer_share": sum(1 for c in counts if c == 1) / len(counts) if counts else 0.0,
+    }
 
 
 # --- serialization -----------------------------------------------------------

@@ -2,38 +2,30 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from typing import Iterable
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class SummaryStats:
+def describe(values: Iterable[float]) -> dict:
     """count / mean / std (population) / min / median / p75 / max of a sample."""
-
-    count: int
-    mean: float
-    std: float
-    min: float
-    median: float
-    p75: float
-    max: float
-
-    @classmethod
-    def describe(cls, values: Iterable[float]) -> "SummaryStats":
-        arr = np.asarray(list(values), dtype=float)
-        if arr.size == 0:
-            return cls(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        return cls(
-            count=int(arr.size),
-            mean=float(arr.mean()),
-            std=float(arr.std()),
-            min=float(arr.min()),
-            median=float(np.median(arr)),
-            p75=float(np.percentile(arr, 75)),
-            max=float(arr.max()),
-        )
-
-    def as_dict(self) -> dict:
-        return asdict(self)
+    arr = np.asarray(list(values), dtype=float)
+    if arr.size == 0:
+        return {
+            "count": 0,
+            "mean": 0.0,
+            "std": 0.0,
+            "min": 0.0,
+            "median": 0.0,
+            "p75": 0.0,
+            "max": 0.0,
+        }
+    return {
+        "count": int(arr.size),
+        "mean": float(arr.mean()),
+        "std": float(arr.std()),
+        "min": float(arr.min()),
+        "median": float(np.median(arr)),
+        "p75": float(np.percentile(arr, 75)),
+        "max": float(arr.max()),
+    }

@@ -244,11 +244,22 @@ def test_load_snapshot_rejects_bad_files(tmp_path):
     with pytest.raises(ValidationError):
         load_snapshot(tmp_path / "missing.csv", capec_path)
 
-    # one CAPEC id syntax: a JSON integer (not a bool or float) or a decimal string
-    for bad in ({"id": True}, {"id": 12.9}, {"id": 5, "parents": "20"}):
+    # one CAPEC id syntax: a JSON integer (not a bool or float) or a decimal string;
+    # a skill level code is an integer too, not a bool
+    bad_entries = ({"id": True}, {"id": 12.9}, {"id": 5, "parents": "20"},
+                   {"id": 5, "skill_scenarios": [True, 3]})
+    for bad in bad_entries:
         capec_path.write_text(json.dumps([bad]))
         with pytest.raises(ValidationError, match="capec.json"):
             load_snapshot(csv_path, capec_path)
+
+    # a malformed cve_cwe.csv row names the file and its line
+    capec_path.write_text("[]")
+    for row in ("CVE-2020-0001,CWE-x9", "not-a-cve,CWE-1"):
+        csv_path.write_text(f"cve_id,cwe_id\nCVE-2020-0002,CWE-79\n{row}\n")
+        with pytest.raises(ValidationError) as excinfo:
+            load_snapshot(csv_path, capec_path)
+        assert f"{csv_path}: line 3:" in str(excinfo.value)
 
 
 def _constants_outside_docstrings(tree: ast.AST) -> list[str]:

@@ -578,9 +578,9 @@ def test_summarize_clusters_payload():
     model = with_raw_centroids(kmeans(Z, 2, seed=0), scaler)
     summaries = summarize_clusters(model, profiles)
     assert len(summaries) == 2
-    assert sum(s.n_members for s in summaries) == 4
-    assert sum(s.pct_of_sample for s in summaries) == pytest.approx(100.0)
-    payload = summaries[0].as_dict()
+    assert sum(s["members"] for s in summaries) == 4
+    assert sum(s["pct_of_sample"] for s in summaries) == pytest.approx(100.0)
+    payload = summaries[0]
     assert {"cluster", "quadrant", "descriptor", "label", "centroid_raw", "members"} <= set(payload)
-    quadrants = {s.label.quadrant for s in summaries}
-    assert quadrants == {Quadrant.PROFESSIONAL, Quadrant.AMATEUR}
+    quadrants = {s["quadrant"] for s in summaries}
+    assert quadrants == {Quadrant.PROFESSIONAL.value, Quadrant.AMATEUR.value}

@@ -309,10 +309,12 @@ def test_summarize_communities_fields():
     overviews = summarize_communities(graph, partition, posts, snapshot)
 
     assert len(overviews) == len(partition.communities())
-    by_actor = {next(iter(o.actor_ids)): o for o in overviews if o.actor_ids}
-    assert by_actor["alice"].one_timer_pct == pytest.approx(0.0)
-    assert by_actor["bob"].one_timer_pct == pytest.approx(100.0)
-    assert by_actor["alice"].specialized_posts.mean == pytest.approx(2.0)
-    assert "attack" in by_actor["alice"].keywords or "scripting" in by_actor["alice"].keywords
-    payload = overviews[0].as_dict()
+    by_community = {o["community"]: o for o in overviews}
+    alice = by_community[partition.assignment["actor:alice"]]
+    bob = by_community[partition.assignment["actor:bob"]]
+    assert alice["one_timer_pct"] == pytest.approx(0.0)
+    assert bob["one_timer_pct"] == pytest.approx(100.0)
+    assert alice["specialized_posts"]["mean"] == pytest.approx(2.0)
+    assert "attack" in alice["keywords"] or "scripting" in alice["keywords"]
+    payload = overviews[0]
     assert {"community", "nodes", "one_timer_pct", "keywords"} <= set(payload)

@@ -257,21 +257,27 @@ def test_filter_idempotent():
 def test_degree_stats_densities():
     graph = bigraph([("a", 1), ("a", 2), ("b", 1)])
     stats = degree_stats(graph, {"a": 2, "b": 1})
-    assert stats.n_actors == 2 and stats.n_capecs == 2 and stats.n_edges == 3
-    assert stats.density == pytest.approx(3 / 4)
-    assert stats.density_all_pairs == pytest.approx(3 / 6)
-    assert stats.actor_degree.mean == pytest.approx(1.5)
-    assert stats.capec_degree.mean == pytest.approx(1.5)
+    assert stats["n_actors"] == 2 and stats["n_capecs"] == 2 and stats["n_edges"] == 3
+    assert stats["density"] == pytest.approx(3 / 4)
+    assert stats["density_all_pairs"] == pytest.approx(3 / 6)
+    assert stats["actor_degree"]["mean"] == pytest.approx(1.5)
+    assert stats["capec_degree"]["mean"] == pytest.approx(1.5)
 
 
 def test_degree_stats_one_timer_block():
     graph = bigraph([("a", 1), ("b", 1), ("c", 2)])
     counts = {"a": 1, "b": 4, "c": 1}
     stats = degree_stats(graph, post_counts=counts)
-    assert stats.one_timer_share == pytest.approx(2 / 3)
-    assert stats.posts.count == 3
-    assert stats.posts_non_one_timers.count == 1
-    assert stats.posts_non_one_timers.mean == pytest.approx(4.0)
+    assert stats["one_timer_share"] == pytest.approx(2 / 3)
+    assert stats["posts"]["count"] == 3
+    assert stats["posts_non_one_timers"]["count"] == 1
+    assert stats["posts_non_one_timers"]["mean"] == pytest.approx(4.0)
+
+    # no actor posts twice: the non-one-timer block is empty, written as zeros
+    stats = degree_stats(graph, post_counts={"a": 1, "b": 1, "c": 1})
+    assert json.dumps(stats["posts_non_one_timers"], sort_keys=True) == (
+        '{"count": 0, "max": 0.0, "mean": 0.0, "median": 0.0, "min": 0.0, "p75": 0.0, "std": 0.0}'
+    )
 
 
 _DEGREE_STATS_SCRIPT = textwrap.dedent(
@@ -284,7 +290,7 @@ _DEGREE_STATS_SCRIPT = textwrap.dedent(
         frozenset(a for a, _ in edges), frozenset(c for _, c in edges), frozenset(edges)
     )
     stats = degree_stats(graph, {a: 1 for a in graph.actor_ids})
-    print(repr(stats.actor_degree.as_dict()), repr(stats.capec_degree.as_dict()))
+    print(repr(stats["actor_degree"]), repr(stats["capec_degree"]))
     """
 )
 
