@@ -182,6 +182,7 @@ def cmd_ingest(ws: Workspace, args: argparse.Namespace) -> dict:
     corpus = ingest.build_corpus(parsed.records)
     ingest.save_corpus(corpus, ws.path("corpus.jsonl"))
     ingest.save_corpus_stats(corpus, ws.path("corpus_stats.json"))
+    ws.hand_off("corpus.jsonl", corpus)
     s = corpus.stats
     print(
         f"ingested {s.n_posts} posts from {s.n_actors} actors "
@@ -212,7 +213,7 @@ def cmd_graph(ws: Workspace, args: argparse.Namespace) -> dict:
     # the catalog is checked first, so a missing one fails before the corpus parse
     snapshot = _load_snapshot(ws)
     # the corpus is only needed to resolve posts, so no name keeps it alive
-    posts = graph.post_capec_sets(ingest.load_corpus(ws.require("corpus.jsonl")), snapshot)
+    posts = graph.post_capec_sets(ws.load("corpus.jsonl", ingest.load_corpus), snapshot)
     full = graph.graph_of(posts)
     if full.n_nodes == 0:
         raise ValidationError("no post mentions a CVE that maps to any catalog CAPEC")
@@ -224,10 +225,13 @@ def cmd_graph(ws: Workspace, args: argparse.Namespace) -> dict:
             f"--capec-threshold {args.capec_threshold} removes every CAPEC; the least-shared "
             f"one has {least} actors, so a threshold of {least} or more keeps it"
         )
+    _warn_emptied_skill_levels(full, removal, snapshot)
     posts = graph.surviving_posts(posts, filtered)
     after = graph.degree_stats(filtered, graph.surviving_post_counts(posts))
     graph.save_graph(filtered, ws.path("graph.json"))
     graph.save_posts(posts, ws.path("capec_posts.json"))
+    ws.hand_off("graph.json", filtered)
+    ws.hand_off("capec_posts.json", posts)
     ws.write_json("graph_stats.json", {"before": before, "after": after})
     ws.write_json("removal.json", removal.as_dict())
     print(
@@ -238,9 +242,23 @@ def cmd_graph(ws: Workspace, args: argparse.Namespace) -> dict:
     return {"capec_threshold": args.capec_threshold}
 
 
+def _warn_emptied_skill_levels(
+    full: graph.BimodalGraph, removal: graph.RemovalReport, snapshot: catalog.CatalogSnapshot
+) -> None:
+    """Log one warning per skill level whose every CAPEC the popularity filter removed."""
+    removed = removal.removed_capecs
+    for level in catalog.SkillLevel:
+        capecs = [c for c in full.capec_ids if snapshot.skills[c] == level]
+        if capecs and all(c in removed for c in capecs):
+            logger.warning(
+                "--capec-threshold %d removes every %s-skill CAPEC: %d CAPECs carrying %d edges",
+                removal.threshold, level.label(), len(capecs), sum(removed[c] for c in capecs),
+            )
+
+
 def cmd_communities(ws: Workspace, args: argparse.Namespace) -> dict:
-    g = graph.load_graph(ws.require("graph.json"))
-    posts, snapshot = graph.load_posts(ws.require("capec_posts.json")), _load_snapshot(ws)
+    g = ws.load("graph.json", graph.load_graph)
+    posts, snapshot = ws.load("capec_posts.json", graph.load_posts), _load_snapshot(ws)
     part = community.leiden(g, seed=args.seed, restarts=args.restarts)
     overview = community.summarize_communities(g, part, posts, snapshot)
     ws.write_json(

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, TypeVar
 from xml.etree import ElementTree
 
 from .catalog import CatalogSnapshot, map_cve_to_capecs
@@ -26,6 +26,8 @@ from .workspace import replacing
 
 if TYPE_CHECKING:
     from .community import Partition
+
+T = TypeVar("T")
 
 EXPORT_FORMATS = ("graphml", "dot", "csv")
 DEFAULT_CAPEC_THRESHOLD = 500
@@ -95,12 +97,23 @@ def build_graph(corpus: Corpus, snapshot: CatalogSnapshot) -> BimodalGraph:
 
 
 def surviving_posts(posts: ActorPosts, graph: BimodalGraph) -> ActorPosts:
-    """Cut posts to ``graph``: only its actors and CAPECs stay; emptied posts and actors go."""
+    """Cut posts to ``graph``: only its actors and CAPECs stay; emptied posts and actors go.
+
+    Each distinct CAPEC set is cut once per call, and posts with equal sets
+    share the cut one.
+    """
+    cut_of: dict[frozenset[int], frozenset[int]] = {}
     cut: ActorPosts = {}
     for actor, actor_posts in posts.items():
         if actor in graph.actor_ids:
-            kept = [(when, capecs & graph.capec_ids) for when, capecs in actor_posts]
-            if kept := [(when, capecs) for when, capecs in kept if capecs]:
+            kept = []
+            for when, capecs in actor_posts:
+                left = cut_of.get(capecs)
+                if left is None:
+                    left = cut_of[capecs] = capecs & graph.capec_ids
+                if left:
+                    kept.append((when, left))
+            if kept:
                 cut[actor] = kept
     return cut
 
@@ -204,38 +217,92 @@ def save_graph(graph: BimodalGraph, path: str | Path) -> None:
         handle.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
+def _json_object(path: str | Path) -> dict:
+    """Parse a JSON file that holds one object; a fault names the file."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
+        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValidationError(f"{path}: expected a JSON object, got {type(payload).__name__}")
+    return payload
+
+
+def _field(path: str | Path, key: str, build: Callable[[], T]) -> T:
+    """``build()``, with a type or value fault reported as ``<path>: <key>: <problem>``."""
+    try:
+        return build()
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: {key}: {exc}") from exc
+
+
 def load_graph(path: str | Path) -> BimodalGraph:
-    """Read a saved graph; every edge shares its actor's ``actor_ids`` string."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    actors = {a: a for a in payload["actors"]}
-    return BimodalGraph(
+    """Read a saved graph; every edge shares its actor's ``actor_ids`` string.
+
+    A file that is no graph object with ``actors``, ``capecs`` and ``edges``
+    lists raises ``ValidationError`` naming the file and the key.
+    """
+    payload = _json_object(path)
+    for key in ("actors", "capecs", "edges"):
+        if not isinstance(payload.get(key), list):
+            problem = "missing" if key not in payload else "expected a list"
+            raise ValidationError(f"{path}: {key}: {problem}")
+    actors = _field(path, "actors", lambda: {a: a for a in payload["actors"]})
+    capecs = _field(path, "capecs", lambda: frozenset(int(c) for c in payload["capecs"]))
+    return _field(path, "edges", lambda: BimodalGraph(
         actor_ids=frozenset(actors),
-        capec_ids=frozenset(int(c) for c in payload["capecs"]),
+        capec_ids=capecs,
         # an unknown actor keeps its own string, and the graph's check refuses it
         edges=frozenset((actors.get(a, a), int(c)) for a, c in payload["edges"]),
-    )
+    ))
 
 
 def save_posts(posts: ActorPosts, path: str | Path) -> None:
-    """Write a resolved-post table: actor -> [[timestamp, sorted CAPEC ids], ...]."""
-    payload = {a: [[when.isoformat(), sorted(cs)] for when, cs in ps] for a, ps in posts.items()}
+    """Write a resolved-post table: actor -> [[timestamp, sorted CAPEC ids], ...].
+
+    Each distinct CAPEC set is sorted once per call.
+    """
+    sorted_of: dict[frozenset[int], list[int]] = {}
+
+    def ids(capecs: frozenset[int]) -> list[int]:
+        found = sorted_of.get(capecs)
+        if found is None:
+            found = sorted_of[capecs] = sorted(capecs)
+        return found
+
+    payload = {a: [[when.isoformat(), ids(cs)] for when, cs in ps] for a, ps in posts.items()}
     with replacing(path) as handle:
         handle.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_posts(path: str | Path) -> ActorPosts:
-    """Read a resolved-post table; posts with equal CAPEC lists share one frozenset."""
-    items = json.loads(Path(path).read_text(encoding="utf-8")).items()
+    """Read a resolved-post table; posts with equal CAPEC lists share one frozenset.
+
+    Each actor's value must be a list of ``[timestamp, [CAPEC ids]]`` rows,
+    each timestamp with a UTC offset; anything else raises ``ValidationError``
+    naming the file and the actor.
+    """
     shared: dict[tuple[int, ...], frozenset[int]] = {}
 
     def capecs(ids: list[int]) -> frozenset[int]:
         key = tuple(ids)
         found = shared.get(key)
         if found is None:
+            if not isinstance(ids, list) or not all(type(c) is int for c in key):
+                raise ValidationError(f"CAPEC ids must be a list of integers: {ids!r}")
             found = shared[key] = frozenset(ids)
         return found
 
-    return {a: [(datetime.fromisoformat(ts), capecs(cs)) for ts, cs in ps] for a, ps in items}
+    def rows(ps: list) -> list[tuple[datetime, frozenset[int]]]:
+        if not isinstance(ps, list):
+            raise ValidationError("expected a list of [timestamp, [CAPEC ids]] rows")
+        table = [(datetime.fromisoformat(ts), capecs(cs)) for ts, cs in ps]
+        # a naive timestamp would fail only where expertise compares it with an aware one
+        if any(when.tzinfo is None for when, _ in table):
+            raise ValidationError("timestamp without a UTC offset")
+        return table
+
+    return {a: _field(path, a, lambda: rows(ps)) for a, ps in _json_object(path).items()}
 
 
 def _community_of(partition: "Partition | None", key: str) -> int | None:

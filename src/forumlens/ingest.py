@@ -116,7 +116,9 @@ def parse_timestamp(value: str) -> datetime:
         raise ValidationError(f"unparseable timestamp: {value!r}") from exc
 
 
-def _parse_record(line: str, cve_ids: dict[str, CveId]) -> PostRecord:
+def _parse_record(
+    line: str, cve_ids: dict[str, CveId], mention_sets: dict[tuple[str, ...], frozenset[CveId]]
+) -> PostRecord:
     obj = json.loads(line)
     if not isinstance(obj, dict):
         raise ValidationError("record is not a JSON object")
@@ -131,8 +133,12 @@ def _parse_record(line: str, cve_ids: dict[str, CveId]) -> PostRecord:
     raw_mentions = obj.get("mentions", [])
     if not isinstance(raw_mentions, list) or not all(isinstance(c, str) for c in raw_mentions):
         raise ValidationError("key 'mentions' must be a list of strings")
-    get, put = cve_ids.get, cve_ids.setdefault
-    mentions = frozenset([get(c) or put(c, CveId.parse(c)) for c in raw_mentions])
+    key = tuple(raw_mentions)
+    mentions = mention_sets.get(key)
+    if mentions is None:
+        get, put = cve_ids.get, cve_ids.setdefault
+        mentions = frozenset([get(c) or put(c, CveId.parse(c)) for c in raw_mentions])
+        mention_sets[key] = mentions
     return PostRecord(
         post_id=obj["post_id"],
         actor_id=obj["actor_id"],
@@ -160,9 +166,11 @@ def parse_posts(source: str | Path | IO[str] | Iterable[str]) -> ParsedPosts:
     ``skipped``. An unreadable source raises ``OSError``. Each distinct
     mention string is parsed once per call, and the posts naming it share
     that one ``CveId``; a string that fails to parse fails every line with it.
+    Posts with equal ``mentions`` lists share one frozenset.
     """
     records: list[PostRecord] = []
     cve_ids: dict[str, CveId] = {}
+    mention_sets: dict[tuple[str, ...], frozenset[CveId]] = {}
     skipped = 0
     for lineno, line in enumerate(_iter_lines(source), start=1):
         # ValueError covers ValidationError, JSONDecodeError and UnicodeDecodeError
@@ -171,7 +179,7 @@ def parse_posts(source: str | Path | IO[str] | Iterable[str]) -> ParsedPosts:
                 line = line.decode("utf-8")
             if not line.strip():
                 continue
-            records.append(_parse_record(line, cve_ids))
+            records.append(_parse_record(line, cve_ids, mention_sets))
         except (ValueError, RecursionError) as exc:
             skipped += 1
             logger.warning("skipping malformed line %d: %s", lineno, exc)
@@ -245,9 +253,10 @@ def _post_to_row(post: PostRecord, names: dict[CveId, str]) -> dict:
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Persist a corpus as JSONL, one post per line, mentions explicit."""
     names: dict[CveId, str] = {}  # each distinct CVE is formatted once per call
+    encode = json.JSONEncoder(sort_keys=True).encode  # what json.dumps(row, sort_keys=True) uses
     with replacing(path) as handle:
         for post in corpus.posts:
-            handle.write(json.dumps(_post_to_row(post, names), sort_keys=True) + "\n")
+            handle.write(encode(_post_to_row(post, names)) + "\n")
 
 
 def load_corpus(path: str | Path) -> Corpus:

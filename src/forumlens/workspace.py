@@ -7,6 +7,11 @@ through ``Workspace.require``, which checks that the stage writing it is
 recorded, the file exists, its digest still matches, and that stage's
 ``inputs`` still match the manifest; a mismatch is refused as stale unless
 forced, in which case the manifest is re-baselined to the current contents.
+
+Inside one command a stage may also hand the object it wrote to the next
+stage that opens the artifact (``hand_off`` and ``load``): the object is
+stamped with the digest recorded for the file and handed over once, and only
+while the file still has that digest; otherwise the reader parses the file.
 """
 
 from __future__ import annotations
@@ -18,11 +23,13 @@ import logging
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, Mapping, TextIO
+from typing import Any, Callable, Iterator, Mapping, TextIO, TypeVar
 
 from .errors import ForumlensError, MissingUpstreamError, StaleArtifactError
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 1
@@ -101,6 +108,9 @@ class Workspace:
         self.root = Path(root)
         self.force = force
         self._reads: dict[str, str] = {}
+        # objects offered by the running stage, and recorded ones with their digest
+        self._offered: dict[str, Any] = {}
+        self._held: dict[str, tuple[str, Any]] = {}
 
     def path(self, name: str) -> Path:
         return self.root / name
@@ -131,7 +141,8 @@ class Workspace:
         """Hash the stage's artifacts and store them with its config and inputs.
 
         ``inputs`` are the digests of the artifacts ``require`` checked since
-        the last record.
+        the last record. Objects the stage offered through ``hand_off`` are
+        stamped with the digests recorded here; other offers are dropped.
         """
         entry = {
             "config": dict(config),
@@ -139,6 +150,10 @@ class Workspace:
             "inputs": self._reads,
         }
         self._reads = {}
+        for name, obj in self._offered.items():
+            if name in entry["artifacts"]:
+                self._held[name] = (entry["artifacts"][name], obj)
+        self._offered = {}
         manifest = self.load_manifest()
         manifest["stages"][stage] = entry
         self.save_manifest(manifest)
@@ -195,6 +210,25 @@ class Workspace:
             self.save_manifest(manifest)
         self._reads[name] = current
         return path
+
+    def hand_off(self, name: str, obj: object) -> None:
+        """Offer ``obj``, which the running stage wrote as artifact ``name``.
+
+        The offer counts once the stage is recorded; ``obj`` must equal what
+        the artifact's reader gives for the file written.
+        """
+        self._offered[name] = obj
+
+    def load(self, name: str, read: Callable[[Path], T]) -> T:
+        """Check artifact ``name`` as ``require`` does, and return its contents.
+
+        The object handed off for it comes back, once, when the file's digest
+        is still the one recorded with it; otherwise ``read(path)`` parses the
+        file.
+        """
+        path = self.require(name)
+        digest, obj = self._held.pop(name, (None, None))
+        return obj if digest == self._reads[name] else read(path)
 
     @contextmanager
     def lock(self) -> Iterator[None]:

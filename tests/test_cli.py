@@ -10,12 +10,13 @@ import shutil
 import signal
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import forumlens
-from forumlens import catalog, cli, ingest, workspace
+from forumlens import catalog, cli, graph, ingest, workspace
 from forumlens.cli import main
 from forumlens.graph import load_graph
 from forumlens.workspace import STAGE_ARTIFACTS, Workspace
@@ -23,18 +24,22 @@ from forumlens.workspace import STAGE_ARTIFACTS, Workspace
 from conftest import read_export
 
 
-def _synth_inputs(root, seed=3):
-    """Generate small synthetic inputs outside any pipeline workspace."""
+def _synth_inputs(root, seed=3, scale=(3, 8, 6)):
+    """Generate small synthetic inputs outside any pipeline workspace.
+
+    ``scale`` is (communities, actors per community, CAPECs per community).
+    """
     out = root / "inputs"
+    communities, actors, capecs = map(str, scale)
     code = main(
         [
             "synth",
             "--workspace", str(root / "synth-scratch"),
             "--out", str(out),
             "--seed", str(seed),
-            "--communities", "3",
-            "--actors", "8",
-            "--capecs", "6",
+            "--communities", communities,
+            "--actors", actors,
+            "--capecs", capecs,
         ]
     )
     assert code == 0
@@ -84,6 +89,121 @@ def test_communities_and_expertise_do_not_load_the_corpus(pipeline_ws, tmp_path,
     assert main(["communities", "--workspace", str(ws)]) == 0
     assert main(["expertise", "--workspace", str(ws)]) == 0
     assert {name: (ws / name).read_bytes() for name in rerun} == before
+
+
+def _artifacts(ws):
+    names = [name for stage in cli.PIPELINE for name in STAGE_ARTIFACTS[stage]]
+    return {name: (ws / name).read_bytes() for name in names}
+
+
+def test_run_all_hands_each_artifact_to_the_next_stage_that_opens_it(
+    pipeline_ws, tmp_path, monkeypatch
+):
+    def refuse(path):
+        raise AssertionError(f"corpus loaded from {path}")
+
+    calls = Counter()
+
+    def counting(name, real):
+        def wrapper(path):
+            calls[name] += 1
+            return real(path)
+        return wrapper
+
+    monkeypatch.setattr(ingest, "load_corpus", refuse)
+    for name in ("load_graph", "load_posts"):
+        monkeypatch.setattr(graph, name, counting(name, getattr(graph, name)))
+    ws = tmp_path / "ws"
+    assert _run_all(ws, pipeline_ws.parent / "inputs") == 0
+    # communities takes what graph wrote; expertise, the second reader, reads the files
+    assert calls == {"load_graph": 1, "load_posts": 1}
+    assert _artifacts(ws) == _artifacts(pipeline_ws)
+
+
+def _run_stages(ws, inputs, *graph_flags):
+    argvs = [
+        ["ingest", "--posts", str(inputs / "posts.jsonl")],
+        [
+            "convert-catalog",
+            "--cve-cwe", str(inputs / "cve_cwe.csv"),
+            "--capec-json", str(inputs / "capec.json"),
+        ],
+        ["graph", *graph_flags],
+        ["communities"], ["expertise"], ["cluster"], ["report"],
+    ]
+    for stage, *flags in argvs:
+        assert main([stage, "--workspace", str(ws), *flags]) == 0, stage
+
+
+@pytest.fixture(scope="module")
+def inputs_s(tmp_path_factory):
+    """Synthetic inputs at scale S (4 communities of 25 actors, 10 CAPECs each)."""
+    return _synth_inputs(tmp_path_factory.mktemp("synth-s"), scale=(4, 25, 10))
+
+
+# 21 removes every Medium-skill CAPEC of inputs_s and keeps the 28 others
+@pytest.mark.parametrize("graph_flags", [(), ("--capec-threshold", "21")], ids=["default", "21"])
+def test_run_all_writes_what_the_stages_run_one_by_one_write(inputs_s, tmp_path, graph_flags):
+    assert _run_all(tmp_path / "one", inputs_s, *graph_flags) == 0
+    _run_stages(tmp_path / "each", inputs_s, *graph_flags)
+    assert _artifacts(tmp_path / "one") == _artifacts(tmp_path / "each")
+    removed = json.loads((tmp_path / "one" / "removal.json").read_text())["n_removed_capecs"]
+    assert removed == (12 if graph_flags else 0)
+
+
+# sha256_file calls per file in one run-all: each artifact once when its stage
+# records it, and once more each time a later stage opens it
+RUN_ALL_HASHES = {
+    "corpus.jsonl": 2, "corpus_stats.json": 2, "cve_cwe.csv": 4, "capec.json": 4,
+    "graph.json": 3, "graph_stats.json": 2, "removal.json": 2, "capec_posts.json": 3,
+    "communities.json": 3, "profiles.csv": 1, "sample.csv": 2, "sample_stats.json": 2,
+    "clusters.json": 2, "report.json": 1, "report.txt": 1,
+}
+
+
+def test_run_all_hashes_each_file_it_opens_as_the_stages_do(pipeline_ws, tmp_path, monkeypatch):
+    ws = tmp_path / "ws"
+    hashed = Counter()
+    real = workspace.sha256_file
+
+    def recording(path):
+        hashed[Path(path).relative_to(ws).as_posix()] += 1
+        return real(path)
+
+    monkeypatch.setattr(workspace, "sha256_file", recording)
+    assert _run_all(ws, pipeline_ws.parent / "inputs") == 0
+    assert hashed == RUN_ALL_HASHES
+
+
+@pytest.mark.parametrize("name", ["graph.json", "capec_posts.json"])
+def test_communities_on_a_truncated_artifact_exits_1_naming_it(pipeline_ws, tmp_path, caplog, name):
+    ws = tmp_path / "ws"
+    shutil.copytree(pipeline_ws, ws)
+    data = (ws / name).read_bytes()
+    (ws / name).write_bytes(data[: len(data) // 2])
+    caplog.clear()
+    assert main(["communities", "--workspace", str(ws), "--force"]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1
+    assert f"{ws / name}: invalid JSON" in errors[0]
+    assert not re.match(r"error: \w+:", errors[0])
+
+
+@pytest.mark.parametrize("threshold, emptied", [("7", ["Medium"]), ("8", []), ("500", [])])
+def test_graph_warns_once_per_skill_level_the_filter_empties(
+    pipeline_ws, tmp_path, caplog, threshold, emptied
+):
+    ws = tmp_path / "ws"
+    shutil.copytree(pipeline_ws, ws)
+    caplog.clear()
+    assert main(["graph", "--workspace", str(ws), "--capec-threshold", threshold]) == 0
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    # the Medium CAPECs of pipeline_ws have 8, 10, 11, 11, 12 and 14 actors
+    expected = {
+        "Medium": "--capec-threshold 7 removes every Medium-skill CAPEC: "
+        "6 CAPECs carrying 66 edges",
+    }
+    assert warnings == [expected[level] for level in emptied]
 
 
 def test_run_all_manifest_records_every_stage(pipeline_ws):

@@ -390,6 +390,62 @@ def test_load_graph_shares_each_actor_string(tmp_path):
         load_graph(path)
 
 
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ('{"actors": ["a"], "capecs": [1], "edges": [["a", 1]', "invalid JSON: "),
+        ("[]", "expected a JSON object, got list"),
+        ('{"capecs": [1], "edges": []}', "actors: missing"),
+        ('{"actors": [], "edges": []}', "capecs: missing"),
+        ('{"actors": [], "capecs": []}', "edges: missing"),
+        ('{"actors": "a", "capecs": [], "edges": []}', "actors: expected a list"),
+        ('{"actors": [], "capecs": {"1": 1}, "edges": []}', "capecs: expected a list"),
+        ('{"actors": [], "capecs": [], "edges": null}', "edges: expected a list"),
+        ('{"actors": [["a"]], "capecs": [], "edges": []}', "actors: unhashable type"),
+        ('{"actors": [], "capecs": ["x"], "edges": []}', "capecs: invalid literal"),
+        ('{"actors": ["a"], "capecs": [1], "edges": [["a"]]}', "edges: not enough values"),
+        ('{"actors": ["a"], "capecs": [1], "edges": [7]}', "edges: cannot unpack"),
+        (
+            '{"actors": ["a"], "capecs": [1], "edges": [["ghost", 1]]}',
+            "edges: edge ('ghost', 1) references unknown node",
+        ),
+    ],
+)
+def test_load_graph_names_the_file_and_the_key(tmp_path, text, problem):
+    path = tmp_path / "graph.json"
+    path.write_text(text)
+    with pytest.raises(ValidationError) as exc:
+        load_graph(path)
+    assert str(exc.value).startswith(f"{path}: {problem}")
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ('{"alice": [["2021-01-01T00:00:00+00:00", [1]]', "invalid JSON: "),
+        ('[["2021-01-01T00:00:00+00:00", [1]]]', "expected a JSON object, got list"),
+        ('{"alice": {"2021-01-01T00:00:00+00:00": [1]}}', "alice: expected a list of"),
+        ('{"alice": [["2021-01-01T00:00:00+00:00"]]}', "alice: not enough values"),
+        ('{"alice": [["2021-01-01T00:00:00+00:00", [1], 2]]}', "alice: too many values"),
+        ('{"alice": ["ab"]}', "alice: Invalid isoformat string"),
+        ('{"alice": [[20210101, [1]]]}', "alice: fromisoformat: argument must be str"),
+        ('{"alice": [["2021-01-01T00:00:00+00:00", 7]]}', "alice: 'int' object is not"),
+        ('{"alice": [["2021-01-01T00:00:00+00:00", "7"]]}', "alice: CAPEC ids must be a list"),
+        ('{"alice": [["2021-01-01T00:00:00+00:00", [true]]]}', "alice: CAPEC ids must be a list"),
+        (
+            '{"alice": [["2021-01-01T00:00:00+00:00", [1]], ["2021-01-02T00:00:00", [1]]]}',
+            "alice: timestamp without a UTC offset",
+        ),
+    ],
+)
+def test_load_posts_names_the_file_and_the_actor(tmp_path, text, problem):
+    path = tmp_path / "capec_posts.json"
+    path.write_text(text)
+    with pytest.raises(ValidationError) as exc:
+        load_posts(path)
+    assert str(exc.value).startswith(f"{path}: {problem}")
+
+
 @pytest.mark.parametrize("fmt", ["graphml", "dot", "csv"])
 def test_export_round_trip(tmp_path, fmt):
     graph = bigraph([("alice", 63), ("bob quote\"", 66), ("alice", 66)])

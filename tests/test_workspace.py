@@ -136,6 +136,60 @@ def test_require_force_rebaselines(tmp_path):
     assert entry["artifacts"]["corpus.jsonl"] == sha256_file(ws.path("corpus.jsonl"))
 
 
+def _handed_off(tmp_path, held):
+    """A workspace whose ingest stage offered ``held`` for corpus.jsonl and recorded."""
+    ws = Workspace(tmp_path)
+    ws.root.mkdir(exist_ok=True)
+    for name in STAGE_ARTIFACTS["ingest"]:
+        ws.path(name).write_text(f"content of {name}\n")
+    ws.hand_off("corpus.jsonl", held)
+    ws.record_stage("ingest", {})
+    return ws
+
+
+def _read_text(path):
+    return Path(path).read_text()
+
+
+def test_load_hands_over_the_recorded_object_once(tmp_path):
+    held = object()
+    ws = _handed_off(tmp_path, held)
+    assert ws.load("corpus.jsonl", _read_text) is held
+    # handed over once: the next load of the artifact reads the file
+    assert ws.load("corpus.jsonl", _read_text) == "content of corpus.jsonl\n"
+    # load checks what require checks, and records the digest it read
+    for name in STAGE_ARTIFACTS["graph"]:
+        ws.path(name).write_text(f"content of {name}\n")
+    assert ws.record_stage("graph", {})["inputs"] == {
+        "corpus.jsonl": sha256_file(ws.path("corpus.jsonl"))
+    }
+
+
+def test_load_reads_an_edited_file_under_force_and_refuses_it_without(tmp_path):
+    ws = _handed_off(tmp_path, object())
+    ws.path("corpus.jsonl").write_text("edited\n")
+    with pytest.raises(StaleArtifactError):
+        ws.load("corpus.jsonl", _read_text)
+
+    ws = _handed_off(tmp_path / "forced", object())
+    ws.path("corpus.jsonl").write_text("edited\n")
+    ws.force = True
+    assert ws.load("corpus.jsonl", _read_text) == "edited\n"
+
+
+def test_load_does_not_hand_over_an_object_whose_stage_never_recorded(tmp_path):
+    ws = _ws_with_stage(tmp_path, "ingest")
+    # offered, but the stage ended without recording, and another stage recorded next
+    ws.hand_off("corpus.jsonl", object())
+    _ws_with_stage(tmp_path, "convert-catalog")
+    ws.record_stage("convert-catalog", {})
+    assert ws.load("corpus.jsonl", _read_text) == "content of corpus.jsonl\n"
+
+    # offered and never recorded at all
+    ws.hand_off("corpus.jsonl", object())
+    assert ws.load("corpus.jsonl", _read_text) == "content of corpus.jsonl\n"
+
+
 def test_require_refuses_a_stage_built_from_changed_inputs(tmp_path, caplog):
     ws = _graph_built_from_ingest(tmp_path)
     ws.path("corpus.jsonl").write_text("re-ingested\n")
