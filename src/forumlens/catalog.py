@@ -11,7 +11,6 @@ lives in :mod:`forumlens.convert`. CWE and CAPEC ids are read only here, by
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import re
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ from typing import Iterable
 
 from .errors import ValidationError
 from .ingest import CveId
-from .workspace import replacing, write_json
+from .workspace import read_json, replacing, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -219,7 +218,7 @@ def load_snapshot(cve_cwe_path: str | Path, capec_path: str | Path) -> CatalogSn
         CveEntry(cve_id=cve, cwe_ids=frozenset(cwes)) for cve, cwes in cwe_map.items()
     ]
 
-    raw_capecs = json.loads(capec_path.read_text(encoding="utf-8"))
+    raw_capecs = read_json(capec_path)
     if not isinstance(raw_capecs, list):
         raise ValidationError(f"{capec_path}: expected a JSON list of CAPEC entries")
     capec_entries = []

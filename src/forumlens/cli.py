@@ -276,20 +276,20 @@ def cmd_communities(ws: Workspace, args: argparse.Namespace) -> dict:
     return {"seed": args.seed, "restarts": args.restarts}
 
 
-def _load_partition(ws: Workspace) -> community.Partition:
-    data = ws.read_json("communities.json")
-    return community.Partition(
-        assignment={k: int(v) for k, v in data["assignment"].items()},
-        quality=float(data["modularity"]),
-    )
-
-
 def cmd_expertise(ws: Workspace, args: argparse.Namespace) -> dict:
-    g = graph.load_graph(ws.require("graph.json"))
-    posts, part = graph.load_posts(ws.require("capec_posts.json")), _load_partition(ws)
-    profiles = expertise.build_profiles(
-        posts, _load_snapshot(ws), g, part, skill_percentile=args.skill_percentile
-    )
+    g = ws.load("graph.json", graph.load_graph)
+    posts = ws.load("capec_posts.json", graph.load_posts)
+    part, snapshot = ws.load("communities.json", community.load_partition), _load_snapshot(ws)
+    try:
+        profiles = expertise.build_profiles(
+            posts, snapshot, g, part, skill_percentile=args.skill_percentile
+        )
+    except (ValidationError, KeyError) as exc:  # KeyError: a CAPEC the catalog lacks
+        # each file read well on its own, so they disagree, as a --force can leave them
+        raise ValidationError(
+            f"graph.json, capec_posts.json, communities.json and capec.json in {ws.root} "
+            f"disagree: {exc.args[0]}"
+        ) from exc
     sample = expertise.build_sample(profiles, min_posts=args.min_posts)
     expertise.save_profiles(profiles, ws.path("profiles.csv"))
     expertise.save_profiles(sample, ws.path("sample.csv"))
@@ -305,7 +305,7 @@ def cmd_cluster(ws: Workspace, args: argparse.Namespace) -> dict:
         "seed": args.cluster_seed,
         "restarts": args.cluster_restarts,
     }
-    sample = expertise.load_profiles(ws.require("sample.csv"))
+    sample = ws.load("sample.csv", expertise.load_profiles)
     n = len(sample)
 
     def skip(reason: str) -> dict:
@@ -388,9 +388,10 @@ def cmd_synth(ws: Workspace, args: argparse.Namespace) -> dict | None:
 
 
 def cmd_export_graph(ws: Workspace, args: argparse.Namespace) -> None:
-    g = graph.load_graph(ws.require("graph.json"))
+    g = ws.load("graph.json", graph.load_graph)
     # the manifest decides, so a recorded partition is checked and a stray file ignored
-    part = _load_partition(ws) if "communities" in ws.load_manifest()["stages"] else None
+    recorded = "communities" in ws.load_manifest()["stages"]
+    part = ws.load("communities.json", community.load_partition) if recorded else None
     out = Path(args.out) if args.out else ws.path(f"graph.{args.format}")
     graph.export_graph(g, args.format, out, partition=part)
     print(f"exported {args.format} graph to {out}")

@@ -21,6 +21,7 @@ import random
 import re
 from collections import defaultdict
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,6 +31,7 @@ from .errors import ValidationError
 from .graph import ActorPosts, BimodalGraph, node_key, sorted_nodes
 from .pool import map_jobs
 from .stats import describe
+from .workspace import field, read_json_object
 
 logger = logging.getLogger(__name__)
 
@@ -70,6 +72,13 @@ class Partition:
             else:
                 capecs.add(int(raw))
         return {c: (frozenset(a), frozenset(p)) for c, (a, p) in sorted(groups.items())}
+
+
+def load_partition(path: str | Path) -> Partition:
+    """Read the partition a saved ``communities.json`` holds; a fault names the file and key."""
+    data = read_json_object(path)
+    assignment = field(path, "assignment", lambda: {k: int(v) for k, v in data["assignment"].items()})
+    return Partition(assignment, field(path, "modularity", lambda: float(data["modularity"])))
 
 
 class _Level:

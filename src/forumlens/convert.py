@@ -12,7 +12,6 @@ The output is the ``cve_cwe.csv`` / ``capec.json`` pair that
 
 from __future__ import annotations
 
-import json
 import logging
 from pathlib import Path
 from xml.etree import ElementTree
@@ -20,6 +19,7 @@ from xml.etree import ElementTree
 from .catalog import CapecEntry, CveEntry, SkillLevel, normalize_cwe, parse_capec_id
 from .errors import ValidationError
 from .ingest import CveId
+from .workspace import read_json_object
 
 logger = logging.getLogger(__name__)
 
@@ -30,7 +30,7 @@ def _localname(tag: str) -> str:
 
 def parse_nvd_cve_json(path: str | Path) -> list[CveEntry]:
     """Extract (CVE, CWE set) pairs from an NVD JSON dump."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = read_json_object(path)
     entries: dict[CveId, set[str]] = {}
 
     def add(cve_text: str, descriptions) -> None:

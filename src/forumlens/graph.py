@@ -15,19 +15,17 @@ import json
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, TypeVar
+from typing import TYPE_CHECKING
 from xml.etree import ElementTree
 
 from .catalog import CatalogSnapshot, map_cve_to_capecs
 from .errors import ValidationError
 from .ingest import Corpus, CveId
 from .stats import describe
-from .workspace import replacing
+from .workspace import field, read_json_object, replacing
 
 if TYPE_CHECKING:
     from .community import Partition
-
-T = TypeVar("T")
 
 EXPORT_FORMATS = ("graphml", "dot", "csv")
 DEFAULT_CAPEC_THRESHOLD = 500
@@ -217,39 +215,20 @@ def save_graph(graph: BimodalGraph, path: str | Path) -> None:
         handle.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _json_object(path: str | Path) -> dict:
-    """Parse a JSON file that holds one object; a fault names the file."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
-        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ValidationError(f"{path}: expected a JSON object, got {type(payload).__name__}")
-    return payload
-
-
-def _field(path: str | Path, key: str, build: Callable[[], T]) -> T:
-    """``build()``, with a type or value fault reported as ``<path>: <key>: <problem>``."""
-    try:
-        return build()
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: {key}: {exc}") from exc
-
-
 def load_graph(path: str | Path) -> BimodalGraph:
     """Read a saved graph; every edge shares its actor's ``actor_ids`` string.
 
     A file that is no graph object with ``actors``, ``capecs`` and ``edges``
     lists raises ``ValidationError`` naming the file and the key.
     """
-    payload = _json_object(path)
+    payload = read_json_object(path)
     for key in ("actors", "capecs", "edges"):
         if not isinstance(payload.get(key), list):
             problem = "missing" if key not in payload else "expected a list"
             raise ValidationError(f"{path}: {key}: {problem}")
-    actors = _field(path, "actors", lambda: {a: a for a in payload["actors"]})
-    capecs = _field(path, "capecs", lambda: frozenset(int(c) for c in payload["capecs"]))
-    return _field(path, "edges", lambda: BimodalGraph(
+    actors = field(path, "actors", lambda: {a: a for a in payload["actors"]})
+    capecs = field(path, "capecs", lambda: frozenset(int(c) for c in payload["capecs"]))
+    return field(path, "edges", lambda: BimodalGraph(
         actor_ids=frozenset(actors),
         capec_ids=capecs,
         # an unknown actor keeps its own string, and the graph's check refuses it
@@ -302,7 +281,7 @@ def load_posts(path: str | Path) -> ActorPosts:
             raise ValidationError("timestamp without a UTC offset")
         return table
 
-    return {a: _field(path, a, lambda: rows(ps)) for a, ps in _json_object(path).items()}
+    return {a: field(path, a, lambda: rows(ps)) for a, ps in read_json_object(path).items()}
 
 
 def _community_of(partition: "Partition | None", key: str) -> int | None:

@@ -10,33 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .workspace import Workspace, replacing
-
-
-def build_report(ws: Workspace) -> dict:
-    corpus = ws.read_json("corpus_stats.json")
-    graph_stats = ws.read_json("graph_stats.json")
-    removal = ws.read_json("removal.json")
-    communities = ws.read_json("communities.json")
-    sample = ws.read_json("sample_stats.json")
-    clusters = ws.read_json("clusters.json")
-    return {
-        "corpus": corpus,
-        "graph": {
-            "before_filter": graph_stats["before"],
-            "after_filter": graph_stats["after"],
-            "removal": removal,
-        },
-        "communities": {
-            "modularity": communities["modularity"],
-            "count": communities["n_communities"],
-            "seed": communities.get("seed"),
-            "restarts": communities.get("restarts"),
-            "overview": communities["communities"],
-        },
-        "sample": sample,
-        "clusters": clusters,
-    }
+from .workspace import Workspace, field, read_json_object, replacing
 
 
 def _fmt(value, digits: int = 2) -> str:
@@ -63,22 +37,24 @@ def _stats_row(name: str, block: dict) -> list[str]:
     return [name, str(block["count"]), *(_fmt(float(v)) for v in values)]
 
 
-def render_text(report: dict) -> str:
-    lines: list[str] = []
+# Each part below puts one input artifact into the report document and returns
+# the text lines it renders.
 
-    corpus = report["corpus"]
-    lines.append("== Corpus ==")
-    lines.append(
+
+def _corpus(corpus: dict, report: dict) -> list[str]:
+    report["corpus"] = corpus
+    return [
+        "== Corpus ==",
         f"posts: {corpus['posts']}  actors: {corpus['actors']}  "
-        f"forums: {corpus['forums']}  distinct CVEs: {corpus['distinct_cves']}"
-    )
-    lines.append("")
+        f"forums: {corpus['forums']}  distinct CVEs: {corpus['distinct_cves']}",
+        "",
+    ]
 
-    graph = report["graph"]
-    removal = graph["removal"]
-    lines.append("== Bimodal graph and popularity filter ==")
+
+def _graph(graph_stats: dict, report: dict) -> list[str]:
+    report["graph"] = {"before_filter": graph_stats["before"], "after_filter": graph_stats["after"]}
     rows = []
-    for label, block in (("before", graph["before_filter"]), ("after", graph["after_filter"])):
+    for label, block in (("before", graph_stats["before"]), ("after", graph_stats["after"])):
         rows.append(
             [
                 label,
@@ -88,15 +64,29 @@ def render_text(report: dict) -> str:
                 _fmt(float(block["density"]), 6),
             ]
         )
+    lines = ["== Bimodal graph and popularity filter =="]
     lines.extend(_table(["graph", "actors", "capecs", "edges", "density"], rows))
-    lines.append(
-        f"filter: in-degree threshold {removal['threshold']}, removed "
-        f"{len(removal['removed_capecs'])} CAPEC(s) and {len(removal['removed_actors'])} actor(s)"
-    )
-    lines.append("")
+    return lines
 
-    comm = report["communities"]
-    lines.append("== Communities of interest ==")
+
+def _removal(removal: dict, report: dict) -> list[str]:
+    report["graph"]["removal"] = removal
+    return [
+        f"filter: in-degree threshold {removal['threshold']}, removed "
+        f"{len(removal['removed_capecs'])} CAPEC(s) and {len(removal['removed_actors'])} actor(s)",
+        "",
+    ]
+
+
+def _communities(communities: dict, report: dict) -> list[str]:
+    comm = report["communities"] = {
+        "modularity": communities["modularity"],
+        "count": communities["n_communities"],
+        "seed": communities.get("seed"),
+        "restarts": communities.get("restarts"),
+        "overview": communities["communities"],
+    }
+    lines = ["== Communities of interest =="]
     lines.append(
         f"communities: {comm['count']}  modularity: {_fmt(float(comm['modularity']), 4)}"
     )
@@ -120,9 +110,12 @@ def render_text(report: dict) -> str:
         )
     )
     lines.append("")
+    return lines
 
-    sample = report["sample"]
-    lines.append("== Analysis sample ==")
+
+def _sample(sample: dict, report: dict) -> list[str]:
+    report["sample"] = sample
+    lines = ["== Analysis sample =="]
     lines.append(f"actors in sample: {sample['n_actors']}")
     if sample["n_actors"]:
         feature_blocks = [
@@ -140,9 +133,12 @@ def render_text(report: dict) -> str:
             )
         )
     lines.append("")
+    return lines
 
-    clusters = report["clusters"]
-    lines.append("== Clusters ==")
+
+def _clusters(clusters: dict, report: dict) -> list[str]:
+    report["clusters"] = clusters
+    lines = ["== Clusters =="]
     if clusters.get("skipped"):
         lines.append(f"clustering skipped: {clusters['reason']}")
     else:
@@ -167,13 +163,39 @@ def render_text(report: dict) -> str:
             )
         )
     lines.append("")
-    return "\n".join(lines)
+    return lines
+
+
+# the input artifacts, in the order the report opens them, and the part each feeds
+_PARTS = (
+    ("corpus_stats.json", _corpus),
+    ("graph_stats.json", _graph),
+    ("removal.json", _removal),
+    ("communities.json", _communities),
+    ("sample_stats.json", _sample),
+    ("clusters.json", _clusters),
+)
+
+
+def build_report(ws: Workspace) -> tuple[dict, str]:
+    """The report document and its text, part by part.
+
+    Each part is built under the guard of the artifact it comes from, so a
+    missing key or a wrong type in an input raises ``ValidationError`` as
+    ``<file>: <key>: missing`` or ``<file>: <problem>``.
+    """
+    inputs = [ws.load(name, read_json_object) for name, _ in _PARTS]
+    report: dict = {}
+    lines: list[str] = []
+    for (name, part), data in zip(_PARTS, inputs):
+        lines += field(ws.path(name), None, lambda: part(data, report))
+    return report, "\n".join(lines)
 
 
 def emit_report(ws: Workspace) -> tuple:
     """Write report.json and report.txt; returns both paths."""
-    report = build_report(ws)
+    report, text = build_report(ws)
     json_path = ws.write_json("report.json", report)
     with replacing(ws.path("report.txt")) as handle:
-        handle.write(render_text(report))
+        handle.write(text)
     return json_path, ws.path("report.txt")

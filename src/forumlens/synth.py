@@ -18,7 +18,6 @@ drawn per actor from the archetype's range.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -32,7 +31,7 @@ from .community import Partition
 from .errors import ValidationError
 from .graph import node_key
 from .ingest import Corpus, CveId, PostRecord, build_corpus, save_corpus
-from .workspace import write_json
+from .workspace import read_json, write_json
 
 SYNTH_CVE_YEAR = 1900  # reserved year: synthetic ids can never collide with real CVEs
 CVES_PER_CAPEC = 3
@@ -302,8 +301,7 @@ def write_synth(
 
 
 def load_truth(path: str | Path) -> GroundTruth:
-    with Path(path).open("r", encoding="utf-8") as handle:
-        return GroundTruth.from_dict(json.load(handle))
+    return GroundTruth.from_dict(read_json(path))
 
 
 def community_agreement(partition: Partition, truth: GroundTruth) -> float:

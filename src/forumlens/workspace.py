@@ -1,4 +1,4 @@
-"""Persistent staged workspace: artifacts, manifest, hash gating, lock, file writes.
+"""Persistent staged workspace: artifacts, manifest, hash gating, lock, JSON reads, file writes.
 
 Every stage writes its artifacts into the workspace root and records their
 SHA-256 digests, the flags it ran with, and the digests of the artifacts it
@@ -25,7 +25,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, TextIO, TypeVar
 
-from .errors import ForumlensError, MissingUpstreamError, StaleArtifactError
+from .errors import ForumlensError, MissingUpstreamError, StaleArtifactError, ValidationError
 
 logger = logging.getLogger(__name__)
 
@@ -92,6 +92,42 @@ def write_json(path: str | Path, payload: object) -> Path:
     return Path(path)
 
 
+def read_json(path: str | Path) -> Any:
+    """Parse a JSON file; invalid UTF-8 or JSON raises ``ValidationError`` naming the file."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # ValueError covers both decode errors
+        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def field(path: str | Path, key: str | None, build: Callable[[], T]) -> T:
+    """``build()``, with a fault in the data it reads raised as ``ValidationError``.
+
+    A missing key reads ``<path>: <missing key>: missing``; a wrong type or
+    value ``<path>: <key>: <problem>``, or ``<path>: <problem>`` where ``key``
+    is None because the caller cannot know it.
+    """
+    try:
+        return build()
+    except KeyError as exc:
+        raise ValidationError(f"{path}: {exc.args[0]}: missing") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        where = path if key is None else f"{path}: {key}"
+        raise ValidationError(f"{where}: {exc}") from exc
+
+
+def _object(value: object) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object, got {type(value).__name__}")
+    return value
+
+
+def read_json_object(path: str | Path) -> dict:
+    """Parse a JSON file that holds one object; a fault names the file."""
+    payload = read_json(path)
+    return field(path, None, lambda: _object(payload))
+
+
 def _digest(stages: Mapping, name: str) -> str | None:
     """The digest the manifest records for artifact ``name``, or None."""
     return stages.get(_WRITER.get(name), {}).get("artifacts", {}).get(name)
@@ -120,16 +156,22 @@ class Workspace:
         return self.root / MANIFEST_NAME
 
     def load_manifest(self) -> dict:
-        if not self.manifest_path.exists():
+        path = self.manifest_path
+        if not path.exists():
             return {"version": MANIFEST_VERSION, "stages": {}}
         try:
-            with self.manifest_path.open("r", encoding="utf-8") as handle:
-                manifest = json.load(handle)
-            if not isinstance(manifest, dict) or not isinstance(manifest.get("stages"), dict):
+            manifest = read_json_object(path)
+            if not isinstance(manifest.get("stages"), dict):
                 raise ValueError("no 'stages' object")
+            # the shapes require and record_stage index
+            for stage, entry in manifest["stages"].items():
+                field(path, stage, lambda: _object(entry))
+                field(path, f"{stage}: artifacts", lambda: _object(entry.get("artifacts")))
+                # an entry written before inputs were recorded has none
+                field(path, f"{stage}: inputs", lambda: _object(entry.get("inputs", {})))
         except ValueError as exc:
             raise ForumlensError(
-                f"{self.manifest_path} is not a valid manifest ({exc}); "
+                f"{path} is not a valid manifest ({exc}); "
                 "delete it and re-run the pipeline from the first stage"
             ) from exc
         return manifest
@@ -250,7 +292,3 @@ class Workspace:
 
     def write_json(self, name: str, payload: Mapping) -> Path:
         return write_json(self.path(name), payload)
-
-    def read_json(self, name: str) -> dict:
-        with self.require(name).open("r", encoding="utf-8") as handle:
-            return json.load(handle)

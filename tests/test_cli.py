@@ -189,6 +189,108 @@ def test_communities_on_a_truncated_artifact_exits_1_naming_it(pipeline_ws, tmp_
     assert not re.match(r"error: \w+:", errors[0])
 
 
+def _error_after_edit(pipeline_ws, tmp_path, caplog, name, edit, argv):
+    """The one error line of ``argv`` run with ``--force`` after ``edit`` rewrote
+    artifact ``name`` (given its bytes, it returns the new bytes); exit must be 1."""
+    ws = tmp_path / "ws"
+    shutil.copytree(pipeline_ws, ws)
+    (ws / name).write_bytes(edit((ws / name).read_bytes()))
+    caplog.clear()
+    assert main([*argv, "--workspace", str(ws), "--force"]) == 1
+    [error] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert not re.match(r"error: \w+:", error)
+    return ws / name, error
+
+
+def _json_edit(change):
+    def edit(data):
+        payload = json.loads(data)
+        change(payload)
+        return json.dumps(payload).encode()
+    return edit
+
+
+@pytest.mark.parametrize(
+    "argv, name, edit",
+    [
+        (["graph"], "capec.json", lambda data: data[: len(data) // 2]),
+        (["graph"], "capec.json", lambda data: b"\xff" + data),
+        (["expertise"], "communities.json", lambda data: data[: len(data) // 2]),
+        (["report"], "communities.json", lambda data: data[: len(data) // 2]),
+    ],
+    ids=["graph-truncated-capec", "graph-non-utf8-capec", "expertise", "report"],
+)
+def test_an_unreadable_json_input_exits_1_naming_it(
+    pipeline_ws, tmp_path, caplog, argv, name, edit
+):
+    path, error = _error_after_edit(pipeline_ws, tmp_path, caplog, name, edit, argv)
+    assert error.startswith(f"{path}: invalid JSON: ")
+
+
+@pytest.mark.parametrize("command", ["expertise", "export-graph"])
+def test_a_non_integer_community_id_names_the_file_and_the_key(
+    pipeline_ws, tmp_path, caplog, command
+):
+    def change(payload):
+        payload["assignment"][min(payload["assignment"])] = "x"
+
+    path, error = _error_after_edit(
+        pipeline_ws, tmp_path, caplog, "communities.json", _json_edit(change), [command]
+    )
+    assert error == f"{path}: assignment: invalid literal for int() with base 10: 'x'"
+
+
+@pytest.mark.parametrize(
+    "name, change, problem",
+    [
+        ("capec_posts.json", lambda payload: payload.pop(min(payload)), "has no surviving posts"),
+        ("capec.json", lambda payload: payload[0].update(id=999999), "unknown CAPEC id: 1000"),
+    ],
+    ids=["actor-without-posts", "capec-not-in-catalog"],
+)
+def test_expertise_names_the_artifacts_that_disagree(
+    pipeline_ws, tmp_path, caplog, name, change, problem
+):
+    # each file reads well on its own; together they break what expertise relies on
+    path, error = _error_after_edit(
+        pipeline_ws, tmp_path, caplog, name, _json_edit(change), ["expertise"]
+    )
+    assert error.startswith(
+        f"graph.json, capec_posts.json, communities.json and capec.json in {path.parent} disagree: "
+    )
+    assert error.endswith(problem)
+
+
+@pytest.mark.parametrize(
+    "name, change, problem",
+    [
+        ("clusters.json", lambda payload: payload.pop("silhouette"), "silhouette: missing"),
+        (
+            "sample_stats.json",
+            lambda payload: payload["skill_score"].update(mean=None),
+            "float() argument must be a string or a real number, not 'NoneType'",
+        ),
+        (
+            "communities.json",
+            lambda payload: payload.update(communities=7),
+            "'int' object is not iterable",
+        ),
+        ("removal.json", lambda payload: payload.pop("threshold"), "threshold: missing"),
+    ],
+    ids=["clusters-missing-key", "sample-stats-null", "communities-wrong-type", "removal-missing"],
+)
+def test_report_names_the_input_that_lacks_a_key_or_has_a_wrong_type(
+    pipeline_ws, tmp_path, caplog, name, change, problem
+):
+    path, error = _error_after_edit(
+        pipeline_ws, tmp_path, caplog, name, _json_edit(change), ["report"]
+    )
+    assert error == f"{path}: {problem}"
+    # nothing is written before every input is read
+    for report in STAGE_ARTIFACTS["report"]:
+        assert (path.parent / report).read_bytes() == (pipeline_ws / report).read_bytes()
+
+
 @pytest.mark.parametrize("threshold, emptied", [("7", ["Medium"]), ("8", []), ("500", [])])
 def test_graph_warns_once_per_skill_level_the_filter_empties(
     pipeline_ws, tmp_path, caplog, threshold, emptied

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from forumlens.catalog import SkillLevel, build_snapshot, load_snapshot, save_snapshot
+from forumlens.cli import main
 from forumlens.convert import parse_capec_xml, parse_nvd_cve_json
 from forumlens.errors import ValidationError
 from forumlens.ingest import CveId
@@ -167,3 +168,30 @@ def test_convert_catalog_end_to_end(tmp_path):
     assert set(reloaded.cves) == set(snapshot.cves)
     assert set(reloaded.capecs) == {233, 122}
     assert reloaded.cwe_to_capecs["CWE-269"] == {233, 122}
+
+
+
+def _catalog_inputs(tmp_path, flag):
+    """Valid ``convert-catalog`` inputs of the pair ``flag`` belongs to, by flag."""
+    nvd, xml = tmp_path / "nvd.json", tmp_path / "capec.xml"
+    nvd.write_text(json.dumps(_NVD_20))
+    xml.write_text(_CAPEC_XML)
+    if flag in ("--nvd-json", "--capec-xml"):
+        return {"--nvd-json": nvd, "--capec-xml": xml}
+    snapshot = build_snapshot(parse_nvd_cve_json(nvd), parse_capec_xml(xml))
+    cve_cwe, capec_json = save_snapshot(snapshot, tmp_path / "normalized")
+    return {"--cve-cwe": cve_cwe, "--capec-json": capec_json}
+
+
+@pytest.mark.parametrize("fault", ["truncated", "non-utf8"])
+@pytest.mark.parametrize("flag", ["--nvd-json", "--capec-json"])
+def test_convert_catalog_names_an_unreadable_json_input(tmp_path, caplog, flag, fault):
+    inputs = _catalog_inputs(tmp_path, flag)
+    data = inputs[flag].read_bytes()
+    inputs[flag].write_bytes(data[: len(data) // 2] if fault == "truncated" else b"\xff" + data)
+    argv = ["convert-catalog", "--workspace", str(tmp_path / "ws")]
+    argv += [str(part) for pair in inputs.items() for part in pair]
+    caplog.clear()
+    assert main(argv) == 1
+    [error] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert error.startswith(f"{inputs[flag]}: invalid JSON: ")

@@ -1,0 +1,122 @@
+"""Property: a corrupted JSON artifact fails its readers by name, never as an exception.
+
+One synthetic S workspace (4 communities of 25 actors) is built once. Each
+example takes one JSON artifact, drops a key, swaps a value's type or
+truncates the file, then runs every stage that reads it with ``--force``, each
+on its own copy of the workspace. The stage may succeed (exit 0) or refuse the
+file (exit 1) with one error line that names it; it never exits with another
+code, prints ``error: <ExceptionName>`` or logs a traceback, and a truncated
+file is always refused.
+"""
+
+from __future__ import annotations
+
+import json
+import logging
+import re
+import shutil
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from forumlens.cli import main
+
+# each JSON file a stage opens, and the stages that open it
+READERS = {
+    "graph.json": ("communities", "expertise", "export-graph"),
+    "capec_posts.json": ("communities", "expertise"),
+    "capec.json": ("graph", "communities", "expertise"),
+    "communities.json": ("expertise", "export-graph", "report"),
+    "clusters.json": ("report",),
+    "corpus_stats.json": ("report",),
+    "graph_stats.json": ("report",),
+    "removal.json": ("report",),
+    "sample_stats.json": ("report",),
+    "manifest.json": ("communities", "report"),
+}
+
+# one value of each JSON type; a swap puts one of another type in place
+SWAPS = (None, True, 7, 0.5, "x", [1], {"k": 1})
+
+
+@pytest.fixture(scope="session")
+def s_workspace(tmp_path_factory):
+    root = tmp_path_factory.mktemp("corrupt")
+    ws = root / "ws"
+    assert main(["synth", "--workspace", str(ws), "--seed", "41"]) == 0
+    synth = ws / "synth"
+    assert main([
+        "run-all", "--workspace", str(ws), "--posts", str(synth / "posts.jsonl"),
+        "--cve-cwe", str(synth / "cve_cwe.csv"), "--capec-json", str(synth / "capec.json"),
+    ]) == 0
+    return ws
+
+
+class _Errors(logging.Handler):
+    def __init__(self) -> None:
+        super().__init__(logging.ERROR)
+        self.records: list[logging.LogRecord] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.records.append(record)
+
+
+def _run(ws: Path, stage: str) -> tuple[int, list[logging.LogRecord]]:
+    """Exit code and error records of ``stage --force`` on ``ws``."""
+    handler = _Errors()
+    logger = logging.getLogger("forumlens")
+    logger.addHandler(handler)
+    try:
+        return main([stage, "--workspace", str(ws), "--force"]), handler.records
+    finally:
+        logger.removeHandler(handler)
+
+
+def _corrupt(original: bytes, how: str, data: st.DataObject) -> bytes:
+    if how == "truncate":
+        # the file ends with "}\n" or "]\n": every shorter cut is invalid JSON
+        return original[: data.draw(st.integers(0, len(original) - 2), label="cut")]
+    payload = json.loads(original)
+    tops = list(payload.items()) if isinstance(payload, dict) else list(enumerate(payload))
+    if how == "drop":
+        # a key of the top-level object, or of an element of a top-level list
+        holders = [payload] if isinstance(payload, dict) else payload
+        holder = data.draw(st.sampled_from([h for h in holders if isinstance(h, dict) and h]))
+        del holder[data.draw(st.sampled_from(sorted(holder)), label="key")]
+    else:
+        # a top-level value, or a value one level below it
+        places = [(payload, key) for key, _ in tops]
+        for _, value in tops:
+            if isinstance(value, dict):
+                places += [(value, key) for key in value]
+            elif isinstance(value, list):
+                places += [(value, i) for i in range(len(value))]
+        holder, key = data.draw(st.sampled_from(places), label="place")
+        holder[key] = data.draw(
+            st.sampled_from([v for v in SWAPS if type(v) is not type(holder[key])]), label="value"
+        )
+    return json.dumps(payload).encode()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_corrupted_json_artifact_exits_0_or_1_naming_it(s_workspace, data):
+    name = data.draw(st.sampled_from(sorted(READERS)), label="file")
+    how = data.draw(st.sampled_from(["drop", "swap", "truncate"]), label="how")
+    corrupted = _corrupt((s_workspace / name).read_bytes(), how, data)
+    for stage in READERS[name]:
+        with tempfile.TemporaryDirectory() as tmp:
+            ws = Path(tmp) / "ws"
+            shutil.copytree(s_workspace, ws)
+            (ws / name).write_bytes(corrupted)
+            code, errors = _run(ws, stage)
+        assert code in (0, 1), (stage, [r.getMessage() for r in errors])
+        assert all(r.exc_info is None for r in errors), stage
+        if code == 1:
+            [error] = [r.getMessage() for r in errors]
+            assert name in error and not re.match(r"error: \w+", error), (stage, error)
+        if how == "truncate":
+            assert code == 1, stage

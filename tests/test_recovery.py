@@ -26,7 +26,7 @@ import pytest
 import forumlens
 from forumlens.cli import main
 from forumlens.community import POOL_MIN_NODES
-from forumlens.workspace import STAGE_ARTIFACTS, Workspace, WorkspaceLockedError
+from forumlens.workspace import STAGE_ARTIFACTS, Workspace, WorkspaceLockedError, read_json
 
 PIPELINE = ("ingest", "convert-catalog", "graph", "communities", "expertise", "cluster", "report")
 KILLED = 70
@@ -205,7 +205,7 @@ def pool_graph(tmp_path_factory):
     catalog = ["--cve-cwe", str(inputs / "cve_cwe.csv"), "--capec-json", str(inputs / "capec.json")]
     assert _run(ws, ["convert-catalog", *catalog]) == 0
     assert _run(ws, ["graph"]) == 0
-    assert len(Workspace(ws).read_json("graph.json")["actors"]) >= POOL_MIN_NODES
+    assert len(Workspace(ws).load("graph.json", read_json)["actors"]) >= POOL_MIN_NODES
     return ws
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
 import forumlens
@@ -35,3 +36,22 @@ def test_no_code_is_cloned_across_modules():
             if module != path.name:
                 clones.append(f"{module}:{first} and {path.name}:{line}: {' / '.join(window)}")
     assert clones == []
+
+
+def _json_parses(path: Path) -> list[str]:
+    """``<file>:<top-level name>`` of each line of ``path`` that calls ``json.load(s)``."""
+    source = path.read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    spans = [(n.lineno, n.end_lineno, getattr(n, "name", "<module>")) for n in tree.body]
+    return [
+        f"{path.name}:{next((name for lo, hi, name in spans if lo <= i <= hi), '<module>')}"
+        for i, line in enumerate(source.splitlines(), 1)
+        if "json.load(" in line or "json.loads(" in line
+    ]
+
+
+def test_only_the_workspace_parses_json():
+    # workspace.read_json is the one JSON-file reader; ingest parses one corpus line at a time
+    package = Path(forumlens.__file__).parent
+    parses = [p for path in sorted(package.glob("*.py")) for p in _json_parses(path)]
+    assert [p for p in parses if not p.startswith("workspace.py:")] == ["ingest.py:_parse_record"]

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 import forumlens
-from forumlens.errors import MissingUpstreamError, StaleArtifactError
+from forumlens.errors import ForumlensError, MissingUpstreamError, StaleArtifactError
 from forumlens.expertise import ActorProfile, save_profiles
 from forumlens.ingest import PostRecord, build_corpus, save_corpus
 from forumlens.workspace import (
@@ -20,6 +20,7 @@ from forumlens.workspace import (
     Workspace,
     WorkspaceLockedError,
     default_root,
+    read_json,
     sha256_file,
 )
 
@@ -218,6 +219,41 @@ def test_require_refuses_inputs_keyed_by_stage(tmp_path):
     ws.require("graph.json")
 
 
+def test_require_does_not_check_an_entry_without_inputs(tmp_path):
+    # an entry written before inputs were recorded has none to compare
+    ws = _graph_built_from_ingest(tmp_path)
+    ws.path("corpus.jsonl").write_text("other content\n")
+    ws.record_stage("ingest", {})
+    with pytest.raises(StaleArtifactError, match="re-run 'graph'"):
+        ws.require("graph.json")
+    manifest = ws.load_manifest()
+    del manifest["stages"]["graph"]["inputs"]
+    ws.save_manifest(manifest)
+    assert ws.require("graph.json") == ws.path("graph.json")
+
+
+@pytest.mark.parametrize(
+    "stage, edit, problem",
+    [
+        ("convert-catalog", lambda entry: "x", "convert-catalog: expected a JSON object, got str"),
+        ("graph", lambda entry: {**entry, "inputs": [1]}, "graph: inputs: expected a JSON object"),
+        ("graph", lambda entry: {**entry, "artifacts": None}, "graph: artifacts: expected a JSON object"),
+        ("ingest", lambda entry: {"config": {}}, "ingest: artifacts: expected a JSON object"),
+    ],
+    ids=["entry", "inputs", "artifacts", "no-artifacts"],
+)
+def test_a_misshapen_manifest_entry_names_the_stage_and_the_key(tmp_path, stage, edit, problem):
+    ws = _graph_built_from_ingest(tmp_path)
+    manifest = ws.load_manifest()
+    manifest["stages"][stage] = edit(manifest["stages"][stage])
+    ws.save_manifest(manifest)
+    with pytest.raises(ForumlensError) as caught:
+        ws.require("graph.json")
+    message = str(caught.value)
+    assert f"{ws.manifest_path}: {problem}" in message
+    assert "is not a valid manifest" in message and "delete it" in message
+
+
 def test_every_artifact_has_one_writing_stage(tmp_path):
     names = [name for artifacts in STAGE_ARTIFACTS.values() for name in artifacts]
     assert len(names) == len(set(names))
@@ -258,9 +294,9 @@ def test_json_round_trip(tmp_path):
     ws.write_json("communities.json", payload)
     # reads are gated: an artifact no stage recorded is refused
     with pytest.raises(MissingUpstreamError):
-        ws.read_json("communities.json")
+        ws.load("communities.json", read_json)
     ws.record_stage("communities", {})
-    assert ws.read_json("communities.json") == payload
+    assert ws.load("communities.json", read_json) == payload
 
 
 def test_default_root_env_var(monkeypatch, tmp_path):
