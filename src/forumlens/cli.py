@@ -230,7 +230,6 @@ def cmd_graph(ws: Workspace, args: argparse.Namespace) -> dict:
     after = graph.degree_stats(filtered, graph.surviving_post_counts(posts))
     graph.save_graph(filtered, ws.path("graph.json"))
     graph.save_posts(posts, ws.path("capec_posts.json"))
-    ws.hand_off("graph.json", filtered)
     ws.hand_off("capec_posts.json", posts)
     ws.write_json("graph_stats.json", {"before": before, "after": after})
     ws.write_json("removal.json", removal.as_dict())
@@ -257,8 +256,8 @@ def _warn_emptied_skill_levels(
 
 
 def cmd_communities(ws: Workspace, args: argparse.Namespace) -> dict:
-    g = ws.load("graph.json", graph.load_graph)
     posts, snapshot = ws.load("capec_posts.json", graph.load_posts), _load_snapshot(ws)
+    g = graph.graph_of(posts)
     part = community.leiden(g, seed=args.seed, restarts=args.restarts)
     overview = community.summarize_communities(g, part, posts, snapshot)
     ws.write_json(
@@ -277,18 +276,17 @@ def cmd_communities(ws: Workspace, args: argparse.Namespace) -> dict:
 
 
 def cmd_expertise(ws: Workspace, args: argparse.Namespace) -> dict:
-    g = ws.load("graph.json", graph.load_graph)
     posts = ws.load("capec_posts.json", graph.load_posts)
     part, snapshot = ws.load("communities.json", community.load_partition), _load_snapshot(ws)
     try:
         profiles = expertise.build_profiles(
-            posts, snapshot, g, part, skill_percentile=args.skill_percentile
+            posts, snapshot, graph.graph_of(posts), part, skill_percentile=args.skill_percentile
         )
     except (ValidationError, KeyError) as exc:  # KeyError: a CAPEC the catalog lacks
         # each file read well on its own, so they disagree, as a --force can leave them
         raise ValidationError(
-            f"graph.json, capec_posts.json, communities.json and capec.json in {ws.root} "
-            f"disagree: {exc.args[0]}"
+            f"capec_posts.json, communities.json and capec.json in {ws.root} disagree: "
+            f"{exc.args[0]}"
         ) from exc
     sample = expertise.build_sample(profiles, min_posts=args.min_posts)
     expertise.save_profiles(profiles, ws.path("profiles.csv"))

@@ -19,7 +19,7 @@ from xml.etree import ElementTree
 from .catalog import CapecEntry, CveEntry, SkillLevel, normalize_cwe, parse_capec_id
 from .errors import ValidationError
 from .ingest import CveId
-from .workspace import read_json_object
+from .workspace import field, read_json_object
 
 logger = logging.getLogger(__name__)
 
@@ -46,7 +46,7 @@ def parse_nvd_cve_json(path: str | Path) -> list[CveEntry]:
             except ValidationError:  # NVD-CWE-noinfo / NVD-CWE-Other name no CWE
                 pass
 
-    if "vulnerabilities" in data:  # 2.0 API shape
+    def walk_api() -> None:  # 2.0 API shape
         for item in data["vulnerabilities"]:
             cve_obj = item.get("cve", {})
             descriptions = [
@@ -55,7 +55,8 @@ def parse_nvd_cve_json(path: str | Path) -> list[CveEntry]:
                 for d in weakness.get("description", ())
             ]
             add(cve_obj.get("id", ""), descriptions)
-    elif "CVE_Items" in data:  # legacy 1.1 feed shape
+
+    def walk_legacy() -> None:  # legacy 1.1 feed shape
         for item in data["CVE_Items"]:
             cve_obj = item.get("cve", {})
             descriptions = [
@@ -64,6 +65,12 @@ def parse_nvd_cve_json(path: str | Path) -> list[CveEntry]:
                 for d in ptd.get("description", ())
             ]
             add(cve_obj.get("CVE_data_meta", {}).get("ID", ""), descriptions)
+
+    # a misshapen item fails inside the walk, which names the file and the shape's key
+    if "vulnerabilities" in data:
+        field(path, "vulnerabilities", walk_api)
+    elif "CVE_Items" in data:
+        field(path, "CVE_Items", walk_legacy)
     else:
         raise ValidationError(f"{path}: unrecognized NVD JSON shape")
 

@@ -116,7 +116,7 @@ def build_profiles(
     partition: Partition,
     skill_percentile: int = DEFAULT_SKILL_PERCENTILE,
 ) -> list[ActorProfile]:
-    """Score every actor that survived graph filtering, from its surviving posts.
+    """Score every actor of ``graph``, the graph of ``posts``, from its posts.
 
     Skill values are collected once per (post, CAPEC) occurrence. Actors
     whose CAPECs all lack catalog skill information cannot be scored and are
@@ -127,10 +127,7 @@ def build_profiles(
 
     profiles = []
     for actor in sorted(graph.actor_ids):
-        actor_posts = sorted(posts.get(actor, ()), key=lambda item: item[0])
-        if not actor_posts:
-            # graph invariant: every actor kept an edge, hence a surviving post
-            raise ValidationError(f"actor {actor!r} is in the graph but has no surviving posts")
+        actor_posts = sorted(posts[actor], key=lambda item: item[0])
         comm = community_of[actor]
 
         values = []

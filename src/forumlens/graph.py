@@ -257,8 +257,9 @@ def save_posts(posts: ActorPosts, path: str | Path) -> None:
 def load_posts(path: str | Path) -> ActorPosts:
     """Read a resolved-post table; posts with equal CAPEC lists share one frozenset.
 
-    Each actor's value must be a list of ``[timestamp, [CAPEC ids]]`` rows,
-    each timestamp with a UTC offset; anything else raises ``ValidationError``
+    Each actor's value must be a non-empty list of ``[timestamp, [CAPEC ids]]``
+    rows, each timestamp with a UTC offset and each CAPEC list non-empty, as
+    :func:`save_posts` writes them; anything else raises ``ValidationError``
     naming the file and the actor.
     """
     shared: dict[tuple[int, ...], frozenset[int]] = {}
@@ -267,14 +268,14 @@ def load_posts(path: str | Path) -> ActorPosts:
         key = tuple(ids)
         found = shared.get(key)
         if found is None:
-            if not isinstance(ids, list) or not all(type(c) is int for c in key):
-                raise ValidationError(f"CAPEC ids must be a list of integers: {ids!r}")
+            if not isinstance(ids, list) or not ids or not all(type(c) is int for c in key):
+                raise ValidationError(f"CAPEC ids must be a list of one or more integers: {ids!r}")
             found = shared[key] = frozenset(ids)
         return found
 
     def rows(ps: list) -> list[tuple[datetime, frozenset[int]]]:
-        if not isinstance(ps, list):
-            raise ValidationError("expected a list of [timestamp, [CAPEC ids]] rows")
+        if not isinstance(ps, list) or not ps:
+            raise ValidationError("expected a list of one or more [timestamp, [CAPEC ids]] rows")
         table = [(datetime.fromisoformat(ts), capecs(cs)) for ts, cs in ps]
         # a naive timestamp would fail only where expertise compares it with an aware one
         if any(when.tzinfo is None for when, _ in table):

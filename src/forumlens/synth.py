@@ -31,7 +31,7 @@ from .community import Partition
 from .errors import ValidationError
 from .graph import node_key
 from .ingest import Corpus, CveId, PostRecord, build_corpus, save_corpus
-from .workspace import read_json, write_json
+from .workspace import field, read_json_object, write_json
 
 SYNTH_CVE_YEAR = 1900  # reserved year: synthetic ids can never collide with real CVEs
 CVES_PER_CAPEC = 3
@@ -301,7 +301,9 @@ def write_synth(
 
 
 def load_truth(path: str | Path) -> GroundTruth:
-    return GroundTruth.from_dict(read_json(path))
+    """Read ``truth.json``; a missing key or a wrong type is refused naming the file."""
+    data = read_json_object(path)
+    return field(path, None, lambda: GroundTruth.from_dict(data))
 
 
 def community_agreement(partition: Partition, truth: GroundTruth) -> float:

@@ -110,13 +110,17 @@ def test_run_all_hands_each_artifact_to_the_next_stage_that_opens_it(
             return real(path)
         return wrapper
 
+    def refuse_graph(path):
+        raise AssertionError(f"graph loaded from {path}")
+
     monkeypatch.setattr(ingest, "load_corpus", refuse)
-    for name in ("load_graph", "load_posts"):
-        monkeypatch.setattr(graph, name, counting(name, getattr(graph, name)))
+    # communities and expertise derive the graph from capec_posts.json
+    monkeypatch.setattr(graph, "load_graph", refuse_graph)
+    monkeypatch.setattr(graph, "load_posts", counting("load_posts", graph.load_posts))
     ws = tmp_path / "ws"
     assert _run_all(ws, pipeline_ws.parent / "inputs") == 0
-    # communities takes what graph wrote; expertise, the second reader, reads the files
-    assert calls == {"load_graph": 1, "load_posts": 1}
+    # communities takes what graph wrote; expertise, the second reader, reads the file
+    assert calls == {"load_posts": 1}
     assert _artifacts(ws) == _artifacts(pipeline_ws)
 
 
@@ -149,13 +153,16 @@ def test_run_all_writes_what_the_stages_run_one_by_one_write(inputs_s, tmp_path,
     assert _artifacts(tmp_path / "one") == _artifacts(tmp_path / "each")
     removed = json.loads((tmp_path / "one" / "removal.json").read_text())["n_removed_capecs"]
     assert removed == (12 if graph_flags else 0)
+    # the graph communities and expertise derive from the post table is the one graph.json holds
+    posts = graph.load_posts(tmp_path / "one" / "capec_posts.json")
+    assert graph.graph_of(posts) == load_graph(tmp_path / "one" / "graph.json")
 
 
 # sha256_file calls per file in one run-all: each artifact once when its stage
 # records it, and once more each time a later stage opens it
 RUN_ALL_HASHES = {
     "corpus.jsonl": 2, "corpus_stats.json": 2, "cve_cwe.csv": 4, "capec.json": 4,
-    "graph.json": 3, "graph_stats.json": 2, "removal.json": 2, "capec_posts.json": 3,
+    "graph.json": 1, "graph_stats.json": 2, "removal.json": 2, "capec_posts.json": 3,
     "communities.json": 3, "profiles.csv": 1, "sample.csv": 2, "sample_stats.json": 2,
     "clusters.json": 2, "report.json": 1, "report.txt": 1,
 }
@@ -173,20 +180,6 @@ def test_run_all_hashes_each_file_it_opens_as_the_stages_do(pipeline_ws, tmp_pat
     monkeypatch.setattr(workspace, "sha256_file", recording)
     assert _run_all(ws, pipeline_ws.parent / "inputs") == 0
     assert hashed == RUN_ALL_HASHES
-
-
-@pytest.mark.parametrize("name", ["graph.json", "capec_posts.json"])
-def test_communities_on_a_truncated_artifact_exits_1_naming_it(pipeline_ws, tmp_path, caplog, name):
-    ws = tmp_path / "ws"
-    shutil.copytree(pipeline_ws, ws)
-    data = (ws / name).read_bytes()
-    (ws / name).write_bytes(data[: len(data) // 2])
-    caplog.clear()
-    assert main(["communities", "--workspace", str(ws), "--force"]) == 1
-    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-    assert len(errors) == 1
-    assert f"{ws / name}: invalid JSON" in errors[0]
-    assert not re.match(r"error: \w+:", errors[0])
 
 
 def _error_after_edit(pipeline_ws, tmp_path, caplog, name, edit, argv):
@@ -215,10 +208,15 @@ def _json_edit(change):
     [
         (["graph"], "capec.json", lambda data: data[: len(data) // 2]),
         (["graph"], "capec.json", lambda data: b"\xff" + data),
+        (["communities"], "capec_posts.json", lambda data: data[: len(data) // 2]),
         (["expertise"], "communities.json", lambda data: data[: len(data) // 2]),
         (["report"], "communities.json", lambda data: data[: len(data) // 2]),
+        (["export-graph"], "graph.json", lambda data: data[: len(data) // 2]),
     ],
-    ids=["graph-truncated-capec", "graph-non-utf8-capec", "expertise", "report"],
+    ids=[
+        "graph-truncated-capec", "graph-non-utf8-capec", "communities", "expertise", "report",
+        "export-graph",
+    ],
 )
 def test_an_unreadable_json_input_exits_1_naming_it(
     pipeline_ws, tmp_path, caplog, argv, name, edit
@@ -241,12 +239,37 @@ def test_a_non_integer_community_id_names_the_file_and_the_key(
 
 
 @pytest.mark.parametrize(
+    "change, problem",
+    [
+        (lambda rows: rows[0].__setitem__(1, []), "CAPEC ids must be a list of one or more"),
+        (lambda rows: rows.clear(), "expected a list of one or more [timestamp, [CAPEC ids]] rows"),
+    ],
+    ids=["row-without-capecs", "actor-without-rows"],
+)
+def test_communities_refuses_a_post_table_graph_never_writes(
+    pipeline_ws, tmp_path, caplog, change, problem
+):
+    # communities derives its graph from capec_posts.json, so load_posts guards every row
+    def edit(payload):
+        change(payload["a00000"])
+
+    path, error = _error_after_edit(
+        pipeline_ws, tmp_path, caplog, "capec_posts.json", _json_edit(edit), ["communities"]
+    )
+    assert error.startswith(f"{path}: a00000: {problem}")
+
+
+@pytest.mark.parametrize(
     "name, change, problem",
     [
-        ("capec_posts.json", lambda payload: payload.pop(min(payload)), "has no surviving posts"),
+        (
+            "communities.json",
+            lambda payload: payload["assignment"].pop(min(payload["assignment"])),
+            "partition does not assign node 'actor:a00000'",
+        ),
         ("capec.json", lambda payload: payload[0].update(id=999999), "unknown CAPEC id: 1000"),
     ],
-    ids=["actor-without-posts", "capec-not-in-catalog"],
+    ids=["node-without-community", "capec-not-in-catalog"],
 )
 def test_expertise_names_the_artifacts_that_disagree(
     pipeline_ws, tmp_path, caplog, name, change, problem
@@ -256,7 +279,7 @@ def test_expertise_names_the_artifacts_that_disagree(
         pipeline_ws, tmp_path, caplog, name, _json_edit(change), ["expertise"]
     )
     assert error.startswith(
-        f"graph.json, capec_posts.json, communities.json and capec.json in {path.parent} disagree: "
+        f"capec_posts.json, communities.json and capec.json in {path.parent} disagree: "
     )
     assert error.endswith(problem)
 
@@ -721,10 +744,8 @@ def test_export_graph_refuses_a_stale_partition(pipeline_ws, tmp_path, caplog, c
 
 # the artifacts each downstream stage opens
 STAGE_READS = {
-    "communities": {"graph.json", "capec_posts.json", "cve_cwe.csv", "capec.json"},
-    "expertise": {
-        "graph.json", "capec_posts.json", "communities.json", "cve_cwe.csv", "capec.json",
-    },
+    "communities": {"capec_posts.json", "cve_cwe.csv", "capec.json"},
+    "expertise": {"capec_posts.json", "communities.json", "cve_cwe.csv", "capec.json"},
     "cluster": {"sample.csv"},
     "report": {
         "corpus_stats.json", "graph_stats.json", "removal.json", "communities.json",

@@ -195,3 +195,25 @@ def test_convert_catalog_names_an_unreadable_json_input(tmp_path, caplog, flag, 
     assert main(argv) == 1
     [error] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert error.startswith(f"{inputs[flag]}: invalid JSON: ")
+
+
+@pytest.mark.parametrize(
+    "payload, key, problem",
+    [
+        ({"vulnerabilities": [7]}, "vulnerabilities", "'int' object has no attribute 'get'"),
+        ({"vulnerabilities": {"a": 1}}, "vulnerabilities", "'str' object has no attribute 'get'"),
+        ({"CVE_Items": [{"cve": []}]}, "CVE_Items", "'list' object has no attribute 'get'"),
+    ],
+    ids=["api-item-not-an-object", "api-items-not-a-list", "legacy-cve-not-an-object"],
+)
+def test_convert_catalog_names_the_nvd_file_on_a_misshapen_item(
+    tmp_path, caplog, payload, key, problem
+):
+    inputs = _catalog_inputs(tmp_path, "--nvd-json")
+    inputs["--nvd-json"].write_text(json.dumps(payload))
+    argv = ["convert-catalog", "--workspace", str(tmp_path / "ws")]
+    argv += [str(part) for pair in inputs.items() for part in pair]
+    caplog.clear()
+    assert main(argv) == 1
+    [error] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert error == f"{inputs['--nvd-json']}: {key}: {problem}"

@@ -26,7 +26,7 @@ from forumlens.cli import main
 
 # each JSON file a stage opens, and the stages that open it
 READERS = {
-    "graph.json": ("communities", "expertise", "export-graph"),
+    "graph.json": ("export-graph",),
     "capec_posts.json": ("communities", "expertise"),
     "capec.json": ("graph", "communities", "expertise"),
     "communities.json": ("expertise", "export-graph", "report"),
@@ -75,7 +75,17 @@ def _run(ws: Path, stage: str) -> tuple[int, list[logging.LogRecord]]:
         logger.removeHandler(handler)
 
 
-def _corrupt(original: bytes, how: str, data: st.DataObject) -> bytes:
+def _places(holder: dict | list, key: object, depth: int) -> list[tuple[dict | list, object]]:
+    """``(holder, key)`` and every place up to ``depth`` levels below ``holder[key]``."""
+    value = holder[key]
+    places = [(holder, key)]
+    if depth and isinstance(value, (dict, list)):
+        for inner in value if isinstance(value, dict) else range(len(value)):
+            places += _places(value, inner, depth - 1)
+    return places
+
+
+def _corrupt(name: str, original: bytes, how: str, data: st.DataObject) -> bytes:
     if how == "truncate":
         # the file ends with "}\n" or "]\n": every shorter cut is invalid JSON
         return original[: data.draw(st.integers(0, len(original) - 2), label="cut")]
@@ -87,13 +97,10 @@ def _corrupt(original: bytes, how: str, data: st.DataObject) -> bytes:
         holder = data.draw(st.sampled_from([h for h in holders if isinstance(h, dict) and h]))
         del holder[data.draw(st.sampled_from(sorted(holder)), label="key")]
     else:
-        # a top-level value, or a value one level below it
-        places = [(payload, key) for key, _ in tops]
-        for _, value in tops:
-            if isinstance(value, dict):
-                places += [(value, key) for key in value]
-            elif isinstance(value, list):
-                places += [(value, i) for i in range(len(value))]
+        # a top-level value, or one level below it; two in the post table, the only
+        # graph input of two stages, whose rows hold a timestamp and CAPEC ids
+        depth = 2 if name == "capec_posts.json" else 1
+        places = [place for key, _ in tops for place in _places(payload, key, depth)]
         holder, key = data.draw(st.sampled_from(places), label="place")
         holder[key] = data.draw(
             st.sampled_from([v for v in SWAPS if type(v) is not type(holder[key])]), label="value"
@@ -106,7 +113,7 @@ def _corrupt(original: bytes, how: str, data: st.DataObject) -> bytes:
 def test_a_corrupted_json_artifact_exits_0_or_1_naming_it(s_workspace, data):
     name = data.draw(st.sampled_from(sorted(READERS)), label="file")
     how = data.draw(st.sampled_from(["drop", "swap", "truncate"]), label="how")
-    corrupted = _corrupt((s_workspace / name).read_bytes(), how, data)
+    corrupted = _corrupt(name, (s_workspace / name).read_bytes(), how, data)
     for stage in READERS[name]:
         with tempfile.TemporaryDirectory() as tmp:
             ws = Path(tmp) / "ws"

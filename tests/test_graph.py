@@ -336,6 +336,26 @@ def test_surviving_posts_cuts_drops_posts_and_actors():
     assert surviving_posts(posts, bigraph([("carol", 3)])) == {"carol": [(t2, {3})]}
 
 
+_TABLES = st.dictionaries(
+    st.sampled_from(["alice", "bob", "carol", "dave"]),
+    st.lists(
+        st.tuples(st.integers(1, 9), st.frozensets(st.integers(1, 6), min_size=1)),
+        min_size=1, max_size=4,
+    ),
+)
+
+
+@given(_TABLES)
+def test_the_filtered_graph_is_the_graph_of_its_surviving_posts(table):
+    # communities and expertise rebuild the filtered graph from capec_posts.json this way
+    posts = {a: [(ts(f"2021-01-0{d}"), capecs) for d, capecs in rows] for a, rows in table.items()}
+    full = graph_of(posts)
+    # past the number of actors no threshold removes anything
+    for threshold in range(1, len(full.actor_ids) + 2):
+        filtered, _ = filter_popular_capecs(full, threshold=threshold)
+        assert graph_of(surviving_posts(posts, filtered)) == filtered
+
+
 def test_posts_table_round_trip(tmp_path):
     posts = {
         'quo"te, comma': [
@@ -432,6 +452,11 @@ def test_load_graph_names_the_file_and_the_key(tmp_path, text, problem):
         ('{"alice": [["2021-01-01T00:00:00+00:00", 7]]}', "alice: 'int' object is not"),
         ('{"alice": [["2021-01-01T00:00:00+00:00", "7"]]}', "alice: CAPEC ids must be a list"),
         ('{"alice": [["2021-01-01T00:00:00+00:00", [true]]]}', "alice: CAPEC ids must be a list"),
+        (
+            '{"alice": [["2021-01-01T00:00:00+00:00", []]]}',
+            "alice: CAPEC ids must be a list of one or more integers: []",
+        ),
+        ('{"alice": []}', "alice: expected a list of one or more [timestamp, [CAPEC ids]] rows"),
         (
             '{"alice": [["2021-01-01T00:00:00+00:00", [1]], ["2021-01-02T00:00:00", [1]]]}',
             "alice: timestamp without a UTC offset",

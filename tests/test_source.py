@@ -55,3 +55,25 @@ def test_only_the_workspace_parses_json():
     package = Path(forumlens.__file__).parent
     parses = [p for path in sorted(package.glob("*.py")) for p in _json_parses(path)]
     assert [p for p in parses if not p.startswith("workspace.py:")] == ["ingest.py:_parse_record"]
+
+
+def _load_graph_uses(path: Path) -> list[str]:
+    """``<file>:<top-level name>:def`` or ``:use`` of each ``load_graph`` in ``path``.
+
+    A use is any reference, so ``ws.load("graph.json", graph.load_graph)`` counts.
+    """
+    found = []
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.FunctionDef) and node.name == "load_graph":
+                found.append(f"{path.name}:{node.name}:def")
+            elif "load_graph" in (getattr(node, "attr", None), getattr(node, "id", None)):
+                found.append(f"{path.name}:{getattr(top, 'name', '<module>')}:use")
+    return found
+
+
+def test_only_export_graph_reads_graph_json():
+    # communities and expertise derive the graph from capec_posts.json; graph.json is for tools
+    package = Path(forumlens.__file__).parent
+    uses = [use for path in sorted(package.glob("*.py")) for use in _load_graph_uses(path)]
+    assert uses == ["cli.py:cmd_export_graph:use", "graph.py:load_graph:def"]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from forumlens.community import Partition, leiden
@@ -107,6 +109,25 @@ def test_write_and_load_round_trip(tmp_path):
     reloaded = load_corpus(paths["posts"])
     assert len(reloaded.posts) == len(corpus.posts)
     assert load_truth(paths["truth"]) == truth
+
+
+@pytest.mark.parametrize(
+    "change, problem",
+    [
+        (lambda truth: truth.pop("actor_community"), "actor_community: missing"),
+        (lambda truth: truth.update(capec_community=7), "'int' object has no attribute 'items'"),
+    ],
+    ids=["missing-key", "wrong-type"],
+)
+def test_load_truth_names_the_file(tmp_path, change, problem):
+    _, _, truth = generate(_small_config())
+    payload = truth.as_dict()
+    change(payload)
+    path = tmp_path / "truth.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValidationError) as exc:
+        load_truth(path)
+    assert str(exc.value) == f"{path}: {problem}"
 
 
 def test_planted_communities_recovered():
