@@ -12,6 +12,7 @@ print one line; ``-v`` adds the traceback of an unexpected one.
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 from dataclasses import asdict
 from pathlib import Path
@@ -176,19 +177,17 @@ def _check_flags(args: argparse.Namespace) -> None:
 
 
 def cmd_ingest(ws: Workspace, args: argparse.Namespace) -> dict:
-    parsed = ingest.parse_posts(args.posts)
-    if parsed.skipped:
-        logger.warning("skipped %d malformed input line(s)", parsed.skipped)
-    corpus = ingest.build_corpus(parsed.records)
-    ingest.save_corpus(corpus, ws.path("corpus.jsonl"))
-    ingest.save_corpus_stats(corpus, ws.path("corpus_stats.json"))
-    ws.hand_off("corpus.jsonl", corpus)
-    s = corpus.stats
+    done = ingest.ingest_posts(args.posts, ws.path("corpus.jsonl"))
+    if done.skipped:
+        logger.warning("skipped %d malformed input line(s)", done.skipped)
+    ingest.save_corpus_stats(done.stats, ws.path("corpus_stats.json"))
+    ws.hand_off("corpus.jsonl", done.table)
+    s = done.stats
     print(
         f"ingested {s.n_posts} posts from {s.n_actors} actors "
         f"({s.n_forums} forums, {s.n_cves} distinct CVEs)"
     )
-    return {"posts": str(args.posts), "skipped_lines": parsed.skipped}
+    return {"posts": str(args.posts), "skipped_lines": done.skipped}
 
 
 def cmd_convert_catalog(ws: Workspace, args: argparse.Namespace) -> dict:
@@ -212,8 +211,8 @@ def _load_snapshot(ws: Workspace) -> catalog.CatalogSnapshot:
 def cmd_graph(ws: Workspace, args: argparse.Namespace) -> dict:
     # the catalog is checked first, so a missing one fails before the corpus parse
     snapshot = _load_snapshot(ws)
-    # the corpus is only needed to resolve posts, so no name keeps it alive
-    posts = graph.post_capec_sets(ws.load("corpus.jsonl", ingest.load_corpus), snapshot)
+    # the post table is only needed to resolve posts, so no name keeps it alive
+    posts = graph.post_capec_sets(ws.load("corpus.jsonl", ingest.load_post_table), snapshot)
     full = graph.graph_of(posts)
     if full.n_nodes == 0:
         raise ValidationError("no post mentions a CVE that maps to any catalog CAPEC")
@@ -258,6 +257,12 @@ def _warn_emptied_skill_levels(
 def cmd_communities(ws: Workspace, args: argparse.Namespace) -> dict:
     posts, snapshot = ws.load("capec_posts.json", graph.load_posts), _load_snapshot(ws)
     g = graph.graph_of(posts)
+    unknown = sorted(g.capec_ids - snapshot.capecs.keys())
+    if unknown:  # only a --force over an edited file gets here
+        raise ValidationError(
+            f"capec_posts.json in {ws.root} names CAPEC ids that capec.json lacks: "
+            f"{', '.join(map(str, unknown))}"
+        )
     part = community.leiden(g, seed=args.seed, restarts=args.restarts)
     overview = community.summarize_communities(g, part, posts, snapshot)
     ws.write_json(
@@ -280,7 +285,7 @@ def cmd_expertise(ws: Workspace, args: argparse.Namespace) -> dict:
     part, snapshot = ws.load("communities.json", community.load_partition), _load_snapshot(ws)
     try:
         profiles = expertise.build_profiles(
-            posts, snapshot, graph.graph_of(posts), part, skill_percentile=args.skill_percentile
+            posts, snapshot, part, skill_percentile=args.skill_percentile
         )
     except (ValidationError, KeyError) as exc:  # KeyError: a CAPEC the catalog lacks
         # each file read well on its own, so they disagree, as a --force can leave them
@@ -416,6 +421,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                 config = stage(ws, args)
                 if config is not None:
                     ws.record_stage(name, config)
+                # later stages' collections, and the pool workers they fork, need not
+                # scan what this stage left alive
+                gc.freeze()
         return 0
     except MissingUpstreamError as exc:
         logger.error("%s", exc)
@@ -429,6 +437,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except Exception as exc:
         logger.error("error: %s: %s", type(exc).__name__, exc, exc_info=args.verbose)
         return 1
+    finally:
+        gc.unfreeze()  # an in-process caller keeps no permanent generation
 
 
 if __name__ == "__main__":

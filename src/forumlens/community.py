@@ -410,9 +410,7 @@ def summarize_communities(
                 "one_timer_pct": 100.0 * one_timers / len(actors) if actors else 0.0,
                 "out_degree": describe(len(actor_adj[a]) for a in sorted(actors)),
                 "specialized_posts": describe(counts),
-                "keywords": list(
-                    keyword_digest(snapshot.capecs[c].name for c in capecs if c in snapshot.capecs)
-                ),
+                "keywords": list(keyword_digest(snapshot.capecs[c].name for c in capecs)),
                 "capec_ids": sorted(capecs),
             }
         )

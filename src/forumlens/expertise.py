@@ -21,7 +21,7 @@ from typing import Sequence
 from .catalog import CatalogSnapshot, effective_skill
 from .community import Partition
 from .errors import ValidationError
-from .graph import ActorPosts, BimodalGraph
+from .graph import ActorPosts, graph_of
 from .stats import describe
 from .workspace import replacing
 
@@ -112,16 +112,16 @@ def activity_rate(n_posts: int, first_post: datetime, last_post: datetime) -> fl
 def build_profiles(
     posts: ActorPosts,
     snapshot: CatalogSnapshot,
-    graph: BimodalGraph,
     partition: Partition,
     skill_percentile: int = DEFAULT_SKILL_PERCENTILE,
 ) -> list[ActorProfile]:
-    """Score every actor of ``graph``, the graph of ``posts``, from its posts.
+    """Score every actor of the graph of ``posts`` from its posts.
 
     Skill values are collected once per (post, CAPEC) occurrence. Actors
     whose CAPECs all lack catalog skill information cannot be scored and are
     dropped with a warning.
     """
+    graph = graph_of(posts)
     members = partition.members(graph)
     community_of = {a: comm for comm, (actors, _) in members.items() for a in actors}
 

@@ -20,7 +20,7 @@ from xml.etree import ElementTree
 
 from .catalog import CatalogSnapshot, map_cve_to_capecs
 from .errors import ValidationError
-from .ingest import Corpus, CveId
+from .ingest import Corpus, CveId, PostTable
 from .stats import describe
 from .workspace import field, read_json_object, replacing
 
@@ -65,21 +65,21 @@ class BimodalGraph:
 ActorPosts = dict[str, list[tuple[datetime, frozenset[int]]]]
 
 
-def post_capec_sets(corpus: Corpus, snapshot: CatalogSnapshot) -> ActorPosts:
-    """Resolve posts to CAPECs; posts (and actors) resolving to none are left out.
+def post_capec_sets(table: PostTable, snapshot: CatalogSnapshot) -> ActorPosts:
+    """Resolve a post table's posts to CAPECs; posts (and actors) resolving to none are left out.
 
     Each distinct mention set is resolved once per call, and posts with equal
     mention sets share one CAPEC frozenset.
     """
     by_set: dict[frozenset[CveId], frozenset[int]] = {}
     posts: ActorPosts = {}
-    for post in corpus.posts:
-        capecs = by_set.get(post.mentions)
+    for actor, when, mentions in table:
+        capecs = by_set.get(mentions)
         if capecs is None:
-            capecs = frozenset().union(*(map_cve_to_capecs(snapshot, c) for c in post.mentions))
-            by_set[post.mentions] = capecs
+            capecs = frozenset().union(*(map_cve_to_capecs(snapshot, c) for c in mentions))
+            by_set[mentions] = capecs
         if capecs:
-            posts.setdefault(post.actor_id, []).append((post.timestamp, capecs))
+            posts.setdefault(actor, []).append((when, capecs))
     return posts
 
 
@@ -91,7 +91,7 @@ def graph_of(posts: ActorPosts) -> BimodalGraph:
 
 def build_graph(corpus: Corpus, snapshot: CatalogSnapshot) -> BimodalGraph:
     """Build the bimodal graph; actors whose CVEs map to no CAPEC are dropped."""
-    return graph_of(post_capec_sets(corpus, snapshot))
+    return graph_of(post_capec_sets(corpus.table(), snapshot))
 
 
 def surviving_posts(posts: ActorPosts, graph: BimodalGraph) -> ActorPosts:
@@ -239,19 +239,25 @@ def load_graph(path: str | Path) -> BimodalGraph:
 def save_posts(posts: ActorPosts, path: str | Path) -> None:
     """Write a resolved-post table: actor -> [[timestamp, sorted CAPEC ids], ...].
 
-    Each distinct CAPEC set is sorted once per call.
+    The bytes are those of ``json.dumps(table, sort_keys=True, separators=(",", ":"))``,
+    written one actor at a time, so the whole text is never held. Each distinct
+    CAPEC set is rendered once per call.
     """
-    sorted_of: dict[frozenset[int], list[int]] = {}
+    rendered: dict[frozenset[int], str] = {}
 
-    def ids(capecs: frozenset[int]) -> list[int]:
-        found = sorted_of.get(capecs)
+    def ids(capecs: frozenset[int]) -> str:
+        found = rendered.get(capecs)
         if found is None:
-            found = sorted_of[capecs] = sorted(capecs)
+            found = rendered[capecs] = "[" + ",".join(map(str, sorted(capecs))) + "]"
         return found
 
-    payload = {a: [[when.isoformat(), ids(cs)] for when, cs in ps] for a, ps in posts.items()}
     with replacing(path) as handle:
-        handle.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        sep = "{"
+        for actor in sorted(posts):
+            rows = ",".join([f'["{when.isoformat()}",{ids(cs)}]' for when, cs in posts[actor]])
+            handle.write(f"{sep}{json.dumps(actor)}:[{rows}]")
+            sep = ","
+        handle.write("}\n" if posts else "{}\n")
 
 
 def load_posts(path: str | Path) -> ActorPosts:

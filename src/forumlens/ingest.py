@@ -3,7 +3,10 @@
 Input is one JSON object per line with keys ``post_id``, ``actor_id``,
 ``forum_id``, ``timestamp`` (ISO-8601 UTC) and ``content``. Malformed lines
 are skipped and counted, never fatal. A corpus keeps only posts that mention
-at least one CVE.
+at least one CVE. The pipeline streams: ``ingest_posts`` writes each kept post
+as soon as its line is checked, and ``load_post_table`` reads a corpus file
+back as the ``(actor_id, timestamp, mentions)`` table the graph needs, so
+neither holds the posts' content.
 """
 
 from __future__ import annotations
@@ -111,14 +114,22 @@ def parse_timestamp(value: str) -> datetime:
         ts = datetime.fromisoformat(text)
         if ts.tzinfo is None:
             ts = ts.replace(tzinfo=timezone.utc)
-        return ts.astimezone(timezone.utc).replace(microsecond=0)
+        ts = ts.astimezone(timezone.utc)
+        return ts.replace(microsecond=0) if ts.microsecond else ts
     except (ValueError, OverflowError) as exc:
         raise ValidationError(f"unparseable timestamp: {value!r}") from exc
 
 
+# one checked line: the post's JSON object, its UTC timestamp and its mentions
+Checked = tuple[dict, datetime, frozenset[CveId]]
+
+# per kept post, in corpus order: (actor_id, timestamp, mentions); all graph needs of a corpus
+PostTable = list[tuple[str, datetime, frozenset[CveId]]]
+
+
 def _parse_record(
     line: str, cve_ids: dict[str, CveId], mention_sets: dict[tuple[str, ...], frozenset[CveId]]
-) -> PostRecord:
+) -> Checked:
     obj = json.loads(line)
     if not isinstance(obj, dict):
         raise ValidationError("record is not a JSON object")
@@ -139,51 +150,61 @@ def _parse_record(
         get, put = cve_ids.get, cve_ids.setdefault
         mentions = frozenset([get(c) or put(c, CveId.parse(c)) for c in raw_mentions])
         mention_sets[key] = mentions
-    return PostRecord(
-        post_id=obj["post_id"],
-        actor_id=obj["actor_id"],
-        forum_id=obj["forum_id"],
-        timestamp=ts,
-        content=obj["content"],
-        mentions=mentions,
-    )
+    return obj, ts, mentions
 
 
 def _iter_lines(source: str | Path | IO[str] | Iterable[str]) -> Iterator[str | bytes]:
     if isinstance(source, (str, Path)):
-        # bytes: parse_posts decodes each line, so a bad byte costs one line
+        # bytes: each line is decoded on its own, so a bad byte costs one line
         with open(source, "rb") as handle:
             yield from handle
     else:
         yield from source
 
 
-def parse_posts(source: str | Path | IO[str] | Iterable[str]) -> ParsedPosts:
-    """Parse a JSONL post stream.
+class CheckedPosts:
+    """The lines of a JSONL post stream that pass every per-line check, one at a time.
 
-    Malformed lines (invalid UTF-8, bad or too deeply nested JSON, missing
-    keys, unparseable or out-of-window timestamps) are logged and counted in
-    ``skipped``. An unreadable source raises ``OSError``. Each distinct
-    mention string is parsed once per call, and the posts naming it share
-    that one ``CveId``; a string that fails to parse fails every line with it.
-    Posts with equal ``mentions`` lists share one frozenset.
+    Iterating yields ``(object, timestamp, mentions)`` per good line: the
+    parsed JSON object, its UTC timestamp and its mention set. Malformed lines
+    (invalid UTF-8, bad or too deeply nested JSON, missing keys, unparseable or
+    out-of-window timestamps) are logged and counted in ``skipped``. An
+    unreadable source raises ``OSError``. Each distinct mention string is
+    parsed once per pass, and the posts naming it share that one ``CveId``; a
+    string that fails to parse fails every line with it. Posts with equal
+    ``mentions`` lists share one frozenset.
     """
-    records: list[PostRecord] = []
-    cve_ids: dict[str, CveId] = {}
-    mention_sets: dict[tuple[str, ...], frozenset[CveId]] = {}
-    skipped = 0
-    for lineno, line in enumerate(_iter_lines(source), start=1):
-        # ValueError covers ValidationError, JSONDecodeError and UnicodeDecodeError
-        try:
-            if isinstance(line, bytes):
-                line = line.decode("utf-8")
-            if not line.strip():
+
+    def __init__(self, source: str | Path | IO[str] | Iterable[str]):
+        self.source = source
+        self.skipped = 0
+
+    def __iter__(self) -> Iterator[Checked]:
+        cve_ids: dict[str, CveId] = {}
+        mention_sets: dict[tuple[str, ...], frozenset[CveId]] = {}
+        for lineno, line in enumerate(_iter_lines(self.source), start=1):
+            # ValueError covers ValidationError, JSONDecodeError and UnicodeDecodeError
+            try:
+                if isinstance(line, bytes):
+                    line = line.decode("utf-8")
+                if not line or line.isspace():
+                    continue
+                checked = _parse_record(line, cve_ids, mention_sets)
+            except (ValueError, RecursionError) as exc:
+                self.skipped += 1
+                logger.warning("skipping malformed line %d: %s", lineno, exc)
                 continue
-            records.append(_parse_record(line, cve_ids, mention_sets))
-        except (ValueError, RecursionError) as exc:
-            skipped += 1
-            logger.warning("skipping malformed line %d: %s", lineno, exc)
-    return ParsedPosts(records=records, skipped=skipped)
+            yield checked
+
+
+def parse_posts(source: str | Path | IO[str] | Iterable[str]) -> ParsedPosts:
+    """Parse a JSONL post stream into records, as :class:`CheckedPosts` checks it."""
+    checked = CheckedPosts(source)
+    records = [
+        PostRecord(obj["post_id"], obj["actor_id"], obj["forum_id"], ts, obj["content"], mentions)
+        for obj, ts, mentions in checked
+    ]
+    return ParsedPosts(records=records, skipped=checked.skipped)
 
 
 @dataclass(frozen=True)
@@ -201,6 +222,43 @@ class Corpus:
     posts: list[PostRecord]
     stats: CorpusStats = CorpusStats(0, 0, 0, 0)
 
+    def table(self) -> PostTable:
+        """The ``(actor_id, timestamp, mentions)`` of each post, in corpus order."""
+        return [(p.actor_id, p.timestamp, p.mentions) for p in self.posts]
+
+
+def _kept_mentions(
+    post_id: str, content: str, mentions: frozenset[CveId], seen: set[str]
+) -> frozenset[CveId]:
+    """The mentions a corpus keeps a post with: its own, else those in ``content``.
+
+    Empty means the post is dropped. A ``post_id`` already in ``seen`` is fatal.
+    """
+    if post_id in seen:
+        raise ValidationError(f"duplicate post_id: {post_id!r}")
+    seen.add(post_id)
+    return mentions or frozenset(extract_cve_ids(content))
+
+
+class _Tally:
+    """The counts of :class:`CorpusStats` over the kept posts, one post at a time."""
+
+    def __init__(self) -> None:
+        self.n_posts = 0
+        self.actors: dict[str, str] = {}
+        self.forums: set[str] = set()
+        self.cves: set[CveId] = set()
+
+    def add(self, actor_id: str, forum_id: str, mentions: frozenset[CveId]) -> str:
+        """Count one kept post; returns the one string object kept for its actor."""
+        self.n_posts += 1
+        self.forums.add(forum_id)
+        self.cves.update(mentions)  # a frozenset lends its stored hashes: no CveId is rehashed
+        return self.actors.setdefault(actor_id, actor_id)
+
+    def stats(self) -> CorpusStats:
+        return CorpusStats(self.n_posts, len(self.actors), len(self.forums), len(self.cves))
+
 
 def build_corpus(posts: Iterable[PostRecord]) -> Corpus:
     """Assemble a corpus: extract mentions, drop mention-less posts, count.
@@ -211,52 +269,111 @@ def build_corpus(posts: Iterable[PostRecord]) -> Corpus:
     """
     kept: list[PostRecord] = []
     seen_ids: set[str] = set()
+    tally = _Tally()
     for post in posts:
-        if post.post_id in seen_ids:
-            raise ValidationError(f"duplicate post_id: {post.post_id!r}")
-        seen_ids.add(post.post_id)
-        if not post.mentions:
-            mentions = extract_cve_ids(post.content)
-            if not mentions:
-                continue
-            post = replace(post, mentions=frozenset(mentions))
-        kept.append(post)
+        mentions = _kept_mentions(post.post_id, post.content, post.mentions, seen_ids)
+        if mentions:
+            kept.append(post if mentions is post.mentions else replace(post, mentions=mentions))
+            tally.add(post.actor_id, post.forum_id, mentions)
+    return Corpus(posts=kept, stats=tally.stats())
 
-    actors: set[str] = set()
-    forums: set[str] = set()
-    cves: set[CveId] = set()
-    for post in kept:
-        actors.add(post.actor_id)
-        forums.add(post.forum_id)
-        cves.update(post.mentions)
 
-    stats = CorpusStats(
-        n_posts=len(kept),
-        n_actors=len(actors),
-        n_forums=len(forums),
-        n_cves=len(cves),
+def _corpus_posts(checked: Iterable[Checked]) -> Iterator[Checked]:
+    """The checked lines a corpus keeps, with their mentions, by :func:`build_corpus`'s rule."""
+    seen_ids: set[str] = set()
+    for obj, ts, mentions in checked:
+        mentions = _kept_mentions(obj["post_id"], obj["content"], mentions, seen_ids)
+        if mentions:
+            yield obj, ts, mentions
+
+
+_quote = json.encoder.encode_basestring_ascii  # how json.dumps writes a str
+
+
+def _mention_list(mentions: frozenset[CveId], names: dict[CveId, str]) -> str:
+    """The sorted JSON list of a post's canonical CVE names; ``names`` formats each CVE once."""
+    sorted_names = sorted([names.get(c) or names.setdefault(c, str(c)) for c in mentions])
+    return "[" + ", ".join(map(_quote, sorted_names)) + "]"
+
+
+def _corpus_line(
+    post_id: str, actor_id: str, forum_id: str, when: datetime, content: str, mentions: str
+) -> str:
+    """One ``corpus.jsonl`` line, byte for byte what ``json.dumps(row, sort_keys=True)`` writes.
+
+    ``mentions`` is the post's :func:`_mention_list`.
+    """
+    return (
+        f'{{"actor_id": {_quote(actor_id)}, "content": {_quote(content)}, '
+        f'"forum_id": {_quote(forum_id)}, "mentions": {mentions}, '
+        f'"post_id": {_quote(post_id)}, "timestamp": "{when.isoformat()[:19]}Z"}}\n'
     )
-    return Corpus(posts=kept, stats=stats)
-
-
-def _post_to_row(post: PostRecord, names: dict[CveId, str]) -> dict:
-    return {
-        "post_id": post.post_id,
-        "actor_id": post.actor_id,
-        "forum_id": post.forum_id,
-        "timestamp": post.timestamp.strftime("%Y-%m-%dT%H:%M:%SZ"),
-        "content": post.content,
-        "mentions": sorted([names.get(c) or names.setdefault(c, str(c)) for c in post.mentions]),
-    }
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Persist a corpus as JSONL, one post per line, mentions explicit."""
     names: dict[CveId, str] = {}  # each distinct CVE is formatted once per call
-    encode = json.JSONEncoder(sort_keys=True).encode  # what json.dumps(row, sort_keys=True) uses
     with replacing(path) as handle:
         for post in corpus.posts:
-            handle.write(encode(_post_to_row(post, names)) + "\n")
+            handle.write(
+                _corpus_line(
+                    post.post_id, post.actor_id, post.forum_id, post.timestamp, post.content,
+                    _mention_list(post.mentions, names),
+                )
+            )
+
+
+@dataclass
+class Ingested:
+    """What :func:`ingest_posts` keeps of a post stream once its corpus is written."""
+
+    table: PostTable
+    stats: CorpusStats
+    skipped: int
+
+
+def ingest_posts(source: str | Path | IO[str] | Iterable[str], path: str | Path) -> Ingested:
+    """Write the corpus of a JSONL post stream to ``path``, one post as soon as it is checked.
+
+    Lines are checked as :class:`CheckedPosts` checks them and posts are kept
+    as :func:`build_corpus` keeps them; the file is what :func:`save_corpus`
+    writes for that corpus. No post's content outlives its line: only the
+    post ids, the counts and the ``(actor_id, timestamp, mentions)`` table
+    are kept. A duplicate ``post_id`` is fatal and leaves ``path`` as it was.
+    """
+    checked = CheckedPosts(source)
+    table: PostTable = []
+    tally = _Tally()
+    names: dict[CveId, str] = {}
+    lists: dict[frozenset[CveId], str] = {}  # each distinct mention set is rendered once
+    with replacing(path) as handle:
+        for obj, ts, mentions in _corpus_posts(checked):
+            actor = tally.add(obj["actor_id"], obj["forum_id"], mentions)
+            rendered = lists.get(mentions)
+            if rendered is None:
+                rendered = lists[mentions] = _mention_list(mentions, names)
+            handle.write(
+                _corpus_line(obj["post_id"], actor, obj["forum_id"], ts, obj["content"], rendered)
+            )
+            table.append((actor, ts, mentions))
+    return Ingested(table=table, stats=tally.stats(), skipped=checked.skipped)
+
+
+def load_post_table(path: str | Path) -> PostTable:
+    """Read the post table of a corpus file line by line, never holding a post's content.
+
+    Lines are checked and kept as :func:`ingest_posts` checks and keeps them;
+    a malformed line raises ``ValidationError`` once the file is read.
+    """
+    checked = CheckedPosts(path)
+    actors: dict[str, str] = {}
+    table = [
+        (actors.setdefault(obj["actor_id"], obj["actor_id"]), ts, mentions)
+        for obj, ts, mentions in _corpus_posts(checked)
+    ]
+    if checked.skipped:
+        raise ValidationError(f"corpus file {path} has {checked.skipped} malformed lines")
+    return table
 
 
 def load_corpus(path: str | Path) -> Corpus:
@@ -267,11 +384,11 @@ def load_corpus(path: str | Path) -> Corpus:
     return build_corpus(parsed.records)
 
 
-def save_corpus_stats(corpus: Corpus, path: str | Path) -> None:
+def save_corpus_stats(stats: CorpusStats, path: str | Path) -> None:
     payload = {
-        "posts": corpus.stats.n_posts,
-        "actors": corpus.stats.n_actors,
-        "forums": corpus.stats.n_forums,
-        "distinct_cves": corpus.stats.n_cves,
+        "posts": stats.n_posts,
+        "actors": stats.n_actors,
+        "forums": stats.n_forums,
+        "distinct_cves": stats.n_cves,
     }
     write_json(path, payload)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import json
 import math
 import random
 import re
@@ -14,8 +15,11 @@ import numpy as np
 import pytest
 
 from forumlens.catalog import CapecEntry, CatalogSnapshot, CveEntry, SkillLevel, build_snapshot
+from forumlens.errors import ValidationError
 from forumlens.graph import BimodalGraph
-from forumlens.ingest import CveId, PostRecord
+from forumlens.ingest import (
+    DEFAULT_VALID_FROM, DEFAULT_VALID_TO, CveId, PostRecord, extract_cve_ids,
+)
 
 
 def ts(text: str) -> datetime:
@@ -418,3 +422,80 @@ def mapping_snapshot() -> CatalogSnapshot:
         capecs=[(233, "Privilege Escalation", ["CWE-269"])],
         skills={233: "High"},
     )
+
+
+def _oracle_timestamp(value: str) -> datetime:
+    text = value.strip()
+    if text.endswith(("Z", "z")):
+        text = text[:-1] + "+00:00"
+    try:
+        when = datetime.fromisoformat(text)
+        if when.tzinfo is None:
+            when = when.replace(tzinfo=timezone.utc)
+        return when.astimezone(timezone.utc).replace(microsecond=0)
+    except (ValueError, OverflowError) as exc:
+        raise ValidationError(f"unparseable timestamp: {value!r}") from exc
+
+
+def _oracle_record(line: str) -> PostRecord:
+    obj = json.loads(line)
+    if not isinstance(obj, dict):
+        raise ValidationError("record is not a JSON object")
+    keys = ("post_id", "actor_id", "forum_id", "timestamp", "content")
+    if not all(isinstance(obj.get(key), str) for key in keys):
+        raise ValidationError("missing or non-string key")
+    when = _oracle_timestamp(obj["timestamp"])
+    if not DEFAULT_VALID_FROM <= when <= DEFAULT_VALID_TO:
+        raise ValidationError("timestamp outside validity window")
+    raw = obj.get("mentions", [])
+    if not isinstance(raw, list) or not all(isinstance(c, str) for c in raw):
+        raise ValidationError("key 'mentions' must be a list of strings")
+    mentions = frozenset(CveId.parse(c) for c in raw)
+    return PostRecord(
+        obj["post_id"], obj["actor_id"], obj["forum_id"], when, obj["content"], mentions
+    )
+
+
+def ingest_oracle(data: bytes) -> tuple[bytes, dict, int]:
+    """The corpus file, the ``corpus_stats.json`` payload and the skip count of a posts file,
+    by the parse -> build -> save path ingest took before it streamed: every post
+    is parsed into a record, the corpus is assembled whole, then written.
+
+    Nothing is shared or cached between lines. A duplicate ``post_id`` raises
+    ``ValidationError``.
+    """
+    records, skipped = [], 0
+    for line in data.split(b"\n"):
+        try:
+            text = line.decode("utf-8")
+            if text.strip():
+                records.append(_oracle_record(text))
+        except (ValueError, RecursionError):
+            skipped += 1
+    kept, seen = [], set()
+    for post in records:
+        if post.post_id in seen:
+            raise ValidationError(f"duplicate post_id: {post.post_id!r}")
+        seen.add(post.post_id)
+        mentions = post.mentions or frozenset(extract_cve_ids(post.content))
+        if mentions:
+            kept.append((post, mentions))
+    rows = [
+        {
+            "post_id": post.post_id,
+            "actor_id": post.actor_id,
+            "forum_id": post.forum_id,
+            "timestamp": post.timestamp.strftime("%Y-%m-%dT%H:%M:%SZ"),
+            "content": post.content,
+            "mentions": sorted(str(c) for c in mentions),
+        }
+        for post, mentions in kept
+    ]
+    stats = {
+        "posts": len(kept),
+        "actors": len({post.actor_id for post, _ in kept}),
+        "forums": len({post.forum_id for post, _ in kept}),
+        "distinct_cves": len({c for _, mentions in kept for c in mentions}),
+    }
+    corpus = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+    return corpus.encode("utf-8"), stats, skipped

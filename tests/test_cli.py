@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import gc
 import json
 import os
 import re
@@ -10,6 +11,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -85,7 +87,8 @@ def test_communities_and_expertise_do_not_load_the_corpus(pipeline_ws, tmp_path,
     def refuse(path):
         raise AssertionError(f"corpus loaded from {path}")
 
-    monkeypatch.setattr(ingest, "load_corpus", refuse)
+    for reader in ("load_corpus", "load_post_table"):
+        monkeypatch.setattr(ingest, reader, refuse)
     assert main(["communities", "--workspace", str(ws)]) == 0
     assert main(["expertise", "--workspace", str(ws)]) == 0
     assert {name: (ws / name).read_bytes() for name in rerun} == before
@@ -113,7 +116,9 @@ def test_run_all_hands_each_artifact_to_the_next_stage_that_opens_it(
     def refuse_graph(path):
         raise AssertionError(f"graph loaded from {path}")
 
-    monkeypatch.setattr(ingest, "load_corpus", refuse)
+    # graph takes the post table ingest built
+    for reader in ("load_corpus", "load_post_table"):
+        monkeypatch.setattr(ingest, reader, refuse)
     # communities and expertise derive the graph from capec_posts.json
     monkeypatch.setattr(graph, "load_graph", refuse_graph)
     monkeypatch.setattr(graph, "load_posts", counting("load_posts", graph.load_posts))
@@ -257,6 +262,26 @@ def test_communities_refuses_a_post_table_graph_never_writes(
         pipeline_ws, tmp_path, caplog, "capec_posts.json", _json_edit(edit), ["communities"]
     )
     assert error.startswith(f"{path}: a00000: {problem}")
+
+
+def test_communities_refuses_a_capec_the_catalog_lacks(pipeline_ws, tmp_path, caplog):
+    def edit(payload):
+        payload["a00000"][0][1] = [1]
+
+    before = (pipeline_ws / "communities.json").read_bytes()
+    path, error = _error_after_edit(
+        pipeline_ws, tmp_path, caplog, "capec_posts.json", _json_edit(edit), ["communities"]
+    )
+    ws = path.parent
+    assert error == f"capec_posts.json in {ws} names CAPEC ids that capec.json lacks: 1"
+    assert (ws / "communities.json").read_bytes() == before
+    # --force re-baselined capec_posts.json; the refusal itself records and writes nothing
+    manifest = (ws / "manifest.json").read_bytes()
+    recorded = json.loads((pipeline_ws / "manifest.json").read_text())["stages"]["communities"]
+    assert json.loads(manifest)["stages"]["communities"] == recorded
+    assert main(["communities", "--workspace", str(ws)]) == 1
+    assert (ws / "manifest.json").read_bytes() == manifest
+    assert (ws / "communities.json").read_bytes() == before
 
 
 @pytest.mark.parametrize(
@@ -661,7 +686,7 @@ def test_cluster_skips_tiny_sample(tmp_path):
 def test_bad_flag_exits_1_before_anything_is_read(tmp_path, monkeypatch, caplog, argv):
     opened = []
     monkeypatch.setattr(Workspace, "require", lambda self, name: opened.append(name))
-    monkeypatch.setattr(ingest, "parse_posts", lambda path: opened.append(path))
+    monkeypatch.setattr(ingest, "ingest_posts", lambda path, out: opened.append(path))
     ws = tmp_path / "ws"
     assert main([argv[0], "--workspace", str(ws), *argv[1:]]) == 1
     assert opened == []
@@ -892,3 +917,69 @@ def test_only_main_locks_the_workspace_and_records_stages():
         for call in _lock_and_record_calls(path.read_text(encoding="utf-8"))
     ]
     assert sorted(sites) == [("cli.py", "main", "lock"), ("cli.py", "main", "record_stage")]
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["run-all", "failing-stage"])
+def test_main_leaves_no_frozen_objects(pipeline_ws, tmp_path, caplog, fails):
+    # a stage's survivors are frozen for the stages after it, and only for them
+    extra = ("--capec-threshold", "3") if fails else ()
+    assert _run_all(tmp_path / "ws", pipeline_ws.parent / "inputs", *extra) == int(fails)
+    if fails:
+        assert "--capec-threshold 3 removes every CAPEC" in caplog.text
+    assert gc.get_freeze_count() == 0
+    assert gc.isenabled()
+
+
+def _padded_posts(inputs: Path, path: Path, n: int, pad: int) -> int:
+    """Write ``n`` posts that take their actor, time and mentions from the synth posts
+    in turn and carry ``pad`` characters of content each; returns the content's size."""
+    rows = [json.loads(line) for line in (inputs / "posts.jsonl").read_text().splitlines()]
+    with path.open("w", encoding="utf-8") as handle:
+        for i in range(n):
+            row = dict(rows[i % len(rows)], post_id=f"p{i:05d}")
+            row["content"] = f"{row['content']} {'x' * pad}"[:pad]
+            handle.write(json.dumps(row) + "\n")
+    return n * pad
+
+
+def _peak_bytes(argv: list[str]) -> int:
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0, argv
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ingest_and_graph_never_hold_the_corpus_text(pipeline_ws, tmp_path):
+    inputs = pipeline_ws.parent / "inputs"
+    posts = tmp_path / "posts.jsonl"
+    content = _padded_posts(inputs, posts, 2000, 8192)
+    ws = str(tmp_path / "ws")
+    catalog_flags = [
+        "--cve-cwe", str(inputs / "cve_cwe.csv"), "--capec-json", str(inputs / "capec.json"),
+    ]
+    assert main(["convert-catalog", "--workspace", ws, *catalog_flags]) == 0
+    # each stage in its own command, so graph reads corpus.jsonl line by line
+    ingest_peak = _peak_bytes(["ingest", "--workspace", ws, "--posts", str(posts)])
+    graph_peak = _peak_bytes(["graph", "--workspace", ws])
+    assert json.loads((tmp_path / "ws" / "corpus_stats.json").read_text())["posts"] == 2000
+    assert ingest_peak < content / 10, ingest_peak
+    assert graph_peak < content / 10, graph_peak
+
+
+def test_ingest_refuses_a_duplicate_post_id_on_the_last_line(pipeline_ws, tmp_path, caplog):
+    inputs = pipeline_ws.parent / "inputs"
+    ws = tmp_path / "ws"
+    assert main(["ingest", "--workspace", str(ws), "--posts", str(inputs / "posts.jsonl")]) == 0
+    before = (ws / "corpus.jsonl").read_bytes()
+    lines = (inputs / "posts.jsonl").read_text().splitlines(keepends=True)
+    posts = tmp_path / "posts.jsonl"
+    posts.write_text("".join(lines[1:]) + lines[-1])
+
+    caplog.clear()
+    assert main(["ingest", "--workspace", str(ws), "--posts", str(posts)]) == 1
+    [error] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert error.startswith("duplicate post_id: ")
+    assert (ws / "corpus.jsonl").read_bytes() == before
+    assert not list(ws.glob("*.tmp"))

@@ -89,7 +89,7 @@ _MEMBERSHIP_USERS = {
     "modularity": lambda graph, partition, posts, snapshot: modularity(graph, partition),
     "summarize_communities": summarize_communities,
     "build_profiles": lambda graph, partition, posts, snapshot: build_profiles(
-        posts, snapshot, graph, partition
+        posts, snapshot, partition
     ),
 }
 
@@ -113,7 +113,7 @@ def test_modularity_requires_full_assignment(user, missing, named):
         ]
     )
     graph = build_graph(corpus, snapshot)
-    posts = surviving_posts(post_capec_sets(corpus, snapshot), graph)
+    posts = surviving_posts(post_capec_sets(corpus.table(), snapshot), graph)
     assignment = {key: 0 for key in ("actor:alice", "actor:bob", "capec:7", "capec:63")}
     _MEMBERSHIP_USERS[user](graph, Partition(assignment, 0.0), posts, snapshot)  # complete: accepted
     for key in missing:
@@ -305,7 +305,7 @@ def test_summarize_communities_fields():
     )
     graph = build_graph(corpus, snapshot)
     partition = leiden(graph, seed=0)
-    posts = surviving_posts(post_capec_sets(corpus, snapshot), graph)
+    posts = surviving_posts(post_capec_sets(corpus.table(), snapshot), graph)
     overviews = summarize_communities(graph, partition, posts, snapshot)
 
     assert len(overviews) == len(partition.communities())

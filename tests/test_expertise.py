@@ -155,8 +155,8 @@ def _profile_fixture():
 
 
 def _profiles(corpus, snapshot, graph, partition):
-    posts = surviving_posts(post_capec_sets(corpus, snapshot), graph)
-    return build_profiles(posts, snapshot, graph, partition)
+    posts = surviving_posts(post_capec_sets(corpus.table(), snapshot), graph)
+    return build_profiles(posts, snapshot, partition)
 
 
 def test_build_profiles_features():

@@ -6,8 +6,10 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 from collections import Counter
+from datetime import timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -86,7 +88,7 @@ def test_build_graph_repeat_mentions_collapse():
 
 def test_post_capec_sets(corpus_and_snapshot):
     corpus, snapshot = corpus_and_snapshot
-    posts = post_capec_sets(corpus, snapshot)
+    posts = post_capec_sets(corpus.table(), snapshot)
     # carol's p4 resolves to no CAPEC, so neither the post nor carol is listed
     assert posts == {
         "alice": [(ts("2021-01-01"), {63}), (ts("2021-01-02"), {66})],
@@ -150,7 +152,7 @@ _POSTS = st.lists(
 def test_post_capec_sets_matches_per_post_oracle(posts):
     lines = [_post_line(i, actor, day, mentions) for i, (actor, day, mentions) in enumerate(posts)]
     parsed = parse_posts(lines)
-    got = post_capec_sets(build_corpus(parsed.records), _interning_snapshot())
+    got = post_capec_sets(build_corpus(parsed.records).table(), _interning_snapshot())
 
     valid = [p for p in posts if all(_MENTIONS[m] is not None for m in p[2])]
     records = [(actor, ts(f"2021-01-{day:02d}"), {_MENTIONS[m] for m in ms}) for actor, day, ms in valid]
@@ -187,7 +189,7 @@ def test_post_path_parses_and_resolves_each_distinct_value_once(monkeypatch):
     monkeypatch.setattr(forumlens.graph, "map_cve_to_capecs", counting_resolve)
     parsed = parse_posts(lines)
     corpus = build_corpus(parsed.records)
-    table = post_capec_sets(corpus, snapshot)
+    table = post_capec_sets(corpus.table(), snapshot)
 
     # a failing string is parsed again on each line, so each such line is skipped
     valid_strings = {m for ms in mention_lists for m in ms} - {"not a cve"}
@@ -315,7 +317,8 @@ def test_surviving_post_counts(corpus_and_snapshot):
     graph = build_graph(corpus, snapshot)
     filtered, _ = filter_popular_capecs(graph, threshold=1)
     # CAPEC 63 (degree 2) is removed; only alice's p2 still maps into the graph.
-    counts = surviving_post_counts(surviving_posts(post_capec_sets(corpus, snapshot), filtered))
+    posts = post_capec_sets(corpus.table(), snapshot)
+    counts = surviving_post_counts(surviving_posts(posts, filtered))
     assert counts == {"alice": 1}
 
 
@@ -372,6 +375,32 @@ def test_posts_table_round_trip(tmp_path):
     assert [capecs for _, capecs in loaded['quo"te, comma']] == [{7, 66}, {7}, {3, 66, 120}]
     save_posts(loaded, tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+_MINUS_3H = timezone(timedelta(hours=-3))
+
+
+@given(
+    st.dictionaries(
+        st.text(st.characters(exclude_categories=()) | st.sampled_from('"\\\n\ud800')),
+        st.lists(
+            st.tuples(
+                st.datetimes(timezones=st.sampled_from([timezone.utc, _MINUS_3H])),
+                st.frozensets(st.integers(1, 10**6), min_size=1),
+            ),
+            max_size=3,
+        ),
+        max_size=4,
+    )
+)
+def test_save_posts_writes_what_json_dumps_writes(posts):
+    # save_posts writes one actor at a time; the bytes are those of one json.dumps
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "capec_posts.json")
+        save_posts(posts, path)
+        table = {a: [[t.isoformat(), sorted(cs)] for t, cs in rows] for a, rows in posts.items()}
+        expected = json.dumps(table, sort_keys=True, separators=(",", ":")) + "\n"
+        assert path.read_text(encoding="utf-8") == expected
 
 
 def test_load_posts_shares_each_capec_set(tmp_path):

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
-from datetime import datetime, timezone
+import tempfile
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+from forumlens.cli import main
 
 from forumlens.errors import ValidationError
 from forumlens.ingest import (
@@ -14,14 +18,16 @@ from forumlens.ingest import (
     CveId,
     build_corpus,
     extract_cve_ids,
+    ingest_posts,
     load_corpus,
+    load_post_table,
     parse_posts,
     parse_timestamp,
     save_corpus,
     save_corpus_stats,
 )
 
-from conftest import post
+from conftest import ingest_oracle, post
 
 
 def _line(post_id="p1", actor="alice", forum="f1", when="2021-01-01T00:00:00Z",
@@ -236,6 +242,116 @@ def test_corpus_round_trip(tmp_path):
 def test_corpus_stats_file_keys(tmp_path):
     corpus = build_corpus([post("p1", "alice", "2021-01-01", "CVE-2021-1111")])
     target = tmp_path / "stats.json"
-    save_corpus_stats(corpus, target)
+    save_corpus_stats(corpus.stats, target)
     payload = json.loads(target.read_text())
     assert payload == {"posts": 1, "actors": 1, "forums": 1, "distinct_cves": 1}
+
+
+# any code point, lone surrogates included, with JSON's escapes made likely
+_ANY_TEXT = st.text(
+    st.characters(exclude_categories=()) | st.sampled_from('"\\/\n\t\x00\x1f\x7f\ud800\udfff\u2028')
+)
+_CVE_NAMES = st.builds(
+    "{}-{}-{:04d}".format, st.sampled_from(["CVE", "cve"]), st.integers(1000, 9999),
+    st.integers(1, 10**7),
+)
+_STREAMED_POSTS = st.lists(
+    st.fixed_dictionaries(
+        {
+            "post_id": _ANY_TEXT,
+            "actor_id": _ANY_TEXT,
+            "forum_id": _ANY_TEXT,
+            "content": _ANY_TEXT,
+            "timestamp": st.datetimes(
+                min_value=datetime(1995, 1, 2), max_value=datetime(2099, 12, 30),
+                timezones=st.sampled_from(
+                    [timezone.utc, timezone(timedelta(hours=5.5)), timezone(-timedelta(hours=2))]
+                ),
+            ),
+            # no list: the mentions are the ids found in the content
+            "mentions": st.none() | st.lists(_CVE_NAMES, min_size=1, max_size=4),
+            "in_content": _CVE_NAMES,
+        }
+    ),
+    max_size=8,
+    unique_by=lambda p: p["post_id"],
+)
+
+
+@settings(deadline=None)
+@given(_STREAMED_POSTS)
+def test_streamed_corpus_line_is_json_dumps_of_its_row(posts):
+    lines, expected = [], []
+    for p in posts:
+        record = {k: p[k] for k in ("post_id", "actor_id", "forum_id")}
+        record["timestamp"] = p["timestamp"].isoformat()
+        if p["mentions"] is None:
+            record["content"] = f"{p['content']} {p['in_content']}"
+        else:
+            record["content"], record["mentions"] = p["content"], p["mentions"]
+        lines.append(json.dumps(record))
+        names = p["mentions"] or [p["in_content"], *map(str, extract_cve_ids(p["content"]))]
+        row = dict(
+            record,
+            timestamp=p["timestamp"].astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
+            mentions=sorted({"CVE" + name[3:] for name in names}),  # upper-case prefix
+        )
+        expected.append(json.dumps(row, sort_keys=True) + "\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        streamed, saved = Path(tmp, "streamed.jsonl"), Path(tmp, "saved.jsonl")
+        done = ingest_posts(lines, streamed)
+        save_corpus(build_corpus(parse_posts(lines).records), saved)
+        assert streamed.read_text(encoding="utf-8").splitlines(keepends=True) == expected
+        assert saved.read_bytes() == streamed.read_bytes()
+        assert done.skipped == 0 and done.stats.n_posts == len(posts)
+        assert load_post_table(streamed) == done.table
+
+
+# lines of a posts file: malformed ones, posts with and without mentions, blank lines
+_MIXED_LINES = st.lists(
+    st.text().map(str.encode)
+    | (_JSON_VALUES | _POST_OBJECTS).map(lambda value: json.dumps(value).encode())
+    | st.sampled_from([b"\xff{}", b"", b"  ", b'{"post_id": "broken']),
+)
+
+
+def _line_bytes(post_id, content, **extra):
+    return json.dumps(
+        {"post_id": post_id, "actor_id": "a", "forum_id": "f",
+         "timestamp": "2021-01-01T00:00:00Z", "content": content, **extra}
+    ).encode()
+
+
+@settings(deadline=None, max_examples=60)
+@given(_MIXED_LINES)
+@example(
+    [
+        _line_bytes("explicit", "no id here", mentions=["cve-2021-0007", " CVE-2021-7"]),
+        b"{ not json",
+        _line_bytes("in-content", "see CVE-2020-1234 and CVE-2020-1234."),
+        _line_bytes("no-cve", "nothing"),
+        b"\xff\xfe",
+        _line_bytes("bad-mention", "CVE-2021-1111", mentions=["CVE-21-1"]),
+        _line_bytes("empty-list", "CVE-2019-0001 only here", mentions=[]),
+        b"",
+    ]
+)
+def test_ingest_writes_what_the_parse_build_save_path_wrote(lines):
+    data = b"\n".join(lines) + b"\n"
+    try:
+        expected = ingest_oracle(data)
+    except ValidationError:
+        expected = None  # a duplicate post_id
+    with tempfile.TemporaryDirectory() as tmp:
+        posts, ws = Path(tmp, "posts.jsonl"), Path(tmp, "ws")
+        posts.write_bytes(data)
+        code = main(["ingest", "--workspace", str(ws), "--posts", str(posts)])
+        if expected is None:
+            assert code == 1 and not ws.joinpath("corpus.jsonl").exists()
+            return
+        corpus, stats, skipped = expected
+        assert code == 0
+        assert ws.joinpath("corpus.jsonl").read_bytes() == corpus
+        assert json.loads(ws.joinpath("corpus_stats.json").read_text()) == stats
+        manifest = json.loads(ws.joinpath("manifest.json").read_text())
+        assert manifest["stages"]["ingest"]["config"]["skipped_lines"] == skipped

@@ -77,3 +77,34 @@ def test_only_export_graph_reads_graph_json():
     package = Path(forumlens.__file__).parent
     uses = [use for path in sorted(package.glob("*.py")) for use in _load_graph_uses(path)]
     assert uses == ["cli.py:cmd_export_graph:use", "graph.py:load_graph:def"]
+
+
+def _references(package: Path) -> dict[str, set[str]]:
+    """Each function, method and class of the package by name, with the names its body uses.
+
+    A use is any name or attribute, so a call through a module (``ingest.load_corpus``),
+    a reference passed along (``ws.load(name, ingest.load_corpus)``) and an annotation
+    all count; functions of one name in two modules share one entry.
+    """
+    uses: dict[str, set[str]] = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = uses.setdefault(node.name, set())
+                for inner in ast.walk(node):
+                    names.add(getattr(inner, "id", None) or getattr(inner, "attr", None))
+    return uses
+
+
+def test_ingest_and_graph_never_reach_a_corpus():
+    # the post path streams: ingest writes each post as it checks it, and graph
+    # gets the (actor, time, mentions) table; a Corpus holds every post's content
+    uses = _references(Path(forumlens.__file__).parent)
+    reached, todo = set(), ["cmd_ingest", "cmd_graph"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(n for n in uses.get(name, ()) if n in uses)
+    assert "ingest_posts" in reached and "load_post_table" in reached
+    assert reached & {"build_corpus", "load_corpus", "PostRecord", "Corpus"} == set()
