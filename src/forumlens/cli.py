@@ -162,6 +162,11 @@ def _check_flags(args: argparse.Namespace) -> None:
         raise ValidationError(f"--k-max must be >= --k-min: {args.k_max}")
     if "skill_percentile" in given and not 0 < args.skill_percentile <= 100:
         raise ValidationError(f"--skill-percentile must be in (0, 100]: {args.skill_percentile}")
+    if "cluster_seed" in given and args.cluster_seed < 0:
+        flag = "--cluster-seed" if args.command == "run-all" else "--seed"
+        raise ValidationError(f"{flag} must be >= 0: {args.cluster_seed}")
+    if "synth_seed" in given:
+        _synth_config(args).validate()
     if "nvd_json" in given:
         raw, pre = (args.nvd_json, args.capec_xml), (args.cve_cwe, args.capec_json)
         if any(raw) == any(pre):
@@ -364,15 +369,18 @@ def cmd_report(ws: Workspace, args: argparse.Namespace) -> dict:
     return {}
 
 
-def cmd_synth(ws: Workspace, args: argparse.Namespace) -> dict | None:
-    config = synth.SynthConfig(
+def _synth_config(args: argparse.Namespace) -> synth.SynthConfig:
+    return synth.SynthConfig(
         seed=args.synth_seed,
         n_communities=args.communities,
         capecs_per_community=args.capecs,
         actors_per_community=args.actors,
         noise=args.noise,
     )
-    corpus, snapshot, truth = synth.generate(config)
+
+
+def cmd_synth(ws: Workspace, args: argparse.Namespace) -> dict | None:
+    corpus, snapshot, truth = synth.generate(_synth_config(args))
     out_dir = Path(args.out) if args.out else ws.path("synth")
     paths = synth.write_synth(out_dir, corpus, snapshot, truth)
     print(

@@ -14,10 +14,10 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import ValidationError
 from .workspace import replacing, write_json
@@ -78,13 +78,12 @@ def extract_cve_ids(text: str) -> set[CveId]:
     return found
 
 
-@dataclass(frozen=True)
-class PostRecord:
+class PostRecord(NamedTuple):
     """One forum post.
 
     ``mentions`` is empty until the corpus-build step extracts CVE ids from
-    ``content``, unless the record's source (a persisted corpus row, the
-    synthetic generator) carries them explicitly.
+    ``content``, unless the record's source (a post line, a persisted corpus
+    row, the synthetic generator) carries them explicitly.
     """
 
     post_id: str
@@ -120,16 +119,14 @@ def parse_timestamp(value: str) -> datetime:
         raise ValidationError(f"unparseable timestamp: {value!r}") from exc
 
 
-# one checked line: the post's JSON object, its UTC timestamp and its mentions
-Checked = tuple[dict, datetime, frozenset[CveId]]
-
 # per kept post, in corpus order: (actor_id, timestamp, mentions); all graph needs of a corpus
 PostTable = list[tuple[str, datetime, frozenset[CveId]]]
 
 
 def _parse_record(
-    line: str, cve_ids: dict[str, CveId], mention_sets: dict[tuple[str, ...], frozenset[CveId]]
-) -> Checked:
+    line: str, cve_ids: dict[str, CveId], mention_sets: dict[tuple[str, ...], frozenset[CveId]],
+    actors: dict[str, str],
+) -> PostRecord:
     obj = json.loads(line)
     if not isinstance(obj, dict):
         raise ValidationError("record is not a JSON object")
@@ -150,7 +147,8 @@ def _parse_record(
         get, put = cve_ids.get, cve_ids.setdefault
         mentions = frozenset([get(c) or put(c, CveId.parse(c)) for c in raw_mentions])
         mention_sets[key] = mentions
-    return obj, ts, mentions
+    actor = actors.setdefault(obj["actor_id"], obj["actor_id"])
+    return PostRecord(obj["post_id"], actor, obj["forum_id"], ts, obj["content"], mentions)
 
 
 def _iter_lines(source: str | Path | IO[str] | Iterable[str]) -> Iterator[str | bytes]:
@@ -165,23 +163,24 @@ def _iter_lines(source: str | Path | IO[str] | Iterable[str]) -> Iterator[str | 
 class CheckedPosts:
     """The lines of a JSONL post stream that pass every per-line check, one at a time.
 
-    Iterating yields ``(object, timestamp, mentions)`` per good line: the
-    parsed JSON object, its UTC timestamp and its mention set. Malformed lines
-    (invalid UTF-8, bad or too deeply nested JSON, missing keys, unparseable or
-    out-of-window timestamps) are logged and counted in ``skipped``. An
-    unreadable source raises ``OSError``. Each distinct mention string is
-    parsed once per pass, and the posts naming it share that one ``CveId``; a
-    string that fails to parse fails every line with it. Posts with equal
-    ``mentions`` lists share one frozenset.
+    Iterating yields one :class:`PostRecord` per good line, with its UTC
+    timestamp and the mentions its line lists. Malformed lines (invalid UTF-8,
+    bad or too deeply nested JSON, missing keys, unparseable or out-of-window
+    timestamps) are logged and counted in ``skipped``. An unreadable source
+    raises ``OSError``. Each distinct mention string is parsed once per pass,
+    and the posts naming it share that one ``CveId``; a string that fails to
+    parse fails every line with it. Posts with equal ``mentions`` lists share
+    one frozenset, and posts of one actor share one ``actor_id`` string.
     """
 
     def __init__(self, source: str | Path | IO[str] | Iterable[str]):
         self.source = source
         self.skipped = 0
 
-    def __iter__(self) -> Iterator[Checked]:
+    def __iter__(self) -> Iterator[PostRecord]:
         cve_ids: dict[str, CveId] = {}
         mention_sets: dict[tuple[str, ...], frozenset[CveId]] = {}
+        actors: dict[str, str] = {}
         for lineno, line in enumerate(_iter_lines(self.source), start=1):
             # ValueError covers ValidationError, JSONDecodeError and UnicodeDecodeError
             try:
@@ -189,22 +188,18 @@ class CheckedPosts:
                     line = line.decode("utf-8")
                 if not line or line.isspace():
                     continue
-                checked = _parse_record(line, cve_ids, mention_sets)
+                record = _parse_record(line, cve_ids, mention_sets, actors)
             except (ValueError, RecursionError) as exc:
                 self.skipped += 1
                 logger.warning("skipping malformed line %d: %s", lineno, exc)
                 continue
-            yield checked
+            yield record
 
 
 def parse_posts(source: str | Path | IO[str] | Iterable[str]) -> ParsedPosts:
     """Parse a JSONL post stream into records, as :class:`CheckedPosts` checks it."""
     checked = CheckedPosts(source)
-    records = [
-        PostRecord(obj["post_id"], obj["actor_id"], obj["forum_id"], ts, obj["content"], mentions)
-        for obj, ts, mentions in checked
-    ]
-    return ParsedPosts(records=records, skipped=checked.skipped)
+    return ParsedPosts(records=list(checked), skipped=checked.skipped)
 
 
 @dataclass(frozen=True)
@@ -227,100 +222,79 @@ class Corpus:
         return [(p.actor_id, p.timestamp, p.mentions) for p in self.posts]
 
 
-def _kept_mentions(
-    post_id: str, content: str, mentions: frozenset[CveId], seen: set[str]
-) -> frozenset[CveId]:
-    """The mentions a corpus keeps a post with: its own, else those in ``content``.
+class _KeptPosts:
+    """The posts a corpus keeps, one at a time, and their :class:`CorpusStats` once iterated.
 
-    Empty means the post is dropped. A ``post_id`` already in ``seen`` is fatal.
+    A post keeps the mentions its record carries, else those found in its
+    ``content`` (into a copy); a post with none is dropped. A duplicate
+    ``post_id`` is fatal.
     """
-    if post_id in seen:
-        raise ValidationError(f"duplicate post_id: {post_id!r}")
-    seen.add(post_id)
-    return mentions or frozenset(extract_cve_ids(content))
 
+    def __init__(self, posts: Iterable[PostRecord]):
+        self.posts = posts
+        self.stats = CorpusStats(0, 0, 0, 0)
 
-class _Tally:
-    """The counts of :class:`CorpusStats` over the kept posts, one post at a time."""
-
-    def __init__(self) -> None:
-        self.n_posts = 0
-        self.actors: dict[str, str] = {}
-        self.forums: set[str] = set()
-        self.cves: set[CveId] = set()
-
-    def add(self, actor_id: str, forum_id: str, mentions: frozenset[CveId]) -> str:
-        """Count one kept post; returns the one string object kept for its actor."""
-        self.n_posts += 1
-        self.forums.add(forum_id)
-        self.cves.update(mentions)  # a frozenset lends its stored hashes: no CveId is rehashed
-        return self.actors.setdefault(actor_id, actor_id)
-
-    def stats(self) -> CorpusStats:
-        return CorpusStats(self.n_posts, len(self.actors), len(self.forums), len(self.cves))
+    def __iter__(self) -> Iterator[PostRecord]:
+        seen: set[str] = set()
+        actors: set[str] = set()
+        forums: set[str] = set()
+        cves: set[CveId] = set()
+        n_posts = 0
+        for post in self.posts:
+            post_id, actor_id, forum_id, _, content, mentions = post
+            if post_id in seen:
+                raise ValidationError(f"duplicate post_id: {post_id!r}")
+            seen.add(post_id)
+            if not mentions:
+                mentions = frozenset(extract_cve_ids(content))
+                if not mentions:
+                    continue
+                post = post._replace(mentions=mentions)
+            n_posts += 1
+            actors.add(actor_id)
+            forums.add(forum_id)
+            cves.update(mentions)  # a frozenset lends its stored hashes: no CveId is rehashed
+            yield post
+        self.stats = CorpusStats(n_posts, len(actors), len(forums), len(cves))
 
 
 def build_corpus(posts: Iterable[PostRecord]) -> Corpus:
-    """Assemble a corpus: extract mentions, drop mention-less posts, count.
-
-    Posts whose record already carries mentions are kept as they are;
-    otherwise mentions are extracted from ``content`` into a copy. A
-    duplicate ``post_id`` is fatal.
-    """
-    kept: list[PostRecord] = []
-    seen_ids: set[str] = set()
-    tally = _Tally()
-    for post in posts:
-        mentions = _kept_mentions(post.post_id, post.content, post.mentions, seen_ids)
-        if mentions:
-            kept.append(post if mentions is post.mentions else replace(post, mentions=mentions))
-            tally.add(post.actor_id, post.forum_id, mentions)
-    return Corpus(posts=kept, stats=tally.stats())
-
-
-def _corpus_posts(checked: Iterable[Checked]) -> Iterator[Checked]:
-    """The checked lines a corpus keeps, with their mentions, by :func:`build_corpus`'s rule."""
-    seen_ids: set[str] = set()
-    for obj, ts, mentions in checked:
-        mentions = _kept_mentions(obj["post_id"], obj["content"], mentions, seen_ids)
-        if mentions:
-            yield obj, ts, mentions
+    """Assemble a corpus: the posts :class:`_KeptPosts` keeps, in order, with their counts."""
+    kept = _KeptPosts(posts)
+    return Corpus(posts=list(kept), stats=kept.stats)
 
 
 _quote = json.encoder.encode_basestring_ascii  # how json.dumps writes a str
 
 
-def _mention_list(mentions: frozenset[CveId], names: dict[CveId, str]) -> str:
-    """The sorted JSON list of a post's canonical CVE names; ``names`` formats each CVE once."""
-    sorted_names = sorted([names.get(c) or names.setdefault(c, str(c)) for c in mentions])
-    return "[" + ", ".join(map(_quote, sorted_names)) + "]"
+def _write_corpus(posts: Iterable[PostRecord], path: str | Path) -> None:
+    """Write one ``corpus.jsonl`` line per post, byte for byte ``json.dumps(row, sort_keys=True)``.
 
-
-def _corpus_line(
-    post_id: str, actor_id: str, forum_id: str, when: datetime, content: str, mentions: str
-) -> str:
-    """One ``corpus.jsonl`` line, byte for byte what ``json.dumps(row, sort_keys=True)`` writes.
-
-    ``mentions`` is the post's :func:`_mention_list`.
+    The row's timestamp is the post's UTC instant to the second, with ``Z``;
+    its mentions are the sorted canonical CVE names. Each distinct CVE is
+    named once per call, and each distinct mention set rendered once.
     """
-    return (
-        f'{{"actor_id": {_quote(actor_id)}, "content": {_quote(content)}, '
-        f'"forum_id": {_quote(forum_id)}, "mentions": {mentions}, '
-        f'"post_id": {_quote(post_id)}, "timestamp": "{when.isoformat()[:19]}Z"}}\n'
-    )
+    names: dict[CveId, str] = {}
+    lists: dict[frozenset[CveId], str] = {}
+    with replacing(path) as handle:
+        write = handle.write
+        for post_id, actor_id, forum_id, when, content, mentions in posts:
+            rendered = lists.get(mentions)
+            if rendered is None:
+                listed = sorted([names.get(c) or names.setdefault(c, str(c)) for c in mentions])
+                rendered = lists[mentions] = "[" + ", ".join(map(_quote, listed)) + "]"
+            if when.utcoffset():
+                when = when.astimezone(timezone.utc)
+            write(
+                f'{{"actor_id": {_quote(actor_id)}, "content": {_quote(content)}, '
+                f'"forum_id": {_quote(forum_id)}, "mentions": {rendered}, '
+                f'"post_id": {_quote(post_id)}, "timestamp": "{when.isoformat()[:19]}Z"}}\n'
+            )
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Persist a corpus as JSONL, one post per line, mentions explicit."""
-    names: dict[CveId, str] = {}  # each distinct CVE is formatted once per call
-    with replacing(path) as handle:
-        for post in corpus.posts:
-            handle.write(
-                _corpus_line(
-                    post.post_id, post.actor_id, post.forum_id, post.timestamp, post.content,
-                    _mention_list(post.mentions, names),
-                )
-            )
+    _write_corpus(corpus.posts, path)
 
 
 @dataclass
@@ -342,21 +316,16 @@ def ingest_posts(source: str | Path | IO[str] | Iterable[str], path: str | Path)
     are kept. A duplicate ``post_id`` is fatal and leaves ``path`` as it was.
     """
     checked = CheckedPosts(source)
+    kept = _KeptPosts(checked)
     table: PostTable = []
-    tally = _Tally()
-    names: dict[CveId, str] = {}
-    lists: dict[frozenset[CveId], str] = {}  # each distinct mention set is rendered once
-    with replacing(path) as handle:
-        for obj, ts, mentions in _corpus_posts(checked):
-            actor = tally.add(obj["actor_id"], obj["forum_id"], mentions)
-            rendered = lists.get(mentions)
-            if rendered is None:
-                rendered = lists[mentions] = _mention_list(mentions, names)
-            handle.write(
-                _corpus_line(obj["post_id"], actor, obj["forum_id"], ts, obj["content"], rendered)
-            )
-            table.append((actor, ts, mentions))
-    return Ingested(table=table, stats=tally.stats(), skipped=checked.skipped)
+
+    def tabled() -> Iterator[PostRecord]:
+        for post in kept:
+            table.append((post.actor_id, post.timestamp, post.mentions))
+            yield post
+
+    _write_corpus(tabled(), path)
+    return Ingested(table=table, stats=kept.stats, skipped=checked.skipped)
 
 
 def load_post_table(path: str | Path) -> PostTable:
@@ -366,11 +335,7 @@ def load_post_table(path: str | Path) -> PostTable:
     a malformed line raises ``ValidationError`` once the file is read.
     """
     checked = CheckedPosts(path)
-    actors: dict[str, str] = {}
-    table = [
-        (actors.setdefault(obj["actor_id"], obj["actor_id"]), ts, mentions)
-        for obj, ts, mentions in _corpus_posts(checked)
-    ]
+    table = [(p.actor_id, p.timestamp, p.mentions) for p in _KeptPosts(checked)]
     if checked.skipped:
         raise ValidationError(f"corpus file {path} has {checked.skipped} malformed lines")
     return table

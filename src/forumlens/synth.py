@@ -219,6 +219,7 @@ def generate(config: SynthConfig) -> tuple[Corpus, CatalogSnapshot, GroundTruth]
     actor_community: dict[str, int] = {}
     actor_archetype: dict[str, str] = {}
     posts: list[PostRecord] = []
+    mention_sets: dict[frozenset[CveId], frozenset[CveId]] = {}  # posts with equal sets share one
     serial = 0
 
     counts = _archetype_counts(config.archetypes, config.actors_per_community)
@@ -263,6 +264,7 @@ def generate(config: SynthConfig) -> tuple[Corpus, CatalogSnapshot, GroundTruth]
                     capec_picks = home.take(1) + list(fixed_foreign)
                 mentions = [rng.choice(capec_cves[c]) for c in capec_picks]
                 content = "discussing " + " and ".join(map(str, mentions)) + " exploitation notes"
+                mention_set = frozenset(mentions)
                 posts.append(
                     PostRecord(
                         post_id=f"p{serial:06d}",
@@ -270,7 +272,7 @@ def generate(config: SynthConfig) -> tuple[Corpus, CatalogSnapshot, GroundTruth]
                         forum_id=f"f{comm}",
                         timestamp=start + timedelta(seconds=offset),
                         content=content,
-                        mentions=frozenset(mentions),
+                        mentions=mention_sets.setdefault(mention_set, mention_set),
                     )
                 )
                 serial += 1

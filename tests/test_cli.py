@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import forumlens
-from forumlens import catalog, cli, graph, ingest, workspace
+from forumlens import catalog, cli, graph, ingest, synth, workspace
 from forumlens.cli import main
 from forumlens.graph import load_graph
 from forumlens.workspace import STAGE_ARTIFACTS, Workspace
@@ -673,14 +673,18 @@ def test_cluster_skips_tiny_sample(tmp_path):
         ["cluster", "--k-min", "1"],
         ["cluster", "--k-min", "3", "--k-max", "2"],
         ["cluster", "--cluster-restarts", "0"],
+        ["cluster", "--seed", "-1"],
         ["run-all", "--posts", "p.jsonl", "--cve-cwe", "c.csv", "--capec-json", "c.json",
          "--min-posts", "0"],
+        ["run-all", "--posts", "p.jsonl", "--cve-cwe", "c.csv", "--capec-json", "c.json",
+         "--cluster-seed", "-1"],
         ["run-all", "--posts", "p.jsonl", "--cve-cwe", "c.csv"],
     ],
     ids=[
         "capec-threshold-0", "restarts-0", "min-posts-0", "skill-percentile-0",
         "skill-percentile-101", "k-min-1", "k-max-below-k-min", "cluster-restarts-0",
-        "run-all-min-posts-0", "run-all-half-catalog-pair",
+        "cluster-seed-negative", "run-all-min-posts-0", "run-all-cluster-seed-negative",
+        "run-all-half-catalog-pair",
     ],
 )
 def test_bad_flag_exits_1_before_anything_is_read(tmp_path, monkeypatch, caplog, argv):
@@ -693,6 +697,21 @@ def test_bad_flag_exits_1_before_anything_is_read(tmp_path, monkeypatch, caplog,
     assert not ws.exists()  # the lock was never taken
     [error] = [r for r in caplog.records if r.levelname == "ERROR"]
     assert error.getMessage().startswith("--")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--noise", "0.9"], ["--noise", "-0.1"], ["--actors", "0"], ["--communities", "1"],
+     ["--capecs", "5"]],
+    ids=["noise-0.9", "noise-negative", "actors-0", "communities-1", "capecs-5"],
+)
+def test_bad_synth_flag_exits_1_before_the_lock_is_taken(tmp_path, monkeypatch, caplog, flags):
+    monkeypatch.setattr(synth, "generate", lambda config: pytest.fail("generate was called"))
+    ws = tmp_path / "new"
+    assert main(["synth", "--workspace", str(ws), *flags]) == 1
+    assert not ws.exists()  # no lock file left behind
+    [error] = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert flags[1] in error.getMessage()
 
 
 def test_corrupt_manifest_exits_1_without_traceback(tmp_path, caplog):

@@ -21,6 +21,7 @@ from forumlens.ingest import (
     ingest_posts,
     load_corpus,
     load_post_table,
+    PostRecord,
     parse_posts,
     parse_timestamp,
     save_corpus,
@@ -237,6 +238,45 @@ def test_corpus_round_trip(tmp_path):
     assert loaded == corpus
     assert loaded.posts[1].timestamp == datetime(2021, 6, 16, 1, 30, tzinfo=timezone.utc)
     assert loaded.posts[3].mentions == {CveId(2020, 99)}
+
+
+# every whole-minute UTC offset a timezone can have
+_ZONES = st.integers(-(24 * 60 - 1), 24 * 60 - 1).map(lambda m: timezone(timedelta(minutes=m)))
+
+
+@settings(deadline=None)
+@given(st.datetimes(min_value=datetime(1995, 1, 2), max_value=datetime(2099, 12, 30)), _ZONES)
+@example(datetime(2021, 3, 1, 5, 0), timezone(timedelta(hours=5)))
+def test_a_saved_corpus_reloads_each_post_at_its_instant(local, zone):
+    # a record built in memory may carry any offset; the file holds its UTC instant
+    when = local.replace(microsecond=0, tzinfo=zone)
+    record = PostRecord("p1", "alice", "f1", when, "CVE-2021-1111")
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp, "corpus.jsonl")
+        save_corpus(build_corpus([record]), target)
+        row = json.loads(target.read_text(encoding="utf-8"))
+        [loaded] = load_corpus(target).posts
+    assert row["timestamp"] == when.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    assert loaded.timestamp == when
+
+
+def test_ingest_and_load_share_each_actor_string(tmp_path):
+    # json.loads gives each line its own actor string; the parser keeps one per actor
+    lines = [
+        _line("p1", "alice", content="CVE-2021-1111"),
+        _line("p2", "bob", content="CVE-2021-2222"),
+        _line("p3", "alice", content="no mention"),
+        _line("p4", "alice", content="CVE-2021-3333"),
+        _line("p5", "bob", content="CVE-2021-1111"),
+    ]
+    target = tmp_path / "corpus.jsonl"
+    done = ingest_posts(lines, target)
+    loaded = load_post_table(target)
+    assert loaded == done.table
+    for table in (done.table, loaded):
+        actors = [actor for actor, _, _ in table]
+        assert actors == ["alice", "bob", "alice", "bob"]
+        assert actors[0] is actors[2] and actors[1] is actors[3]
 
 
 def test_corpus_stats_file_keys(tmp_path):

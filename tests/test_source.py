@@ -107,4 +107,20 @@ def test_ingest_and_graph_never_reach_a_corpus():
             reached.add(name)
             todo.extend(n for n in uses.get(name, ()) if n in uses)
     assert "ingest_posts" in reached and "load_post_table" in reached
-    assert reached & {"build_corpus", "load_corpus", "PostRecord", "Corpus"} == set()
+    # a PostRecord is the checked parser's row and lives for one line; a Corpus keeps them all
+    assert reached & {"build_corpus", "load_corpus", "Corpus"} == set()
+
+
+def test_ingest_writes_a_corpus_and_refuses_a_duplicate_in_one_place_each():
+    # one line writer serves save_corpus and ingest_posts; one keep rule serves
+    # build_corpus, ingest_posts and load_post_table
+    tree = ast.parse(Path(forumlens.__file__).with_name("ingest.py").read_text(encoding="utf-8"))
+    writes = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "replacing"
+    ]
+    refusals = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and "duplicate post_id" in ast.unparse(node)
+    ]
+    assert (len(writes), len(refusals)) == (1, 1)
