@@ -9,3 +9,13 @@ Amateur expertise quadrants.
 """
 
 __version__ = "0.1.0"
+
+# Defaults of the stages' flags, here so that the CLI builds its parser without
+# importing a stage (and numpy with it); each stage imports its own.
+DEFAULT_CAPEC_THRESHOLD = 500
+DEFAULT_MIN_POSTS = 4
+DEFAULT_SKILL_PERCENTILE = 70
+DEFAULT_K_MIN = 2
+DEFAULT_K_MAX = 12
+DEFAULT_CLUSTER_RESTARTS = 10
+EXPORT_FORMATS = ("graphml", "dot", "csv")

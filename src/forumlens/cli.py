@@ -7,6 +7,10 @@ last, recording each stage in the manifest as it ends. Exit codes: 0
 success, 1 validation error (including stale artifacts and bad flags) or any
 unexpected error, 2 missing upstream stage, 3 I/O or lock trouble. Errors
 print one line; ``-v`` adds the traceback of an unexpected one.
+
+Each command imports the stage modules it runs when it runs, so a process
+that runs ``report`` or ``expertise`` never imports numpy, which only
+``community`` and ``cluster`` compute with.
 """
 
 from __future__ import annotations
@@ -16,13 +20,17 @@ import gc
 import logging
 from dataclasses import asdict
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from . import __version__, catalog, cluster, community, convert, expertise, graph, ingest, synth
+from . import (
+    DEFAULT_CAPEC_THRESHOLD, DEFAULT_CLUSTER_RESTARTS, DEFAULT_K_MAX, DEFAULT_K_MIN,
+    DEFAULT_MIN_POSTS, DEFAULT_SKILL_PERCENTILE, EXPORT_FORMATS, __version__,
+)
 from .errors import ForumlensError, MissingUpstreamError, ValidationError
-from .report import emit_report
 from .workspace import Workspace, WorkspaceLockedError, default_root
 
+if TYPE_CHECKING:
+    from . import catalog, graph, synth
 logger = logging.getLogger(__name__)
 
 
@@ -47,7 +55,7 @@ def _add_graph_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--capec-threshold",
         type=int,
-        default=graph.DEFAULT_CAPEC_THRESHOLD,
+        default=DEFAULT_CAPEC_THRESHOLD,
         help="drop CAPECs referenced by strictly more than this many actors (default %(default)s)",
     )
 
@@ -59,21 +67,21 @@ def _add_communities_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_expertise_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--min-posts", type=int, default=expertise.DEFAULT_MIN_POSTS,
+        "--min-posts", type=int, default=DEFAULT_MIN_POSTS,
         help="minimum posts to stay in the sample (default %(default)s)",
     )
     parser.add_argument(
-        "--skill-percentile", type=int, default=expertise.DEFAULT_SKILL_PERCENTILE,
+        "--skill-percentile", type=int, default=DEFAULT_SKILL_PERCENTILE,
         help="percentile for the skill score (default %(default)s)",
     )
 
 
 def _add_cluster_flags(parser: argparse.ArgumentParser, seed_flag: str = "--seed") -> None:
-    parser.add_argument("--k-min", type=int, default=cluster.DEFAULT_K_MIN, help="smallest k to try")
-    parser.add_argument("--k-max", type=int, default=cluster.DEFAULT_K_MAX, help="largest k to try")
+    parser.add_argument("--k-min", type=int, default=DEFAULT_K_MIN, help="smallest k to try")
+    parser.add_argument("--k-max", type=int, default=DEFAULT_K_MAX, help="largest k to try")
     parser.add_argument(seed_flag, dest="cluster_seed", type=int, default=0, help="k-means seed")
     parser.add_argument(
-        "--cluster-restarts", type=int, default=cluster.DEFAULT_RESTARTS,
+        "--cluster-restarts", type=int, default=DEFAULT_CLUSTER_RESTARTS,
         help="k-means restarts per k (default %(default)s)",
     )
 
@@ -130,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output directory (default: WORKSPACE/synth)")
 
     p = command("export-graph", cmd_export_graph, "export the filtered graph for external tools")
-    p.add_argument("--format", choices=graph.EXPORT_FORMATS, default="graphml")
+    p.add_argument("--format", choices=EXPORT_FORMATS, default="graphml")
     p.add_argument("--out", default=None, help="output file (default: WORKSPACE/graph.<ext>)")
 
     p = sub.add_parser("run-all", help="run ingest through report in order")
@@ -182,6 +190,7 @@ def _check_flags(args: argparse.Namespace) -> None:
 
 
 def cmd_ingest(ws: Workspace, args: argparse.Namespace) -> dict:
+    from . import ingest
     done = ingest.ingest_posts(args.posts, ws.path("corpus.jsonl"))
     if done.skipped:
         logger.warning("skipped %d malformed input line(s)", done.skipped)
@@ -196,6 +205,7 @@ def cmd_ingest(ws: Workspace, args: argparse.Namespace) -> dict:
 
 
 def cmd_convert_catalog(ws: Workspace, args: argparse.Namespace) -> dict:
+    from . import catalog, convert
     if args.nvd_json:
         snapshot = catalog.build_snapshot(
             convert.parse_nvd_cve_json(args.nvd_json), convert.parse_capec_xml(args.capec_xml)
@@ -210,10 +220,12 @@ def cmd_convert_catalog(ws: Workspace, args: argparse.Namespace) -> dict:
 
 
 def _load_snapshot(ws: Workspace) -> catalog.CatalogSnapshot:
+    from . import catalog
     return catalog.load_snapshot(ws.require("cve_cwe.csv"), ws.require("capec.json"))
 
 
 def cmd_graph(ws: Workspace, args: argparse.Namespace) -> dict:
+    from . import graph, ingest
     # the catalog is checked first, so a missing one fails before the corpus parse
     snapshot = _load_snapshot(ws)
     # the post table is only needed to resolve posts, so no name keeps it alive
@@ -249,6 +261,7 @@ def _warn_emptied_skill_levels(
     full: graph.BimodalGraph, removal: graph.RemovalReport, snapshot: catalog.CatalogSnapshot
 ) -> None:
     """Log one warning per skill level whose every CAPEC the popularity filter removed."""
+    from . import catalog
     removed = removal.removed_capecs
     for level in catalog.SkillLevel:
         capecs = [c for c in full.capec_ids if snapshot.skills[c] == level]
@@ -260,6 +273,7 @@ def _warn_emptied_skill_levels(
 
 
 def cmd_communities(ws: Workspace, args: argparse.Namespace) -> dict:
+    from . import community, graph
     posts, snapshot = ws.load("capec_posts.json", graph.load_posts), _load_snapshot(ws)
     g = graph.graph_of(posts)
     unknown = sorted(g.capec_ids - snapshot.capecs.keys())
@@ -286,8 +300,9 @@ def cmd_communities(ws: Workspace, args: argparse.Namespace) -> dict:
 
 
 def cmd_expertise(ws: Workspace, args: argparse.Namespace) -> dict:
+    from . import expertise, graph
     posts = ws.load("capec_posts.json", graph.load_posts)
-    part, snapshot = ws.load("communities.json", community.load_partition), _load_snapshot(ws)
+    part, snapshot = ws.load("communities.json", graph.load_partition), _load_snapshot(ws)
     try:
         profiles = expertise.build_profiles(
             posts, snapshot, part, skill_percentile=args.skill_percentile
@@ -307,6 +322,7 @@ def cmd_expertise(ws: Workspace, args: argparse.Namespace) -> dict:
 
 
 def cmd_cluster(ws: Workspace, args: argparse.Namespace) -> dict:
+    from . import cluster, expertise
     config = {
         "k_min": args.k_min,
         "k_max": args.k_max,
@@ -364,13 +380,15 @@ def cmd_cluster(ws: Workspace, args: argparse.Namespace) -> dict:
 
 
 def cmd_report(ws: Workspace, args: argparse.Namespace) -> dict:
+    from .report import emit_report
     json_path, txt_path = emit_report(ws)
     print(f"report written: {json_path} and {txt_path}")
     return {}
 
 
 def _synth_config(args: argparse.Namespace) -> synth.SynthConfig:
-    return synth.SynthConfig(
+    from .synth import SynthConfig
+    return SynthConfig(
         seed=args.synth_seed,
         n_communities=args.communities,
         capecs_per_community=args.capecs,
@@ -380,6 +398,7 @@ def _synth_config(args: argparse.Namespace) -> synth.SynthConfig:
 
 
 def cmd_synth(ws: Workspace, args: argparse.Namespace) -> dict | None:
+    from . import synth
     corpus, snapshot, truth = synth.generate(_synth_config(args))
     out_dir = Path(args.out) if args.out else ws.path("synth")
     paths = synth.write_synth(out_dir, corpus, snapshot, truth)
@@ -399,10 +418,11 @@ def cmd_synth(ws: Workspace, args: argparse.Namespace) -> dict | None:
 
 
 def cmd_export_graph(ws: Workspace, args: argparse.Namespace) -> None:
+    from . import graph
     g = ws.load("graph.json", graph.load_graph)
     # the manifest decides, so a recorded partition is checked and a stray file ignored
     recorded = "communities" in ws.load_manifest()["stages"]
-    part = ws.load("communities.json", community.load_partition) if recorded else None
+    part = ws.load("communities.json", graph.load_partition) if recorded else None
     out = Path(args.out) if args.out else ws.path(f"graph.{args.format}")
     graph.export_graph(g, args.format, out, partition=part)
     print(f"exported {args.format} graph to {out}")

@@ -23,15 +23,12 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import DEFAULT_CLUSTER_RESTARTS, DEFAULT_K_MAX, DEFAULT_K_MIN
 from .errors import ValidationError
 from .expertise import ActorProfile
 from .pool import map_jobs
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_K_MIN = 2
-DEFAULT_K_MAX = 12
-DEFAULT_RESTARTS = 10
 
 _MAX_LLOYD_ITERATIONS = 300
 _SILHOUETTE_BLOCK_ROWS = 128
@@ -256,7 +253,7 @@ def kmeans(
     X: np.ndarray,
     k: int,
     seed: int = 0,
-    restarts: int = DEFAULT_RESTARTS,
+    restarts: int = DEFAULT_CLUSTER_RESTARTS,
     init: np.ndarray | None = None,
 ) -> KMeansModel:
     """Best-of-``restarts`` k-means++ with Lloyd iterations; deterministic.
@@ -355,7 +352,7 @@ def sweep_k(
     k_min: int = DEFAULT_K_MIN,
     k_max: int = DEFAULT_K_MAX,
     seed: int = 0,
-    restarts: int = DEFAULT_RESTARTS,
+    restarts: int = DEFAULT_CLUSTER_RESTARTS,
 ) -> list[KMeansModel]:
     """Fit every k in [k_min, k_max] and attach silhouettes.
 
@@ -406,7 +403,7 @@ def select_k(
     k_min: int = DEFAULT_K_MIN,
     k_max: int = DEFAULT_K_MAX,
     seed: int = 0,
-    restarts: int = DEFAULT_RESTARTS,
+    restarts: int = DEFAULT_CLUSTER_RESTARTS,
 ) -> KMeansModel:
     """The silhouette-maximizing model over the k sweep; ties pick smaller k."""
     return best_by_silhouette(sweep_k(X, k_min, k_max, seed, restarts))

@@ -20,18 +20,15 @@ import logging
 import random
 import re
 from collections import defaultdict
-from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .catalog import CatalogSnapshot
 from .errors import ValidationError
-from .graph import ActorPosts, BimodalGraph, node_key, sorted_nodes
+from .graph import ActorPosts, BimodalGraph, Partition, node_key, sorted_nodes
 from .pool import map_jobs
 from .stats import describe
-from .workspace import field, read_json_object
 
 logger = logging.getLogger(__name__)
 
@@ -43,42 +40,6 @@ BRUTE_FORCE_NODE_CAP = 12
 POOL_MIN_NODES = 1000
 
 _GAIN_EPS = 1e-12  # floating-point guard: gains below this are treated as zero
-
-
-@dataclass
-class Partition:
-    """Node-key to community-index assignment plus its modularity."""
-
-    assignment: dict[str, int]
-    quality: float
-
-    def communities(self) -> dict[int, frozenset[str]]:
-        groups: dict[int, set[str]] = defaultdict(set)
-        for key, comm in self.assignment.items():
-            groups[comm].add(key)
-        return {c: frozenset(members) for c, members in groups.items()}
-
-    def members(self, graph: BimodalGraph) -> dict[int, tuple[frozenset[str], frozenset[int]]]:
-        """Each community's (actors, CAPECs) in ``graph``, in community order; a
-        node left unassigned is refused, the first in sorted node order named."""
-        groups: dict[int, tuple[set[str], set[int]]] = defaultdict(lambda: (set(), set()))
-        for mode, raw in sorted_nodes(graph):
-            key = node_key(mode, raw)
-            if key not in self.assignment:
-                raise ValidationError(f"partition does not assign node {key!r}")
-            actors, capecs = groups[self.assignment[key]]
-            if mode == "actor":
-                actors.add(raw)
-            else:
-                capecs.add(int(raw))
-        return {c: (frozenset(a), frozenset(p)) for c, (a, p) in sorted(groups.items())}
-
-
-def load_partition(path: str | Path) -> Partition:
-    """Read the partition a saved ``communities.json`` holds; a fault names the file and key."""
-    data = read_json_object(path)
-    assignment = field(path, "assignment", lambda: {k: int(v) for k, v in data["assignment"].items()})
-    return Partition(assignment, field(path, "modularity", lambda: float(data["modularity"])))
 
 
 class _Level:

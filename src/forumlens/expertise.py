@@ -18,17 +18,14 @@ from datetime import datetime
 from pathlib import Path
 from typing import Sequence
 
+from . import DEFAULT_MIN_POSTS, DEFAULT_SKILL_PERCENTILE
 from .catalog import CatalogSnapshot, effective_skill
-from .community import Partition
 from .errors import ValidationError
-from .graph import ActorPosts, graph_of
+from .graph import ActorPosts, Partition, graph_of
 from .stats import describe
 from .workspace import replacing
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_SKILL_PERCENTILE = 70
-DEFAULT_MIN_POSTS = 4
 
 PROFILE_COLUMNS = (
     "actor_id",

@@ -12,23 +12,17 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import TYPE_CHECKING
-from xml.etree import ElementTree
 
+from . import DEFAULT_CAPEC_THRESHOLD, EXPORT_FORMATS
 from .catalog import CatalogSnapshot, map_cve_to_capecs
 from .errors import ValidationError
 from .ingest import Corpus, CveId, PostTable
 from .stats import describe
 from .workspace import field, read_json_object, replacing
-
-if TYPE_CHECKING:
-    from .community import Partition
-
-EXPORT_FORMATS = ("graphml", "dot", "csv")
-DEFAULT_CAPEC_THRESHOLD = 500
 
 
 @dataclass(frozen=True)
@@ -291,7 +285,62 @@ def load_posts(path: str | Path) -> ActorPosts:
     return {a: field(path, a, lambda: rows(ps)) for a, ps in read_json_object(path).items()}
 
 
-def _community_of(partition: "Partition | None", key: str) -> int | None:
+# --- partitions --------------------------------------------------------------
+
+@dataclass
+class Partition:
+    """Node-key to community-index assignment plus its modularity."""
+
+    assignment: dict[str, int]
+    quality: float
+
+    def communities(self) -> dict[int, frozenset[str]]:
+        groups: dict[int, set[str]] = defaultdict(set)
+        for key, comm in self.assignment.items():
+            groups[comm].add(key)
+        return {c: frozenset(members) for c, members in groups.items()}
+
+    def members(self, graph: BimodalGraph) -> dict[int, tuple[frozenset[str], frozenset[int]]]:
+        """Each community's (actors, CAPECs) in ``graph``, in community order; a
+        node left unassigned is refused, the first in sorted node order named."""
+        groups: dict[int, tuple[set[str], set[int]]] = defaultdict(lambda: (set(), set()))
+        for mode, raw in sorted_nodes(graph):
+            key = node_key(mode, raw)
+            if key not in self.assignment:
+                raise ValidationError(f"partition does not assign node {key!r}")
+            actors, capecs = groups[self.assignment[key]]
+            if mode == "actor":
+                actors.add(raw)
+            else:
+                capecs.add(int(raw))
+        return {c: (frozenset(a), frozenset(p)) for c, (a, p) in sorted(groups.items())}
+
+
+def load_partition(path: str | Path) -> Partition:
+    """Read the partition a saved ``communities.json`` holds; a fault names the file and key.
+
+    Community ids must be JSON integers and the modularity a number, none a
+    bool: ``int()`` would move a node at 2.7, "3" or true to another community.
+    """
+    data = read_json_object(path)
+
+    def community(value: object) -> int:
+        if type(value) is not int:
+            raise ValidationError(f"expected an integer community id, got {value!r}")
+        return value
+
+    def quality(value: object) -> float:
+        if type(value) not in (int, float):
+            raise ValidationError(f"expected a number, got {value!r}")
+        return float(value)
+
+    assignment = field(
+        path, "assignment", lambda: {k: community(v) for k, v in data["assignment"].items()}
+    )
+    return Partition(assignment, field(path, "modularity", lambda: quality(data["modularity"])))
+
+
+def _community_of(partition: Partition | None, key: str) -> int | None:
     if partition is None:
         return None
     return partition.assignment.get(key)
@@ -301,7 +350,7 @@ def export_graph(
     graph: BimodalGraph,
     fmt: str,
     path: str | Path,
-    partition: "Partition | None" = None,
+    partition: Partition | None = None,
 ) -> None:
     """Serialize the graph for external tools: 'graphml', 'dot' or 'csv'.
 
@@ -327,7 +376,8 @@ def sorted_nodes(graph: BimodalGraph) -> list[tuple[str, str]]:
     return nodes
 
 
-def _to_graphml(graph: BimodalGraph, partition: "Partition | None") -> str:
+def _to_graphml(graph: BimodalGraph, partition: Partition | None) -> str:
+    from xml.etree import ElementTree  # only this export needs it
     root = ElementTree.Element("graphml", xmlns="http://graphml.graphdrawing.org/xmlns")
     for key_id, attr in (("d_mode", "mode"), ("d_comm", "community")):
         key = ElementTree.SubElement(root, "key")
@@ -356,7 +406,7 @@ def _dot_quote(value: str) -> str:
     return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _to_dot(graph: BimodalGraph, partition: "Partition | None") -> str:
+def _to_dot(graph: BimodalGraph, partition: Partition | None) -> str:
     lines = ["graph bimodal {"]
     for mode, raw in sorted_nodes(graph):
         key = node_key(mode, raw)
@@ -373,7 +423,7 @@ def _to_dot(graph: BimodalGraph, partition: "Partition | None") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _to_csv(graph: BimodalGraph, partition: "Partition | None") -> str:
+def _to_csv(graph: BimodalGraph, partition: Partition | None) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["actor_id", "capec_id", "actor_community", "capec_community"])

@@ -27,9 +27,8 @@ from typing import Mapping, Sequence
 from .catalog import (
     CapecEntry, CatalogSnapshot, CveEntry, SkillLevel, build_snapshot, normalize_cwe, save_snapshot
 )
-from .community import Partition
 from .errors import ValidationError
-from .graph import node_key
+from .graph import Partition, node_key
 from .ingest import Corpus, CveId, PostRecord, build_corpus, save_corpus
 from .workspace import field, read_json_object, write_json
 

@@ -230,17 +230,30 @@ def test_an_unreadable_json_input_exits_1_naming_it(
     assert error.startswith(f"{path}: invalid JSON: ")
 
 
+@pytest.mark.parametrize("value", ["x", 2.7, "3", True], ids=["word", "float", "digits", "bool"])
 @pytest.mark.parametrize("command", ["expertise", "export-graph"])
 def test_a_non_integer_community_id_names_the_file_and_the_key(
-    pipeline_ws, tmp_path, caplog, command
+    pipeline_ws, tmp_path, caplog, command, value
 ):
+    # int() would take "3" and true, and silently move a node at 2.7 to community 2
     def change(payload):
-        payload["assignment"][min(payload["assignment"])] = "x"
+        payload["assignment"][min(payload["assignment"])] = value
 
     path, error = _error_after_edit(
         pipeline_ws, tmp_path, caplog, "communities.json", _json_edit(change), [command]
     )
-    assert error == f"{path}: assignment: invalid literal for int() with base 10: 'x'"
+    assert error == f"{path}: assignment: expected an integer community id, got {value!r}"
+
+
+@pytest.mark.parametrize("value", [True, "0.5"])
+def test_a_non_numeric_modularity_names_the_file_and_the_key(pipeline_ws, tmp_path, caplog, value):
+    def change(payload):
+        payload["modularity"] = value
+
+    path, error = _error_after_edit(
+        pipeline_ws, tmp_path, caplog, "communities.json", _json_edit(change), ["expertise"]
+    )
+    assert error == f"{path}: modularity: expected a number, got {value!r}"
 
 
 @pytest.mark.parametrize(

@@ -3,10 +3,11 @@
 One synthetic S workspace (4 communities of 25 actors) is built once. Each
 example takes one JSON artifact, drops a key, swaps a value's type or
 truncates the file, then runs every stage that reads it with ``--force``, each
-on its own copy of the workspace. The stage may succeed (exit 0) or refuse the
-file (exit 1) with one error line that names it; it never exits with another
-code, prints ``error: <ExceptionName>`` or logs a traceback, and a truncated
-file is always refused.
+on its own copy of the workspace. A second property drops or swaps one node of
+the partition in ``communities.json``. The stage may succeed (exit 0) or refuse
+the file (exit 1) with one error line that names it; it never exits with
+another code, prints ``error: <ExceptionName>`` or logs a traceback, and a
+truncated file is always refused.
 """
 
 from __future__ import annotations
@@ -108,12 +109,10 @@ def _corrupt(name: str, original: bytes, how: str, data: st.DataObject) -> bytes
     return json.dumps(payload).encode()
 
 
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_a_corrupted_json_artifact_exits_0_or_1_naming_it(s_workspace, data):
-    name = data.draw(st.sampled_from(sorted(READERS)), label="file")
-    how = data.draw(st.sampled_from(["drop", "swap", "truncate"]), label="how")
-    corrupted = _corrupt(name, (s_workspace / name).read_bytes(), how, data)
+def _run_readers(s_workspace: Path, name: str, corrupted: bytes) -> dict[str, int]:
+    """Each reader stage of ``name`` on its own copy with ``corrupted`` in place, by
+    exit code: 0, or 1 with one error line naming the file, never an exception."""
+    codes = {}
     for stage in READERS[name]:
         with tempfile.TemporaryDirectory() as tmp:
             ws = Path(tmp) / "ws"
@@ -125,5 +124,34 @@ def test_a_corrupted_json_artifact_exits_0_or_1_naming_it(s_workspace, data):
         if code == 1:
             [error] = [r.getMessage() for r in errors]
             assert name in error and not re.match(r"error: \w+", error), (stage, error)
-        if how == "truncate":
-            assert code == 1, stage
+        codes[stage] = code
+    return codes
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_corrupted_json_artifact_exits_0_or_1_naming_it(s_workspace, data):
+    name = data.draw(st.sampled_from(sorted(READERS)), label="file")
+    how = data.draw(st.sampled_from(["drop", "swap", "truncate"]), label="how")
+    corrupted = _corrupt(name, (s_workspace / name).read_bytes(), how, data)
+    codes = _run_readers(s_workspace, name, corrupted)
+    if how == "truncate":
+        assert set(codes.values()) == {1}, codes
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_one_corrupted_assignment_node_exits_0_or_1_naming_it(s_workspace, data):
+    # the property above drops only top-level keys of communities.json, and a swap
+    # there lands on any of its places
+    payload = json.loads((s_workspace / "communities.json").read_bytes())
+    node = data.draw(st.sampled_from(sorted(payload["assignment"])), label="node")
+    swap = data.draw(st.booleans(), label="swap")
+    if swap:
+        others = [v for v in SWAPS if type(v) is not int]
+        payload["assignment"][node] = data.draw(st.sampled_from(others), label="value")
+    else:
+        del payload["assignment"][node]
+    codes = _run_readers(s_workspace, "communities.json", json.dumps(payload).encode())
+    if swap:  # int() would move the node at 0.5 or true to another community
+        assert codes["expertise"] == codes["export-graph"] == 1, codes

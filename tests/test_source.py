@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import forumlens
+from forumlens.cli import main
 
 _WINDOW = 3
 _MIN_CHARS = 60
@@ -124,3 +129,72 @@ def test_ingest_writes_a_corpus_and_refuses_a_duplicate_in_one_place_each():
         if isinstance(node, ast.Raise) and "duplicate post_id" in ast.unparse(node)
     ]
     assert (len(writes), len(refusals)) == (1, 1)
+
+
+def _import_time_imports(path: Path) -> set[str]:
+    """What importing ``path`` imports: ``numpy`` for ``import numpy as np``, ``.graph``
+    for a module of this package; function bodies and ``if TYPE_CHECKING:`` are skipped."""
+    found: set[str] = set()
+    todo = list(ast.parse(path.read_text(encoding="utf-8")).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            continue
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.module else [a.name for a in node.names]
+            found.update(f".{n}" for n in names if path.with_name(f"{n}.py").is_file())
+        todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_only_the_numpy_stages_import_numpy_and_cli_imports_no_stage():
+    # a process imports numpy only for Leiden or k-means, and a stage only when it runs
+    package = Path(forumlens.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    numpy_users = [p.name for p in modules if "numpy" in _import_time_imports(p)]
+    assert numpy_users == ["cluster.py", "community.py"]
+    own = {name for name in _import_time_imports(package / "cli.py") if name.startswith(".")}
+    assert own == {".errors", ".workspace"}
+
+
+_PROBE = """
+import json, sys
+from forumlens.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith(("numpy", "forumlens.")))]))
+"""
+
+
+def test_the_stages_that_compute_without_numpy_never_import_it(tmp_path):
+    src = str(Path(forumlens.__file__).resolve().parents[1])
+    ws, synth = tmp_path / "ws", tmp_path / "ws" / "synth"
+
+    def loaded(*argv: str) -> list[str]:
+        result = subprocess.run(
+            [sys.executable, "-c", _PROBE, *argv, "--workspace", str(ws)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+        )
+        assert result.stdout, (argv, result.stderr)
+        code, modules = json.loads(result.stdout.splitlines()[-1])
+        assert code == 0, (argv, result.stderr)
+        assert "numpy" not in modules, argv
+        return modules
+
+    loaded("synth", "--seed", "41")
+    loaded("ingest", "--posts", str(synth / "posts.jsonl"))
+    loaded("convert-catalog", "--cve-cwe", str(synth / "cve_cwe.csv"),
+           "--capec-json", str(synth / "capec.json"))
+    loaded("graph")
+    assert main(["communities", "--workspace", str(ws)]) == 0
+    loaded("expertise")
+    assert main(["cluster", "--workspace", str(ws)]) == 0
+    assert loaded("report") == [
+        "forumlens.cli", "forumlens.errors", "forumlens.report", "forumlens.workspace",
+    ]
+    loaded("export-graph")
