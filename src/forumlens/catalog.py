@@ -20,7 +20,7 @@ from typing import Iterable
 
 from .errors import ValidationError
 from .ingest import CveId
-from .workspace import read_json, replacing, write_json
+from .workspace import read_json, reading_csv, replacing, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -199,8 +199,7 @@ def load_snapshot(cve_cwe_path: str | Path, capec_path: str | Path) -> CatalogSn
             raise ValidationError(f"catalog file not found: {path}")
 
     cwe_map: dict[CveId, set[str]] = {}
-    with open(cve_cwe_path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
+    with reading_csv(cve_cwe_path) as reader:
         if reader.fieldnames is not None:
             missing = {"cve_id", "cwe_id"} - set(reader.fieldnames)
             if missing:

@@ -233,7 +233,7 @@ def cmd_graph(ws: Workspace, args: argparse.Namespace) -> dict:
     full = graph.graph_of(posts)
     if full.n_nodes == 0:
         raise ValidationError("no post mentions a CVE that maps to any catalog CAPEC")
-    before = graph.degree_stats(full, graph.surviving_post_counts(posts))
+    before = graph.degree_stats(posts)
     filtered, removal = graph.filter_popular_capecs(full, threshold=args.capec_threshold)
     if not filtered.capec_ids:
         least = min(removal.removed_capecs.values())
@@ -243,7 +243,7 @@ def cmd_graph(ws: Workspace, args: argparse.Namespace) -> dict:
         )
     _warn_emptied_skill_levels(full, removal, snapshot)
     posts = graph.surviving_posts(posts, filtered)
-    after = graph.degree_stats(filtered, graph.surviving_post_counts(posts))
+    after = graph.degree_stats(posts)
     graph.save_graph(filtered, ws.path("graph.json"))
     graph.save_posts(posts, ws.path("capec_posts.json"))
     ws.hand_off("capec_posts.json", posts)
@@ -283,7 +283,7 @@ def cmd_communities(ws: Workspace, args: argparse.Namespace) -> dict:
             f"{', '.join(map(str, unknown))}"
         )
     part = community.leiden(g, seed=args.seed, restarts=args.restarts)
-    overview = community.summarize_communities(g, part, posts, snapshot)
+    overview = community.summarize_communities(part, posts, snapshot)
     ws.write_json(
         "communities.json",
         {

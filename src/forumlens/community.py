@@ -26,7 +26,7 @@ import numpy as np
 
 from .catalog import CatalogSnapshot
 from .errors import ValidationError
-from .graph import ActorPosts, BimodalGraph, Partition, node_key, sorted_nodes
+from .graph import ActorPosts, BimodalGraph, Partition, actor_capecs, node_key, sorted_nodes
 from .pool import map_jobs
 from .stats import describe
 
@@ -249,9 +249,8 @@ def _renumber(labels: Iterable[int]) -> list[int]:
 
 def modularity(graph: BimodalGraph, partition: Partition) -> float:
     """Newman modularity of a full assignment; 0 on an edgeless graph."""
-    partition.members(graph)  # refuses an incomplete assignment
     nodes, g = _index_graph(graph)
-    return _quality(g, [partition.assignment[key] for key in nodes])
+    return _quality(g, partition.labels(nodes))
 
 
 def leiden(graph: BimodalGraph, seed: int = 0, restarts: int = 10) -> Partition:
@@ -353,14 +352,14 @@ def keyword_digest(names: Iterable[str]) -> tuple[str, ...]:
 
 
 def summarize_communities(
-    graph: BimodalGraph, partition: Partition, posts: ActorPosts, snapshot: CatalogSnapshot
+    partition: Partition, posts: ActorPosts, snapshot: CatalogSnapshot
 ) -> list[dict]:
-    """Table-style overview of every community, from ``graph``'s surviving posts:
-    one row per community, mirroring the reference tables' columns."""
-    actor_adj = graph.actor_adjacency()
+    """Table-style overview of every community of a resolved-post table: one row
+    per community, mirroring the reference tables' columns."""
+    adjacency = actor_capecs(posts)
     overviews = []
-    for comm, (actors, capecs) in partition.members(graph).items():
-        counts = [len(posts.get(a, ())) for a in sorted(actors)]
+    for comm, (actors, capecs) in partition.members(posts).items():
+        counts = [len(posts[a]) for a in sorted(actors)]
         one_timers = sum(1 for c in counts if c == 1)
         overviews.append(
             {
@@ -369,7 +368,7 @@ def summarize_communities(
                 "actors": len(actors),
                 "capecs": len(capecs),
                 "one_timer_pct": 100.0 * one_timers / len(actors) if actors else 0.0,
-                "out_degree": describe(len(actor_adj[a]) for a in sorted(actors)),
+                "out_degree": describe(len(adjacency[a]) for a in sorted(actors)),
                 "specialized_posts": describe(counts),
                 "keywords": list(keyword_digest(snapshot.capecs[c].name for c in capecs)),
                 "capec_ids": sorted(capecs),

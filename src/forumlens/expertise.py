@@ -21,9 +21,9 @@ from typing import Sequence
 from . import DEFAULT_MIN_POSTS, DEFAULT_SKILL_PERCENTILE
 from .catalog import CatalogSnapshot, effective_skill
 from .errors import ValidationError
-from .graph import ActorPosts, Partition, graph_of
+from .graph import ActorPosts, Partition
 from .stats import describe
-from .workspace import replacing
+from .workspace import reading_csv, replacing
 
 logger = logging.getLogger(__name__)
 
@@ -90,7 +90,7 @@ def post_in_interest(post_capecs: frozenset[int] | set[int], coi_capecs: frozens
     """True when at least half of the post's CAPECs lie in the community set."""
     if not post_capecs:
         raise ValidationError("post_in_interest requires a non-empty CAPEC set")
-    return len(post_capecs & set(coi_capecs)) / len(post_capecs) >= 0.5
+    return len(post_capecs & coi_capecs) / len(post_capecs) >= 0.5
 
 
 def activity_days(first_post: datetime, last_post: datetime) -> int:
@@ -112,18 +112,17 @@ def build_profiles(
     partition: Partition,
     skill_percentile: int = DEFAULT_SKILL_PERCENTILE,
 ) -> list[ActorProfile]:
-    """Score every actor of the graph of ``posts`` from its posts.
+    """Score every actor of a resolved-post table from its posts.
 
     Skill values are collected once per (post, CAPEC) occurrence. Actors
-    whose CAPECs all lack catalog skill information cannot be scored and are
-    dropped with a warning.
+    whose CAPECs all lack catalog skill information cannot be scored; they
+    are dropped, and one warning gives their count and the first few ids.
     """
-    graph = graph_of(posts)
-    members = partition.members(graph)
+    members = partition.members(posts)
     community_of = {a: comm for comm, (actors, _) in members.items() for a in actors}
 
-    profiles = []
-    for actor in sorted(graph.actor_ids):
+    profiles, dropped = [], []
+    for actor in sorted(posts):
         actor_posts = sorted(posts[actor], key=lambda item: item[0])
         comm = community_of[actor]
 
@@ -134,14 +133,13 @@ def build_profiles(
                 if skill is not None:
                     values.append(int(skill))
         if not values:
-            logger.warning("actor %s dropped: no skill information for any CAPEC", actor)
+            dropped.append(actor)
             continue
 
         interest = members[comm][1]
         n_posts = len(actor_posts)
         n_in = sum(1 for _, capecs in actor_posts if post_in_interest(capecs, interest))
         first, last = actor_posts[0][0], actor_posts[-1][0]
-        days = activity_days(first, last)
         profiles.append(
             ActorProfile(
                 actor_id=actor,
@@ -153,9 +151,14 @@ def build_profiles(
                 commitment_pct=100.0 * n_in / n_posts,
                 first_post=first,
                 last_post=last,
-                activity_days=days,
-                activity_rate=n_posts / days,
+                activity_days=activity_days(first, last),
+                activity_rate=activity_rate(n_posts, first, last),
             )
+        )
+    if dropped:
+        logger.warning(
+            "dropped %d actor(s) with no skill information for any CAPEC (first: %s)",
+            len(dropped), ", ".join(dropped[:5]),
         )
     return profiles
 
@@ -207,8 +210,7 @@ def load_profiles(path: str | Path) -> list[ActorProfile]:
     """Read a profiles CSV back; skill value lists and timestamps are not stored."""
     path = Path(path)
     profiles = []
-    with path.open("r", newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
+    with reading_csv(path) as reader:
         if reader.fieldnames is None or tuple(reader.fieldnames) != PROFILE_COLUMNS:
             raise ValidationError(f"unexpected profile columns in {path}: {reader.fieldnames}")
         for row in reader:

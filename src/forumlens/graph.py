@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -41,12 +41,6 @@ class BimodalGraph:
     @property
     def n_nodes(self) -> int:
         return len(self.actor_ids) + len(self.capec_ids)
-
-    def actor_adjacency(self) -> dict[str, set[int]]:
-        adj: dict[str, set[int]] = {a: set() for a in self.actor_ids}
-        for actor, capec in self.edges:
-            adj[actor].add(capec)
-        return adj
 
     def capec_adjacency(self) -> dict[int, set[str]]:
         adj: dict[int, set[str]] = {c: set() for c in self.capec_ids}
@@ -77,9 +71,14 @@ def post_capec_sets(table: PostTable, snapshot: CatalogSnapshot) -> ActorPosts:
     return posts
 
 
+def actor_capecs(posts: ActorPosts) -> dict[str, frozenset[int]]:
+    """Each actor's CAPECs in a resolved-post table: the union of its posts' sets."""
+    return {a: frozenset().union(*(cs for _, cs in a_posts)) for a, a_posts in posts.items()}
+
+
 def graph_of(posts: ActorPosts) -> BimodalGraph:
     """The bimodal graph of resolved posts: one edge per (actor, CAPEC) pair."""
-    edges = frozenset((a, c) for a, a_posts in posts.items() for _, cs in a_posts for c in cs)
+    edges = frozenset((a, c) for a, cs in actor_capecs(posts).items() for c in cs)
     return BimodalGraph(frozenset(a for a, _ in edges), frozenset(c for _, c in edges), edges)
 
 
@@ -159,25 +158,26 @@ def filter_popular_capecs(
     return filtered, report
 
 
-def degree_stats(graph: BimodalGraph, post_counts: dict[str, int]) -> dict:
-    """Degree statistics plus the one-timer block from per-actor post counts.
+def degree_stats(posts: ActorPosts) -> dict:
+    """Degree statistics of a post table's graph plus the one-timer block of its post counts.
 
     ``density`` uses bipartite-possible pairs (|E| / |actors|*|capecs|);
     ``density_all_pairs`` uses all node pairs, the convention under which the
     2,584-node reference network has density 0.009.
     """
+    adj = actor_capecs(posts)
     # sorted id order: the float sums in describe must not follow set order,
     # which varies with the interpreter's hash seed
-    actor_degrees = [len(s) for _, s in sorted(graph.actor_adjacency().items())]
-    capec_degrees = [len(s) for _, s in sorted(graph.capec_adjacency().items())]
-    n_actors, n_capecs, n_edges = len(graph.actor_ids), len(graph.capec_ids), len(graph.edges)
+    actor_degrees = [len(cs) for _, cs in sorted(adj.items())]
+    capec_degrees = [d for _, d in sorted(Counter(c for cs in adj.values() for c in cs).items())]
+    n_actors, n_capecs, n_edges = len(adj), len(capec_degrees), sum(actor_degrees)
 
     density = n_edges / (n_actors * n_capecs) if n_actors and n_capecs else 0.0
     n_nodes = n_actors + n_capecs
     all_pairs = n_nodes * (n_nodes - 1) / 2
     density_all = n_edges / all_pairs if all_pairs else 0.0
 
-    counts = [post_counts.get(a, 0) for a in sorted(graph.actor_ids)]
+    counts = [n for _, n in sorted(surviving_post_counts(posts).items())]
     return {
         "n_actors": n_actors,
         "n_capecs": n_capecs,
@@ -300,19 +300,21 @@ class Partition:
             groups[comm].add(key)
         return {c: frozenset(members) for c, members in groups.items()}
 
-    def members(self, graph: BimodalGraph) -> dict[int, tuple[frozenset[str], frozenset[int]]]:
-        """Each community's (actors, CAPECs) in ``graph``, in community order; a
-        node left unassigned is refused, the first in sorted node order named."""
+    def labels(self, keys: list[str]) -> list[int]:
+        """The community of each node key, in order; the first key left unassigned is refused."""
+        try:
+            return [self.assignment[key] for key in keys]
+        except KeyError as exc:
+            raise ValidationError(f"partition does not assign node {exc.args[0]!r}") from exc
+
+    def members(self, posts: ActorPosts) -> dict[int, tuple[frozenset[str], frozenset[int]]]:
+        """Each community's (actors, CAPECs) in a post table, in community order; a node
+        left unassigned is refused, the first in sorted node order named."""
+        nodes = [("actor", a) for a in sorted(posts)]
+        nodes += [("capec", c) for c in sorted(frozenset().union(*actor_capecs(posts).values()))]
         groups: dict[int, tuple[set[str], set[int]]] = defaultdict(lambda: (set(), set()))
-        for mode, raw in sorted_nodes(graph):
-            key = node_key(mode, raw)
-            if key not in self.assignment:
-                raise ValidationError(f"partition does not assign node {key!r}")
-            actors, capecs = groups[self.assignment[key]]
-            if mode == "actor":
-                actors.add(raw)
-            else:
-                capecs.add(int(raw))
+        for (mode, node), comm in zip(nodes, self.labels([node_key(*n) for n in nodes])):
+            groups[comm][mode == "capec"].add(node)
         return {c: (frozenset(a), frozenset(p)) for c, (a, p) in sorted(groups.items())}
 
 

@@ -1,4 +1,4 @@
-"""Persistent staged workspace: artifacts, manifest, hash gating, lock, JSON reads, file writes.
+"""Persistent staged workspace: artifacts, manifest, hash gating, lock, file reads and writes.
 
 Every stage writes its artifacts into the workspace root and records their
 SHA-256 digests, the flags it ran with, and the digests of the artifacts it
@@ -16,6 +16,7 @@ while the file still has that digest; otherwise the reader parses the file.
 
 from __future__ import annotations
 
+import csv
 import fcntl
 import hashlib
 import json
@@ -98,6 +99,17 @@ def read_json(path: str | Path) -> Any:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # ValueError covers both decode errors
         raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
+
+
+@contextmanager
+def reading_csv(path: str | Path) -> Iterator[csv.DictReader]:
+    """A ``csv.DictReader`` over a UTF-8 file; invalid UTF-8 or a CSV fault, such as
+    a field over the csv module's size limit, raises ``ValidationError`` naming the file."""
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            yield csv.DictReader(handle)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def field(path: str | Path, key: str | None, build: Callable[[], T]) -> T:

@@ -87,7 +87,9 @@ def test_modularity_matches_direct_formula_on_random_graphs():
 
 _MEMBERSHIP_USERS = {
     "modularity": lambda graph, partition, posts, snapshot: modularity(graph, partition),
-    "summarize_communities": summarize_communities,
+    "summarize_communities": lambda graph, partition, posts, snapshot: summarize_communities(
+        partition, posts, snapshot
+    ),
     "build_profiles": lambda graph, partition, posts, snapshot: build_profiles(
         posts, snapshot, partition
     ),
@@ -306,7 +308,7 @@ def test_summarize_communities_fields():
     graph = build_graph(corpus, snapshot)
     partition = leiden(graph, seed=0)
     posts = surviving_posts(post_capec_sets(corpus.table(), snapshot), graph)
-    overviews = summarize_communities(graph, partition, posts, snapshot)
+    overviews = summarize_communities(partition, posts, snapshot)
 
     assert len(overviews) == len(partition.communities())
     by_community = {o["community"]: o for o in overviews}

@@ -7,7 +7,8 @@ on its own copy of the workspace. A second property drops or swaps one node of
 the partition in ``communities.json``. The stage may succeed (exit 0) or refuse
 the file (exit 1) with one error line that names it; it never exits with
 another code, prints ``error: <ExceptionName>`` or logs a traceback, and a
-truncated file is always refused.
+truncated file is always refused. A CSV file with a byte that is no UTF-8, or a
+field over the csv module's size limit, is always refused the same way.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forumlens.cli import main
+from forumlens.errors import ValidationError
+from forumlens.expertise import load_profiles
 
 # each JSON file a stage opens, and the stages that open it
 READERS = {
@@ -109,11 +112,14 @@ def _corrupt(name: str, original: bytes, how: str, data: st.DataObject) -> bytes
     return json.dumps(payload).encode()
 
 
-def _run_readers(s_workspace: Path, name: str, corrupted: bytes) -> dict[str, int]:
-    """Each reader stage of ``name`` on its own copy with ``corrupted`` in place, by
-    exit code: 0, or 1 with one error line naming the file, never an exception."""
+def _run_readers(
+    s_workspace: Path, name: str, corrupted: bytes, stages: tuple[str, ...] | None = None
+) -> dict[str, int]:
+    """Each reader stage of ``name`` (or each of ``stages``) on its own copy with
+    ``corrupted`` in place, by exit code: 0, or 1 with one error line naming the
+    file, never an exception."""
     codes = {}
-    for stage in READERS[name]:
+    for stage in stages or READERS[name]:
         with tempfile.TemporaryDirectory() as tmp:
             ws = Path(tmp) / "ws"
             shutil.copytree(s_workspace, ws)
@@ -155,3 +161,44 @@ def test_one_corrupted_assignment_node_exits_0_or_1_naming_it(s_workspace, data)
     codes = _run_readers(s_workspace, "communities.json", json.dumps(payload).encode())
     if swap:  # int() would move the node at 0.5 or true to another community
         assert codes["expertise"] == codes["export-graph"] == 1, codes
+
+
+# a row the csv module cannot read: a byte that is no UTF-8, or a field one
+# character over its default size limit of 131,072
+CSV_FAULTS = {"utf8": b"\xff,x\n", "field": b"x" * 131_073 + b",x\n"}
+
+
+@pytest.mark.parametrize("fault", sorted(CSV_FAULTS))
+def test_a_corrupted_cve_cwe_csv_exits_1_naming_it(s_workspace, tmp_path, fault):
+    corrupted = (s_workspace / "cve_cwe.csv").read_bytes() + CSV_FAULTS[fault]
+    # the workspace artifact, which --force lets graph read ...
+    assert _run_readers(s_workspace, "cve_cwe.csv", corrupted, ("graph",)) == {"graph": 1}
+    # ... and the file convert-catalog is given
+    given = tmp_path / "given.csv"
+    given.write_bytes(corrupted)
+    handler = _Errors()
+    logging.getLogger("forumlens").addHandler(handler)
+    try:
+        code = main([
+            "convert-catalog", "--workspace", str(tmp_path / "ws"), "--cve-cwe", str(given),
+            "--capec-json", str(s_workspace / "capec.json"),
+        ])
+    finally:
+        logging.getLogger("forumlens").removeHandler(handler)
+    [error] = [r.getMessage() for r in handler.records]
+    assert code == 1 and error.startswith(f"{given}: "), error
+
+
+@pytest.mark.parametrize("fault", sorted(CSV_FAULTS))
+def test_a_corrupted_sample_csv_exits_1_naming_it(s_workspace, fault):
+    corrupted = (s_workspace / "sample.csv").read_bytes() + CSV_FAULTS[fault]
+    assert _run_readers(s_workspace, "sample.csv", corrupted, ("cluster",)) == {"cluster": 1}
+
+
+@pytest.mark.parametrize("fault", sorted(CSV_FAULTS))
+def test_a_corrupted_profiles_csv_is_refused_naming_it(s_workspace, tmp_path, fault):
+    # no stage reads profiles.csv back; load_profiles is its reader
+    path = tmp_path / "profiles.csv"
+    path.write_bytes((s_workspace / "profiles.csv").read_bytes() + CSV_FAULTS[fault])
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: "):
+        load_profiles(path)

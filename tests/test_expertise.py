@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import math
 import random
 
@@ -201,6 +202,29 @@ def test_build_profiles_drops_unscorable_actor():
     graph = build_graph(corpus, snapshot)
     partition = Partition(assignment={"actor:alice": 0, "capec:63": 0}, quality=0.0)
     assert _profiles(corpus, snapshot, graph, partition) == []
+
+
+def test_build_profiles_warns_once_with_the_count_of_unscorable_actors(caplog):
+    # CAPEC 126 has no skill, so each of the seven actors posting only about it is dropped
+    snapshot = snapshot_from(
+        cve_to_cwes={"CVE-2021-0001": ["CWE-79"], "CVE-2021-0003": ["CWE-22"]},
+        capecs=[(63, "XSS", ["CWE-79"]), (126, "Path traversal", ["CWE-22"])],
+        skills={63: "Low"},
+    )
+    unscorable = [f"u{i}" for i in range(7)]
+    corpus = build_corpus(
+        [post("p0", "alice", "2021-01-01", "CVE-2021-0001")]
+        + [post(f"p{i + 1}", a, "2021-01-02", "CVE-2021-0003") for i, a in enumerate(unscorable)]
+    )
+    assignment = {"actor:alice": 0, "capec:63": 0, "capec:126": 1}
+    assignment.update({f"actor:{a}": 1 for a in unscorable})
+    partition = Partition(assignment=assignment, quality=0.0)
+    with caplog.at_level(logging.WARNING, logger="forumlens.expertise"):
+        profiles = _profiles(corpus, snapshot, build_graph(corpus, snapshot), partition)
+    assert [p.actor_id for p in profiles] == ["alice"]
+    assert [r.getMessage() for r in caplog.records if r.name == "forumlens.expertise"] == [
+        "dropped 7 actor(s) with no skill information for any CAPEC (first: u0, u1, u2, u3, u4)"
+    ]
 
 
 def test_build_sample_min_posts():

@@ -256,9 +256,17 @@ def test_filter_idempotent():
     assert not report.removed_capecs and not report.removed_actors
 
 
+def _table(*rows: tuple[str, set[int]]) -> dict:
+    """A resolved-post table with one post per (actor, CAPEC ids) row, all on one day."""
+    table: dict = {}
+    for actor, capecs in rows:
+        table.setdefault(actor, []).append((ts("2021-01-01"), frozenset(capecs)))
+    return table
+
+
 def test_degree_stats_densities():
-    graph = bigraph([("a", 1), ("a", 2), ("b", 1)])
-    stats = degree_stats(graph, {"a": 2, "b": 1})
+    # edges a-1, a-2 and b-1; a posts twice
+    stats = degree_stats(_table(("a", {1}), ("a", {2, 1}), ("b", {1})))
     assert stats["n_actors"] == 2 and stats["n_capecs"] == 2 and stats["n_edges"] == 3
     assert stats["density"] == pytest.approx(3 / 4)
     assert stats["density_all_pairs"] == pytest.approx(3 / 6)
@@ -267,16 +275,14 @@ def test_degree_stats_densities():
 
 
 def test_degree_stats_one_timer_block():
-    graph = bigraph([("a", 1), ("b", 1), ("c", 2)])
-    counts = {"a": 1, "b": 4, "c": 1}
-    stats = degree_stats(graph, post_counts=counts)
+    stats = degree_stats(_table(("a", {1}), *[("b", {1})] * 4, ("c", {2})))
     assert stats["one_timer_share"] == pytest.approx(2 / 3)
     assert stats["posts"]["count"] == 3
     assert stats["posts_non_one_timers"]["count"] == 1
     assert stats["posts_non_one_timers"]["mean"] == pytest.approx(4.0)
 
     # no actor posts twice: the non-one-timer block is empty, written as zeros
-    stats = degree_stats(graph, post_counts={"a": 1, "b": 1, "c": 1})
+    stats = degree_stats(_table(("a", {1}), ("b", {1}), ("c", {2})))
     assert json.dumps(stats["posts_non_one_timers"], sort_keys=True) == (
         '{"count": 0, "max": 0.0, "mean": 0.0, "median": 0.0, "min": 0.0, "p75": 0.0, "std": 0.0}'
     )
@@ -285,13 +291,16 @@ def test_degree_stats_one_timer_block():
 _DEGREE_STATS_SCRIPT = textwrap.dedent(
     """
     import random
-    from forumlens.graph import BimodalGraph, degree_stats
+    from datetime import datetime, timezone
+    from forumlens.graph import degree_stats
     rng = random.Random(2)
-    edges = {(f"a{i}", rng.randrange(40)) for i in range(300) for _ in range(rng.randrange(1, 12))}
-    graph = BimodalGraph(
-        frozenset(a for a, _ in edges), frozenset(c for _, c in edges), frozenset(edges)
-    )
-    stats = degree_stats(graph, {a: 1 for a in graph.actor_ids})
+    when = datetime(2021, 1, 1, tzinfo=timezone.utc)
+    rows = {
+        f"a{i}": [(when, frozenset({rng.randrange(40)})) for _ in range(rng.randrange(1, 12))]
+        for i in range(300)
+    }
+    posts = {a: rows[a] for a in set(rows)}  # actors in the hash seed's set order
+    stats = degree_stats(posts)
     print(repr(stats["actor_degree"]), repr(stats["capec_degree"]))
     """
 )

@@ -84,6 +84,28 @@ def test_only_export_graph_reads_graph_json():
     assert uses == ["cli.py:cmd_export_graph:use", "graph.py:load_graph:def"]
 
 
+def test_post_summaries_take_the_post_table_alone():
+    # the cut post table is the one input of every post summary; only Leiden and
+    # the exports need the graph object, so expertise builds none
+    package = Path(forumlens.__file__).parent
+    tree = ast.parse((package / "expertise.py").read_text(encoding="utf-8"))
+    names = {getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None)
+             for n in ast.walk(tree)}
+    assert "graph_of" not in names
+    annotations = {}
+    for module, function in (
+        ("graph.py", "degree_stats"), ("community.py", "summarize_communities"),
+        ("graph.py", "members"),
+    ):
+        for node in ast.walk(ast.parse((package / module).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name == function:
+                args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                annotations[function] = " ".join(ast.unparse(a.annotation) for a in args
+                                                 if a.annotation)
+    assert len(annotations) == 3
+    assert [f for f, text in annotations.items() if "BimodalGraph" in text] == []
+
+
 def _references(package: Path) -> dict[str, set[str]]:
     """Each function, method and class of the package by name, with the names its body uses.
 
