@@ -13,6 +13,7 @@ __version__ = "0.1.0"
 # Defaults of the stages' flags, here so that the CLI builds its parser without
 # importing a stage (and numpy with it); each stage imports its own.
 DEFAULT_CAPEC_THRESHOLD = 500
+DEFAULT_LEIDEN_RESTARTS = 10
 DEFAULT_MIN_POSTS = 4
 DEFAULT_SKILL_PERCENTILE = 70
 DEFAULT_K_MIN = 2

@@ -24,7 +24,8 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import (
     DEFAULT_CAPEC_THRESHOLD, DEFAULT_CLUSTER_RESTARTS, DEFAULT_K_MAX, DEFAULT_K_MIN,
-    DEFAULT_MIN_POSTS, DEFAULT_SKILL_PERCENTILE, EXPORT_FORMATS, __version__,
+    DEFAULT_LEIDEN_RESTARTS, DEFAULT_MIN_POSTS, DEFAULT_SKILL_PERCENTILE, EXPORT_FORMATS,
+    __version__,
 )
 from .errors import ForumlensError, MissingUpstreamError, ValidationError
 from .workspace import Workspace, WorkspaceLockedError, default_root
@@ -62,7 +63,10 @@ def _add_graph_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_communities_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="community detection seed")
-    parser.add_argument("--restarts", type=int, default=10, help="community detection restarts")
+    parser.add_argument(
+        "--restarts", type=int, default=DEFAULT_LEIDEN_RESTARTS,
+        help="community detection restarts (default %(default)s)",
+    )
 
 
 def _add_expertise_flags(parser: argparse.ArgumentParser) -> None:
@@ -230,10 +234,11 @@ def cmd_graph(ws: Workspace, args: argparse.Namespace) -> dict:
     snapshot = _load_snapshot(ws)
     # the post table is only needed to resolve posts, so no name keeps it alive
     posts = graph.post_capec_sets(ws.load("corpus.jsonl", ingest.load_post_table), snapshot)
-    full = graph.graph_of(posts)
+    adjacency = graph.actor_capecs(posts)
+    full, before = graph.graph_of(adjacency), graph.degree_stats(posts, adjacency)
+    del adjacency  # the cut gets its own union; kept, this one adds about 1 MB to the peak at L
     if full.n_nodes == 0:
         raise ValidationError("no post mentions a CVE that maps to any catalog CAPEC")
-    before = graph.degree_stats(posts)
     filtered, removal = graph.filter_popular_capecs(full, threshold=args.capec_threshold)
     if not filtered.capec_ids:
         least = min(removal.removed_capecs.values())
@@ -243,7 +248,7 @@ def cmd_graph(ws: Workspace, args: argparse.Namespace) -> dict:
         )
     _warn_emptied_skill_levels(full, removal, snapshot)
     posts = graph.surviving_posts(posts, filtered)
-    after = graph.degree_stats(posts)
+    after = graph.degree_stats(posts, graph.actor_capecs(posts))
     graph.save_graph(filtered, ws.path("graph.json"))
     graph.save_posts(posts, ws.path("capec_posts.json"))
     ws.hand_off("capec_posts.json", posts)
@@ -274,16 +279,11 @@ def _warn_emptied_skill_levels(
 
 def cmd_communities(ws: Workspace, args: argparse.Namespace) -> dict:
     from . import community, graph
-    posts, snapshot = ws.load("capec_posts.json", graph.load_posts), _load_snapshot(ws)
-    g = graph.graph_of(posts)
-    unknown = sorted(g.capec_ids - snapshot.capecs.keys())
-    if unknown:  # only a --force over an edited file gets here
-        raise ValidationError(
-            f"capec_posts.json in {ws.root} names CAPEC ids that capec.json lacks: "
-            f"{', '.join(map(str, unknown))}"
-        )
-    part = community.leiden(g, seed=args.seed, restarts=args.restarts)
-    overview = community.summarize_communities(part, posts, snapshot)
+    snapshot = _load_snapshot(ws)
+    posts = ws.load("capec_posts.json", lambda path: graph.load_posts(path, snapshot))
+    adjacency = graph.actor_capecs(posts)
+    part = community.leiden(graph.graph_of(adjacency), seed=args.seed, restarts=args.restarts)
+    overview = community.summarize_communities(part, posts, adjacency, snapshot)
     ws.write_json(
         "communities.json",
         {
@@ -301,17 +301,18 @@ def cmd_communities(ws: Workspace, args: argparse.Namespace) -> dict:
 
 def cmd_expertise(ws: Workspace, args: argparse.Namespace) -> dict:
     from . import expertise, graph
-    posts = ws.load("capec_posts.json", graph.load_posts)
-    part, snapshot = ws.load("communities.json", graph.load_partition), _load_snapshot(ws)
+    snapshot = _load_snapshot(ws)
+    posts = ws.load("capec_posts.json", lambda path: graph.load_posts(path, snapshot))
+    part = ws.load("communities.json", graph.load_partition)
+    adjacency = graph.actor_capecs(posts)
     try:
         profiles = expertise.build_profiles(
-            posts, snapshot, part, skill_percentile=args.skill_percentile
+            posts, adjacency, snapshot, part, skill_percentile=args.skill_percentile
         )
-    except (ValidationError, KeyError) as exc:  # KeyError: a CAPEC the catalog lacks
+    except ValidationError as exc:  # a node the partition leaves out
         # each file read well on its own, so they disagree, as a --force can leave them
         raise ValidationError(
-            f"capec_posts.json, communities.json and capec.json in {ws.root} disagree: "
-            f"{exc.args[0]}"
+            f"capec_posts.json and communities.json in {ws.root} disagree: {exc.args[0]}"
         ) from exc
     sample = expertise.build_sample(profiles, min_posts=args.min_posts)
     expertise.save_profiles(profiles, ws.path("profiles.csv"))
@@ -345,14 +346,12 @@ def cmd_cluster(ws: Workspace, args: argparse.Namespace) -> dict:
     k_max = min(args.k_max, n)
     if k_max < args.k_max:
         logger.info("clamping --k-max to the sample size %d", n)
-    X = cluster.feature_matrix(sample)
-    try:
-        Z, scaler = cluster.standardize(X)
-        models = cluster.sweep_k(
-            Z, args.k_min, k_max, seed=args.cluster_seed, restarts=args.cluster_restarts
-        )
-    except ValidationError as exc:
-        return skip(str(exc))
+    Z, scaler = cluster.standardize(cluster.feature_matrix(sample))
+    models = cluster.sweep_k(
+        Z, args.k_min, k_max, seed=args.cluster_seed, restarts=args.cluster_restarts
+    )
+    if not models:
+        return skip("no k in range produced 2 or more distinct clusters")
     best = cluster.with_raw_centroids(cluster.best_by_silhouette(models), scaler)
     summaries = cluster.summarize_clusters(best, sample)
     ws.write_json(

@@ -360,7 +360,7 @@ def sweep_k(
     the k x restarts fits are seeded jobs, so from ``POOL_MIN_ROWS`` rows they
     run through :func:`forumlens.pool.map_jobs` with the same result. Ks
     whose fit collapses below 2 non-empty clusters are skipped (their
-    silhouette is undefined).
+    silhouette is undefined), so rows too alike for any k give an empty list.
     """
     X = _check_fit(X, restarts)
     if k_min < 2:
@@ -388,7 +388,7 @@ def sweep_k(
         else:
             logger.debug("sweep_k k=%d: restart %d won with 1 non-empty cluster; skipped", k, won)
     if not fitted:
-        raise ValidationError("no k in range produced 2 or more distinct clusters")
+        return []
     scores = silhouettes(X, [model.labels for _, _, model in fitted])
     for (k, won, model), score in zip(fitted, scores):
         logger.debug(

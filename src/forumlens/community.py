@@ -24,9 +24,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import DEFAULT_LEIDEN_RESTARTS
 from .catalog import CatalogSnapshot
 from .errors import ValidationError
-from .graph import ActorPosts, BimodalGraph, Partition, actor_capecs, node_key, sorted_nodes
+from .graph import ActorCapecs, ActorPosts, BimodalGraph, Partition, node_key, sorted_nodes
 from .pool import map_jobs
 from .stats import describe
 
@@ -253,7 +254,7 @@ def modularity(graph: BimodalGraph, partition: Partition) -> float:
     return _quality(g, partition.labels(nodes))
 
 
-def leiden(graph: BimodalGraph, seed: int = 0, restarts: int = 10) -> Partition:
+def leiden(graph: BimodalGraph, seed: int = 0, restarts: int = DEFAULT_LEIDEN_RESTARTS) -> Partition:
     """Best-of-``restarts`` Leiden partition; deterministic in (seed, restarts).
 
     Each restart runs the full level loop from its own derived seed (see
@@ -352,13 +353,12 @@ def keyword_digest(names: Iterable[str]) -> tuple[str, ...]:
 
 
 def summarize_communities(
-    partition: Partition, posts: ActorPosts, snapshot: CatalogSnapshot
+    partition: Partition, posts: ActorPosts, adjacency: ActorCapecs, snapshot: CatalogSnapshot
 ) -> list[dict]:
-    """Table-style overview of every community of a resolved-post table: one row
-    per community, mirroring the reference tables' columns."""
-    adjacency = actor_capecs(posts)
+    """Table-style overview of every community of a resolved-post table, given its
+    ``actor_capecs``: one row per community, mirroring the reference tables' columns."""
     overviews = []
-    for comm, (actors, capecs) in partition.members(posts).items():
+    for comm, (actors, capecs) in partition.members(adjacency).items():
         counts = [len(posts[a]) for a in sorted(actors)]
         one_timers = sum(1 for c in counts if c == 1)
         overviews.append(

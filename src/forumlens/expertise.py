@@ -21,9 +21,9 @@ from typing import Sequence
 from . import DEFAULT_MIN_POSTS, DEFAULT_SKILL_PERCENTILE
 from .catalog import CatalogSnapshot, effective_skill
 from .errors import ValidationError
-from .graph import ActorPosts, Partition
+from .graph import ActorCapecs, ActorPosts, Partition
 from .stats import describe
-from .workspace import reading_csv, replacing
+from .workspace import field, reading_csv, replacing
 
 logger = logging.getLogger(__name__)
 
@@ -108,17 +108,18 @@ def activity_rate(n_posts: int, first_post: datetime, last_post: datetime) -> fl
 
 def build_profiles(
     posts: ActorPosts,
+    adjacency: ActorCapecs,
     snapshot: CatalogSnapshot,
     partition: Partition,
     skill_percentile: int = DEFAULT_SKILL_PERCENTILE,
 ) -> list[ActorProfile]:
-    """Score every actor of a resolved-post table from its posts.
+    """Score every actor of a resolved-post table from its posts, given its ``actor_capecs``.
 
     Skill values are collected once per (post, CAPEC) occurrence. Actors
     whose CAPECs all lack catalog skill information cannot be scored; they
     are dropped, and one warning gives their count and the first few ids.
     """
-    members = partition.members(posts)
+    members = partition.members(adjacency)
     community_of = {a: comm for comm, (actors, _) in members.items() for a in actors}
 
     profiles, dropped = [], []
@@ -206,33 +207,43 @@ def save_profiles(profiles: Sequence[ActorProfile], path: str | Path) -> Path:
     return path
 
 
+def _profile(row: dict[str, str]) -> ActorProfile:
+    """A row as :func:`save_profiles` writes it; any other value raises ``ValueError``."""
+    n_posts, days = int(row["n_posts"]), int(row["activity_days"])
+    skill, commitment, rate = (
+        float(row[c]) for c in ("skill_score", "commitment_pct", "activity_rate")
+    )
+    if n_posts < 1 or days < 1:
+        raise ValueError(f"n_posts and activity_days must be >= 1: {n_posts}, {days}")
+    if not all(math.isfinite(v) for v in (skill, rate)) or not 0 <= commitment <= 100:
+        raise ValueError(
+            "skill_score and activity_rate must be finite and commitment_pct in [0, 100]: "
+            f"{skill!r}, {rate!r}, {commitment!r}"
+        )
+    return ActorProfile(
+        actor_id=row["actor_id"],
+        community_id=int(row["community_id"]),
+        skill_values=(),
+        skill_score=skill,
+        n_posts=n_posts,
+        n_in_interest=round(commitment * n_posts / 100.0),
+        commitment_pct=commitment,
+        first_post=None,
+        last_post=None,
+        activity_days=days,
+        activity_rate=rate,
+    )
+
+
 def load_profiles(path: str | Path) -> list[ActorProfile]:
-    """Read a profiles CSV back; skill value lists and timestamps are not stored."""
+    """Read a profiles CSV back; skill value lists and timestamps are not stored.
+
+    A row holding a value :func:`save_profiles` never writes (no number, a
+    non-finite one, a commitment outside [0, 100], or fewer than 1 post or
+    activity day) raises ``ValidationError`` naming the file and the line.
+    """
     path = Path(path)
-    profiles = []
     with reading_csv(path) as reader:
         if reader.fieldnames is None or tuple(reader.fieldnames) != PROFILE_COLUMNS:
             raise ValidationError(f"unexpected profile columns in {path}: {reader.fieldnames}")
-        for row in reader:
-            try:
-                n_posts = int(row["n_posts"])
-                commitment_pct = float(row["commitment_pct"])
-                profiles.append(
-                    ActorProfile(
-                        actor_id=row["actor_id"],
-                        community_id=int(row["community_id"]),
-                        skill_values=(),
-                        skill_score=float(row["skill_score"]),
-                        n_posts=n_posts,
-                        n_in_interest=round(commitment_pct * n_posts / 100.0),
-                        commitment_pct=commitment_pct,
-                        first_post=None,
-                        last_post=None,
-                        activity_days=int(row["activity_days"]),
-                        activity_rate=float(row["activity_rate"]),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValidationError(f"malformed profile row in {path}: {row}") from exc
-    return profiles
-
+        return [field(path, f"line {reader.line_num}", lambda: _profile(row)) for row in reader]

@@ -51,6 +51,7 @@ class BimodalGraph:
 
 # per actor, in corpus order: (timestamp, CAPEC ids) of each post that resolves
 ActorPosts = dict[str, list[tuple[datetime, frozenset[int]]]]
+ActorCapecs = dict[str, frozenset[int]]  # per actor: the union of its posts' CAPEC ids
 
 
 def post_capec_sets(table: PostTable, snapshot: CatalogSnapshot) -> ActorPosts:
@@ -71,20 +72,20 @@ def post_capec_sets(table: PostTable, snapshot: CatalogSnapshot) -> ActorPosts:
     return posts
 
 
-def actor_capecs(posts: ActorPosts) -> dict[str, frozenset[int]]:
+def actor_capecs(posts: ActorPosts) -> ActorCapecs:
     """Each actor's CAPECs in a resolved-post table: the union of its posts' sets."""
     return {a: frozenset().union(*(cs for _, cs in a_posts)) for a, a_posts in posts.items()}
 
 
-def graph_of(posts: ActorPosts) -> BimodalGraph:
-    """The bimodal graph of resolved posts: one edge per (actor, CAPEC) pair."""
-    edges = frozenset((a, c) for a, cs in actor_capecs(posts).items() for c in cs)
+def graph_of(adjacency: ActorCapecs) -> BimodalGraph:
+    """The bimodal graph of a table's :func:`actor_capecs`: one edge per (actor, CAPEC) pair."""
+    edges = frozenset((a, c) for a, cs in adjacency.items() for c in cs)
     return BimodalGraph(frozenset(a for a, _ in edges), frozenset(c for _, c in edges), edges)
 
 
 def build_graph(corpus: Corpus, snapshot: CatalogSnapshot) -> BimodalGraph:
     """Build the bimodal graph; actors whose CVEs map to no CAPEC are dropped."""
-    return graph_of(post_capec_sets(corpus.table(), snapshot))
+    return graph_of(actor_capecs(post_capec_sets(corpus.table(), snapshot)))
 
 
 def surviving_posts(posts: ActorPosts, graph: BimodalGraph) -> ActorPosts:
@@ -158,19 +159,19 @@ def filter_popular_capecs(
     return filtered, report
 
 
-def degree_stats(posts: ActorPosts) -> dict:
-    """Degree statistics of a post table's graph plus the one-timer block of its post counts.
+def degree_stats(posts: ActorPosts, adjacency: ActorCapecs) -> dict:
+    """Degree statistics of a post table's union plus the one-timer block of its post counts.
 
     ``density`` uses bipartite-possible pairs (|E| / |actors|*|capecs|);
     ``density_all_pairs`` uses all node pairs, the convention under which the
     2,584-node reference network has density 0.009.
     """
-    adj = actor_capecs(posts)
     # sorted id order: the float sums in describe must not follow set order,
     # which varies with the interpreter's hash seed
-    actor_degrees = [len(cs) for _, cs in sorted(adj.items())]
-    capec_degrees = [d for _, d in sorted(Counter(c for cs in adj.values() for c in cs).items())]
-    n_actors, n_capecs, n_edges = len(adj), len(capec_degrees), sum(actor_degrees)
+    actor_degrees = [len(cs) for _, cs in sorted(adjacency.items())]
+    capec_counts = Counter(c for cs in adjacency.values() for c in cs)
+    capec_degrees = [d for _, d in sorted(capec_counts.items())]
+    n_actors, n_capecs, n_edges = len(adjacency), len(capec_degrees), sum(actor_degrees)
 
     density = n_edges / (n_actors * n_capecs) if n_actors and n_capecs else 0.0
     n_nodes = n_actors + n_capecs
@@ -254,13 +255,13 @@ def save_posts(posts: ActorPosts, path: str | Path) -> None:
         handle.write("}\n" if posts else "{}\n")
 
 
-def load_posts(path: str | Path) -> ActorPosts:
+def load_posts(path: str | Path, snapshot: CatalogSnapshot) -> ActorPosts:
     """Read a resolved-post table; posts with equal CAPEC lists share one frozenset.
 
     Each actor's value must be a non-empty list of ``[timestamp, [CAPEC ids]]``
-    rows, each timestamp with a UTC offset and each CAPEC list non-empty, as
-    :func:`save_posts` writes them; anything else raises ``ValidationError``
-    naming the file and the actor.
+    rows, each timestamp with a UTC offset and each CAPEC list non-empty and in
+    ``snapshot``, as :func:`save_posts` writes them; anything else raises
+    ``ValidationError`` naming the file and the actor.
     """
     shared: dict[tuple[int, ...], frozenset[int]] = {}
 
@@ -270,6 +271,8 @@ def load_posts(path: str | Path) -> ActorPosts:
         if found is None:
             if not isinstance(ids, list) or not ids or not all(type(c) is int for c in key):
                 raise ValidationError(f"CAPEC ids must be a list of one or more integers: {ids!r}")
+            if lacked := sorted(set(key) - snapshot.capecs.keys()):
+                raise ValidationError(f"CAPEC ids the catalog lacks: {lacked}")
             found = shared[key] = frozenset(ids)
         return found
 
@@ -307,11 +310,11 @@ class Partition:
         except KeyError as exc:
             raise ValidationError(f"partition does not assign node {exc.args[0]!r}") from exc
 
-    def members(self, posts: ActorPosts) -> dict[int, tuple[frozenset[str], frozenset[int]]]:
-        """Each community's (actors, CAPECs) in a post table, in community order; a node
-        left unassigned is refused, the first in sorted node order named."""
-        nodes = [("actor", a) for a in sorted(posts)]
-        nodes += [("capec", c) for c in sorted(frozenset().union(*actor_capecs(posts).values()))]
+    def members(self, adjacency: ActorCapecs) -> dict[int, tuple[frozenset[str], frozenset[int]]]:
+        """Each community's (actors, CAPECs) in a post table's union, in community order;
+        a node left unassigned is refused, the first in sorted node order named."""
+        nodes = [("actor", a) for a in sorted(adjacency)]
+        nodes += [("capec", c) for c in sorted(frozenset().union(*adjacency.values()))]
         groups: dict[int, tuple[set[str], set[int]]] = defaultdict(lambda: (set(), set()))
         for (mode, node), comm in zip(nodes, self.labels([node_key(*n) for n in nodes])):
             groups[comm][mode == "capec"].add(node)

@@ -20,6 +20,7 @@ import pytest
 import forumlens
 from forumlens import catalog, cli, graph, ingest, synth, workspace
 from forumlens.cli import main
+from forumlens.errors import ValidationError
 from forumlens.graph import load_graph
 from forumlens.workspace import STAGE_ARTIFACTS, Workspace
 
@@ -108,9 +109,9 @@ def test_run_all_hands_each_artifact_to_the_next_stage_that_opens_it(
     calls = Counter()
 
     def counting(name, real):
-        def wrapper(path):
+        def wrapper(*args):
             calls[name] += 1
-            return real(path)
+            return real(*args)
         return wrapper
 
     def refuse_graph(path):
@@ -129,8 +130,8 @@ def test_run_all_hands_each_artifact_to_the_next_stage_that_opens_it(
     assert _artifacts(ws) == _artifacts(pipeline_ws)
 
 
-def _run_stages(ws, inputs, *graph_flags):
-    argvs = [
+def _stage_argvs(inputs, *graph_flags):
+    return [
         ["ingest", "--posts", str(inputs / "posts.jsonl")],
         [
             "convert-catalog",
@@ -140,8 +141,44 @@ def _run_stages(ws, inputs, *graph_flags):
         ["graph", *graph_flags],
         ["communities"], ["expertise"], ["cluster"], ["report"],
     ]
-    for stage, *flags in argvs:
+
+
+def _run_stages(ws, inputs, *graph_flags):
+    for stage, *flags in _stage_argvs(inputs, *graph_flags):
         assert main([stage, "--workspace", str(ws), *flags]) == 0, stage
+
+
+def _unions(run) -> int:
+    """How many post tables ``run()`` unites: its calls of ``graph.actor_capecs``,
+    through any binding of the name; ``run()`` must return exit code 0."""
+    union, calls = graph.actor_capecs.__code__, 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code is union
+
+    sys.setprofile(count)
+    try:
+        assert run() == 0
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_each_stage_unites_each_post_table_it_computes_on_once(pipeline_ws, tmp_path):
+    # graph unites the full table and the cut one; communities and expertise unite
+    # capec_posts.json once and hand that one union to every user of it
+    inputs = pipeline_ws.parent / "inputs"
+    ws = tmp_path / "each"
+    unions = {
+        stage: _unions(lambda: main([stage, "--workspace", str(ws), *flags]))
+        for stage, *flags in _stage_argvs(inputs)
+    }
+    assert unions == {
+        "ingest": 0, "convert-catalog": 0, "graph": 2, "communities": 1, "expertise": 1,
+        "cluster": 0, "report": 0,
+    }
+    assert _unions(lambda: _run_all(tmp_path / "one", inputs)) == 4
 
 
 @pytest.fixture(scope="module")
@@ -159,8 +196,10 @@ def test_run_all_writes_what_the_stages_run_one_by_one_write(inputs_s, tmp_path,
     removed = json.loads((tmp_path / "one" / "removal.json").read_text())["n_removed_capecs"]
     assert removed == (12 if graph_flags else 0)
     # the graph communities and expertise derive from the post table is the one graph.json holds
-    posts = graph.load_posts(tmp_path / "one" / "capec_posts.json")
-    assert graph.graph_of(posts) == load_graph(tmp_path / "one" / "graph.json")
+    one = tmp_path / "one"
+    snapshot = catalog.load_snapshot(one / "cve_cwe.csv", one / "capec.json")
+    adjacency = graph.actor_capecs(graph.load_posts(one / "capec_posts.json", snapshot))
+    assert graph.graph_of(adjacency) == load_graph(one / "graph.json")
 
 
 # sha256_file calls per file in one run-all: each artifact once when its stage
@@ -277,49 +316,51 @@ def test_communities_refuses_a_post_table_graph_never_writes(
     assert error.startswith(f"{path}: a00000: {problem}")
 
 
-def test_communities_refuses_a_capec_the_catalog_lacks(pipeline_ws, tmp_path, caplog):
-    def edit(payload):
-        payload["a00000"][0][1] = [1]
+# a post row naming CAPEC 1, and a catalog whose CAPEC 1000 is renumbered
+_LACKED_CAPEC = {
+    "posts-row": ("capec_posts.json", lambda payload: payload["a00000"][0].__setitem__(1, [1]), 1),
+    "catalog-entry": ("capec.json", lambda payload: payload[0].update(id=999999), 1000),
+}
 
-    before = (pipeline_ws / "communities.json").read_bytes()
+
+@pytest.mark.parametrize("edit", sorted(_LACKED_CAPEC))
+@pytest.mark.parametrize("stage", ["communities", "expertise"])
+def test_a_capec_the_catalog_lacks_is_refused_in_one_message(
+    pipeline_ws, tmp_path, caplog, stage, edit
+):
+    # both stages read the post table through load_posts, which checks it against the
+    # catalog before they compute; the first actor in file order with the id is named
+    name, change, lacked = _LACKED_CAPEC[edit]
     path, error = _error_after_edit(
-        pipeline_ws, tmp_path, caplog, "capec_posts.json", _json_edit(edit), ["communities"]
+        pipeline_ws, tmp_path, caplog, name, _json_edit(change), [stage]
     )
     ws = path.parent
-    assert error == f"capec_posts.json in {ws} names CAPEC ids that capec.json lacks: 1"
-    assert (ws / "communities.json").read_bytes() == before
-    # --force re-baselined capec_posts.json; the refusal itself records and writes nothing
+    posts = json.loads((ws / "capec_posts.json").read_text())
+    actor = next(a for a, rows in posts.items() if any(lacked in ids for _, ids in rows))
+    assert error == f"{ws / 'capec_posts.json'}: {actor}: CAPEC ids the catalog lacks: [{lacked}]"
+    before = {n: (pipeline_ws / n).read_bytes() for n in STAGE_ARTIFACTS[stage]}
+    assert {n: (ws / n).read_bytes() for n in before} == before
+    # --force re-baselined the edited file; the refusal itself records and writes nothing
     manifest = (ws / "manifest.json").read_bytes()
-    recorded = json.loads((pipeline_ws / "manifest.json").read_text())["stages"]["communities"]
-    assert json.loads(manifest)["stages"]["communities"] == recorded
-    assert main(["communities", "--workspace", str(ws)]) == 1
+    recorded = json.loads((pipeline_ws / "manifest.json").read_text())["stages"][stage]
+    assert json.loads(manifest)["stages"][stage] == recorded
+    assert main([stage, "--workspace", str(ws)]) == 1
     assert (ws / "manifest.json").read_bytes() == manifest
-    assert (ws / "communities.json").read_bytes() == before
+    assert {n: (ws / n).read_bytes() for n in before} == before
 
 
-@pytest.mark.parametrize(
-    "name, change, problem",
-    [
-        (
-            "communities.json",
-            lambda payload: payload["assignment"].pop(min(payload["assignment"])),
-            "partition does not assign node 'actor:a00000'",
-        ),
-        ("capec.json", lambda payload: payload[0].update(id=999999), "unknown CAPEC id: 1000"),
-    ],
-    ids=["node-without-community", "capec-not-in-catalog"],
-)
-def test_expertise_names_the_artifacts_that_disagree(
-    pipeline_ws, tmp_path, caplog, name, change, problem
-):
+def test_expertise_names_the_artifacts_that_disagree(pipeline_ws, tmp_path, caplog):
     # each file reads well on its own; together they break what expertise relies on
+    def change(payload):
+        payload["assignment"].pop(min(payload["assignment"]))
+
     path, error = _error_after_edit(
-        pipeline_ws, tmp_path, caplog, name, _json_edit(change), ["expertise"]
+        pipeline_ws, tmp_path, caplog, "communities.json", _json_edit(change), ["expertise"]
     )
-    assert error.startswith(
-        f"capec_posts.json, communities.json and capec.json in {path.parent} disagree: "
+    assert error == (
+        f"capec_posts.json and communities.json in {path.parent} disagree: "
+        "partition does not assign node 'actor:a00000'"
     )
-    assert error.endswith(problem)
 
 
 @pytest.mark.parametrize(
@@ -673,6 +714,54 @@ def test_cluster_skips_tiny_sample(tmp_path):
     assert clusters["skipped"] is True
     assert clusters["n_sample"] == 2
     assert "clustering skipped" in (ws / "report.txt").read_text()
+
+
+def _sample(rows: list[str]) -> bytes:
+    return ("actor_id,community_id,skill_score,commitment_pct,n_posts,activity_days,"
+            "activity_rate,one_timer\n" + "".join(f"{row}\n" for row in rows)).encode()
+
+
+@pytest.mark.parametrize(
+    "rows, flags, reason",
+    [
+        (
+            [f"a{i},0,3.0,50.0,5,10,0.5,false" for i in range(4)], [],
+            "no k in range produced 2 or more distinct clusters",
+        ),
+        (
+            [f"a{i},0,{i % 3 + 1}.0,50.0,{i + 4},10,0.5,false" for i in range(4)], ["--k-min", "5"],
+            "sample of 4 actor(s) is too small to cluster",
+        ),
+    ],
+    ids=["identical-rows", "below-k-min"],
+)
+def test_cluster_skips_a_sample_it_cannot_split(pipeline_ws, tmp_path, rows, flags, reason):
+    ws = tmp_path / "ws"
+    shutil.copytree(pipeline_ws, ws)
+    (ws / "sample.csv").write_bytes(_sample(rows))
+    assert main(["cluster", "--workspace", str(ws), "--force", *flags]) == 0
+    assert (ws / "clusters.json").read_text() == (
+        '{\n  "n_sample": 4,\n  "reason": "' + reason + '",\n  "skipped": true\n}\n'
+    )
+
+
+def test_cluster_exits_1_on_any_other_fault(pipeline_ws, tmp_path, caplog, monkeypatch):
+    # only sweep_k's verdict that no k splits the sample is a skip
+    from forumlens import cluster
+
+    def fails(*args, **kwargs):
+        raise ValidationError("restarts must be >= 1: 0")
+
+    monkeypatch.setattr(cluster, "sweep_k", fails)
+    ws = tmp_path / "ws"
+    shutil.copytree(pipeline_ws, ws)
+    before = (ws / "clusters.json").read_bytes()
+    caplog.clear()
+    assert main(["cluster", "--workspace", str(ws)]) == 1
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+        "restarts must be >= 1: 0"
+    ]
+    assert (ws / "clusters.json").read_bytes() == before
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,9 @@ from forumlens.community import (
 )
 from forumlens.errors import ValidationError
 from forumlens.expertise import build_profiles
-from forumlens.graph import BimodalGraph, build_graph, post_capec_sets, surviving_posts
+from forumlens.graph import (
+    BimodalGraph, actor_capecs, build_graph, post_capec_sets, surviving_posts,
+)
 from forumlens.ingest import build_corpus
 from forumlens.synth import SynthConfig, generate
 
@@ -88,10 +90,10 @@ def test_modularity_matches_direct_formula_on_random_graphs():
 _MEMBERSHIP_USERS = {
     "modularity": lambda graph, partition, posts, snapshot: modularity(graph, partition),
     "summarize_communities": lambda graph, partition, posts, snapshot: summarize_communities(
-        partition, posts, snapshot
+        partition, posts, actor_capecs(posts), snapshot
     ),
     "build_profiles": lambda graph, partition, posts, snapshot: build_profiles(
-        posts, snapshot, partition
+        posts, actor_capecs(posts), snapshot, partition
     ),
 }
 
@@ -308,7 +310,7 @@ def test_summarize_communities_fields():
     graph = build_graph(corpus, snapshot)
     partition = leiden(graph, seed=0)
     posts = surviving_posts(post_capec_sets(corpus.table(), snapshot), graph)
-    overviews = summarize_communities(partition, posts, snapshot)
+    overviews = summarize_communities(partition, posts, actor_capecs(posts), snapshot)
 
     assert len(overviews) == len(partition.communities())
     by_community = {o["community"]: o for o in overviews}

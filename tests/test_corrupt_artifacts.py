@@ -189,16 +189,32 @@ def test_a_corrupted_cve_cwe_csv_exits_1_naming_it(s_workspace, tmp_path, fault)
     assert code == 1 and error.startswith(f"{given}: "), error
 
 
-@pytest.mark.parametrize("fault", sorted(CSV_FAULTS))
+# rows save_profiles never writes: a non-finite float, or fewer than 1 post or day
+PROFILE_ROWS = {
+    "inf-commitment": b"zz,0,3.0,inf,5,10,0.5,false\n",
+    "huge-commitment": b"zz,0,3.0,1e308,5,10,0.5,false\n",
+    "inf-rate": b"zz,0,3.0,50.0,5,10,inf,false\n",
+    "nan-skill": b"zz,0,nan,50.0,5,10,0.5,false\n",
+    "negative-posts": b"zz,0,3.0,50.0,-5,10,0.5,false\n",
+    "zero-days": b"zz,0,3.0,50.0,5,0,0.5,false\n",
+}
+PROFILE_FAULTS = {**CSV_FAULTS, **PROFILE_ROWS}
+
+
+@pytest.mark.parametrize("fault", sorted(PROFILE_FAULTS))
 def test_a_corrupted_sample_csv_exits_1_naming_it(s_workspace, fault):
-    corrupted = (s_workspace / "sample.csv").read_bytes() + CSV_FAULTS[fault]
+    corrupted = (s_workspace / "sample.csv").read_bytes() + PROFILE_FAULTS[fault]
     assert _run_readers(s_workspace, "sample.csv", corrupted, ("cluster",)) == {"cluster": 1}
 
 
-@pytest.mark.parametrize("fault", sorted(CSV_FAULTS))
+@pytest.mark.parametrize("fault", sorted(PROFILE_FAULTS))
 def test_a_corrupted_profiles_csv_is_refused_naming_it(s_workspace, tmp_path, fault):
     # no stage reads profiles.csv back; load_profiles is its reader
+    original = (s_workspace / "profiles.csv").read_bytes()
     path = tmp_path / "profiles.csv"
-    path.write_bytes((s_workspace / "profiles.csv").read_bytes() + CSV_FAULTS[fault])
-    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: "):
+    path.write_bytes(original + PROFILE_FAULTS[fault])
+    # a row's fault names its line: the header is line 1
+    lines = original.count(b"\n")
+    line = f"line {lines + 1}: " if fault in PROFILE_ROWS else ""
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: {line}"):
         load_profiles(path)

@@ -23,7 +23,7 @@ from forumlens.expertise import (
     save_profiles,
     skill_score,
 )
-from forumlens.graph import build_graph, post_capec_sets, surviving_posts
+from forumlens.graph import actor_capecs, build_graph, post_capec_sets, surviving_posts
 
 from conftest import post, snapshot_from, ts
 
@@ -157,7 +157,7 @@ def _profile_fixture():
 
 def _profiles(corpus, snapshot, graph, partition):
     posts = surviving_posts(post_capec_sets(corpus.table(), snapshot), graph)
-    return build_profiles(posts, snapshot, partition)
+    return build_profiles(posts, actor_capecs(posts), snapshot, partition)
 
 
 def test_build_profiles_features():

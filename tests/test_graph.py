@@ -19,6 +19,7 @@ import forumlens
 from forumlens.errors import ValidationError
 from forumlens.graph import (
     BimodalGraph,
+    actor_capecs,
     build_graph,
     degree_stats,
     export_graph,
@@ -94,7 +95,7 @@ def test_post_capec_sets(corpus_and_snapshot):
         "alice": [(ts("2021-01-01"), {63}), (ts("2021-01-02"), {66})],
         "bob": [(ts("2021-01-03"), {63})],
     }
-    assert graph_of(posts) == build_graph(corpus, snapshot)
+    assert graph_of(actor_capecs(posts)) == build_graph(corpus, snapshot)
 
 
 _CVE_CWES = {
@@ -264,9 +265,13 @@ def _table(*rows: tuple[str, set[int]]) -> dict:
     return table
 
 
+def _degree_stats(table):
+    return degree_stats(table, actor_capecs(table))
+
+
 def test_degree_stats_densities():
     # edges a-1, a-2 and b-1; a posts twice
-    stats = degree_stats(_table(("a", {1}), ("a", {2, 1}), ("b", {1})))
+    stats = _degree_stats(_table(("a", {1}), ("a", {2, 1}), ("b", {1})))
     assert stats["n_actors"] == 2 and stats["n_capecs"] == 2 and stats["n_edges"] == 3
     assert stats["density"] == pytest.approx(3 / 4)
     assert stats["density_all_pairs"] == pytest.approx(3 / 6)
@@ -275,14 +280,14 @@ def test_degree_stats_densities():
 
 
 def test_degree_stats_one_timer_block():
-    stats = degree_stats(_table(("a", {1}), *[("b", {1})] * 4, ("c", {2})))
+    stats = _degree_stats(_table(("a", {1}), *[("b", {1})] * 4, ("c", {2})))
     assert stats["one_timer_share"] == pytest.approx(2 / 3)
     assert stats["posts"]["count"] == 3
     assert stats["posts_non_one_timers"]["count"] == 1
     assert stats["posts_non_one_timers"]["mean"] == pytest.approx(4.0)
 
     # no actor posts twice: the non-one-timer block is empty, written as zeros
-    stats = degree_stats(_table(("a", {1}), ("b", {1}), ("c", {2})))
+    stats = _degree_stats(_table(("a", {1}), ("b", {1}), ("c", {2})))
     assert json.dumps(stats["posts_non_one_timers"], sort_keys=True) == (
         '{"count": 0, "max": 0.0, "mean": 0.0, "median": 0.0, "min": 0.0, "p75": 0.0, "std": 0.0}'
     )
@@ -292,7 +297,7 @@ _DEGREE_STATS_SCRIPT = textwrap.dedent(
     """
     import random
     from datetime import datetime, timezone
-    from forumlens.graph import degree_stats
+    from forumlens.graph import actor_capecs, degree_stats
     rng = random.Random(2)
     when = datetime(2021, 1, 1, tzinfo=timezone.utc)
     rows = {
@@ -300,7 +305,7 @@ _DEGREE_STATS_SCRIPT = textwrap.dedent(
         for i in range(300)
     }
     posts = {a: rows[a] for a in set(rows)}  # actors in the hash seed's set order
-    stats = degree_stats(posts)
+    stats = degree_stats(posts, actor_capecs(posts))
     print(repr(stats["actor_degree"]), repr(stats["capec_degree"]))
     """
 )
@@ -361,11 +366,16 @@ _TABLES = st.dictionaries(
 def test_the_filtered_graph_is_the_graph_of_its_surviving_posts(table):
     # communities and expertise rebuild the filtered graph from capec_posts.json this way
     posts = {a: [(ts(f"2021-01-0{d}"), capecs) for d, capecs in rows] for a, rows in table.items()}
-    full = graph_of(posts)
+    full = graph_of(actor_capecs(posts))
     # past the number of actors no threshold removes anything
     for threshold in range(1, len(full.actor_ids) + 2):
         filtered, _ = filter_popular_capecs(full, threshold=threshold)
-        assert graph_of(surviving_posts(posts, filtered)) == filtered
+        assert graph_of(actor_capecs(surviving_posts(posts, filtered))) == filtered
+
+
+def _catalog(*ids):
+    """A catalog of the CAPECs ``ids``, with no CVE mapped to any."""
+    return snapshot_from({}, [(c, f"pattern {c}", []) for c in ids])
 
 
 def test_posts_table_round_trip(tmp_path):
@@ -379,7 +389,7 @@ def test_posts_table_round_trip(tmp_path):
     }
     path = tmp_path / "capec_posts.json"
     save_posts(posts, path)
-    loaded = load_posts(path)
+    loaded = load_posts(path, _catalog(1, 3, 7, 66, 120))
     assert loaded == posts
     assert [capecs for _, capecs in loaded['quo"te, comma']] == [{7, 66}, {7}, {3, 66, 120}]
     save_posts(loaded, tmp_path / "again.json")
@@ -419,7 +429,7 @@ def test_load_posts_shares_each_capec_set(tmp_path):
     }
     path = tmp_path / "capec_posts.json"
     save_posts(posts, path)
-    loaded = load_posts(path)
+    loaded = load_posts(path, _catalog(3, 7))
     assert loaded == posts
     sets = [capecs for a_posts in loaded.values() for _, capecs in a_posts]
     assert len({id(capecs) for capecs in sets}) == 2
@@ -496,6 +506,11 @@ def test_load_graph_names_the_file_and_the_key(tmp_path, text, problem):
         ),
         ('{"alice": []}', "alice: expected a list of one or more [timestamp, [CAPEC ids]] rows"),
         (
+            '{"alice": [["2021-01-01T00:00:00+00:00", [1]]],'
+            ' "bob": [["2021-01-01T00:00:00+00:00", [9, 1, 7]]]}',
+            "bob: CAPEC ids the catalog lacks: [7, 9]",
+        ),
+        (
             '{"alice": [["2021-01-01T00:00:00+00:00", [1]], ["2021-01-02T00:00:00", [1]]]}',
             "alice: timestamp without a UTC offset",
         ),
@@ -505,7 +520,7 @@ def test_load_posts_names_the_file_and_the_actor(tmp_path, text, problem):
     path = tmp_path / "capec_posts.json"
     path.write_text(text)
     with pytest.raises(ValidationError) as exc:
-        load_posts(path)
+        load_posts(path, _catalog(1))
     assert str(exc.value).startswith(f"{path}: {problem}")
 
 

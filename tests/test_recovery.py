@@ -245,9 +245,12 @@ def _kill_with_pool_up(ws: Path, script: str, stage: str) -> None:
         except WorkspaceLockedError:
             assert time.monotonic() < deadline, "the lock was still held 5 s after the kill"
             time.sleep(0.01)
+    # an exiting worker closes its files, and so frees the lock, a moment before
+    # it reads as a zombie (Z or X) or is reaped, so each gets the same deadline
     for pid in workers:
-        fields = _stat(pid)
-        assert fields is None or fields[0] in "ZX", f"worker {pid} still running"
+        while (fields := _stat(pid)) is not None and fields[0] not in "ZX":
+            assert time.monotonic() < deadline, f"worker {pid} still {fields[0]} 5 s after the kill"
+            time.sleep(0.01)
 
     assert _run(ws, [stage]) == 0
     assert _artifacts(ws) == expected

@@ -85,8 +85,9 @@ def test_only_export_graph_reads_graph_json():
 
 
 def test_post_summaries_take_the_post_table_alone():
-    # the cut post table is the one input of every post summary; only Leiden and
-    # the exports need the graph object, so expertise builds none
+    # the cut post table, and the one actor_capecs union its stage derives from it,
+    # are the inputs of every post summary; only Leiden and the exports need the
+    # graph object, so expertise builds none
     package = Path(forumlens.__file__).parent
     tree = ast.parse((package / "expertise.py").read_text(encoding="utf-8"))
     names = {getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None)
@@ -95,15 +96,28 @@ def test_post_summaries_take_the_post_table_alone():
     annotations = {}
     for module, function in (
         ("graph.py", "degree_stats"), ("community.py", "summarize_communities"),
-        ("graph.py", "members"),
+        ("graph.py", "members"), ("expertise.py", "build_profiles"),
     ):
         for node in ast.walk(ast.parse((package / module).read_text(encoding="utf-8"))):
             if isinstance(node, ast.FunctionDef) and node.name == function:
                 args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
                 annotations[function] = " ".join(ast.unparse(a.annotation) for a in args
                                                  if a.annotation)
-    assert len(annotations) == 3
+    assert len(annotations) == 4
     assert [f for f, text in annotations.items() if "BimodalGraph" in text] == []
+
+
+def test_cli_catches_no_key_error():
+    # a KeyError is a fault inside a computation; caught in cli, it would be relabelled
+    # as artifact trouble, so each stage checks its inputs before it computes instead
+    tree = ast.parse(Path(forumlens.__file__).with_name("cli.py").read_text(encoding="utf-8"))
+    handlers = [node for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)]
+    caught = {
+        getattr(name, "id", None) or getattr(name, "attr", None)
+        for handler in handlers if handler.type is not None for name in ast.walk(handler.type)
+    }
+    assert "ValidationError" in caught
+    assert caught & {"KeyError", "LookupError"} == set()
 
 
 def _references(package: Path) -> dict[str, set[str]]:
