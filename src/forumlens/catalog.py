@@ -13,14 +13,15 @@ from __future__ import annotations
 import csv
 import logging
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import IntEnum
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 from typing import Iterable
 
 from .errors import ValidationError
 from .ingest import CveId
-from .workspace import read_json, reading_csv, replacing, write_json
+from .workspace import field, read_json, reading_csv, replacing, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -113,7 +114,8 @@ def build_snapshot(
     pattern with mixed scenarios is scored by its hardest one. Without
     scenarios it is imputed: the maximum over its parents' imputed-upward
     values (through gaps of any depth), else the maximum direct value among
-    its children, else None. One parents-first pass fills every value.
+    its children, else None. One parents-first pass (``graphlib``) fills every
+    value.
     """
     cves: dict[CveId, CveEntry] = {}
     for entry in cve_entries:
@@ -145,26 +147,17 @@ def build_snapshot(
             children[cid].add(kid)
             parents[kid].add(cid)
 
-    # Kahn's order: a CAPEC is visited once all its parents are, so its
-    # upward value reads theirs; CAPECs never visited sit on or below a cycle.
+    # parents first, so each upward value reads its parents' values
     direct = {cid: max(e.skill_scenarios, default=None) for cid, e in capecs.items()}
-    waiting = {cid: len(ps) for cid, ps in parents.items()}
-    order = [cid for cid, n in waiting.items() if n == 0]
     up: dict[int, SkillLevel | None] = {}
-    for cid in order:  # grows while it is walked
-        known = [up[p] for p in parents[cid] if up[p] is not None]
-        up[cid] = direct[cid] if direct[cid] is not None else max(known, default=None)
-        for kid in children[cid]:
-            waiting[kid] -= 1
-            if waiting[kid] == 0:
-                order.append(kid)
-    if len(up) < len(capecs):
-        # every unvisited CAPEC has an unvisited parent, so following them must loop
-        trail = [min(cid for cid in capecs if cid not in up)]
-        while trail[-1] not in trail[:-1]:
-            trail.append(min(p for p in parents[trail[-1]] if p not in up))
-        cycle = trail[trail.index(trail[-1]):]
-        raise ValidationError("cyclic CAPEC hierarchy: " + " -> ".join(map(str, cycle)))
+    try:
+        for cid in TopologicalSorter(parents).static_order():
+            known = [up[p] for p in parents[cid] if up[p] is not None]
+            up[cid] = direct[cid] if direct[cid] is not None else max(known, default=None)
+    except CycleError as exc:
+        # graphlib lists the cycle parent first; name it as a walk up to the parents
+        cycle = reversed(exc.args[1])
+        raise ValidationError("cyclic CAPEC hierarchy: " + " -> ".join(map(str, cycle))) from None
 
     skills = {cid: up[cid] for cid in capecs}
     for cid, value in skills.items():
@@ -172,14 +165,7 @@ def build_snapshot(
             below = [direct[k] for k in children[cid] if direct[k] is not None]
             skills[cid] = max(below, default=None)
     capecs = {
-        cid: CapecEntry(
-            capec_id=cid,
-            name=entry.name,
-            related_cwes=entry.related_cwes,
-            parent_ids=frozenset(parents[cid]),
-            child_ids=frozenset(children[cid]),
-            skill_scenarios=entry.skill_scenarios,
-        )
+        cid: replace(entry, parent_ids=frozenset(parents[cid]), child_ids=frozenset(children[cid]))
         for cid, entry in capecs.items()
     }
     return CatalogSnapshot(
@@ -205,14 +191,12 @@ def load_snapshot(cve_cwe_path: str | Path, capec_path: str | Path) -> CatalogSn
             if missing:
                 raise ValidationError(f"{cve_cwe_path}: missing columns {sorted(missing)}")
         for row in reader:
-            try:
-                cve = CveId.parse(row["cve_id"])
-                cwes = cwe_map.setdefault(cve, set())
-                raw = (row.get("cwe_id") or "").strip()
-                if raw:
-                    cwes.add(normalize_cwe(raw))
-            except (AttributeError, ValueError) as exc:
-                raise ValidationError(f"{cve_cwe_path}: line {reader.line_num}: {exc}") from exc
+            where = f"line {reader.line_num}"
+            cve = field(cve_cwe_path, where, lambda: CveId.parse(row["cve_id"]))
+            cwes = cwe_map.setdefault(cve, set())
+            raw = (row.get("cwe_id") or "").strip()
+            if raw:
+                cwes.add(field(cve_cwe_path, where, lambda: normalize_cwe(raw)))
     cve_entries = [
         CveEntry(cve_id=cve, cwe_ids=frozenset(cwes)) for cve, cwes in cwe_map.items()
     ]
@@ -223,9 +207,9 @@ def load_snapshot(cve_cwe_path: str | Path, capec_path: str | Path) -> CatalogSn
     capec_entries = []
     for obj in raw_capecs:
         try:
-            for field in ("related_cwes", "parents", "children", "skill_scenarios"):
-                if not isinstance(obj.get(field, []), list):
-                    raise ValidationError(f"{field} must be a list: {obj[field]!r}")
+            for key in ("related_cwes", "parents", "children", "skill_scenarios"):
+                if not isinstance(obj.get(key, []), list):
+                    raise ValidationError(f"{key} must be a list: {obj[key]!r}")
             capec_entries.append(
                 CapecEntry(
                     capec_id=parse_capec_id(obj["id"]),
@@ -297,6 +281,4 @@ def effective_skill(snapshot: CatalogSnapshot, capec_id: int) -> SkillLevel | No
     imputed it through the hierarchy; None when nothing is known. Unknown ids
     raise KeyError.
     """
-    if capec_id not in snapshot.skills:
-        raise KeyError(f"unknown CAPEC id: {capec_id}")
     return snapshot.skills[capec_id]

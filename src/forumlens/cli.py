@@ -28,7 +28,7 @@ from . import (
     __version__,
 )
 from .errors import ForumlensError, MissingUpstreamError, ValidationError
-from .workspace import Workspace, WorkspaceLockedError, default_root
+from .workspace import Workspace, WorkspaceLockedError, default_root, field
 
 if TYPE_CHECKING:
     from . import catalog, graph, synth
@@ -160,7 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 # lowest accepted value of each bounded integer flag, by argparse dest
 _FLAG_MINIMUMS = {
-    "capec_threshold": 1, "restarts": 1, "min_posts": 1, "k_min": 2, "cluster_restarts": 1,
+    "capec_threshold": 1, "seed": 0, "restarts": 1, "min_posts": 1, "k_min": 2,
+    "cluster_restarts": 1,
 }
 
 
@@ -346,7 +347,8 @@ def cmd_cluster(ws: Workspace, args: argparse.Namespace) -> dict:
     k_max = min(args.k_max, n)
     if k_max < args.k_max:
         logger.info("clamping --k-max to the sample size %d", n)
-    Z, scaler = cluster.standardize(cluster.feature_matrix(sample))
+    X = cluster.feature_matrix(sample)
+    Z, scaler = field(ws.path("sample.csv"), None, lambda: cluster.standardize(X))
     models = cluster.sweep_k(
         Z, args.k_min, k_max, seed=args.cluster_seed, restarts=args.cluster_restarts
     )

@@ -34,10 +34,16 @@ _MAX_LLOYD_ITERATIONS = 300
 _SILHOUETTE_BLOCK_ROWS = 128
 _RELATIVE_INERTIA_TOL = 1e-8
 
-# A pool costs about 0.14 s of CPU per call (2 vCPUs). On row subsets of the
-# synth 8x600 sample it saved under 0.1 s of a k sweep's fits up to 1,700 rows
-# and nothing of its silhouettes at 1,000; at 2,000 rows 0.18-0.24 s in all.
+# A pool start after the first costs 6.6-10 ms of wall time and 9-12 ms of CPU;
+# a whole fit phase run pooled, transfers included, cost about 0.14 s more CPU
+# than in-process (2 vCPUs). On row subsets of the synth 8x600 sample the pool
+# saved under 0.1 s of a k sweep's fits up to 1,700 rows and nothing of its
+# silhouettes at 1,000; at 2,000 rows 0.18-0.24 s in all.
 POOL_MIN_ROWS = 1500
+
+
+# the columns of feature_matrix, named as in sample.csv
+FEATURES = ("skill_score", "commitment_pct", "activity_rate")
 
 
 def feature_matrix(profiles: Sequence[ActorProfile]) -> np.ndarray:
@@ -65,14 +71,19 @@ class Scaler:
 
 
 def standardize(X: np.ndarray) -> tuple[np.ndarray, Scaler]:
-    """Z-score every column (population std); needs at least 2 rows."""
+    """Z-score every column (population std); needs at least 2 rows, and values
+    small enough that each column's mean and std are finite."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValidationError("standardize requires a 2-d matrix with at least 2 rows")
     if not np.all(np.isfinite(X)):
         raise ValidationError("feature matrix contains non-finite values")
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = X.mean(axis=0)
+        std = X.std(axis=0)
+    for j in np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std))):
+        name = FEATURES[j] if X.shape[1] == len(FEATURES) else f"column {j}"
+        raise ValidationError(f"feature {name}: values too large to standardize")
     constant = std == 0.0
     scaler = Scaler(
         mean=tuple(float(m) for m in mean),
@@ -210,12 +221,8 @@ def _fit(rows: _Rows, job: tuple[int, int, int]) -> _Run:
 
 
 def _best(runs: Sequence[_Run]) -> int:
-    """The lowest-inertia run; ties keep the earliest restart."""
-    best = 0
-    for r, run in enumerate(runs):
-        if run[2] < runs[best][2]:
-            best = r
-    return best
+    """The lowest-inertia run; ties keep the earliest restart, as ``min`` does."""
+    return min(range(len(runs)), key=lambda r: runs[r][2])
 
 
 def _compact(labels: np.ndarray, centroids: np.ndarray) -> tuple[tuple[int, ...], np.ndarray, int]:
@@ -410,15 +417,11 @@ def select_k(
 
 
 def best_by_silhouette(models: Sequence[KMeansModel]) -> KMeansModel:
-    """The first model with the highest silhouette, so ties keep the earlier (smaller) k."""
-    best: KMeansModel | None = None
-    for model in models:
-        assert model.silhouette is not None
-        if best is None or model.silhouette > best.silhouette:
-            best = model
-    if best is None:
+    """The first model with the highest silhouette, as ``max`` gives, so ties
+    keep the earlier (smaller) k."""
+    if not models:
         raise ValidationError("no models to select from")
-    return best
+    return max(models, key=lambda model: model.silhouette)
 
 
 # --- quadrant labeling --------------------------------------------------------

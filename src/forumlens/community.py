@@ -266,6 +266,8 @@ def leiden(graph: BimodalGraph, seed: int = 0, restarts: int = DEFAULT_LEIDEN_RE
         raise ValidationError("cannot run community detection on an empty graph")
     if restarts < 1:
         raise ValidationError(f"restarts must be >= 1: {restarts}")
+    if seed < 0:  # random.Random seeds with abs(seed): -7 would run seed 7
+        raise ValidationError(f"seed must be >= 0: {seed}")
     nodes, g = _index_graph(graph)
 
     master = random.Random(seed)

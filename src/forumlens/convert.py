@@ -91,10 +91,8 @@ def parse_capec_xml(path: str | Path) -> list[CapecEntry]:
         capec_id = node.get("ID")
         if capec_id is None:
             continue
-        try:
-            entries.append(_capec_entry(node, capec_id))
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: attack pattern ID={capec_id!r}: {exc}") from exc
+        where = f"attack pattern ID={capec_id!r}"
+        entries.append(field(path, where, lambda: _capec_entry(node, capec_id)))
     return entries
 
 

@@ -86,6 +86,8 @@ class SynthConfig:
     archetypes: tuple[Archetype, ...] = DEFAULT_ARCHETYPES
 
     def validate(self) -> None:
+        if self.seed < 0:  # random.Random seeds with abs(seed): -3 would give seed 3's data
+            raise ValidationError(f"seed must be >= 0: {self.seed}")
         if self.n_communities < 2:
             raise ValidationError(f"need at least 2 communities: {self.n_communities}")
         if self.capecs_per_community < 6:

@@ -86,17 +86,30 @@ def replacing(path: str | Path) -> Iterator[TextIO]:
 
 
 def write_json(path: str | Path, payload: object) -> Path:
-    """Write ``payload`` as indented JSON with sorted keys and a final newline."""
-    with replacing(path) as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    """Write ``payload`` as indented JSON with sorted keys and a final newline.
+
+    A non-finite float, which JSON has no value for, raises ``ValidationError``
+    naming the file, and the previous file stays.
+    """
+    try:
+        with replacing(path) as handle:
+            json.dump(payload, handle, indent=2, sort_keys=True, allow_nan=False)
+            handle.write("\n")
+    except ValueError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
     return Path(path)
 
 
+def _refuse_constant(name: str) -> Any:
+    raise ValueError(f"{name} is not a JSON value")
+
+
 def read_json(path: str | Path) -> Any:
-    """Parse a JSON file; invalid UTF-8 or JSON raises ``ValidationError`` naming the file."""
+    """Parse a JSON file; invalid UTF-8 or JSON, which includes the ``NaN`` and
+    ``Infinity`` that ``json`` otherwise accepts, raises ``ValidationError``
+    naming the file."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_refuse_constant)
     except (ValueError, RecursionError) as exc:  # ValueError covers both decode errors
         raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
 

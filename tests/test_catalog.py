@@ -105,6 +105,25 @@ def test_cyclic_hierarchy_fatal():
         )
 
 
+@pytest.mark.parametrize(
+    "parents, cycle",
+    [
+        ({1: [2], 2: [1]}, "1 -> 2 -> 1"),
+        ({3: [3]}, "3 -> 3"),
+        ({1: [2], 2: [3], 3: [1], 4: [1]}, "1 -> 2 -> 3 -> 1"),
+    ],
+)
+def test_cyclic_hierarchy_names_the_cycle(parents, cycle):
+    # the cycle is named as a walk from a CAPEC up through its parents
+    with pytest.raises(ValidationError) as excinfo:
+        snapshot_from(
+            cve_to_cwes={},
+            capecs=[(cid, "x", []) for cid in sorted({*parents, *sum(parents.values(), [])})],
+            parents=parents,
+        )
+    assert str(excinfo.value) == f"cyclic CAPEC hierarchy: {cycle}"
+
+
 def test_effective_skill_direct_takes_max():
     entry = CapecEntry(
         capec_id=5,
@@ -255,11 +274,14 @@ def test_load_snapshot_rejects_bad_files(tmp_path):
 
     # a malformed cve_cwe.csv row names the file and its line
     capec_path.write_text("[]")
-    for row in ("CVE-2020-0001,CWE-x9", "not-a-cve,CWE-1"):
+    for row, problem in (
+        ("CVE-2020-0001,CWE-x9", "not a CWE identifier: 'CWE-x9'"),
+        ("not-a-cve,CWE-1", "not a CVE identifier: 'not-a-cve'"),
+    ):
         csv_path.write_text(f"cve_id,cwe_id\nCVE-2020-0002,CWE-79\n{row}\n")
         with pytest.raises(ValidationError) as excinfo:
             load_snapshot(csv_path, capec_path)
-        assert f"{csv_path}: line 3:" in str(excinfo.value)
+        assert str(excinfo.value) == f"{csv_path}: line 3: {problem}"
 
 
 def _constants_outside_docstrings(tree: ast.AST) -> list[str]:

@@ -776,17 +776,20 @@ def test_cluster_exits_1_on_any_other_fault(pipeline_ws, tmp_path, caplog, monke
         ["cluster", "--k-min", "3", "--k-max", "2"],
         ["cluster", "--cluster-restarts", "0"],
         ["cluster", "--seed", "-1"],
+        ["communities", "--seed", "-7"],
         ["run-all", "--posts", "p.jsonl", "--cve-cwe", "c.csv", "--capec-json", "c.json",
          "--min-posts", "0"],
         ["run-all", "--posts", "p.jsonl", "--cve-cwe", "c.csv", "--capec-json", "c.json",
          "--cluster-seed", "-1"],
+        ["run-all", "--posts", "p.jsonl", "--cve-cwe", "c.csv", "--capec-json", "c.json",
+         "--seed", "-7"],
         ["run-all", "--posts", "p.jsonl", "--cve-cwe", "c.csv"],
     ],
     ids=[
         "capec-threshold-0", "restarts-0", "min-posts-0", "skill-percentile-0",
         "skill-percentile-101", "k-min-1", "k-max-below-k-min", "cluster-restarts-0",
-        "cluster-seed-negative", "run-all-min-posts-0", "run-all-cluster-seed-negative",
-        "run-all-half-catalog-pair",
+        "cluster-seed-negative", "communities-seed-negative", "run-all-min-posts-0",
+        "run-all-cluster-seed-negative", "run-all-seed-negative", "run-all-half-catalog-pair",
     ],
 )
 def test_bad_flag_exits_1_before_anything_is_read(tmp_path, monkeypatch, caplog, argv):
@@ -804,8 +807,8 @@ def test_bad_flag_exits_1_before_anything_is_read(tmp_path, monkeypatch, caplog,
 @pytest.mark.parametrize(
     "flags",
     [["--noise", "0.9"], ["--noise", "-0.1"], ["--actors", "0"], ["--communities", "1"],
-     ["--capecs", "5"]],
-    ids=["noise-0.9", "noise-negative", "actors-0", "communities-1", "capecs-5"],
+     ["--capecs", "5"], ["--seed", "-3"]],
+    ids=["noise-0.9", "noise-negative", "actors-0", "communities-1", "capecs-5", "seed-negative"],
 )
 def test_bad_synth_flag_exits_1_before_the_lock_is_taken(tmp_path, monkeypatch, caplog, flags):
     monkeypatch.setattr(synth, "generate", lambda config: pytest.fail("generate was called"))

@@ -375,6 +375,14 @@ def test_best_by_silhouette_ties_keep_first():
         best_by_silhouette([])
 
 
+def test_best_run_ties_keep_the_earliest_restart():
+    rows = _rows(_blobs(seed=0))
+    fitted = cluster._fit(rows, (2, 0, 0))
+    runs = [fitted[:2] + (inertia,) + fitted[3:] for inertia in (9.0, 4.0, 4.0, 5.0, 4.0)]
+    assert cluster._best(runs) == 1
+    assert cluster._best(runs[3:]) == 1
+
+
 def _sweep_case(seed):
     rng = np.random.default_rng(seed)
     X = np.vstack([_blobs(seed=seed, n_per=25), _with_duplicates(rng, 90) * 4.0])

@@ -193,6 +193,9 @@ def test_leiden_validates_inputs():
         leiden(empty, seed=0)
     with pytest.raises(ValidationError):
         leiden(two_bicliques(), seed=0, restarts=0)
+    # random.Random(-7) draws what random.Random(7) draws
+    with pytest.raises(ValidationError, match="seed must be >= 0: -7"):
+        leiden(two_bicliques(), seed=-7)
 
 
 # Synth 4x25 graphs, leiden(seed=s): the digest of the sorted-key JSON of the

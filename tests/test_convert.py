@@ -145,11 +145,16 @@ def test_parse_capec_rejects_bad_xml(tmp_path):
     with pytest.raises(ValidationError):
         parse_capec_xml(path)
 
-    for bad in (_one_pattern(capec="CAPEC-66"), _one_pattern(cwe="x"), _one_pattern(parent="y")):
+    cases = {
+        _one_pattern(capec="CAPEC-66"): "ID='CAPEC-66': not a CAPEC identifier: 'CAPEC-66'",
+        _one_pattern(cwe="x"): "ID='66': not a CWE identifier: 'x'",
+        _one_pattern(parent="y"): "ID='66': not a CAPEC identifier: 'y'",
+    }
+    for bad, problem in cases.items():
         path.write_text(bad)
         with pytest.raises(ValidationError) as caught:
             parse_capec_xml(path)
-        assert str(path) in str(caught.value) and "attack pattern ID=" in str(caught.value)
+        assert str(caught.value) == f"{path}: attack pattern {problem}"
 
 
 def test_convert_catalog_end_to_end(tmp_path):

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from forumlens.cli import main
 from forumlens.errors import ValidationError
-from forumlens.expertise import load_profiles
+from forumlens.expertise import PROFILE_COLUMNS, load_profiles
 
 # each JSON file a stage opens, and the stages that open it
 READERS = {
@@ -218,3 +218,39 @@ def test_a_corrupted_profiles_csv_is_refused_naming_it(s_workspace, tmp_path, fa
     line = f"line {lines + 1}: " if fault in PROFILE_ROWS else ""
     with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: {line}"):
         load_profiles(path)
+
+
+def test_a_sample_too_large_to_standardize_exits_1_and_keeps_clusters_json(s_workspace, recwarn):
+    # load_profiles accepts a finite rate of 1e308; its square overflows the std
+    header, first, *rest = (s_workspace / "sample.csv").read_bytes().splitlines(keepends=True)
+    cells = first.split(b",")
+    cells[PROFILE_COLUMNS.index("activity_rate")] = b"1e308"
+    with tempfile.TemporaryDirectory() as tmp:
+        ws = Path(tmp) / "ws"
+        shutil.copytree(s_workspace, ws)
+        (ws / "sample.csv").write_bytes(b"".join([header, b",".join(cells), *rest]))
+        code, errors = _run(ws, "cluster")
+        assert (ws / "clusters.json").read_bytes() == (s_workspace / "clusters.json").read_bytes()
+    assert code == 1
+    assert [r.getMessage() for r in errors] == [
+        f"{ws / 'sample.csv'}: feature activity_rate: values too large to standardize"
+    ]
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+# the constants json.loads accepts but JSON has not, where a reader wants a number
+NON_FINITE = {
+    "communities.json": ("modularity", ("expertise", "export-graph", "report")),
+    "clusters.json": ("silhouette", ("report",)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE))
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_a_non_finite_number_in_a_json_artifact_exits_1_naming_it(s_workspace, name, constant):
+    key, stages = NON_FINITE[name]
+    original = (s_workspace / name).read_text()
+    corrupted = re.sub(f'"{key}": [^,\n]+', f'"{key}": {constant}', original, count=1)
+    assert corrupted != original
+    codes = _run_readers(s_workspace, name, corrupted.encode(), stages)
+    assert set(codes.values()) == {1}, codes

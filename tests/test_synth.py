@@ -99,6 +99,8 @@ def test_config_validation():
         _small_config(capecs_per_community=5).validate()
     with pytest.raises(ValidationError):
         _small_config(noise=0.5).validate()
+    with pytest.raises(ValidationError, match="seed must be >= 0: -3"):
+        _small_config(seed=-3).validate()
 
 
 def test_write_and_load_round_trip(tmp_path):

@@ -12,7 +12,9 @@ from types import SimpleNamespace
 import pytest
 
 import forumlens
-from forumlens.errors import ForumlensError, MissingUpstreamError, StaleArtifactError
+from forumlens.errors import (
+    ForumlensError, MissingUpstreamError, StaleArtifactError, ValidationError,
+)
 from forumlens.expertise import ActorProfile, save_profiles
 from forumlens.ingest import PostRecord, build_corpus, save_corpus
 from forumlens.workspace import (
@@ -22,6 +24,7 @@ from forumlens.workspace import (
     default_root,
     read_json,
     sha256_file,
+    write_json,
 )
 
 
@@ -297,6 +300,25 @@ def test_json_round_trip(tmp_path):
         ws.load("communities.json", read_json)
     ws.record_stage("communities", {})
     assert ws.load("communities.json", read_json) == payload
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_write_json_refuses_a_non_finite_number_and_keeps_the_previous_file(tmp_path, value):
+    path = write_json(tmp_path / "clusters.json", {"silhouette": 0.5})
+    before = path.read_bytes()
+    with pytest.raises(ValidationError, match=f"^{path}: Out of range float values"):
+        write_json(path, {"silhouette": 0.5, "clusters": [{"skill": value}]})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["clusters.json"]
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_read_json_refuses_the_non_standard_constants(tmp_path, constant):
+    path = tmp_path / "communities.json"
+    path.write_text(f'{{"modularity": {constant}}}\n')
+    with pytest.raises(ValidationError) as excinfo:
+        read_json(path)
+    assert str(excinfo.value) == f"{path}: invalid JSON: {constant} is not a JSON value"
 
 
 def test_default_root_env_var(monkeypatch, tmp_path):

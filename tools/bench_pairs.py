@@ -1,0 +1,156 @@
+"""Compare the working tree with a parent revision on one benchmark workload.
+
+    python3 tools/bench_pairs.py --parent HEAD --workload full-L --pairs 8 --seed-base 4001
+
+Run from anywhere inside the repository. It copies ``--parent`` (with ``git
+archive``) and the working tree (tracked and untracked files, ignored ones
+excluded) into a temporary directory, and removes both copies at the end.
+Pair ``i`` runs ``perfbench/run.py --workload NAME --seed S+i --seconds 10
+--trace 0`` in each copy, one process at a time; the parent runs first in
+even pairs and second in odd ones. Each run's result is the last line it
+prints.
+
+For each end-to-end metric of ``BENCHMARK.json`` it prints the parent's
+median [Q1, Q3], the change's median and the pairs the change won (ties count
+for neither side). A run that exits non-zero, prints no result or reports
+itself incorrect is listed by seed and side, and its pair counts as won by
+neither; its metrics stay out of the medians. The exit code is 1 when any run
+was listed. Standard library only; nothing is written inside the repository.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+# a run's outcome: its metric values, or the reason it gave none
+Outcome = dict[str, float] | str
+
+
+def _git(repo: Path, *args: str) -> bytes:
+    return subprocess.run(["git", "-C", str(repo), *args], check=True, capture_output=True).stdout
+
+
+def copy_revision(repo: Path, rev: str, dest: Path) -> None:
+    """The files of ``rev`` under ``dest``, as ``git archive`` writes them."""
+    archive = dest.with_suffix(".tar")
+    _git(repo, "archive", "--format=tar", "-o", str(archive), rev)
+    with tarfile.open(archive) as tar:
+        tar.extractall(dest, filter="data")
+    archive.unlink()
+
+
+def copy_worktree(repo: Path, dest: Path) -> None:
+    """The working tree's tracked and untracked files, ignored ones left out."""
+    listed = _git(repo, "ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in filter(None, listed.decode().split("\0")):
+        source = repo / name
+        if source.is_file():  # a tracked file deleted in the tree is left out
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
+
+
+def run_once(copy: Path, workload: str, seed: int, seconds: float) -> Outcome:
+    """The end-to-end metrics of one benchmark run, or why it gave none."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(argv, cwd=copy, capture_output=True, text=True)
+    lines = done.stdout.splitlines()
+    if done.returncode != 0:
+        tail = (done.stderr.strip().splitlines() or ["no output"])[-1]
+        return f"exit {done.returncode}: {tail}"
+    try:
+        result = json.loads(lines[-1])
+        values = {name: float(m["value"]) for name, m in result["metrics"].items()}
+    except (IndexError, ValueError, KeyError, TypeError) as exc:
+        return f"no result line: {exc!r}"
+    if not result.get("correct") or result.get("failed"):
+        return f"incorrect: {result.get('failed')}/{result.get('attempted')} operations failed"
+    return values
+
+
+def _quartiles(values: list[float]) -> tuple[float, float]:
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def summarize(metrics: list[dict], pairs: list[dict[str, Outcome]], seeds: list[int]) -> list[str]:
+    """Report lines for ``pairs``, one ``{"parent": outcome, "change": outcome}`` per seed.
+
+    ``metrics`` are the ``end_to_end`` entries of ``BENCHMARK.json``: a name and
+    whether ``lower`` or ``higher`` is better.
+    """
+    lines = []
+    for seed, pair in zip(seeds, pairs):
+        for side in SIDES:
+            if isinstance(pair[side], str):
+                lines.append(f"FAILED seed {seed} {side}: {pair[side]}")
+    whole = [pair for pair in pairs if not any(isinstance(pair[s], str) for s in SIDES)]
+    lines.append(
+        f"{len(whole)} of {len(pairs)} pairs complete; parent median [Q1, Q3] -> change median"
+    )
+    for metric in metrics:
+        name, sign = metric["name"], (1 if metric["better"] == "lower" else -1)
+        got = {
+            side: [p[side][name] for p in pairs if not isinstance(p[side], str)] for side in SIDES
+        }
+        if not got["parent"] or not got["change"]:
+            lines.append(f"{name}: no runs on one side")
+            continue
+        won = sum(sign * p["change"][name] < sign * p["parent"][name] for p in whole)
+        q1, q3 = _quartiles(got["parent"])
+        lines.append(
+            f"{name}: {statistics.median(got['parent']):.6g} [{q1:.6g}, {q3:.6g}] -> "
+            f"{statistics.median(got['change']):.6g}, change won {won}/{len(pairs)}"
+        )
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="git revision to compare against")
+    parser.add_argument("--workload", required=True, help="a workload of BENCHMARK.json")
+    parser.add_argument("--pairs", type=int, default=10, help="pairs to run (default 10)")
+    parser.add_argument("--seed-base", type=int, required=True, help="seed of the first pair")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error(f"--pairs must be >= 1: {args.pairs}")
+    repo = Path(_git(Path.cwd(), "rev-parse", "--show-toplevel").decode().strip())
+    spec = json.loads((repo / "BENCHMARK.json").read_text())
+    if args.workload not in {w["name"] for w in spec["workloads"]}:
+        parser.error(f"--workload is not declared in BENCHMARK.json: {args.workload}")
+
+    seeds = [args.seed_base + i for i in range(args.pairs)]
+    pairs: list[dict[str, Outcome]] = []
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
+        copies = {side: Path(tmp) / side for side in SIDES}
+        for path in copies.values():
+            path.mkdir()
+        copy_revision(repo, args.parent, copies["parent"])
+        copy_worktree(repo, copies["change"])
+        for i, seed in enumerate(seeds):
+            pair = {}
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                pair[side] = run_once(copies[side], args.workload, seed, spec["run_seconds"])
+                shown = pair[side] if isinstance(pair[side], str) else json.dumps(pair[side])
+                print(f"seed {seed} {side}: {shown}", flush=True)
+            pairs.append(pair)
+    lines = summarize(spec["end_to_end"], pairs, seeds)
+    print(f"{args.workload}, seeds {seeds[0]}-{seeds[-1]}, parent {args.parent}")
+    print("\n".join(lines))
+    return 1 if any(line.startswith("FAILED") for line in lines) else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
