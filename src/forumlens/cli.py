@@ -354,7 +354,7 @@ def cmd_cluster(ws: Workspace, args: argparse.Namespace) -> dict:
     )
     if not models:
         return skip("no k in range produced 2 or more distinct clusters")
-    best = cluster.with_raw_centroids(cluster.best_by_silhouette(models), scaler)
+    best = cluster.with_raw_centroids(cluster.best_by_silhouette(models), X)
     summaries = cluster.summarize_clusters(best, sample)
     ws.write_json(
         "clusters.json",

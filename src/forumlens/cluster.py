@@ -2,9 +2,9 @@
 
 Features are z-scored before clustering (commitment spans 0-100 while skill
 spans 1-3, so unscaled Euclidean distance would be dominated by commitment).
-Centroids are mapped back to raw units through the stored scaler; all labeling
-thresholds apply to raw-unit centroids, which makes the labels invariant to
-the scaling choice.
+A cluster's raw-unit centroid is the mean of its members' raw rows; all
+labeling thresholds apply to raw-unit centroids, which makes the labels
+invariant to the scaling choice.
 
 The k sweep gives the bits of fitting each k on its own: distances are
 summed in an order written here, work per row is done once per distinct row,
@@ -59,16 +59,6 @@ class Scaler:
     std: tuple[float, ...]
     constant: tuple[bool, ...]
 
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        mean = np.asarray(self.mean)
-        scale = np.where(np.asarray(self.constant), 1.0, np.asarray(self.std))
-        return (np.asarray(X, dtype=float) - mean) / scale
-
-    def inverse(self, Z: np.ndarray) -> np.ndarray:
-        mean = np.asarray(self.mean)
-        scale = np.where(np.asarray(self.constant), 1.0, np.asarray(self.std))
-        return np.asarray(Z, dtype=float) * scale + mean
-
 
 def standardize(X: np.ndarray) -> tuple[np.ndarray, Scaler]:
     """Z-score every column (population std); needs at least 2 rows, and values
@@ -90,7 +80,7 @@ def standardize(X: np.ndarray) -> tuple[np.ndarray, Scaler]:
         std=tuple(float(s) for s in std),
         constant=tuple(bool(c) for c in constant),
     )
-    return scaler.transform(X), scaler
+    return (X - mean) / np.where(constant, 1.0, std), scaler
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,8 +88,8 @@ class KMeansModel:
     """A fitted k-means model over the standardized feature space.
 
     ``k`` counts non-empty clusters; ``labels`` holds one dense cluster index
-    per input row. ``centroids_raw`` equals ``centroids`` until a scaler maps
-    them back to raw units (see :func:`with_raw_centroids`).
+    per input row. ``centroids_raw`` equals ``centroids`` until
+    :func:`with_raw_centroids` sets each to its members' mean raw row.
     """
 
     k: int
@@ -161,6 +151,15 @@ def _kmeans_pp_init(rows: _Rows, k: int, rng: np.random.Generator) -> np.ndarray
 _Run = tuple[np.ndarray, np.ndarray, float, list[float]]
 
 
+def _member_sums(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Each cluster's column sums, shape (k, columns): bincount adds its rows in row
+    order from 0.0, as ``mean(axis=0)`` over them does, so sum / count has its bits."""
+    sums = np.zeros((k, X.shape[1]))
+    for j in range(X.shape[1]):
+        sums[:, j] = np.bincount(labels, X[:, j], k)
+    return sums
+
+
 def _lloyd(rows: _Rows, centroids: np.ndarray) -> _Run:
     """Lloyd iterations from given centroids; returns (labels, centroids, inertia, path).
 
@@ -193,14 +192,9 @@ def _lloyd(rows: _Rows, centroids: np.ndarray) -> _Run:
                 to_own[far] = -1.0
             d2 = _squared_distances(distinct, centroids)
             labels = d2.argmin(axis=1)[inverse]
-        # member means: bincount adds each cluster's rows in row order from
-        # 0.0, as mean(axis=0) over the member rows does, so the bits agree
         counts = np.bincount(labels, minlength=k)
-        sums = np.zeros_like(centroids)
-        for j in range(X.shape[1]):
-            sums[:, j] = np.bincount(labels, X[:, j], k)
         filled = counts > 0
-        centroids[filled] = sums[filled] / counts[filled, None]
+        centroids[filled] = _member_sums(X, labels, k)[filled] / counts[filled, None]
         d2 = _squared_distances(distinct, centroids)
         inertia = float(d2[inverse, labels].sum())
         path.append(inertia)
@@ -282,8 +276,11 @@ def kmeans(
     return _model(runs[_best(runs)])
 
 
-def with_raw_centroids(model: KMeansModel, scaler: Scaler) -> KMeansModel:
-    return replace(model, centroids_raw=scaler.inverse(model.centroids))
+def with_raw_centroids(model: KMeansModel, X: np.ndarray) -> KMeansModel:
+    """``model`` with each raw centroid its members' mean row of X, the unscaled features."""
+    labels = np.asarray(model.labels)
+    counts = np.bincount(labels, minlength=model.k)
+    return replace(model, centroids_raw=_member_sums(X, labels, model.k) / counts[:, None])
 
 
 def silhouette(X: np.ndarray, labels: Sequence[int]) -> float:

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ValidationError
 from .workspace import replacing, write_json
@@ -96,7 +96,7 @@ class PostRecord(NamedTuple):
 
 @dataclass
 class ParsedPosts:
-    """Result of parsing a JSONL stream: valid records plus a skip counter."""
+    """Result of parsing a JSONL file: valid records plus a skip counter."""
 
     records: list[PostRecord]
     skipped: int = 0
@@ -151,54 +151,46 @@ def _parse_record(
     return PostRecord(obj["post_id"], actor, obj["forum_id"], ts, obj["content"], mentions)
 
 
-def _iter_lines(source: str | Path | IO[str] | Iterable[str]) -> Iterator[str | bytes]:
-    if isinstance(source, (str, Path)):
-        # bytes: each line is decoded on its own, so a bad byte costs one line
-        with open(source, "rb") as handle:
-            yield from handle
-    else:
-        yield from source
-
-
 class CheckedPosts:
-    """The lines of a JSONL post stream that pass every per-line check, one at a time.
+    """The lines of a JSONL post file that pass every per-line check, one at a time.
 
     Iterating yields one :class:`PostRecord` per good line, with its UTC
     timestamp and the mentions its line lists. Malformed lines (invalid UTF-8,
     bad or too deeply nested JSON, missing keys, unparseable or out-of-window
-    timestamps) are logged and counted in ``skipped``. An unreadable source
+    timestamps) are logged and counted in ``skipped``. An unreadable file
     raises ``OSError``. Each distinct mention string is parsed once per pass,
     and the posts naming it share that one ``CveId``; a string that fails to
     parse fails every line with it. Posts with equal ``mentions`` lists share
     one frozenset, and posts of one actor share one ``actor_id`` string.
     """
 
-    def __init__(self, source: str | Path | IO[str] | Iterable[str]):
-        self.source = source
+    def __init__(self, path: str | Path):
+        self.path = path
         self.skipped = 0
 
     def __iter__(self) -> Iterator[PostRecord]:
         cve_ids: dict[str, CveId] = {}
         mention_sets: dict[tuple[str, ...], frozenset[CveId]] = {}
         actors: dict[str, str] = {}
-        for lineno, line in enumerate(_iter_lines(self.source), start=1):
-            # ValueError covers ValidationError, JSONDecodeError and UnicodeDecodeError
-            try:
-                if isinstance(line, bytes):
-                    line = line.decode("utf-8")
-                if not line or line.isspace():
+        # bytes: each line is decoded on its own, so a bad byte costs one line
+        with open(self.path, "rb") as handle:
+            for lineno, raw in enumerate(handle, start=1):
+                # ValueError covers ValidationError, JSONDecodeError and UnicodeDecodeError
+                try:
+                    line = raw.decode("utf-8")
+                    if line.isspace():
+                        continue
+                    record = _parse_record(line, cve_ids, mention_sets, actors)
+                except (ValueError, RecursionError) as exc:
+                    self.skipped += 1
+                    logger.warning("skipping malformed line %d: %s", lineno, exc)
                     continue
-                record = _parse_record(line, cve_ids, mention_sets, actors)
-            except (ValueError, RecursionError) as exc:
-                self.skipped += 1
-                logger.warning("skipping malformed line %d: %s", lineno, exc)
-                continue
-            yield record
+                yield record
 
 
-def parse_posts(source: str | Path | IO[str] | Iterable[str]) -> ParsedPosts:
-    """Parse a JSONL post stream into records, as :class:`CheckedPosts` checks it."""
-    checked = CheckedPosts(source)
+def parse_posts(path: str | Path) -> ParsedPosts:
+    """Parse a JSONL post file into records, as :class:`CheckedPosts` checks it."""
+    checked = CheckedPosts(path)
     return ParsedPosts(records=list(checked), skipped=checked.skipped)
 
 
@@ -299,15 +291,15 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
 
 @dataclass
 class Ingested:
-    """What :func:`ingest_posts` keeps of a post stream once its corpus is written."""
+    """What :func:`ingest_posts` keeps of a post file once its corpus is written."""
 
     table: PostTable
     stats: CorpusStats
     skipped: int
 
 
-def ingest_posts(source: str | Path | IO[str] | Iterable[str], path: str | Path) -> Ingested:
-    """Write the corpus of a JSONL post stream to ``path``, one post as soon as it is checked.
+def ingest_posts(source: str | Path, path: str | Path) -> Ingested:
+    """Write the corpus of a JSONL post file to ``path``, one post as soon as it is checked.
 
     Lines are checked as :class:`CheckedPosts` checks them and posts are kept
     as :func:`build_corpus` keeps them; the file is what :func:`save_corpus`
@@ -328,25 +320,27 @@ def ingest_posts(source: str | Path | IO[str] | Iterable[str], path: str | Path)
     return Ingested(table=table, stats=kept.stats, skipped=checked.skipped)
 
 
+def _corpus_posts(path: str | Path) -> Iterator[PostRecord]:
+    """The posts of a corpus file, checked as :func:`ingest_posts` checks them; a
+    malformed line raises ``ValidationError`` once the file is read."""
+    checked = CheckedPosts(path)
+    yield from checked
+    if checked.skipped:
+        raise ValidationError(f"corpus file {path} has {checked.skipped} malformed lines")
+
+
 def load_post_table(path: str | Path) -> PostTable:
     """Read the post table of a corpus file line by line, never holding a post's content.
 
-    Lines are checked and kept as :func:`ingest_posts` checks and keeps them;
-    a malformed line raises ``ValidationError`` once the file is read.
+    Posts are kept as :func:`ingest_posts` keeps them; a malformed line raises
+    ``ValidationError`` once the file is read.
     """
-    checked = CheckedPosts(path)
-    table = [(p.actor_id, p.timestamp, p.mentions) for p in _KeptPosts(checked)]
-    if checked.skipped:
-        raise ValidationError(f"corpus file {path} has {checked.skipped} malformed lines")
-    return table
+    return [(p.actor_id, p.timestamp, p.mentions) for p in _KeptPosts(_corpus_posts(path))]
 
 
 def load_corpus(path: str | Path) -> Corpus:
     """Load a corpus persisted by :func:`save_corpus`."""
-    parsed = parse_posts(path)
-    if parsed.skipped:
-        raise ValidationError(f"corpus file {path} has {parsed.skipped} malformed lines")
-    return build_corpus(parsed.records)
+    return build_corpus(_corpus_posts(path))
 
 
 def save_corpus_stats(stats: CorpusStats, path: str | Path) -> None:

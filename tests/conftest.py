@@ -7,8 +7,11 @@ import json
 import math
 import random
 import re
+import tempfile
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterable, Iterator
 from xml.etree import ElementTree
 
 import numpy as np
@@ -27,6 +30,16 @@ def ts(text: str) -> datetime:
     if len(text) == 10:
         text += "T00:00:00"
     return datetime.fromisoformat(text).replace(tzinfo=timezone.utc)
+
+
+@contextmanager
+def lines_file(lines: Iterable[str]) -> Iterator[Path]:
+    """A temporary file holding each of ``lines`` and a newline, for the post readers,
+    which take a path; safe inside a hypothesis test, unlike ``tmp_path``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "posts.jsonl")
+        path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
+        yield path
 
 
 def post(

@@ -6,6 +6,7 @@ import ast
 import gc
 import json
 import os
+import random
 import re
 import shutil
 import signal
@@ -22,7 +23,7 @@ from forumlens import catalog, cli, graph, ingest, synth, workspace
 from forumlens.cli import main
 from forumlens.errors import ValidationError
 from forumlens.graph import load_graph
-from forumlens.workspace import STAGE_ARTIFACTS, Workspace
+from forumlens.workspace import STAGE_ARTIFACTS, Workspace, sha256_file
 
 from conftest import read_export
 
@@ -200,6 +201,31 @@ def test_run_all_writes_what_the_stages_run_one_by_one_write(inputs_s, tmp_path,
     snapshot = catalog.load_snapshot(one / "cve_cwe.csv", one / "capec.json")
     adjacency = graph.actor_capecs(graph.load_posts(one / "capec_posts.json", snapshot))
     assert graph.graph_of(adjacency) == load_graph(one / "graph.json")
+
+
+def test_small_random_pipelines_exit_0_or_1_and_rerun_to_the_same_bytes(tmp_path, caplog):
+    # random small inputs and flags through run-all, each run twice in fresh workspaces
+    rng = random.Random(2026)
+    names = [name for stage in cli.PIPELINE for name in STAGE_ARTIFACTS[stage]]
+    for trial in range(8):
+        scale = (rng.randint(2, 4), rng.randint(3, 12), 10)
+        inputs = _synth_inputs(tmp_path / str(trial), seed=rng.randrange(1000), scale=scale)
+        flags = [
+            "--capec-threshold", str(rng.randint(1, 500)), "--min-posts", str(rng.randint(1, 8)),
+            "--skill-percentile", str(rng.randint(1, 100)),
+        ]
+        runs = []
+        for ws in (tmp_path / str(trial) / "one", tmp_path / str(trial) / "two"):
+            caplog.clear()
+            code = _run_all(ws, inputs, *flags)
+            errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+            assert (code, len(errors)) in ((0, 0), (1, 1)), (scale, flags, code, errors)
+            runs.append((code, {n: (ws / n).is_file() and sha256_file(ws / n) for n in names}))
+        assert runs[0] == runs[1], (scale, flags)
+        clusters = tmp_path / str(trial) / "one" / "clusters.json"
+        if clusters.is_file() and not json.loads(clusters.read_text()).get("skipped"):
+            shares = [c["pct_of_sample"] for c in json.loads(clusters.read_text())["clusters"]]
+            assert abs(sum(shares) - 100.0) <= 1e-9, (scale, flags, shares)
 
 
 # sha256_file calls per file in one run-all: each artifact once when its stage

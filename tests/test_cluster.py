@@ -23,6 +23,7 @@ from forumlens.cluster import (
     ClusterLabel,
     KMeansModel,
     Quadrant,
+    Scaler,
     best_by_silhouette,
     feature_matrix,
     kmeans,
@@ -79,21 +80,26 @@ def test_feature_matrix_columns():
     assert feature_matrix([]).shape == (0, 3)
 
 
-def test_standardize_round_trip():
+def test_standardize_scales_every_column_and_records_how():
     X = np.array([[1.0, 10.0, 0.1], [3.0, 90.0, 0.4], [2.0, 50.0, 0.7]])
     Z, scaler = standardize(X)
     assert np.allclose(Z.mean(axis=0), 0.0, atol=1e-12)
     assert np.allclose(Z.std(axis=0), 1.0, atol=1e-12)
-    assert np.allclose(scaler.inverse(Z), X, atol=1e-12)
+    assert scaler == Scaler(
+        mean=tuple(X.mean(axis=0).tolist()),
+        std=tuple(X.std(axis=0).tolist()),
+        constant=(False, False, False),
+    )
 
 
 def test_standardize_constant_column():
     X = np.array([[2.0, 5.0], [2.0, 7.0], [2.0, 9.0]])
     Z, scaler = standardize(X)
     # Constant column is centered, not divided by zero.
-    assert np.allclose(Z[:, 0], 0.0)
-    assert np.all(np.isfinite(Z))
-    assert np.allclose(scaler.inverse(Z), X, atol=1e-12)
+    assert Z[:, 0].tolist() == [0.0, 0.0, 0.0]
+    assert np.allclose(Z[:, 1].std(), 1.0, atol=1e-12)
+    assert scaler == Scaler(mean=(2.0, 7.0), std=(0.0, float(np.std([5.0, 7.0, 9.0]))),
+                            constant=(True, False))
 
 
 def test_standardize_validation():
@@ -541,8 +547,8 @@ def test_label_clusters_requires_alignment():
 
 
 def test_labels_invariant_to_standardization():
-    # Raw-unit thresholds: feeding standardized centroids through the scaler
-    # inverse must produce the same labels as clustering raw units directly.
+    # Raw-unit thresholds: a raw centroid is its members' mean raw row, to the
+    # bit, so the labels are those of the raw units themselves.
     rng = np.random.default_rng(17)
     skill = rng.uniform(1, 3, size=40)
     commit = rng.uniform(0, 100, size=40)
@@ -552,14 +558,14 @@ def test_labels_invariant_to_standardization():
         _profile(skill=row[0], commit=row[1], rate=row[2], days=90, actor=f"a{i}")
         for i, row in enumerate(X)
     ]
-    Z, scaler = standardize(X)
-    model = with_raw_centroids(kmeans(Z, 4, seed=0), scaler)
+    Z, _ = standardize(X)
+    model = with_raw_centroids(kmeans(Z, 4, seed=0), X)
     labels_via_scaler = label_clusters(model, profiles)
 
     raw_means = np.vstack([
         X[np.array(model.labels) == c].mean(axis=0) for c in range(model.k)
     ])
-    assert np.allclose(model.centroids_raw, raw_means, atol=1e-9)
+    assert model.centroids_raw.tolist() == raw_means.tolist()
     direct = label_clusters(
         KMeansModel(
             k=model.k,
@@ -582,8 +588,8 @@ def test_summarize_clusters_payload():
         _profile(1.1, 12.0, 0.2, days=12, actor="d"),
     ]
     X = feature_matrix(profiles)
-    Z, scaler = standardize(X)
-    model = with_raw_centroids(kmeans(Z, 2, seed=0), scaler)
+    Z, _ = standardize(X)
+    model = with_raw_centroids(kmeans(Z, 2, seed=0), X)
     summaries = summarize_clusters(model, profiles)
     assert len(summaries) == 2
     assert sum(s["members"] for s in summaries) == 4

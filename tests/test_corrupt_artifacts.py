@@ -20,11 +20,13 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forumlens.cli import main
+from forumlens.cluster import feature_matrix
 from forumlens.errors import ValidationError
 from forumlens.expertise import PROFILE_COLUMNS, load_profiles
 
@@ -236,6 +238,27 @@ def test_a_sample_too_large_to_standardize_exits_1_and_keeps_clusters_json(s_wor
         f"{ws / 'sample.csv'}: feature activity_rate: values too large to standardize"
     ]
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_a_huge_finite_rate_leaves_every_raw_centroid_its_members_mean(s_workspace):
+    # a rate of 1e150 standardizes; mapped back as z * std + mean, the other 99 rates'
+    # centroid cancels to -7.1e132, while their mean is about 0.53
+    header, first, *rest = (s_workspace / "sample.csv").read_bytes().splitlines(keepends=True)
+    cells = first.split(b",")
+    cells[PROFILE_COLUMNS.index("activity_rate")] = b"1e150"
+    with tempfile.TemporaryDirectory() as tmp:
+        ws = Path(tmp) / "ws"
+        shutil.copytree(s_workspace, ws)
+        (ws / "sample.csv").write_bytes(b"".join([header, b",".join(cells), *rest]))
+        code, errors = _run(ws, "cluster")
+        sample = load_profiles(ws / "sample.csv")
+        clusters = json.loads((ws / "clusters.json").read_text())
+    assert (code, errors) == (0, [])
+    X = feature_matrix(sample)
+    labels = np.array([clusters["assignments"][p.actor_id] for p in sample])
+    rates = [c["centroid_raw"]["activity_rate"] for c in clusters["clusters"]]
+    assert rates == [X[labels == c].mean(axis=0)[2] for c in range(len(rates))]
+    assert min(rates) >= 0.0
 
 
 # the constants json.loads accepts but JSON has not, where a reader wants a number

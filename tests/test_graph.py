@@ -35,7 +35,9 @@ from forumlens.graph import (
 )
 from forumlens.ingest import CveId, build_corpus, parse_posts
 
-from conftest import bigraph, post, post_capec_oracle, read_export, snapshot_from, ts
+from conftest import (
+    bigraph, lines_file, post, post_capec_oracle, read_export, snapshot_from, ts,
+)
 
 
 def _star(capec: int, n_actors: int, prefix: str) -> list[tuple[str, int]]:
@@ -152,7 +154,8 @@ _POSTS = st.lists(
 @given(_POSTS)
 def test_post_capec_sets_matches_per_post_oracle(posts):
     lines = [_post_line(i, actor, day, mentions) for i, (actor, day, mentions) in enumerate(posts)]
-    parsed = parse_posts(lines)
+    with lines_file(lines) as path:
+        parsed = parse_posts(path)
     got = post_capec_sets(build_corpus(parsed.records).table(), _interning_snapshot())
 
     valid = [p for p in posts if all(_MENTIONS[m] is not None for m in p[2])]
@@ -188,7 +191,8 @@ def test_post_path_parses_and_resolves_each_distinct_value_once(monkeypatch):
 
     monkeypatch.setattr(CveId, "parse", staticmethod(counting_parse))
     monkeypatch.setattr(forumlens.graph, "map_cve_to_capecs", counting_resolve)
-    parsed = parse_posts(lines)
+    with lines_file(lines) as path:
+        parsed = parse_posts(path)
     corpus = build_corpus(parsed.records)
     table = post_capec_sets(corpus.table(), snapshot)
 

@@ -28,7 +28,7 @@ from forumlens.ingest import (
     save_corpus_stats,
 )
 
-from conftest import ingest_oracle, post
+from conftest import ingest_oracle, lines_file, post
 
 
 def _line(post_id="p1", actor="alice", forum="f1", when="2021-01-01T00:00:00Z",
@@ -106,7 +106,8 @@ def test_parse_posts_skips_malformed_lines(tmp_path):
         _line(post_id="overflow-ts", when="0001-01-01T00:00:00+14:00"),
         _line(post_id="huge-cve", mentions=["CVE-2021-" + "1" * 5000]),
     ]
-    parsed = parse_posts(lines)
+    with lines_file(lines) as path:
+        parsed = parse_posts(path)
     assert [r.post_id for r in parsed.records] == ["good"]
     assert parsed.skipped == 9
 
@@ -165,8 +166,11 @@ _POST_OBJECTS = st.fixed_dictionaries(
     ]
 )
 def test_parse_posts_never_raises(lines):
-    parsed = parse_posts(lines)
-    assert len(parsed.records) + parsed.skipped == sum(1 for line in lines if line.strip())
+    with lines_file(lines) as path:
+        parsed = parse_posts(path)
+    # a line of text may hold newlines: the file has a line for each part
+    parts = [part for line in lines for part in line.split("\n")]
+    assert len(parsed.records) + parsed.skipped == sum(1 for part in parts if part.strip())
     # a duplicate post_id is fatal by contract, so build from one record per id
     unique = list({r.post_id: r for r in parsed.records}.values())
     corpus = build_corpus(unique)
@@ -176,7 +180,8 @@ def test_parse_posts_never_raises(lines):
 def test_parse_posts_rejects_non_string_fields():
     lines = [json.dumps({"post_id": 7, "actor_id": "a", "forum_id": "f",
                          "timestamp": "2021-01-01T00:00:00Z", "content": "x"})]
-    parsed = parse_posts(lines)
+    with lines_file(lines) as path:
+        parsed = parse_posts(path)
     assert parsed.records == [] and parsed.skipped == 1
 
 
@@ -229,7 +234,8 @@ def test_corpus_round_trip(tmp_path):
         _line("p4", "carol", content="scrubbed", mentions=[" cve-2020-0099", "CVE-2020-0099"]),
         _line("p5", "carol", content="no mention"),
     ]
-    corpus = build_corpus(parse_posts(lines).records)
+    with lines_file(lines) as path:
+        corpus = build_corpus(parse_posts(path).records)
     assert [p.post_id for p in corpus.posts] == ["p1", "p2", "p3", "p4"]
     target = tmp_path / "corpus.jsonl"
     save_corpus(corpus, target)
@@ -270,7 +276,8 @@ def test_ingest_and_load_share_each_actor_string(tmp_path):
         _line("p5", "bob", content="CVE-2021-1111"),
     ]
     target = tmp_path / "corpus.jsonl"
-    done = ingest_posts(lines, target)
+    with lines_file(lines) as path:
+        done = ingest_posts(path, target)
     loaded = load_post_table(target)
     assert loaded == done.table
     for table in (done.table, loaded):
@@ -337,10 +344,10 @@ def test_streamed_corpus_line_is_json_dumps_of_its_row(posts):
             mentions=sorted({"CVE" + name[3:] for name in names}),  # upper-case prefix
         )
         expected.append(json.dumps(row, sort_keys=True) + "\n")
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, lines_file(lines) as path:
         streamed, saved = Path(tmp, "streamed.jsonl"), Path(tmp, "saved.jsonl")
-        done = ingest_posts(lines, streamed)
-        save_corpus(build_corpus(parse_posts(lines).records), saved)
+        done = ingest_posts(path, streamed)
+        save_corpus(build_corpus(parse_posts(path).records), saved)
         assert streamed.read_text(encoding="utf-8").splitlines(keepends=True) == expected
         assert saved.read_bytes() == streamed.read_bytes()
         assert done.skipped == 0 and done.stats.n_posts == len(posts)

@@ -137,19 +137,54 @@ def _references(package: Path) -> dict[str, set[str]]:
     return uses
 
 
-def test_ingest_and_graph_never_reach_a_corpus():
-    # the post path streams: ingest writes each post as it checks it, and graph
-    # gets the (actor, time, mentions) table; a Corpus holds every post's content
-    uses = _references(Path(forumlens.__file__).parent)
-    reached, todo = set(), ["cmd_ingest", "cmd_graph"]
+def _reached(uses: dict[str, set[str]], roots: set[str]) -> set[str]:
+    """The entries of ``uses`` that ``roots`` use, directly or through each other."""
+    reached, todo = set(), [name for name in roots if name in uses]
     while todo:
         name = todo.pop()
         if name not in reached:
             reached.add(name)
-            todo.extend(n for n in uses.get(name, ()) if n in uses)
+            todo.extend(n for n in uses[name] if n in uses)
+    return reached
+
+
+def test_ingest_and_graph_never_reach_a_corpus():
+    # the post path streams: ingest writes each post as it checks it, and graph
+    # gets the (actor, time, mentions) table; a Corpus holds every post's content
+    reached = _reached(_references(Path(forumlens.__file__).parent), {"cmd_ingest", "cmd_graph"})
     assert "ingest_posts" in reached and "load_post_table" in reached
     # a PostRecord is the checked parser's row and lives for one line; a Corpus keeps them all
     assert reached & {"build_corpus", "load_corpus", "Corpus"} == set()
+
+
+# the top-level functions and classes of the package that no path from cli.main
+# reaches, each with what keeps it; anything else unreached is dead code
+UNREACHED = {
+    "ParsedPosts": "parse_posts returns it",
+    "parse_posts": "perfbench/tracer.py puts a span on it",
+    "load_corpus": "perfbench/tracer.py puts a span on it",
+    "brute_force_best_partition": "tests/test_acceptance.py checks Leiden against its optimum",
+    "build_graph": "tests/test_acceptance.py builds the planted graphs with it",
+    "kmeans": "tests/test_acceptance.py fits it against the Lloyd oracle",
+    "select_k": "tests/test_acceptance.py checks it picks the planted k",
+    "modularity": "tests/test_acceptance.py checks it against hand-computed values",
+    "community_agreement": "perfbench/run.py scores planted_agreement with it",
+    "load_truth": "perfbench/run.py reads the planted communities with it",
+}
+
+
+def test_every_top_level_name_cli_main_never_reaches_has_a_reason():
+    # module-level code, report._PARTS say, runs on import, so the names it uses are roots too
+    package = Path(forumlens.__file__).parent
+    top, roots = set(), {"main"}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                top.add(node.name)
+            else:
+                roots.update(getattr(n, "id", None) or getattr(n, "attr", None)
+                             for n in ast.walk(node))
+    assert sorted(top - _reached(_references(package), roots)) == sorted(UNREACHED)
 
 
 def test_ingest_writes_a_corpus_and_refuses_a_duplicate_in_one_place_each():
