@@ -1,12 +1,14 @@
 """Command-line pipeline orchestrator.
 
 Subcommands map one-to-one onto pipeline stages over a persistent workspace
-directory; ``run-all`` runs the seven pipeline stages in order. A command
-checks its flags, then holds the workspace lock from its first stage to its
-last, recording each stage in the manifest as it ends. Exit codes: 0
-success, 1 validation error (including stale artifacts and bad flags) or any
-unexpected error, 2 missing upstream stage, 3 I/O or lock trouble. Errors
-print one line; ``-v`` adds the traceback of an unexpected one.
+directory; ``run-all`` runs the seven pipeline stages in order and takes
+their flags. Each flag is declared once, with the lowest value it accepts,
+in ``build_parser``'s table of commands. A command checks its flags, then
+holds the workspace lock from its first stage to its last, recording each
+stage in the manifest as it ends. Exit codes: 0 success, 1 validation error
+(including stale artifacts and bad flags) or any unexpected error, 2 missing
+upstream stage, 3 I/O or lock trouble. Errors print one line; ``-v`` adds the
+traceback of an unexpected one.
 
 Each command imports the stage modules it runs when it runs, so a process
 that runs ``report`` or ``expertise`` never imports numpy, which only
@@ -35,68 +37,18 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workspace",
-        default=None,
-        help="workspace directory (default: $FORUMLENS_WORKSPACE or ./workspace)",
-    )
-    parser.add_argument("--force", action="store_true", help="accept changed upstream artifacts")
-    parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
+def _flag(*names: str, low: int | None = None, **spec: object) -> tuple:
+    """An option: its names, the lowest value it accepts (None for no bound), its argparse spec."""
+    return names, low, spec
 
 
-def _add_catalog_inputs(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--nvd-json", help="NVD CVE feed (JSON) to convert")
-    parser.add_argument("--capec-xml", help="CAPEC catalog (XML) to convert")
-    parser.add_argument("--cve-cwe", help="pre-normalized CVE-to-CWE CSV")
-    parser.add_argument("--capec-json", help="pre-normalized CAPEC JSON")
-
-
-def _add_graph_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--capec-threshold",
-        type=int,
-        default=DEFAULT_CAPEC_THRESHOLD,
-        help="drop CAPECs referenced by strictly more than this many actors (default %(default)s)",
-    )
-
-
-def _add_communities_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="community detection seed")
-    parser.add_argument(
-        "--restarts", type=int, default=DEFAULT_LEIDEN_RESTARTS,
-        help="community detection restarts (default %(default)s)",
-    )
-
-
-def _add_expertise_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--min-posts", type=int, default=DEFAULT_MIN_POSTS,
-        help="minimum posts to stay in the sample (default %(default)s)",
-    )
-    parser.add_argument(
-        "--skill-percentile", type=int, default=DEFAULT_SKILL_PERCENTILE,
-        help="percentile for the skill score (default %(default)s)",
-    )
-
-
-def _add_cluster_flags(parser: argparse.ArgumentParser, seed_flag: str = "--seed") -> None:
-    parser.add_argument("--k-min", type=int, default=DEFAULT_K_MIN, help="smallest k to try")
-    parser.add_argument("--k-max", type=int, default=DEFAULT_K_MAX, help="largest k to try")
-    parser.add_argument(seed_flag, dest="cluster_seed", type=int, default=0, help="k-means seed")
-    parser.add_argument(
-        "--cluster-restarts", type=int, default=DEFAULT_CLUSTER_RESTARTS,
-        help="k-means restarts per k (default %(default)s)",
-    )
-
-
-def _add_synth_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", dest="synth_seed", type=int, default=0, help="generator seed")
-    parser.add_argument("--communities", type=int, default=4, help="planted communities")
-    parser.add_argument("--actors", type=int, default=25, help="actors per community")
-    parser.add_argument("--capecs", type=int, default=10, help="CAPECs per community")
-    parser.add_argument("--noise", type=float, default=0.05, help="cross-community noise rate")
-
+# the flags every command takes
+COMMON = (
+    _flag("--workspace", default=None,
+          help="workspace directory (default: $FORUMLENS_WORKSPACE or ./workspace)"),
+    _flag("--force", action="store_true", help="accept changed upstream artifacts"),
+    _flag("-v", "--verbose", action="store_true", help="debug logging"),
+)
 
 # run-all's stages, in pipeline order
 PIPELINE = ("ingest", "convert-catalog", "graph", "communities", "expertise", "cluster", "report")
@@ -112,72 +64,87 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    stages: dict[str, Stage] = {}
+    # each command's stage, one-line summary and flags, in the order --help lists them
+    commands: dict[str, tuple[Stage, str, tuple]] = {
+        "ingest": (cmd_ingest, "parse the post JSONL into the corpus artifact", (
+            _flag("--posts", required=True, help="input JSONL of forum posts"),
+        )),
+        "convert-catalog": (cmd_convert_catalog, "normalize the CVE/CWE/CAPEC catalog snapshot", (
+            _flag("--nvd-json", help="NVD CVE feed (JSON) to convert"),
+            _flag("--capec-xml", help="CAPEC catalog (XML) to convert"),
+            _flag("--cve-cwe", help="pre-normalized CVE-to-CWE CSV"),
+            _flag("--capec-json", help="pre-normalized CAPEC JSON"),
+        )),
+        "graph": (cmd_graph, "build and popularity-filter the bimodal graph", (
+            _flag("--capec-threshold", low=1, type=int, default=DEFAULT_CAPEC_THRESHOLD,
+                  help="drop CAPECs referenced by strictly more than this many actors "
+                       "(default %(default)s)"),
+        )),
+        "communities": (cmd_communities, "detect communities of interest", (
+            _flag("--seed", low=0, type=int, default=0, help="community detection seed"),
+            _flag("--restarts", low=1, type=int, default=DEFAULT_LEIDEN_RESTARTS,
+                  help="community detection restarts (default %(default)s)"),
+        )),
+        "expertise": (cmd_expertise, "compute actor profiles and the analysis sample", (
+            _flag("--min-posts", low=1, type=int, default=DEFAULT_MIN_POSTS,
+                  help="minimum posts to stay in the sample (default %(default)s)"),
+            _flag("--skill-percentile", type=int, default=DEFAULT_SKILL_PERCENTILE,
+                  help="percentile for the skill score (default %(default)s)"),
+        )),
+        "cluster": (cmd_cluster, "cluster the sample and label the clusters", (
+            _flag("--k-min", low=2, type=int, default=DEFAULT_K_MIN, help="smallest k to try"),
+            _flag("--k-max", type=int, default=DEFAULT_K_MAX, help="largest k to try"),
+            _flag("--seed", low=0, dest="cluster_seed", type=int, default=0, help="k-means seed"),
+            _flag("--cluster-restarts", low=1, type=int, default=DEFAULT_CLUSTER_RESTARTS,
+                  help="k-means restarts per k (default %(default)s)"),
+        )),
+        "report": (cmd_report, "emit the report bundle", ()),
+        "synth": (cmd_synth, "generate a synthetic corpus with ground truth", (
+            _flag("--seed", dest="synth_seed", type=int, default=0, help="generator seed"),
+            _flag("--communities", type=int, default=4, help="planted communities"),
+            _flag("--actors", type=int, default=25, help="actors per community"),
+            _flag("--capecs", type=int, default=10, help="CAPECs per community"),
+            _flag("--noise", type=float, default=0.05, help="cross-community noise rate"),
+            _flag("--out", default=None, help="output directory (default: WORKSPACE/synth)"),
+        )),
+        "export-graph": (cmd_export_graph, "export the filtered graph for external tools", (
+            _flag("--format", choices=EXPORT_FORMATS, default="graphml"),
+            _flag("--out", default=None, help="output file (default: WORKSPACE/graph.<ext>)"),
+        )),
+    }
 
-    def command(name: str, stage: Stage, summary: str) -> argparse.ArgumentParser:
-        stages[name] = stage
+    def command(name: str, summary: str, flags: Sequence[tuple], stages: dict) -> None:
         p = sub.add_parser(name, help=summary)
-        _add_common(p)
-        p.set_defaults(stages={name: stage})
-        return p
+        bounds = []  # (dest, flag, lowest value) of each bounded flag, checked by _check_flags
+        for names, low, spec in (*COMMON, *flags):
+            dest = p.add_argument(*names, **spec).dest
+            if low is not None:
+                bounds.append((dest, names[0], low))
+        p.set_defaults(stages=stages, bounds=bounds)
 
-    p = command("ingest", cmd_ingest, "parse the post JSONL into the corpus artifact")
-    p.add_argument("--posts", required=True, help="input JSONL of forum posts")
-    p = command(
-        "convert-catalog", cmd_convert_catalog, "normalize the CVE/CWE/CAPEC catalog snapshot"
-    )
-    _add_catalog_inputs(p)
-    p = command("graph", cmd_graph, "build and popularity-filter the bimodal graph")
-    _add_graph_flags(p)
-    p = command("communities", cmd_communities, "detect communities of interest")
-    _add_communities_flags(p)
-    p = command("expertise", cmd_expertise, "compute actor profiles and the analysis sample")
-    _add_expertise_flags(p)
-    p = command("cluster", cmd_cluster, "cluster the sample and label the clusters")
-    _add_cluster_flags(p)
-    command("report", cmd_report, "emit the report bundle")
-
-    p = command("synth", cmd_synth, "generate a synthetic corpus with ground truth")
-    _add_synth_flags(p)
-    p.add_argument("--out", default=None, help="output directory (default: WORKSPACE/synth)")
-
-    p = command("export-graph", cmd_export_graph, "export the filtered graph for external tools")
-    p.add_argument("--format", choices=EXPORT_FORMATS, default="graphml")
-    p.add_argument("--out", default=None, help="output file (default: WORKSPACE/graph.<ext>)")
-
-    p = sub.add_parser("run-all", help="run ingest through report in order")
-    _add_common(p)
-    p.add_argument("--posts", required=True, help="input JSONL of forum posts")
-    _add_catalog_inputs(p)
-    _add_graph_flags(p)
-    _add_communities_flags(p)
-    _add_expertise_flags(p)
-    _add_cluster_flags(p, seed_flag="--cluster-seed")
-    p.set_defaults(stages={name: stages[name] for name in PIPELINE})
-
+    for name, (stage, summary, flags) in commands.items():
+        command(name, summary, flags, {name: stage})
+    # run-all takes its stages' flags; cluster's --seed becomes --cluster-seed, clear of
+    # communities' --seed
+    flags = [
+        (("--cluster-seed",) if spec.get("dest") == "cluster_seed" else names, low, spec)
+        for name in PIPELINE for names, low, spec in commands[name][2]
+    ]
+    stages = {name: commands[name][0] for name in PIPELINE}
+    command("run-all", "run ingest through report in order", flags, stages)
     return parser
-
-
-# lowest accepted value of each bounded integer flag, by argparse dest
-_FLAG_MINIMUMS = {
-    "capec_threshold": 1, "seed": 0, "restarts": 1, "min_posts": 1, "k_min": 2,
-    "cluster_restarts": 1,
-}
 
 
 def _check_flags(args: argparse.Namespace) -> None:
     """Refuse a bad flag before the lock is taken or any artifact is read."""
+    for dest, flag, low in args.bounds:
+        if getattr(args, dest) < low:
+            raise ValidationError(f"{flag} must be >= {low}: {getattr(args, dest)}")
     given = vars(args)
-    for dest, low in _FLAG_MINIMUMS.items():
-        if dest in given and given[dest] < low:
-            raise ValidationError(f"--{dest.replace('_', '-')} must be >= {low}: {given[dest]}")
     if "k_max" in given and args.k_max < args.k_min:
         raise ValidationError(f"--k-max must be >= --k-min: {args.k_max}")
     if "skill_percentile" in given and not 0 < args.skill_percentile <= 100:
         raise ValidationError(f"--skill-percentile must be in (0, 100]: {args.skill_percentile}")
-    if "cluster_seed" in given and args.cluster_seed < 0:
-        flag = "--cluster-seed" if args.command == "run-all" else "--seed"
-        raise ValidationError(f"{flag} must be >= 0: {args.cluster_seed}")
     if "synth_seed" in given:
         _synth_config(args).validate()
     if "nvd_json" in given:
@@ -278,11 +245,19 @@ def _warn_emptied_skill_levels(
             )
 
 
-def cmd_communities(ws: Workspace, args: argparse.Namespace) -> dict:
-    from . import community, graph
+def _load_cut_posts(
+    ws: Workspace,
+) -> tuple[catalog.CatalogSnapshot, graph.ActorPosts, graph.ActorCapecs]:
+    """The catalog, the cut post table checked against it, and the table's actor_capecs."""
+    from . import graph
     snapshot = _load_snapshot(ws)
     posts = ws.load("capec_posts.json", lambda path: graph.load_posts(path, snapshot))
-    adjacency = graph.actor_capecs(posts)
+    return snapshot, posts, graph.actor_capecs(posts)
+
+
+def cmd_communities(ws: Workspace, args: argparse.Namespace) -> dict:
+    from . import community, graph
+    snapshot, posts, adjacency = _load_cut_posts(ws)
     part = community.leiden(graph.graph_of(adjacency), seed=args.seed, restarts=args.restarts)
     overview = community.summarize_communities(part, posts, adjacency, snapshot)
     ws.write_json(
@@ -302,10 +277,8 @@ def cmd_communities(ws: Workspace, args: argparse.Namespace) -> dict:
 
 def cmd_expertise(ws: Workspace, args: argparse.Namespace) -> dict:
     from . import expertise, graph
-    snapshot = _load_snapshot(ws)
-    posts = ws.load("capec_posts.json", lambda path: graph.load_posts(path, snapshot))
+    snapshot, posts, adjacency = _load_cut_posts(ws)
     part = ws.load("communities.json", graph.load_partition)
-    adjacency = graph.actor_capecs(posts)
     try:
         profiles = expertise.build_profiles(
             posts, adjacency, snapshot, part, skill_percentile=args.skill_percentile

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -215,11 +216,16 @@ def _profile(row: dict[str, str]) -> ActorProfile:
     )
     if n_posts < 1 or days < 1:
         raise ValueError(f"n_posts and activity_days must be >= 1: {n_posts}, {days}")
-    if not all(math.isfinite(v) for v in (skill, rate)) or not 0 <= commitment <= 100:
+    if n_posts > sys.float_info.max:
+        raise ValueError(f"n_posts has {len(str(n_posts))} digits, too many for a float")
+    if not 1 <= skill <= 3 or not 0 <= commitment <= 100:
         raise ValueError(
-            "skill_score and activity_rate must be finite and commitment_pct in [0, 100]: "
-            f"{skill!r}, {rate!r}, {commitment!r}"
+            "skill_score must be in [1, 3] and commitment_pct in [0, 100]: "
+            f"{skill!r}, {commitment!r}"
         )
+    # a rate is n_posts / activity_days, so at most float(n_posts)
+    if not 0 < rate <= float(n_posts):
+        raise ValueError(f"activity_rate must be in (0, n_posts]: {rate!r}, {n_posts}")
     return ActorProfile(
         actor_id=row["actor_id"],
         community_id=int(row["community_id"]),
@@ -239,7 +245,8 @@ def load_profiles(path: str | Path) -> list[ActorProfile]:
     """Read a profiles CSV back; skill value lists and timestamps are not stored.
 
     A row holding a value :func:`save_profiles` never writes (no number, a
-    non-finite one, a commitment outside [0, 100], or fewer than 1 post or
+    skill outside [1, 3], a commitment outside [0, 100], a rate outside
+    (0, n_posts], a post count too large for a float, or fewer than 1 post or
     activity day) raises ``ValidationError`` naming the file and the line.
     """
     path = Path(path)

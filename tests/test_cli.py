@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
 import gc
 import json
@@ -790,35 +791,46 @@ def test_cluster_exits_1_on_any_other_fault(pipeline_ws, tmp_path, caplog, monke
     assert (ws / "clusters.json").read_bytes() == before
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["graph", "--capec-threshold", "0"],
-        ["communities", "--restarts", "0"],
-        ["expertise", "--min-posts", "0"],
-        ["expertise", "--skill-percentile", "0"],
-        ["expertise", "--skill-percentile", "101"],
-        ["cluster", "--k-min", "1"],
-        ["cluster", "--k-min", "3", "--k-max", "2"],
-        ["cluster", "--cluster-restarts", "0"],
-        ["cluster", "--seed", "-1"],
-        ["communities", "--seed", "-7"],
-        ["run-all", "--posts", "p.jsonl", "--cve-cwe", "c.csv", "--capec-json", "c.json",
-         "--min-posts", "0"],
-        ["run-all", "--posts", "p.jsonl", "--cve-cwe", "c.csv", "--capec-json", "c.json",
-         "--cluster-seed", "-1"],
-        ["run-all", "--posts", "p.jsonl", "--cve-cwe", "c.csv", "--capec-json", "c.json",
-         "--seed", "-7"],
-        ["run-all", "--posts", "p.jsonl", "--cve-cwe", "c.csv"],
-    ],
-    ids=[
-        "capec-threshold-0", "restarts-0", "min-posts-0", "skill-percentile-0",
-        "skill-percentile-101", "k-min-1", "k-max-below-k-min", "cluster-restarts-0",
-        "cluster-seed-negative", "communities-seed-negative", "run-all-min-posts-0",
-        "run-all-cluster-seed-negative", "run-all-seed-negative", "run-all-half-catalog-pair",
-    ],
-)
-def test_bad_flag_exits_1_before_anything_is_read(tmp_path, monkeypatch, caplog, argv):
+RUN_ALL = ["run-all", "--posts", "p.jsonl", "--cve-cwe", "c.csv", "--capec-json", "c.json"]
+
+# each refused flag, by test id: the command line and the one error line it gives
+BAD_FLAGS = {
+    "capec-threshold-0": (["graph", "--capec-threshold", "0"],
+                          "--capec-threshold must be >= 1: 0"),
+    "restarts-0": (["communities", "--restarts", "0"], "--restarts must be >= 1: 0"),
+    "min-posts-0": (["expertise", "--min-posts", "0"], "--min-posts must be >= 1: 0"),
+    "skill-percentile-0": (["expertise", "--skill-percentile", "0"],
+                           "--skill-percentile must be in (0, 100]: 0"),
+    "skill-percentile-101": (["expertise", "--skill-percentile", "101"],
+                             "--skill-percentile must be in (0, 100]: 101"),
+    "k-min-1": (["cluster", "--k-min", "1"], "--k-min must be >= 2: 1"),
+    "k-max-below-k-min": (["cluster", "--k-min", "3", "--k-max", "2"],
+                          "--k-max must be >= --k-min: 2"),
+    "cluster-restarts-0": (["cluster", "--cluster-restarts", "0"],
+                           "--cluster-restarts must be >= 1: 0"),
+    "cluster-seed-negative": (["cluster", "--seed", "-1"], "--seed must be >= 0: -1"),
+    "communities-seed-negative": (["communities", "--seed", "-7"], "--seed must be >= 0: -7"),
+    "run-all-capec-threshold-0": ([*RUN_ALL, "--capec-threshold", "0"],
+                                  "--capec-threshold must be >= 1: 0"),
+    "run-all-restarts-0": ([*RUN_ALL, "--restarts", "0"], "--restarts must be >= 1: 0"),
+    "run-all-min-posts-0": ([*RUN_ALL, "--min-posts", "0"], "--min-posts must be >= 1: 0"),
+    "run-all-skill-percentile-101": ([*RUN_ALL, "--skill-percentile", "101"],
+                                     "--skill-percentile must be in (0, 100]: 101"),
+    "run-all-k-min-1": ([*RUN_ALL, "--k-min", "1"], "--k-min must be >= 2: 1"),
+    "run-all-k-max-below-k-min": ([*RUN_ALL, "--k-min", "3", "--k-max", "2"],
+                                  "--k-max must be >= --k-min: 2"),
+    "run-all-cluster-restarts-0": ([*RUN_ALL, "--cluster-restarts", "0"],
+                                   "--cluster-restarts must be >= 1: 0"),
+    "run-all-cluster-seed-negative": ([*RUN_ALL, "--cluster-seed", "-1"],
+                                      "--cluster-seed must be >= 0: -1"),
+    "run-all-seed-negative": ([*RUN_ALL, "--seed", "-7"], "--seed must be >= 0: -7"),
+    "run-all-half-catalog-pair": (RUN_ALL[:5], "--cve-cwe and --capec-json must be given together"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_FLAGS))
+def test_bad_flag_exits_1_before_anything_is_read(tmp_path, monkeypatch, caplog, case):
+    argv, message = BAD_FLAGS[case]
     opened = []
     monkeypatch.setattr(Workspace, "require", lambda self, name: opened.append(name))
     monkeypatch.setattr(ingest, "ingest_posts", lambda path, out: opened.append(path))
@@ -826,8 +838,33 @@ def test_bad_flag_exits_1_before_anything_is_read(tmp_path, monkeypatch, caplog,
     assert main([argv[0], "--workspace", str(ws), *argv[1:]]) == 1
     assert opened == []
     assert not ws.exists()  # the lock was never taken
-    [error] = [r for r in caplog.records if r.levelname == "ERROR"]
-    assert error.getMessage().startswith("--")
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [message]
+
+
+def _options(parser: argparse.ArgumentParser) -> list[tuple]:
+    """Each option of a subcommand's parser, as (names, dest, default, type, required, help)."""
+    return [
+        (tuple(a.option_strings), a.dest, a.default, a.type, a.required, a.help)
+        for a in parser._actions if a.dest != "help"
+    ]
+
+
+def test_run_all_takes_every_pipeline_stage_option_and_each_command_prints_help(capsys):
+    [sub] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    commands = sub.choices
+    common = _options(commands["report"])  # report takes only the flags every command takes
+    # cluster's --seed is --cluster-seed in run-all, where communities' --seed keeps its name
+    renamed = {("--seed", "cluster_seed"): ("--cluster-seed",)}
+    expected = common + [
+        (renamed.get((names[0], dest), names), dest, *rest)
+        for stage in cli.PIPELINE
+        for names, dest, *rest in _options(commands[stage]) if (names, dest, *rest) not in common
+    ]
+    assert _options(commands["run-all"]) == expected
+    assert len({dest for _, dest, *_ in expected}) == len(expected)
+    for name in [None, *commands]:
+        assert main([name, "--help"] if name else ["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: forumlens")
 
 
 @pytest.mark.parametrize(

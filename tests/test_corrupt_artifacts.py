@@ -191,7 +191,8 @@ def test_a_corrupted_cve_cwe_csv_exits_1_naming_it(s_workspace, tmp_path, fault)
     assert code == 1 and error.startswith(f"{given}: "), error
 
 
-# rows save_profiles never writes: a non-finite float, or fewer than 1 post or day
+# rows save_profiles never writes: a non-finite float, fewer than 1 post or day, a skill
+# outside [1, 3], a rate outside (0, n_posts], or a post count too large for a float
 PROFILE_ROWS = {
     "inf-commitment": b"zz,0,3.0,inf,5,10,0.5,false\n",
     "huge-commitment": b"zz,0,3.0,1e308,5,10,0.5,false\n",
@@ -199,6 +200,12 @@ PROFILE_ROWS = {
     "nan-skill": b"zz,0,nan,50.0,5,10,0.5,false\n",
     "negative-posts": b"zz,0,3.0,50.0,-5,10,0.5,false\n",
     "zero-days": b"zz,0,3.0,50.0,5,0,0.5,false\n",
+    "negative-rate": b"zz,0,3.0,50.0,5,10,-5.0,false\n",
+    "zero-rate": b"zz,0,3.0,50.0,5,10,0.0,false\n",
+    "rate-above-posts": b"zz,0,3.0,50.0,11,10,1000000.0,false\n",
+    "skill-below-1": b"zz,0,0.5,50.0,5,10,0.5,false\n",
+    "skill-above-3": b"zz,0,3.5,50.0,5,10,0.5,false\n",
+    "posts-too-large-for-a-float": b"zz,0,3.0,50.0,1" + b"0" * 400 + b",10,0.5,false\n",
 }
 PROFILE_FAULTS = {**CSV_FAULTS, **PROFILE_ROWS}
 
@@ -223,10 +230,11 @@ def test_a_corrupted_profiles_csv_is_refused_naming_it(s_workspace, tmp_path, fa
 
 
 def test_a_sample_too_large_to_standardize_exits_1_and_keeps_clusters_json(s_workspace, recwarn):
-    # load_profiles accepts a finite rate of 1e308; its square overflows the std
+    # load_profiles accepts a rate of 1e200 from 10**201 posts; its square overflows the std
     header, first, *rest = (s_workspace / "sample.csv").read_bytes().splitlines(keepends=True)
     cells = first.split(b",")
-    cells[PROFILE_COLUMNS.index("activity_rate")] = b"1e308"
+    cells[PROFILE_COLUMNS.index("n_posts")] = b"1" + b"0" * 201
+    cells[PROFILE_COLUMNS.index("activity_rate")] = b"1e200"
     with tempfile.TemporaryDirectory() as tmp:
         ws = Path(tmp) / "ws"
         shutil.copytree(s_workspace, ws)
@@ -241,10 +249,11 @@ def test_a_sample_too_large_to_standardize_exits_1_and_keeps_clusters_json(s_wor
 
 
 def test_a_huge_finite_rate_leaves_every_raw_centroid_its_members_mean(s_workspace):
-    # a rate of 1e150 standardizes; mapped back as z * std + mean, the other 99 rates'
-    # centroid cancels to -7.1e132, while their mean is about 0.53
+    # a rate of 1e150 (from 10**151 posts) standardizes; mapped back as z * std + mean,
+    # the other 99 rates' centroid cancels to -7.1e132, while their mean is about 0.53
     header, first, *rest = (s_workspace / "sample.csv").read_bytes().splitlines(keepends=True)
     cells = first.split(b",")
+    cells[PROFILE_COLUMNS.index("n_posts")] = b"1" + b"0" * 151
     cells[PROFILE_COLUMNS.index("activity_rate")] = b"1e150"
     with tempfile.TemporaryDirectory() as tmp:
         ws = Path(tmp) / "ws"

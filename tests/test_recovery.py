@@ -24,11 +24,10 @@ from pathlib import Path
 import pytest
 
 import forumlens
-from forumlens.cli import main
+from forumlens.cli import PIPELINE, main
 from forumlens.community import POOL_MIN_NODES
 from forumlens.workspace import STAGE_ARTIFACTS, Workspace, WorkspaceLockedError, read_json
 
-PIPELINE = ("ingest", "convert-catalog", "graph", "communities", "expertise", "cluster", "report")
 KILLED = 70
 
 # Runs that write bytes other than the base workspace holds, so that a
