@@ -20,7 +20,7 @@ from pathlib import Path
 from . import DEFAULT_CAPEC_THRESHOLD, EXPORT_FORMATS
 from .catalog import CatalogSnapshot, map_cve_to_capecs
 from .errors import ValidationError
-from .ingest import Corpus, CveId, PostTable
+from .ingest import Corpus, Memo, PostTable
 from .stats import describe
 from .workspace import field, read_json_object, replacing
 
@@ -60,13 +60,10 @@ def post_capec_sets(table: PostTable, snapshot: CatalogSnapshot) -> ActorPosts:
     Each distinct mention set is resolved once per call, and posts with equal
     mention sets share one CAPEC frozenset.
     """
-    by_set: dict[frozenset[CveId], frozenset[int]] = {}
+    by_set = Memo(lambda ms: frozenset().union(*(map_cve_to_capecs(snapshot, c) for c in ms)))
     posts: ActorPosts = {}
     for actor, when, mentions in table:
-        capecs = by_set.get(mentions)
-        if capecs is None:
-            capecs = frozenset().union(*(map_cve_to_capecs(snapshot, c) for c in mentions))
-            by_set[mentions] = capecs
+        capecs = by_set[mentions]
         if capecs:
             posts.setdefault(actor, []).append((when, capecs))
     return posts
@@ -94,17 +91,11 @@ def surviving_posts(posts: ActorPosts, graph: BimodalGraph) -> ActorPosts:
     Each distinct CAPEC set is cut once per call, and posts with equal sets
     share the cut one.
     """
-    cut_of: dict[frozenset[int], frozenset[int]] = {}
+    cut_of = Memo(lambda capecs: capecs & graph.capec_ids)
     cut: ActorPosts = {}
     for actor, actor_posts in posts.items():
         if actor in graph.actor_ids:
-            kept = []
-            for when, capecs in actor_posts:
-                left = cut_of.get(capecs)
-                if left is None:
-                    left = cut_of[capecs] = capecs & graph.capec_ids
-                if left:
-                    kept.append((when, left))
+            kept = [(when, left) for when, capecs in actor_posts if (left := cut_of[capecs])]
             if kept:
                 cut[actor] = kept
     return cut
@@ -238,18 +229,11 @@ def save_posts(posts: ActorPosts, path: str | Path) -> None:
     written one actor at a time, so the whole text is never held. Each distinct
     CAPEC set is rendered once per call.
     """
-    rendered: dict[frozenset[int], str] = {}
-
-    def ids(capecs: frozenset[int]) -> str:
-        found = rendered.get(capecs)
-        if found is None:
-            found = rendered[capecs] = "[" + ",".join(map(str, sorted(capecs))) + "]"
-        return found
-
+    ids = Memo(lambda capecs: "[" + ",".join(map(str, sorted(capecs))) + "]")
     with replacing(path) as handle:
         sep = "{"
         for actor in sorted(posts):
-            rows = ",".join([f'["{when.isoformat()}",{ids(cs)}]' for when, cs in posts[actor]])
+            rows = ",".join([f'["{when.isoformat()}",{ids[cs]}]' for when, cs in posts[actor]])
             handle.write(f"{sep}{json.dumps(actor)}:[{rows}]")
             sep = ","
         handle.write("}\n" if posts else "{}\n")
@@ -263,18 +247,21 @@ def load_posts(path: str | Path, snapshot: CatalogSnapshot) -> ActorPosts:
     ``snapshot``, as :func:`save_posts` writes them; anything else raises
     ``ValidationError`` naming the file and the actor.
     """
-    shared: dict[tuple[int, ...], frozenset[int]] = {}
+    not_ids = "CAPEC ids must be a list of one or more integers"
+
+    @Memo
+    def shared(key: tuple) -> frozenset[int]:
+        if not key or not all(type(c) is int for c in key):
+            raise ValidationError(f"{not_ids}: {list(key)!r}")
+        if lacked := sorted(set(key) - snapshot.capecs.keys()):
+            raise ValidationError(f"CAPEC ids the catalog lacks: {lacked}")
+        return frozenset(key)
 
     def capecs(ids: list[int]) -> frozenset[int]:
-        key = tuple(ids)
-        found = shared.get(key)
-        if found is None:
-            if not isinstance(ids, list) or not ids or not all(type(c) is int for c in key):
-                raise ValidationError(f"CAPEC ids must be a list of one or more integers: {ids!r}")
-            if lacked := sorted(set(key) - snapshot.capecs.keys()):
-                raise ValidationError(f"CAPEC ids the catalog lacks: {lacked}")
-            found = shared[key] = frozenset(ids)
-        return found
+        key = tuple(ids)  # a non-iterable fails here, as any other row of the wrong shape does
+        if not isinstance(ids, list):  # before the memo, so a string is named as written
+            raise ValidationError(f"{not_ids}: {ids!r}")
+        return shared[key]
 
     def rows(ps: list) -> list[tuple[datetime, frozenset[int]]]:
         if not isinstance(ps, list) or not ps:

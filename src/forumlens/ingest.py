@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import ValidationError
 from .workspace import replacing, write_json
@@ -123,10 +123,18 @@ def parse_timestamp(value: str) -> datetime:
 PostTable = list[tuple[str, datetime, frozenset[CveId]]]
 
 
-def _parse_record(
-    line: str, cve_ids: dict[str, CveId], mention_sets: dict[tuple[str, ...], frozenset[CveId]],
-    actors: dict[str, str],
-) -> PostRecord:
+class Memo(dict):
+    """A dict whose missing key gets ``fn(key)``, computed once and kept; a failing ``fn``
+    keeps nothing. Unlike ``functools.cache``, it stores a key as is, not inside a tuple."""
+
+    def __init__(self, fn: Callable):
+        self.fn = fn  # dict.__new__ has made the empty dict
+
+    def __missing__(self, key):
+        return self.setdefault(key, self.fn(key))
+
+
+def _parse_record(line: str, mention_sets: Memo, actors: Memo) -> PostRecord:
     obj = json.loads(line)
     if not isinstance(obj, dict):
         raise ValidationError("record is not a JSON object")
@@ -141,14 +149,8 @@ def _parse_record(
     raw_mentions = obj.get("mentions", [])
     if not isinstance(raw_mentions, list) or not all(isinstance(c, str) for c in raw_mentions):
         raise ValidationError("key 'mentions' must be a list of strings")
-    key = tuple(raw_mentions)
-    mentions = mention_sets.get(key)
-    if mentions is None:
-        get, put = cve_ids.get, cve_ids.setdefault
-        mentions = frozenset([get(c) or put(c, CveId.parse(c)) for c in raw_mentions])
-        mention_sets[key] = mentions
-    actor = actors.setdefault(obj["actor_id"], obj["actor_id"])
-    return PostRecord(obj["post_id"], actor, obj["forum_id"], ts, obj["content"], mentions)
+    return PostRecord(obj["post_id"], actors[obj["actor_id"]], obj["forum_id"], ts,
+                      obj["content"], mention_sets[tuple(raw_mentions)])
 
 
 class CheckedPosts:
@@ -169,9 +171,9 @@ class CheckedPosts:
         self.skipped = 0
 
     def __iter__(self) -> Iterator[PostRecord]:
-        cve_ids: dict[str, CveId] = {}
-        mention_sets: dict[tuple[str, ...], frozenset[CveId]] = {}
-        actors: dict[str, str] = {}
+        cve_ids = Memo(CveId.parse)
+        mention_sets = Memo(lambda raw: frozenset([cve_ids[c] for c in raw]))
+        actors = Memo(lambda actor: actor)
         # bytes: each line is decoded on its own, so a bad byte costs one line
         with open(self.path, "rb") as handle:
             for lineno, raw in enumerate(handle, start=1):
@@ -180,7 +182,7 @@ class CheckedPosts:
                     line = raw.decode("utf-8")
                     if line.isspace():
                         continue
-                    record = _parse_record(line, cve_ids, mention_sets, actors)
+                    record = _parse_record(line, mention_sets, actors)
                 except (ValueError, RecursionError) as exc:
                     self.skipped += 1
                     logger.warning("skipping malformed line %d: %s", lineno, exc)
@@ -266,20 +268,16 @@ def _write_corpus(posts: Iterable[PostRecord], path: str | Path) -> None:
     its mentions are the sorted canonical CVE names. Each distinct CVE is
     named once per call, and each distinct mention set rendered once.
     """
-    names: dict[CveId, str] = {}
-    lists: dict[frozenset[CveId], str] = {}
+    names = Memo(str)
+    lists = Memo(lambda ms: "[" + ", ".join(map(_quote, sorted([names[c] for c in ms]))) + "]")
     with replacing(path) as handle:
         write = handle.write
         for post_id, actor_id, forum_id, when, content, mentions in posts:
-            rendered = lists.get(mentions)
-            if rendered is None:
-                listed = sorted([names.get(c) or names.setdefault(c, str(c)) for c in mentions])
-                rendered = lists[mentions] = "[" + ", ".join(map(_quote, listed)) + "]"
             if when.utcoffset():
                 when = when.astimezone(timezone.utc)
             write(
                 f'{{"actor_id": {_quote(actor_id)}, "content": {_quote(content)}, '
-                f'"forum_id": {_quote(forum_id)}, "mentions": {rendered}, '
+                f'"forum_id": {_quote(forum_id)}, "mentions": {lists[mentions]}, '
                 f'"post_id": {_quote(post_id)}, "timestamp": "{when.isoformat()[:19]}Z"}}\n'
             )
 
