@@ -214,14 +214,15 @@ def cmd_graph(ws: Workspace, args: argparse.Namespace) -> dict:
             f"--capec-threshold {args.capec_threshold} removes every CAPEC; the least-shared "
             f"one has {least} actors, so a threshold of {least} or more keeps it"
         )
-    _warn_emptied_skill_levels(full, removal, snapshot)
+    by_skill = graph.removal_by_skill(full, removal, snapshot)
+    _warn_emptied_skill_levels(removal.threshold, by_skill)
     posts = graph.surviving_posts(posts, filtered)
     after = graph.degree_stats(posts, graph.actor_capecs(posts))
     graph.save_graph(filtered, ws.path("graph.json"))
     graph.save_posts(posts, ws.path("capec_posts.json"))
     ws.hand_off("capec_posts.json", posts)
     ws.write_json("graph_stats.json", {"before": before, "after": after})
-    ws.write_json("removal.json", removal.as_dict())
+    ws.write_json("removal.json", {**removal.as_dict(), "by_skill": by_skill})
     print(
         f"graph: {len(filtered.actor_ids)} actors, {len(filtered.capec_ids)} CAPECs, "
         f"{len(filtered.edges)} edges "
@@ -230,18 +231,14 @@ def cmd_graph(ws: Workspace, args: argparse.Namespace) -> dict:
     return {"capec_threshold": args.capec_threshold}
 
 
-def _warn_emptied_skill_levels(
-    full: graph.BimodalGraph, removal: graph.RemovalReport, snapshot: catalog.CatalogSnapshot
-) -> None:
-    """Log one warning per skill level whose every CAPEC the popularity filter removed."""
-    from . import catalog
-    removed = removal.removed_capecs
-    for level in catalog.SkillLevel:
-        capecs = [c for c in full.capec_ids if snapshot.skills[c] == level]
-        if capecs and all(c in removed for c in capecs):
+def _warn_emptied_skill_levels(threshold: int, by_skill: list[dict]) -> None:
+    """Log one warning per skill level of a :func:`graph.removal_by_skill` ledger whose
+    every CAPEC the popularity filter removed."""
+    for row in by_skill:
+        if row["level"] != "unknown" and row["removed_capecs"] == row["capecs"]:
             logger.warning(
                 "--capec-threshold %d removes every %s-skill CAPEC: %d CAPECs carrying %d edges",
-                removal.threshold, level.label(), len(capecs), sum(removed[c] for c in capecs),
+                threshold, row["level"], row["capecs"], row["removed_edges"],
             )
 
 

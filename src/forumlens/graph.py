@@ -18,7 +18,7 @@ from datetime import datetime
 from pathlib import Path
 
 from . import DEFAULT_CAPEC_THRESHOLD, EXPORT_FORMATS
-from .catalog import CatalogSnapshot, map_cve_to_capecs
+from .catalog import CatalogSnapshot, SkillLevel, map_cve_to_capecs
 from .errors import ValidationError
 from .ingest import Corpus, Memo, PostTable
 from .stats import describe
@@ -148,6 +148,24 @@ def filter_popular_capecs(
         removed_actors=removed_actors,
     )
     return filtered, report
+
+
+def removal_by_skill(
+    full: BimodalGraph, removal: RemovalReport, snapshot: CatalogSnapshot
+) -> list[dict]:
+    """The filter's ledger per skill level of ``full``'s CAPECs, Low to High, then
+    ``unknown`` for CAPECs with no level: the level's CAPECs, the CAPECs removed and
+    the edges they carried. A level with no CAPEC in ``full`` has no row."""
+    capecs = Counter(snapshot.skills[c] for c in full.capec_ids)
+    removed, edges = Counter(), Counter()
+    for c, degree in removal.removed_capecs.items():
+        removed[snapshot.skills[c]] += 1
+        edges[snapshot.skills[c]] += degree
+    return [
+        {"level": level.label() if level else "unknown", "capecs": capecs[level],
+         "removed_capecs": removed[level], "removed_edges": edges[level]}
+        for level in (*SkillLevel, None) if capecs[level]
+    ]
 
 
 def degree_stats(posts: ActorPosts, adjacency: ActorCapecs) -> dict:

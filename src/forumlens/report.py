@@ -71,9 +71,15 @@ def _graph(graph_stats: dict, report: dict) -> list[str]:
 
 def _removal(removal: dict, report: dict) -> list[str]:
     report["graph"]["removal"] = removal
+    by_skill = [
+        f"{row['level']} {row['removed_capecs']} of {row['capecs']} CAPECs, "
+        f"{row['removed_edges']} edges"
+        for row in removal["by_skill"] if row["removed_capecs"]
+    ]
     return [
         f"filter: in-degree threshold {removal['threshold']}, removed "
         f"{len(removal['removed_capecs'])} CAPEC(s) and {len(removal['removed_actors'])} actor(s)",
+        f"removed by skill level: {'; '.join(by_skill) or 'none'}",
         "",
     ]
 
@@ -138,6 +144,8 @@ def _sample(sample: dict, report: dict) -> list[str]:
 
 def _clusters(clusters: dict, report: dict) -> list[str]:
     report["clusters"] = clusters
+    # the paper states its findings as these shares; the text keeps the table's order
+    shares = report["quadrant_shares"] = {}
     lines = ["== Clusters =="]
     if clusters.get("skipped"):
         lines.append(f"clustering skipped: {clusters['reason']}")
@@ -162,6 +170,10 @@ def _clusters(clusters: dict, report: dict) -> list[str]:
                 rows,
             )
         )
+        for row in clusters["clusters"]:
+            shares[row["quadrant"]] = shares.get(row["quadrant"], 0.0) + row["pct_of_sample"]
+        shown = ", ".join(f"{q} {_fmt(float(pct), 1)}%" for q, pct in shares.items())
+        lines.append(f"quadrant shares: {shown}")
     lines.append("")
     return lines
 

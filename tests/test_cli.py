@@ -461,6 +461,15 @@ def test_run_all_report_sections(pipeline_ws):
     assert not report["clusters"].get("skipped")
 
 
+def test_report_sums_the_sample_share_of_each_quadrant_in_table_order(pipeline_ws):
+    shares: dict[str, float] = {}
+    for row in json.loads((pipeline_ws / "clusters.json").read_text())["clusters"]:
+        shares[row["quadrant"]] = shares.get(row["quadrant"], 0.0) + row["pct_of_sample"]
+    assert json.loads((pipeline_ws / "report.json").read_text())["quadrant_shares"] == shares
+    line = ", ".join(f"{quadrant} {pct:.1f}%" for quadrant, pct in shares.items())
+    assert f"\nquadrant shares: {line}\n" in (pipeline_ws / "report.txt").read_text()
+
+
 def test_export_graph_round_trip(pipeline_ws, tmp_path):
     out = tmp_path / "exported.dot"
     code = main(
@@ -741,6 +750,7 @@ def test_cluster_skips_tiny_sample(tmp_path):
     assert clusters["skipped"] is True
     assert clusters["n_sample"] == 2
     assert "clustering skipped" in (ws / "report.txt").read_text()
+    assert json.loads((ws / "report.json").read_text())["quadrant_shares"] == {}
 
 
 def _sample(rows: list[str]) -> bytes:

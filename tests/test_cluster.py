@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import json
 import logging
 import multiprocessing
 import os
 import re
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from forumlens import cluster
+from forumlens.cli import main
 from forumlens.cluster import (
     _SILHOUETTE_BLOCK_ROWS,
     _compact,
@@ -598,3 +601,54 @@ def test_summarize_clusters_payload():
     assert {"cluster", "quadrant", "descriptor", "label", "centroid_raw", "members"} <= set(payload)
     quadrants = {s["quadrant"] for s in summaries}
     assert quadrants == {Quadrant.PROFESSIONAL.value, Quadrant.AMATEUR.value}
+
+
+# --- quadrant recovery on a planted corpus -------------------------------------
+# Recovery is the share of the sample whose cluster's quadrant is the archetype
+# the generator planted for the actor. The paper states its findings as
+# quadrant shares, so a flag or a change that loses a quadrant must show here.
+
+
+@pytest.fixture(scope="module")
+def planted(tmp_path_factory):
+    """Synth 4x100 inputs at seed 41: four archetypes in equal shares."""
+    root = tmp_path_factory.mktemp("planted")
+    synth = ["synth", "--workspace", str(root / "ws"), "--out", str(root / "in"), "--seed", "41"]
+    assert main([*synth, "--communities", "4", "--actors", "100"]) == 0
+    return root / "in"
+
+
+def _run_all_recovery(inputs: Path, ws: Path, *flags: str) -> float:
+    run_all = [
+        "run-all", "--workspace", str(ws), "--posts", str(inputs / "posts.jsonl"),
+        "--cve-cwe", str(inputs / "cve_cwe.csv"), "--capec-json", str(inputs / "capec.json"),
+        "--seed", "41", "--cluster-seed", "41", *flags,
+    ]
+    assert main(run_all) == 0
+    planted = json.loads((inputs / "truth.json").read_text())["actor_archetype"]
+    clusters = json.loads((ws / "clusters.json").read_text())
+    quadrants = [row["quadrant"] for row in clusters["clusters"]]
+    hits = [quadrants[c] == planted[actor] for actor, c in clusters["assignments"].items()]
+    return sum(hits) / len(hits)
+
+
+def test_the_default_threshold_recovers_the_planted_quadrants(planted, tmp_path):
+    assert _run_all_recovery(planted, tmp_path / "ws") >= 0.95
+    report = json.loads((tmp_path / "ws" / "report.json").read_text())
+    assert [row["removed_capecs"] for row in report["graph"]["removal"]["by_skill"]] == [0, 0, 0]
+    assert "removed by skill level: none\n" in (tmp_path / "ws" / "report.txt").read_text()
+
+
+def test_a_threshold_that_removes_the_medium_level_shows_in_the_report_and_in_recovery(
+    planted, tmp_path
+):
+    recovery = _run_all_recovery(planted, tmp_path / "ws", "--capec-threshold", "100")
+    removal = json.loads((tmp_path / "ws" / "removal.json").read_text())
+    assert [row for row in removal["by_skill"] if row["removed_capecs"]] == [
+        {"level": "Medium", "capecs": 12, "removed_capecs": 12, "removed_edges": 1408}
+    ]
+    text = (tmp_path / "ws" / "report.txt").read_text()
+    assert "removed by skill level: Medium 12 of 12 CAPECs, 1408 edges\n" in text
+    # every actor keeps a CAPEC, but the quadrants are no longer the planted ones
+    assert removal["n_removed_actors"] == 0
+    assert recovery < 0.95

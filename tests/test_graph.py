@@ -28,12 +28,13 @@ from forumlens.graph import (
     load_graph,
     load_posts,
     post_capec_sets,
+    removal_by_skill,
     save_graph,
     save_posts,
     surviving_post_counts,
     surviving_posts,
 )
-from forumlens.ingest import CveId, build_corpus, parse_posts
+from forumlens.ingest import CveId, _write_corpus, build_corpus, parse_posts
 
 from conftest import (
     bigraph, lines_file, post, post_capec_oracle, read_export, snapshot_from, ts,
@@ -253,6 +254,22 @@ def test_filter_threshold_validation():
         filter_popular_capecs(graph, threshold=0)
 
 
+def test_removal_by_skill_counts_each_level_and_the_unknown_one():
+    # CAPECs 1, 2 Low; 3 High; 4, 5 without a level; no CAPEC is Medium
+    snapshot = snapshot_from(
+        {}, [(c, f"pattern {c}", []) for c in range(1, 6)],
+        skills={1: "Low", 2: "Low", 3: "High"},
+    )
+    edges = _star(1, 4, "a") + _star(2, 1, "b") + _star(3, 2, "c") + _star(4, 5, "d")
+    full = bigraph(edges + _star(5, 1, "e"))
+    _, report = filter_popular_capecs(full, threshold=3)
+    assert removal_by_skill(full, report, snapshot) == [
+        {"level": "Low", "capecs": 2, "removed_capecs": 1, "removed_edges": 4},
+        {"level": "High", "capecs": 1, "removed_capecs": 0, "removed_edges": 0},
+        {"level": "unknown", "capecs": 2, "removed_capecs": 1, "removed_edges": 5},
+    ]
+
+
 def test_filter_idempotent():
     edges = _star(1, 6, "a") + _star(2, 2, "b")
     once, _ = filter_popular_capecs(bigraph(edges), threshold=4)
@@ -355,6 +372,53 @@ def test_surviving_posts_cuts_drops_posts_and_actors():
         "carol": [(t2, {3})],
     }
     assert surviving_posts(posts, bigraph([("carol", 3)])) == {"carol": [(t2, {3})]}
+
+
+def test_surviving_posts_cuts_each_distinct_capec_set_once():
+    cuts: Counter[frozenset[int]] = Counter()
+
+    class Counted(frozenset):
+        def __and__(self, other):
+            cuts[frozenset(self)] += 1
+            return frozenset.__and__(self, other)
+
+    # equal sets are distinct objects, so only a memo keyed by value shares the cut
+    t1, t2 = ts("2021-01-01"), ts("2021-01-02")
+    posts = {
+        "alice": [(t1, Counted({1, 2})), (t2, Counted({2, 1})), (t2, Counted({3}))],
+        "bob": [(t1, Counted({1, 2})), (t2, Counted({2}))],
+    }
+    cut = surviving_posts(posts, bigraph([("alice", 1), ("alice", 3), ("bob", 1)]))
+    assert cuts == Counter({frozenset({1, 2}): 1, frozenset({3}): 1, frozenset({2}): 1})
+    assert cut == {"alice": [(t1, {1}), (t2, {1}), (t2, {3})], "bob": [(t1, {1})]}
+    assert cut["alice"][0][1] is cut["alice"][1][1] is cut["bob"][0][1]
+
+
+def test_write_corpus_names_each_distinct_cve_once(tmp_path, monkeypatch):
+    named: Counter[CveId] = Counter()
+    name = CveId.__str__
+
+    def counting_name(cve):
+        named[cve] += 1
+        return name(cve)
+
+    monkeypatch.setattr(CveId, "__str__", counting_name)
+    # a fresh CveId per mention: only a memo keyed by value names each once
+    mention_sets = [
+        [(2021, 1)], [(2021, 2), (2021, 1)], [(2021, 1), (2021, 2)], [(2020, 9), (2021, 2)],
+        [(2021, 1)],
+    ]
+    posts = [
+        post(f"p{i}", "alice", "2021-01-01")._replace(
+            mentions=frozenset(CveId(*m) for m in ms)
+        )
+        for i, ms in enumerate(mention_sets)
+    ]
+    path = tmp_path / "corpus.jsonl"
+    _write_corpus(posts, path)
+    assert named == Counter({CveId(2021, 1): 1, CveId(2021, 2): 1, CveId(2020, 9): 1})
+    written = [json.loads(line)["mentions"] for line in path.read_text().splitlines()]
+    assert written == [sorted(name(CveId(*m)) for m in ms) for ms in mention_sets]
 
 
 _TABLES = st.dictionaries(
@@ -503,6 +567,10 @@ def test_load_graph_names_the_file_and_the_key(tmp_path, text, problem):
         ('{"alice": [[20210101, [1]]]}', "alice: fromisoformat: argument must be str"),
         ('{"alice": [["2021-01-01T00:00:00+00:00", 7]]}', "alice: 'int' object is not"),
         ('{"alice": [["2021-01-01T00:00:00+00:00", "7"]]}', "alice: CAPEC ids must be a list"),
+        (
+            '{"alice": [["2021-01-01T00:00:00+00:00", "12"]]}',
+            "alice: CAPEC ids must be a list of one or more integers: '12'",
+        ),
         ('{"alice": [["2021-01-01T00:00:00+00:00", [true]]]}', "alice: CAPEC ids must be a list"),
         (
             '{"alice": [["2021-01-01T00:00:00+00:00", []]]}',
