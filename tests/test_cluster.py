@@ -625,10 +625,10 @@ def _run_all_recovery(inputs: Path, ws: Path, *flags: str) -> float:
         "--seed", "41", "--cluster-seed", "41", *flags,
     ]
     assert main(run_all) == 0
-    planted = json.loads((inputs / "truth.json").read_text())["actor_archetype"]
+    archetype = json.loads((inputs / "truth.json").read_text())["actor_archetype"]
     clusters = json.loads((ws / "clusters.json").read_text())
     quadrants = [row["quadrant"] for row in clusters["clusters"]]
-    hits = [quadrants[c] == planted[actor] for actor, c in clusters["assignments"].items()]
+    hits = [quadrants[c] == archetype[actor] for actor, c in clusters["assignments"].items()]
     return sum(hits) / len(hits)
 
 
