@@ -53,7 +53,9 @@ COMMON = (
 # run-all's stages, in pipeline order
 PIPELINE = ("ingest", "convert-catalog", "graph", "communities", "expertise", "cluster", "report")
 
-# a stage function returns the config to record for it, or None to record nothing
+# a stage function returns what to record for it beside its flags (ingest's skipped_lines),
+# or None to record nothing; main records each of the stage's own flags that is set under
+# its dest, so cluster's are cluster_seed and cluster_restarts and synth's seed is synth_seed
 Stage = Callable[[Workspace, argparse.Namespace], "dict | None"]
 
 
@@ -113,25 +115,29 @@ def build_parser() -> argparse.ArgumentParser:
         )),
     }
 
-    def command(name: str, summary: str, flags: Sequence[tuple], stages: dict) -> None:
+    def command(name: str, summary: str, stages: dict[str, tuple[Stage, Sequence[tuple]]]) -> None:
+        """Add command ``name``, which runs each of ``stages``: a stage function and its flags."""
         p = sub.add_parser(name, help=summary)
+        for names, _, spec in COMMON:  # unbounded, and recorded by no stage
+            p.add_argument(*names, **spec)
         bounds = []  # (dest, flag, lowest value) of each bounded flag, checked by _check_flags
-        for names, low, spec in (*COMMON, *flags):
-            dest = p.add_argument(*names, **spec).dest
-            if low is not None:
-                bounds.append((dest, names[0], low))
-        p.set_defaults(stages=stages, bounds=bounds)
+        recorded = {}  # each stage's function and the dests of its own flags, which main records
+        for stage, (run, flags) in stages.items():
+            recorded[stage] = run, (dests := [])
+            for names, low, spec in flags:
+                dests.append(p.add_argument(*names, **spec).dest)
+                if low is not None:
+                    bounds.append((dests[-1], names[0], low))
+        p.set_defaults(stages=recorded, bounds=bounds)
 
     for name, (stage, summary, flags) in commands.items():
-        command(name, summary, flags, {name: stage})
+        command(name, summary, {name: (stage, flags)})
     # run-all takes its stages' flags; cluster's --seed becomes --cluster-seed, clear of
     # communities' --seed
-    flags = [
-        (("--cluster-seed",) if spec.get("dest") == "cluster_seed" else names, low, spec)
-        for name in PIPELINE for names, low, spec in commands[name][2]
-    ]
-    stages = {name: commands[name][0] for name in PIPELINE}
-    command("run-all", "run ingest through report in order", flags, stages)
+    renamed = {"cluster_seed": ("--cluster-seed",)}
+    command("run-all", "run ingest through report in order", {name: (commands[name][0], [
+        (renamed.get(spec.get("dest"), names), low, spec) for names, low, spec in commands[name][2]
+    ]) for name in PIPELINE})
     return parser
 
 
@@ -173,7 +179,7 @@ def cmd_ingest(ws: Workspace, args: argparse.Namespace) -> dict:
         f"ingested {s.n_posts} posts from {s.n_actors} actors "
         f"({s.n_forums} forums, {s.n_cves} distinct CVEs)"
     )
-    return {"posts": str(args.posts), "skipped_lines": done.skipped}
+    return {"skipped_lines": done.skipped}
 
 
 def cmd_convert_catalog(ws: Workspace, args: argparse.Namespace) -> dict:
@@ -182,13 +188,11 @@ def cmd_convert_catalog(ws: Workspace, args: argparse.Namespace) -> dict:
         snapshot = catalog.build_snapshot(
             convert.parse_nvd_cve_json(args.nvd_json), convert.parse_capec_xml(args.capec_xml)
         )
-        config = {"nvd_json": str(args.nvd_json), "capec_xml": str(args.capec_xml)}
     else:
         snapshot = catalog.load_snapshot(args.cve_cwe, args.capec_json)
-        config = {"cve_cwe": str(args.cve_cwe), "capec_json": str(args.capec_json)}
     catalog.save_snapshot(snapshot, ws.root)
     print(f"catalog snapshot: {len(snapshot.cves)} CVEs, {len(snapshot.capecs)} CAPECs")
-    return config
+    return {}
 
 
 def _load_snapshot(ws: Workspace) -> catalog.CatalogSnapshot:
@@ -228,7 +232,7 @@ def cmd_graph(ws: Workspace, args: argparse.Namespace) -> dict:
         f"{len(filtered.edges)} edges "
         f"(removed {len(removal.removed_capecs)} CAPECs, {len(removal.removed_actors)} actors)"
     )
-    return {"capec_threshold": args.capec_threshold}
+    return {}
 
 
 def _warn_emptied_skill_levels(threshold: int, by_skill: list[dict]) -> None:
@@ -269,7 +273,7 @@ def cmd_communities(ws: Workspace, args: argparse.Namespace) -> dict:
         },
     )
     print(f"communities: {len(overview)} at modularity {part.quality:.4f}")
-    return {"seed": args.seed, "restarts": args.restarts}
+    return {}
 
 
 def cmd_expertise(ws: Workspace, args: argparse.Namespace) -> dict:
@@ -290,17 +294,11 @@ def cmd_expertise(ws: Workspace, args: argparse.Namespace) -> dict:
     expertise.save_profiles(sample, ws.path("sample.csv"))
     ws.write_json("sample_stats.json", expertise.sample_stats(sample))
     print(f"profiles: {len(profiles)} actors, sample keeps {len(sample)}")
-    return {"min_posts": args.min_posts, "skill_percentile": args.skill_percentile}
+    return {}
 
 
 def cmd_cluster(ws: Workspace, args: argparse.Namespace) -> dict:
     from . import cluster, expertise
-    config = {
-        "k_min": args.k_min,
-        "k_max": args.k_max,
-        "seed": args.cluster_seed,
-        "restarts": args.cluster_restarts,
-    }
     sample = ws.load("sample.csv", expertise.load_profiles)
     n = len(sample)
 
@@ -310,7 +308,7 @@ def cmd_cluster(ws: Workspace, args: argparse.Namespace) -> dict:
             "clusters.json", {"skipped": True, "reason": reason, "n_sample": n}
         )
         print(f"clustering skipped: {reason}")
-        return config
+        return {}
 
     if n < 3 or n < args.k_min:
         return skip(f"sample of {n} actor(s) is too small to cluster")
@@ -347,7 +345,7 @@ def cmd_cluster(ws: Workspace, args: argparse.Namespace) -> dict:
     print(f"clusters: k={best.k}, silhouette {best.silhouette:.4f}")
     for s in summaries:
         print(f"  cluster {s['cluster']}: {s['members']} actors, {s['label']}")
-    return config
+    return {}
 
 
 def cmd_report(ws: Workspace, args: argparse.Namespace) -> dict:
@@ -377,15 +375,8 @@ def cmd_synth(ws: Workspace, args: argparse.Namespace) -> dict | None:
         f"synthetic corpus: {corpus.stats.n_posts} posts by {corpus.stats.n_actors} actors "
         f"-> {paths['posts']}"
     )
-    if out_dir != ws.path("synth"):
-        return None  # files outside the workspace are no stage of it
-    return {
-        "seed": args.synth_seed,
-        "communities": args.communities,
-        "actors": args.actors,
-        "capecs": args.capecs,
-        "noise": args.noise,
-    }
+    # files outside the workspace are no stage of it
+    return {} if out_dir == ws.path("synth") else None
 
 
 def cmd_export_graph(ws: Workspace, args: argparse.Namespace) -> None:
@@ -416,10 +407,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         _check_flags(args)
         # one lock from the command's first stage to its last, so no other run interleaves
         with ws.lock():
-            for name, stage in args.stages.items():
-                config = stage(ws, args)
-                if config is not None:
-                    ws.record_stage(name, config)
+            for name, (stage, dests) in args.stages.items():
+                facts = stage(ws, args)
+                if facts is not None:
+                    given = {dest: getattr(args, dest) for dest in dests}
+                    ws.record_stage(name, {k: v for k, v in given.items() if v is not None} | facts)
                 # later stages' collections, and the pool workers they fork, need not
                 # scan what this stage left alive
                 gc.freeze()

@@ -438,9 +438,11 @@ class ActivityDescriptor(Enum):
     SHORT_LIVED = "ShortLived"
 
 
-# Thresholds for the four-quadrant labels, in raw feature units. The skill
-# cut sits between observed low-side 2.00 and high-side 2.38 centroids;
-# commitment splits at the majority mark.
+# Thresholds for the four-quadrant labels, in raw feature units. A raw
+# centroid's skill is its members' mean score, not a whole score. The paper's
+# worked example (2.38, 18.46, 10.67) labels high skill and 2.00 labels low,
+# so any cut in (2.00, 2.38] labels the same; commitment splits at the
+# majority mark.
 SKILL_HIGH = 2.2
 COMMITMENT_HIGH = 50.0
 HYPERACTIVE_RATE = 4.0

@@ -269,15 +269,15 @@ def load_posts(path: str | Path, snapshot: CatalogSnapshot) -> ActorPosts:
 
     @Memo
     def shared(key: tuple) -> frozenset[int]:
-        if not key or not all(type(c) is int for c in key):
-            raise ValidationError(f"{not_ids}: {list(key)!r}")
         if lacked := sorted(set(key) - snapshot.capecs.keys()):
             raise ValidationError(f"CAPEC ids the catalog lacks: {lacked}")
         return frozenset(key)
 
     def capecs(ids: list[int]) -> frozenset[int]:
         key = tuple(ids)  # a non-iterable fails here, as any other row of the wrong shape does
-        if not isinstance(ids, list):  # before the memo, so a string is named as written
+        # checked before the memo hashes the key, so a string is named as written and a list
+        # or an object among the ids as an id, not as unhashable; a bool's type is not int
+        if not isinstance(ids, list) or not key or not {int}.issuperset(map(type, key)):
             raise ValidationError(f"{not_ids}: {ids!r}")
         return shared[key]
 

@@ -1,4 +1,4 @@
-"""Tests for the summary of tools/bench_pairs.py, on fixed numbers."""
+"""Tests for the summary of tools/bench_pairs.py, on fixed numbers, and for its line count."""
 
 from __future__ import annotations
 
@@ -46,3 +46,15 @@ def test_a_failed_run_is_listed_and_its_pair_won_by_neither_side():
         "wall_s: 2.5 [2.25, 2.75] -> 1, change won 1/3",
         "modularity: 0.5 [0.5, 0.5] -> 0.55, change won 0/3",
     ]
+
+
+def test_src_lines_counts_the_package_modules_as_wc_does(tmp_path):
+    package = tmp_path / "src" / "forumlens"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("one\ntwo\n")
+    (package / "b.py").write_text("one\ntwo\nthree")  # no final newline: wc -l says 2
+    (package / "notes.txt").write_text("not\ncode\n")
+    (package / "sub").mkdir()
+    (package / "sub" / "c.py").write_text("a subpackage is not counted\n")
+    (tmp_path / "tools.py").write_text("outside the package\n")
+    assert bench_pairs.src_lines(tmp_path) == 4

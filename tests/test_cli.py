@@ -686,7 +686,7 @@ def test_synth_into_workspace_records_stage(tmp_path):
                  "--actors", "4", "--capecs", "6"]) == 0
     manifest = json.loads((ws / "manifest.json").read_text())
     assert {stage: entry["config"] for stage, entry in manifest["stages"].items()} == {
-        "synth": {"seed": 1, "communities": 2, "actors": 4, "capecs": 6, "noise": 0.05},
+        "synth": {"synth_seed": 1, "communities": 2, "actors": 4, "capecs": 6, "noise": 0.05},
     }
     assert (ws / "synth" / "posts.jsonl").is_file()
 
@@ -1074,7 +1074,7 @@ def test_run_all_records_each_stage_config_and_prints_one_line_per_stage(tmp_pat
         "graph": {"capec_threshold": 6},
         "communities": {"seed": 2, "restarts": 3},
         "expertise": {"min_posts": 2, "skill_percentile": 50},
-        "cluster": {"k_min": 2, "k_max": 4, "seed": 5, "restarts": 2},
+        "cluster": {"k_min": 2, "k_max": 4, "cluster_seed": 5, "cluster_restarts": 2},
         "report": {},
     }
     assert capsys.readouterr().out.splitlines() == [
@@ -1090,6 +1090,56 @@ def test_run_all_records_each_stage_config_and_prints_one_line_per_stage(tmp_pat
         "  cluster 3: 2 actors, Amateur (Discrete)",
         f"report written: {ws / 'report.json'} and {ws / 'report.txt'}",
     ]
+
+
+def _own_dests() -> dict[str, list[str]]:
+    """Each command's own flag dests, as ``build_parser`` declares them: all but the common ones."""
+    common = argparse.ArgumentParser()
+    for names, _, spec in cli.COMMON:
+        common.add_argument(*names, **spec)
+    skip = {action.dest for action in common._actions}
+    [commands] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: [action.dest for action in parser._actions if action.dest not in skip]
+        for name, parser in commands.choices.items()
+    }
+
+
+def test_each_stage_records_the_dests_of_its_own_flags_that_are_set(pipeline_ws, tmp_path):
+    own, inputs = _own_dests(), pipeline_ws.parent / "inputs"
+
+    def recorded(ws: Path) -> dict[str, dict]:
+        manifest = json.loads((ws / "manifest.json").read_text())
+        return {stage: entry["config"] for stage, entry in manifest["stages"].items()}
+
+    def expected(argv: list[str], stages) -> dict[str, dict]:
+        given = vars(cli.build_parser().parse_args(argv))
+        return {
+            stage: {dest: given[dest] for dest in own[stage] if given[dest] is not None}
+            | ({"skipped_lines": 0} if stage == "ingest" else {})
+            for stage in stages
+        }
+
+    run_all = recorded(pipeline_ws)
+    assert run_all == expected([
+        "run-all", "--posts", str(inputs / "posts.jsonl"),
+        "--cve-cwe", str(inputs / "cve_cwe.csv"), "--capec-json", str(inputs / "capec.json"),
+    ], cli.PIPELINE)
+
+    ws, want = tmp_path / "each", {}
+    argvs = [
+        ["synth", "--seed", "1", "--communities", "2", "--actors", "4", "--capecs", "6"],
+        *_stage_argvs(inputs, "--capec-threshold", "6"),
+    ]
+    for argv in argvs:
+        assert main([*argv, "--workspace", str(ws)]) == 0, argv
+        want |= expected(argv, [argv[0]])
+    each = recorded(ws)
+    assert each == want
+    # cluster's --seed is --cluster-seed under run-all, and both record cluster_seed
+    assert {stage: sorted(config) for stage, config in run_all.items()} == {
+        stage: sorted(each[stage]) for stage in cli.PIPELINE
+    }
 
 
 def _lock_and_record_calls(source: str) -> list[tuple[str, str]]:

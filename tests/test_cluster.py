@@ -652,3 +652,31 @@ def test_a_threshold_that_removes_the_medium_level_shows_in_the_report_and_in_re
     # every actor keeps a CAPEC, but the quadrants are no longer the planted ones
     assert removal["n_removed_actors"] == 0
     assert recovery < 0.95
+
+
+# The paper's mix: "about 4%" of the sample are key experts and "about half" are amateurs.
+PAPER_MIX = {"Professional": 0.04, "ProAmateur": 0.20, "AverageCareerCriminal": 0.26,
+             "Amateur": 0.50}
+
+
+@pytest.fixture(scope="module")
+def paper_mix_run(tmp_path_factory) -> tuple[dict, float]:
+    """Synth 4x100 at seed 41 in the paper's mix, run through the pipeline: the report's
+    quadrant shares and the recovery."""
+    from forumlens import synth
+
+    root = tmp_path_factory.mktemp("paper-mix")
+    archetypes = tuple(replace(a, fraction=PAPER_MIX[a.name]) for a in synth.DEFAULT_ARCHETYPES)
+    config = synth.SynthConfig(seed=41, n_communities=4, actors_per_community=100,
+                               archetypes=archetypes)
+    synth.write_synth(root / "in", *synth.generate(config))
+    recovery = _run_all_recovery(root / "in", root / "ws")
+    return json.loads((root / "ws" / "report.json").read_text())["quadrant_shares"], recovery
+
+
+def test_the_paper_mix_comes_back_as_the_papers_quadrant_shares(paper_mix_run):
+    shares, recovery = paper_mix_run
+    assert set(shares) == set(PAPER_MIX)
+    for quadrant, share in shares.items():
+        assert share == pytest.approx(100 * PAPER_MIX[quadrant], abs=1.0), quadrant
+    assert recovery >= 0.95

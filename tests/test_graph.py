@@ -571,6 +571,19 @@ def test_load_graph_names_the_file_and_the_key(tmp_path, text, problem):
             '{"alice": [["2021-01-01T00:00:00+00:00", "12"]]}',
             "alice: CAPEC ids must be a list of one or more integers: '12'",
         ),
+        (
+            '{"alice": [["2021-01-01T00:00:00+00:00", ["12"]]]}',
+            "alice: CAPEC ids must be a list of one or more integers: ['12']",
+        ),
+        # a list or an object among the ids is named as an id, not as unhashable
+        (
+            '{"alice": [["2021-01-01T00:00:00+00:00", [[1]]]]}',
+            "alice: CAPEC ids must be a list of one or more integers: [[1]]",
+        ),
+        (
+            '{"alice": [["2021-01-01T00:00:00+00:00", [{}]]]}',
+            "alice: CAPEC ids must be a list of one or more integers: [{}]",
+        ),
         ('{"alice": [["2021-01-01T00:00:00+00:00", [true]]]}', "alice: CAPEC ids must be a list"),
         (
             '{"alice": [["2021-01-01T00:00:00+00:00", []]]}',

@@ -10,7 +10,9 @@ Pair ``i`` runs ``perfbench/run.py --workload NAME --seed S+i --seconds 10
 even pairs and second in odd ones. Each run's result is the last line it
 prints.
 
-For each end-to-end metric of ``BENCHMARK.json`` it prints the parent's
+Above the summary it prints the line count of ``src/forumlens/*.py`` in each
+copy, the design metric that a change should lower. For each end-to-end
+metric of ``BENCHMARK.json`` it prints the parent's
 median [Q1, Q3], the change's median and the pairs the change won (ties count
 for neither side). A run that exits non-zero, prints no result or reports
 itself incorrect is listed by seed and side, and its pair counts as won by
@@ -57,6 +59,11 @@ def copy_worktree(repo: Path, dest: Path) -> None:
         if source.is_file():  # a tracked file deleted in the tree is left out
             (dest / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(source, dest / name)
+
+
+def src_lines(copy: Path) -> int:
+    """The lines of ``src/forumlens/*.py`` under ``copy``, counted as ``wc -l`` does."""
+    return sum(path.read_bytes().count(b"\n") for path in (copy / "src" / "forumlens").glob("*.py"))
 
 
 def run_once(copy: Path, workload: str, seed: int, seconds: float) -> Outcome:
@@ -139,6 +146,7 @@ def main(argv: list[str] | None = None) -> int:
             path.mkdir()
         copy_revision(repo, args.parent, copies["parent"])
         copy_worktree(repo, copies["change"])
+        lines_of = {side: src_lines(path) for side, path in copies.items()}
         for i, seed in enumerate(seeds):
             pair = {}
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
@@ -148,6 +156,7 @@ def main(argv: list[str] | None = None) -> int:
             pairs.append(pair)
     lines = summarize(spec["end_to_end"], pairs, seeds)
     print(f"{args.workload}, seeds {seeds[0]}-{seeds[-1]}, parent {args.parent}")
+    print(f"src/forumlens lines: {lines_of['parent']} -> {lines_of['change']}")
     print("\n".join(lines))
     return 1 if any(line.startswith("FAILED") for line in lines) else 0
 
