@@ -375,8 +375,8 @@ def cmd_synth(ws: Workspace, args: argparse.Namespace) -> dict | None:
         f"synthetic corpus: {corpus.stats.n_posts} posts by {corpus.stats.n_actors} actors "
         f"-> {paths['posts']}"
     )
-    # files outside the workspace are no stage of it
-    return {} if out_dir == ws.path("synth") else None
+    # files outside the workspace are no stage of it, be --out relative or absolute
+    return {} if out_dir.resolve() == ws.path("synth").resolve() else None
 
 
 def cmd_export_graph(ws: Workspace, args: argparse.Namespace) -> None:

@@ -361,7 +361,7 @@ def summarize_communities(
     ``actor_capecs``: one row per community, mirroring the reference tables' columns."""
     overviews = []
     for comm, (actors, capecs) in partition.members(adjacency).items():
-        counts = [len(posts[a]) for a in sorted(actors)]
+        counts = [len(posts[a]) for a in actors]
         one_timers = sum(1 for c in counts if c == 1)
         overviews.append(
             {
@@ -370,7 +370,7 @@ def summarize_communities(
                 "actors": len(actors),
                 "capecs": len(capecs),
                 "one_timer_pct": 100.0 * one_timers / len(actors) if actors else 0.0,
-                "out_degree": describe(len(adjacency[a]) for a in sorted(actors)),
+                "out_degree": describe(len(adjacency[a]) for a in actors),
                 "specialized_posts": describe(counts),
                 "keywords": list(keyword_digest(snapshot.capecs[c].name for c in capecs)),
                 "capec_ids": sorted(capecs),

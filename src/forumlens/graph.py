@@ -57,10 +57,11 @@ ActorCapecs = dict[str, frozenset[int]]  # per actor: the union of its posts' CA
 def post_capec_sets(table: PostTable, snapshot: CatalogSnapshot) -> ActorPosts:
     """Resolve a post table's posts to CAPECs; posts (and actors) resolving to none are left out.
 
-    Each distinct mention set is resolved once per call, and posts with equal
-    mention sets share one CAPEC frozenset.
+    Each distinct CVE and each distinct mention set is resolved once per call,
+    and posts with equal mention sets share one CAPEC frozenset.
     """
-    by_set = Memo(lambda ms: frozenset().union(*(map_cve_to_capecs(snapshot, c) for c in ms)))
+    by_cve = Memo(lambda cve: map_cve_to_capecs(snapshot, cve))
+    by_set = Memo(lambda ms: frozenset().union(*map(by_cve.__getitem__, ms)))
     posts: ActorPosts = {}
     for actor, when, mentions in table:
         capecs = by_set[mentions]
@@ -175,11 +176,8 @@ def degree_stats(posts: ActorPosts, adjacency: ActorCapecs) -> dict:
     ``density_all_pairs`` uses all node pairs, the convention under which the
     2,584-node reference network has density 0.009.
     """
-    # sorted id order: the float sums in describe must not follow set order,
-    # which varies with the interpreter's hash seed
-    actor_degrees = [len(cs) for _, cs in sorted(adjacency.items())]
-    capec_counts = Counter(c for cs in adjacency.values() for c in cs)
-    capec_degrees = [d for _, d in sorted(capec_counts.items())]
+    actor_degrees = [len(cs) for cs in adjacency.values()]
+    capec_degrees = list(Counter(c for cs in adjacency.values() for c in cs).values())
     n_actors, n_capecs, n_edges = len(adjacency), len(capec_degrees), sum(actor_degrees)
 
     density = n_edges / (n_actors * n_capecs) if n_actors and n_capecs else 0.0
@@ -187,7 +185,7 @@ def degree_stats(posts: ActorPosts, adjacency: ActorCapecs) -> dict:
     all_pairs = n_nodes * (n_nodes - 1) / 2
     density_all = n_edges / all_pairs if all_pairs else 0.0
 
-    counts = [n for _, n in sorted(surviving_post_counts(posts).items())]
+    counts = list(surviving_post_counts(posts).values())
     return {
         "n_actors": n_actors,
         "n_capecs": n_capecs,

@@ -9,7 +9,8 @@ pools, and once with both pools off.
 
 A change that means to alter an artifact regenerates the table with
 ``PYTHONPATH=src python tests/test_golden.py`` and says which files changed
-and why.
+and why; the script prints one ``scale name: old → new`` line (12-hex-digit
+prefixes) per digest it changes.
 """
 
 from __future__ import annotations
@@ -70,9 +71,18 @@ def test_artifacts_match_the_golden_digests(scale, pooled, tmp_path, monkeypatch
 
 
 if __name__ == "__main__":
+    import contextlib
     import tempfile
 
-    with tempfile.TemporaryDirectory() as tmp:
+    old = json.loads(TABLE.read_text(encoding="utf-8"))
+    # the runs' own lines go to stderr, so stdout lists only the changed digests
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
         table = {scale: _digests(Path(tmp) / scale, scale) for scale in SCALES}
+    for scale, digests in table.items():
+        before = old.get(scale, {})
+        for name in sorted(digests.keys() | before.keys()):
+            was, now = before.get(name, "none"), digests.get(name, "none")
+            if was != now:
+                print(f"{scale} {name}: {was[:12]} → {now[:12]}")
     TABLE.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {TABLE}", file=sys.stderr)

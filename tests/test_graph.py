@@ -202,10 +202,12 @@ def test_post_path_parses_and_resolves_each_distinct_value_once(monkeypatch):
     assert parsed_texts == Counter({**dict.fromkeys(valid_strings, 1), "not a cve": 2})
     assert parsed.skipped == 2
     assert len({id(c) for p in corpus.posts for c in p.mentions}) <= len(valid_strings)
-    # each distinct mention set is resolved once, and its posts share the result
+    # each distinct CVE is resolved once, though two distinct mention sets hold
+    # CVE-2021-0001, and each set's posts share one result
     mention_sets = {p.mentions for p in corpus.posts}
     assert len(mention_sets) == 3
-    assert resolved == Counter(cve for mentions in mention_sets for cve in mentions)
+    assert resolved == Counter({cve for mentions in mention_sets for cve in mentions})
+    assert len(resolved) == 4
     capec_sets = [capecs for actor_posts in table.values() for _, capecs in actor_posts]
     assert len(capec_sets) == 6
     assert len({id(capecs) for capecs in capec_sets}) == len(mention_sets)
@@ -318,7 +320,9 @@ _DEGREE_STATS_SCRIPT = textwrap.dedent(
     """
     import random
     from datetime import datetime, timezone
-    from forumlens.graph import actor_capecs, degree_stats
+    from forumlens.catalog import CapecEntry, build_snapshot
+    from forumlens.community import summarize_communities
+    from forumlens.graph import Partition, actor_capecs, degree_stats
     rng = random.Random(2)
     when = datetime(2021, 1, 1, tzinfo=timezone.utc)
     rows = {
@@ -326,15 +330,23 @@ _DEGREE_STATS_SCRIPT = textwrap.dedent(
         for i in range(300)
     }
     posts = {a: rows[a] for a in set(rows)}  # actors in the hash seed's set order
-    stats = degree_stats(posts, actor_capecs(posts))
+    adjacency = actor_capecs(posts)
+    stats = degree_stats(posts, adjacency)
     print(repr(stats["actor_degree"]), repr(stats["capec_degree"]))
+    # a community's actors come as a frozenset, also in the hash seed's order
+    assignment = {f"actor:a{i}": i % 3 for i in range(300)}
+    assignment |= {f"capec:{c}": c % 3 for c in range(40)}
+    snapshot = build_snapshot([], [CapecEntry(c, f"pattern {c}") for c in range(40)])
+    for row in summarize_communities(Partition(assignment, 0.0), posts, adjacency, snapshot):
+        print(repr(row["out_degree"]), repr(row["specialized_posts"]))
     """
 )
 
 
 def test_degree_stats_independent_of_hash_seed():
-    # Set iteration order follows PYTHONHASHSEED; summing degrees in that
-    # order made std differ in the last digits from one interpreter to the next.
+    # Set iteration order follows PYTHONHASHSEED; summing degrees or post counts
+    # in that order made std differ in the last digits from one interpreter to
+    # the next, in graph_stats.json and in communities.json.
     src = str(Path(forumlens.__file__).resolve().parents[1])
     outputs = set()
     for hash_seed in range(8):

@@ -1,8 +1,16 @@
-"""``stats.describe`` against numpy, which it replaces: every figure equal, not close."""
+"""``stats.describe``: correctly rounded mean and std, and figures that no input order changes.
+
+The mean is the correctly rounded sum over n, and the std the square root of
+the correctly rounded sum of the float squared deviations over n; a
+``fractions.Fraction`` sum is the oracle. count, min, max, median and p75
+equal numpy's, and so does the mean of integers, whose float sums are exact.
+"""
 
 from __future__ import annotations
 
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,19 +18,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from forumlens.stats import describe
-
-
-def _numpy_describe(values: list) -> dict:
-    arr = np.asarray(values, dtype=float)
-    return {
-        "count": arr.size,
-        "mean": float(np.mean(arr)),
-        "std": float(np.std(arr)),
-        "min": float(np.min(arr)),
-        "median": float(np.median(arr)),
-        "p75": float(np.percentile(arr, 75)),
-        "max": float(np.max(arr)),
-    }
 
 
 def _mixed(n: int) -> list:
@@ -43,28 +38,79 @@ _VALUES = st.one_of(
 )
 
 
-def _assert_equal(values: list) -> None:
-    ours, numpys = describe(values), _numpy_describe(values)
-    assert ours == numpys
-    # == takes -0.0 for 0.0; these three follow numpy's sign of zero as well, while
-    # which zero min, max and p75 pick from mixed zeros is numpy's selection order
-    signed = ("mean", "std", "median")
-    assert [repr(ours[k]) for k in signed] == [repr(numpys[k]) for k in signed]
+def _assert_correctly_rounded(values: list) -> None:
+    """mean and std against exact rational sums, each rounded once (``float(Fraction)``)."""
+    xs = [float(v) for v in values]
+    n = len(xs)
+    mean = float(sum(map(Fraction, xs))) / n
+    std = math.sqrt(float(sum(Fraction((x - mean) * (x - mean)) for x in xs)) / n)
+    found = describe(values)
+    assert (repr(found["mean"]), repr(found["std"])) == (repr(mean), repr(std))
+
+
+def _assert_order_free(values: list, rng: random.Random) -> None:
+    shuffled = list(values)
+    rng.shuffle(shuffled)
+    assert {k: repr(v) for k, v in describe(shuffled).items()} == {
+        k: repr(v) for k, v in describe(values).items()
+    }
+
+
+def _assert_numpy_order_statistics(values: list) -> None:
+    arr = np.asarray(values, dtype=float)
+    found = describe(values)
+    # == takes -0.0 for 0.0: describe reads -0.0 as 0.0, while which zero numpy's
+    # min, max and p75 pick from mixed zeros is its selection order
+    assert {k: found[k] for k in ("count", "min", "max", "median", "p75")} == {
+        "count": arr.size,
+        "min": float(np.min(arr)),
+        "max": float(np.max(arr)),
+        "median": float(np.median(arr)),
+        "p75": float(np.percentile(arr, 75)),
+    }
+    assert repr(found["median"]) == repr(float(np.median(arr)))
+    if all(isinstance(v, int) for v in values):
+        assert repr(found["mean"]) == repr(float(np.mean(arr)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(values=_VALUES)
 @example(values=[-0.0])
 @example(values=[-0.0] * 9)
-def test_describe_equals_numpy(values):
-    _assert_equal(values)
+@example(values=[2.0**53, 1.0, 1.0])
+def test_mean_and_std_are_correctly_rounded(values):
+    _assert_correctly_rounded(values)
 
 
-# numpy's pairwise sum changes course at 8 and 128 values and halves above that
-@pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 257, 5000])
-def test_describe_equals_numpy_at_each_summation_block_edge(n):
-    _assert_equal(_mixed(n))
-    _assert_equal([int(v) for v in _mixed(n)])
+@settings(max_examples=300, deadline=None)
+@given(values=_VALUES, rng=st.randoms(use_true_random=False))
+def test_every_figure_is_independent_of_input_order(values, rng):
+    _assert_order_free(values, rng)
+
+
+@pytest.mark.parametrize("values", [[2.0**53, 1.0, 1.0], [0.0, -0.0], [1e16, 1.0, -1e16, 1.0]])
+def test_pinned_inputs_give_the_same_figures_reversed(values):
+    # left to right, 2**53 + 1 + 1 rounds each 1 away; 1 + 1 + 2**53 keeps both
+    assert {k: repr(v) for k, v in describe(values).items()} == {
+        k: repr(v) for k, v in describe(values[::-1]).items()
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=_VALUES)
+@example(values=[-0.0])
+@example(values=[-0.0] * 9)
+def test_order_statistics_and_integer_means_equal_numpy(values):
+    _assert_numpy_order_statistics(values)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 127, 128, 129, 257, 5000])
+def test_describe_holds_its_contract_at_each_size(n):
+    rng = random.Random(n)
+    for values in (_mixed(n), [int(v) for v in _mixed(n)]):
+        _assert_correctly_rounded(values)
+        _assert_order_free(values, rng)
+        _assert_numpy_order_statistics(values)
 
 
 def test_describe_of_nothing_is_all_zeros():
