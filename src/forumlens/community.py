@@ -27,7 +27,7 @@ import numpy as np
 from . import DEFAULT_LEIDEN_RESTARTS
 from .catalog import CatalogSnapshot
 from .errors import ValidationError
-from .graph import ActorCapecs, ActorPosts, BimodalGraph, Partition, node_key, sorted_nodes
+from .graph import ActorCapecs, ActorPosts, BimodalGraph, Partition, node_table
 from .pool import map_jobs
 from .stats import describe
 
@@ -64,14 +64,13 @@ class _Level:
 
 
 def _index_graph(graph: BimodalGraph) -> tuple[list[str], _Level]:
-    order = sorted_nodes(graph)
-    where = {node: i for i, node in enumerate(order)}
-    actor = {a: where["actor", a] for a in graph.actor_ids}
-    capec = {c: where["capec", str(c)] for c in graph.capec_ids}
-    ends = np.array([(actor[a], capec[c]) for a, c in graph.edges], dtype=np.int64).reshape(-1, 2)
+    nodes = node_table(graph.actor_ids, graph.capec_ids)
+    # one map for both modes: actor ids are str and CAPEC ids int, so none collide
+    index = {node: i for i, (_, _, node) in enumerate(nodes)}
+    ends = np.array([(index[a], index[c]) for a, c in graph.edges], dtype=np.int64).reshape(-1, 2)
     src, dst = np.concatenate([ends[:, 0], ends[:, 1]]), np.concatenate([ends[:, 1], ends[:, 0]])
-    level = _Level(len(order), src, dst, np.ones(len(src)), np.zeros(len(order)))
-    return [node_key(mode, raw) for mode, raw in order], level
+    level = _Level(len(nodes), src, dst, np.ones(len(src)), np.zeros(len(nodes)))
+    return [key for key, _, _ in nodes], level
 
 
 def _quality(g: _Level, comm: Sequence[int]) -> float:

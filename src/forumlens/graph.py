@@ -16,6 +16,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
+from typing import Iterable
 
 from . import DEFAULT_CAPEC_THRESHOLD, EXPORT_FORMATS
 from .catalog import CatalogSnapshot, SkillLevel, map_cve_to_capecs
@@ -202,9 +203,12 @@ def degree_stats(posts: ActorPosts, adjacency: ActorCapecs) -> dict:
 
 # --- serialization -----------------------------------------------------------
 
-def node_key(mode: str, node_id: str | int) -> str:
-    """Stable string key for a node: 'actor:<id>' or 'capec:<id>'."""
-    return f"{mode}:{node_id}"
+def node_table(actors: Iterable[str], capecs: Iterable[int]) -> list[tuple[str, str, str | int]]:
+    """Every node as (key, mode, id), keyed 'actor:<id>' or 'capec:<id>': actors sorted,
+    then CAPECs sorted by number. The one place node order and node keys are decided."""
+    return [(f"actor:{a}", "actor", a) for a in sorted(actors)] + [
+        (f"capec:{c}", "capec", c) for c in sorted(capecs)
+    ]
 
 
 def save_graph(graph: BimodalGraph, path: str | Path) -> None:
@@ -316,10 +320,9 @@ class Partition:
     def members(self, adjacency: ActorCapecs) -> dict[int, tuple[frozenset[str], frozenset[int]]]:
         """Each community's (actors, CAPECs) in a post table's union, in community order;
         a node left unassigned is refused, the first in sorted node order named."""
-        nodes = [("actor", a) for a in sorted(adjacency)]
-        nodes += [("capec", c) for c in sorted(frozenset().union(*adjacency.values()))]
+        nodes = node_table(adjacency, frozenset().union(*adjacency.values()))
         groups: dict[int, tuple[set[str], set[int]]] = defaultdict(lambda: (set(), set()))
-        for (mode, node), comm in zip(nodes, self.labels([node_key(*n) for n in nodes])):
+        for (_, mode, node), comm in zip(nodes, self.labels([key for key, _, _ in nodes])):
             groups[comm][mode == "capec"].add(node)
         return {c: (frozenset(a), frozenset(p)) for c, (a, p) in sorted(groups.items())}
 
@@ -348,65 +351,44 @@ def load_partition(path: str | Path) -> Partition:
     return Partition(assignment, field(path, "modularity", lambda: quality(data["modularity"])))
 
 
-def _community_of(partition: Partition | None, key: str) -> int | None:
-    if partition is None:
-        return None
-    return partition.assignment.get(key)
-
-
 def export_graph(
-    graph: BimodalGraph,
-    fmt: str,
-    path: str | Path,
-    partition: Partition | None = None,
+    graph: BimodalGraph, fmt: str, path: str | Path, partition: Partition | None = None
 ) -> None:
     """Serialize the graph for external tools: 'graphml', 'dot' or 'csv'.
 
     Every node carries a ``mode`` attribute and, when a partition is given,
-    its ``community`` id. Nodes are named by :func:`node_key`; the CSV form
-    has one row per edge and no node rows.
+    its ``community`` id. Nodes and their order come from :func:`node_table`;
+    the CSV form has one row per edge and no node rows.
     """
     if fmt not in EXPORT_FORMATS:
         raise ValidationError(f"unknown export format {fmt!r}; expected one of {EXPORT_FORMATS}")
-    text = {
-        "graphml": _to_graphml,
-        "dot": _to_dot,
-        "csv": _to_csv,
-    }[fmt](graph, partition)
+    assignment = partition.assignment if partition else {}
+    # a node row is (key, mode, id, community or None), an edge row its two node rows;
+    # one map holds both modes, as actor ids are str and CAPEC ids int
+    rows = {node: (key, mode, node, assignment.get(key))
+            for key, mode, node in node_table(graph.actor_ids, graph.capec_ids)}
+    edges = [(rows[a], rows[c]) for a, c in sorted(graph.edges)]
+    text = {"graphml": _to_graphml, "dot": _to_dot, "csv": _to_csv}[fmt](list(rows.values()), edges)
     with replacing(path) as handle:
         handle.write(text)
 
 
-def sorted_nodes(graph: BimodalGraph) -> list[tuple[str, str]]:
-    """Every node as (mode, id): actors sorted, then CAPECs sorted by number."""
-    nodes = [("actor", a) for a in sorted(graph.actor_ids)]
-    nodes += [("capec", str(c)) for c in sorted(graph.capec_ids)]
-    return nodes
-
-
-def _to_graphml(graph: BimodalGraph, partition: Partition | None) -> str:
+def _to_graphml(nodes: list[tuple], edges: list[tuple]) -> str:
     from xml.etree import ElementTree  # only this export needs it
     root = ElementTree.Element("graphml", xmlns="http://graphml.graphdrawing.org/xmlns")
-    for key_id, attr in (("d_mode", "mode"), ("d_comm", "community")):
-        key = ElementTree.SubElement(root, "key")
-        key.set("id", key_id)
-        key.set("for", "node")
-        key.set("attr.name", attr)
-        key.set("attr.type", "string" if attr == "mode" else "long")
+    for key_id, attr, kind in (("d_mode", "mode", "string"), ("d_comm", "community", "long")):
+        attrs = {"id": key_id, "for": "node", "attr.name": attr, "attr.type": kind}
+        ElementTree.SubElement(root, "key", attrs)
     g = ElementTree.SubElement(root, "graph", edgedefault="undirected")
-    for mode, raw in sorted_nodes(graph):
-        key = node_key(mode, raw)
+    for key, mode, _, comm in nodes:
         node = ElementTree.SubElement(g, "node", id=key)
         data = ElementTree.SubElement(node, "data", key="d_mode")
         data.text = mode
-        comm = _community_of(partition, key)
         if comm is not None:
             data = ElementTree.SubElement(node, "data", key="d_comm")
             data.text = str(comm)
-    for actor, capec in sorted(graph.edges):
-        ElementTree.SubElement(
-            g, "edge", source=node_key("actor", actor), target=node_key("capec", capec)
-        )
+    for actor, capec in edges:
+        ElementTree.SubElement(g, "edge", source=actor[0], target=capec[0])
     return ElementTree.tostring(root, encoding="unicode", xml_declaration=True) + "\n"
 
 
@@ -414,31 +396,21 @@ def _dot_quote(value: str) -> str:
     return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _to_dot(graph: BimodalGraph, partition: Partition | None) -> str:
+def _to_dot(nodes: list[tuple], edges: list[tuple]) -> str:
     lines = ["graph bimodal {"]
-    for mode, raw in sorted_nodes(graph):
-        key = node_key(mode, raw)
-        attrs = [f"mode={mode}"]
-        comm = _community_of(partition, key)
-        if comm is not None:
-            attrs.append(f"community={comm}")
-        lines.append(f"  {_dot_quote(key)} [{', '.join(attrs)}];")
-    for actor, capec in sorted(graph.edges):
-        lines.append(
-            f"  {_dot_quote(node_key('actor', actor))} -- {_dot_quote(node_key('capec', capec))};"
-        )
+    for key, mode, _, comm in nodes:
+        attrs = f"mode={mode}" if comm is None else f"mode={mode}, community={comm}"
+        lines.append(f"  {_dot_quote(key)} [{attrs}];")
+    for actor, capec in edges:
+        lines.append(f"  {_dot_quote(actor[0])} -- {_dot_quote(capec[0])};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _to_csv(graph: BimodalGraph, partition: Partition | None) -> str:
+def _to_csv(nodes: list[tuple], edges: list[tuple]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["actor_id", "capec_id", "actor_community", "capec_community"])
-    for actor, capec in sorted(graph.edges):
-        a_comm = _community_of(partition, node_key("actor", actor))
-        c_comm = _community_of(partition, node_key("capec", capec))
-        writer.writerow(
-            [actor, capec, "" if a_comm is None else a_comm, "" if c_comm is None else c_comm]
-        )
+    # csv writes None, an unassigned node's community, as an empty field
+    writer.writerows([a, c, a_comm, c_comm] for (_, _, a, a_comm), (_, _, c, c_comm) in edges)
     return buffer.getvalue()

@@ -28,7 +28,7 @@ from .catalog import (
     CapecEntry, CatalogSnapshot, CveEntry, SkillLevel, build_snapshot, normalize_cwe, save_snapshot
 )
 from .errors import ValidationError
-from .graph import Partition, node_key
+from .graph import Partition, node_table
 from .ingest import Corpus, CveId, PostRecord, build_corpus, save_corpus
 from .workspace import field, read_json_object, write_json
 
@@ -320,8 +320,8 @@ def community_agreement(partition: Partition, truth: GroundTruth) -> float:
         raise ValidationError("ground truth contains no actors")
     overlap: dict[int, dict[int, int]] = {}
     recovered: dict[str, int] = {}
-    for actor, planted in truth.actor_community.items():
-        comm = partition.assignment.get(node_key("actor", actor))
+    for key, _, actor in node_table(truth.actor_community, ()):
+        comm, planted = partition.assignment.get(key), truth.actor_community[actor]
         if comm is None:
             continue
         recovered[actor] = comm
