@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import datetime
@@ -212,9 +213,10 @@ def node_table(actors: Iterable[str], capecs: Iterable[int]) -> list[tuple[str, 
 
 
 def save_graph(graph: BimodalGraph, path: str | Path) -> None:
+    nodes = node_table(graph.actor_ids, graph.capec_ids)
     payload = {
-        "actors": sorted(graph.actor_ids),
-        "capecs": sorted(graph.capec_ids),
+        "actors": [node for _, mode, node in nodes if mode == "actor"],
+        "capecs": [node for _, mode, node in nodes if mode == "capec"],
         "edges": sorted([a, c] for a, c in graph.edges),
     }
     with replacing(path) as handle:
@@ -319,7 +321,7 @@ class Partition:
 
     def members(self, adjacency: ActorCapecs) -> dict[int, tuple[frozenset[str], frozenset[int]]]:
         """Each community's (actors, CAPECs) in a post table's union, in community order;
-        a node left unassigned is refused, the first in sorted node order named."""
+        a node left unassigned is refused, the first in :func:`node_table` order named."""
         nodes = node_table(adjacency, frozenset().union(*adjacency.values()))
         groups: dict[int, tuple[set[str], set[int]]] = defaultdict(lambda: (set(), set()))
         for (_, mode, node), comm in zip(nodes, self.labels([key for key, _, _ in nodes])):
@@ -358,7 +360,8 @@ def export_graph(
 
     Every node carries a ``mode`` attribute and, when a partition is given,
     its ``community`` id. Nodes and their order come from :func:`node_table`;
-    the CSV form has one row per edge and no node rows.
+    the CSV form has one row per edge and no node rows. A node key that XML 1.0
+    cannot carry is refused for GraphML before anything is written.
     """
     if fmt not in EXPORT_FORMATS:
         raise ValidationError(f"unknown export format {fmt!r}; expected one of {EXPORT_FORMATS}")
@@ -373,8 +376,14 @@ def export_graph(
         handle.write(text)
 
 
+# a character outside XML 1.0's Char production, which no XML document can hold
+_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
 def _to_graphml(nodes: list[tuple], edges: list[tuple]) -> str:
     from xml.etree import ElementTree  # only this export needs it
+    if bad := next((key for key, _, _, _ in nodes if _NOT_XML_CHAR.search(key)), None):
+        raise ValidationError(f"node {bad!r} holds a character XML 1.0 cannot carry; use dot or csv")
     root = ElementTree.Element("graphml", xmlns="http://graphml.graphdrawing.org/xmlns")
     for key_id, attr, kind in (("d_mode", "mode", "string"), ("d_comm", "community", "long")):
         attrs = {"id": key_id, "for": "node", "attr.name": attr, "attr.type": kind}

@@ -153,17 +153,28 @@ def _parse_record(line: str, mention_sets: Memo, actors: Memo) -> PostRecord:
                       obj["content"], mention_sets[tuple(raw_mentions)])
 
 
+def _encodable(actor_id: str) -> str:
+    """``actor_id`` if it encodes as UTF-8; a lone surrogate, which JSON allows, is refused."""
+    try:
+        actor_id.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValidationError(f"key 'actor_id' does not encode as UTF-8: {exc.reason}") from None
+    return actor_id
+
+
 class CheckedPosts:
     """The lines of a JSONL post file that pass every per-line check, one at a time.
 
     Iterating yields one :class:`PostRecord` per good line, with its UTC
     timestamp and the mentions its line lists. Malformed lines (invalid UTF-8,
-    bad or too deeply nested JSON, missing keys, unparseable or out-of-window
-    timestamps) are logged and counted in ``skipped``. An unreadable file
-    raises ``OSError``. Each distinct mention string is parsed once per pass,
-    and the posts naming it share that one ``CveId``; a string that fails to
-    parse fails every line with it. Posts with equal ``mentions`` lists share
-    one frozenset, and posts of one actor share one ``actor_id`` string.
+    bad or too deeply nested JSON, missing keys, an ``actor_id`` with a lone
+    surrogate, unparseable or out-of-window timestamps) are logged and counted
+    in ``skipped``; a UTF-8 byte order mark before the first line is ignored.
+    An unreadable file raises ``OSError``. Each distinct mention string is
+    parsed once per pass, and the posts naming it share that one ``CveId``; a
+    string that fails to parse fails every line with it. Posts with equal
+    ``mentions`` lists share one frozenset, and posts of one actor share one
+    ``actor_id`` string.
     """
 
     def __init__(self, path: str | Path):
@@ -173,13 +184,14 @@ class CheckedPosts:
     def __iter__(self) -> Iterator[PostRecord]:
         cve_ids = Memo(CveId.parse)
         mention_sets = Memo(lambda raw: frozenset([cve_ids[c] for c in raw]))
-        actors = Memo(lambda actor: actor)
-        # bytes: each line is decoded on its own, so a bad byte costs one line
+        actors = Memo(_encodable)
+        # bytes: each line is decoded on its own, so a bad byte costs one line; the
+        # first may start with a byte order mark, and the file is never sought, so a pipe works
         with open(self.path, "rb") as handle:
             for lineno, raw in enumerate(handle, start=1):
                 # ValueError covers ValidationError, JSONDecodeError and UnicodeDecodeError
                 try:
-                    line = raw.decode("utf-8")
+                    line = raw.decode("utf-8" if lineno > 1 else "utf-8-sig")
                     if line.isspace():
                         continue
                     record = _parse_record(line, mention_sets, actors)

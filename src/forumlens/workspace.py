@@ -105,21 +105,22 @@ def _refuse_constant(name: str) -> Any:
 
 
 def read_json(path: str | Path) -> Any:
-    """Parse a JSON file; invalid UTF-8 or JSON, which includes the ``NaN`` and
-    ``Infinity`` that ``json`` otherwise accepts, raises ``ValidationError``
-    naming the file."""
+    """Parse a JSON file, a leading byte order mark ignored; invalid UTF-8 or JSON,
+    which includes the ``NaN`` and ``Infinity`` that ``json`` otherwise accepts,
+    raises ``ValidationError`` naming the file."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_refuse_constant)
+        return json.loads(Path(path).read_text(encoding="utf-8-sig"), parse_constant=_refuse_constant)
     except (ValueError, RecursionError) as exc:  # ValueError covers both decode errors
         raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
 
 
 @contextmanager
 def reading_csv(path: str | Path) -> Iterator[csv.DictReader]:
-    """A ``csv.DictReader`` over a UTF-8 file; invalid UTF-8 or a CSV fault, such as
-    a field over the csv module's size limit, raises ``ValidationError`` naming the file."""
+    """A ``csv.DictReader`` over a UTF-8 file, a leading byte order mark ignored; invalid
+    UTF-8 or a CSV fault, such as a field over the csv module's size limit, raises
+    ``ValidationError`` naming the file."""
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             yield csv.DictReader(handle)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ValidationError(f"{path}: {exc}") from exc
@@ -192,8 +193,7 @@ class Workspace:
             for stage, entry in manifest["stages"].items():
                 field(path, stage, lambda: _object(entry))
                 field(path, f"{stage}: artifacts", lambda: _object(entry.get("artifacts")))
-                # an entry written before inputs were recorded has none
-                field(path, f"{stage}: inputs", lambda: _object(entry.get("inputs", {})))
+                field(path, f"{stage}: inputs", lambda: _object(entry.get("inputs")))
         except ValueError as exc:
             raise ForumlensError(
                 f"{path} is not a valid manifest ({exc}); "
@@ -255,8 +255,7 @@ class Workspace:
                 f"artifact {name!r} changed since stage {stage!r} recorded it; "
                 f"re-run {stage!r} or pass --force to accept the current file"
             )
-        # an entry written before inputs were recorded has none to compare
-        inputs = entry.get("inputs", {})
+        inputs = entry["inputs"]
         changed = sorted(
             {_WRITER.get(n, n) for n, digest in inputs.items() if _digest(stages, n) != digest}
         )

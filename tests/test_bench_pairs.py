@@ -58,3 +58,39 @@ def test_src_lines_counts_the_package_modules_as_wc_does(tmp_path):
     (package / "sub" / "c.py").write_text("a subpackage is not counted\n")
     (tmp_path / "tools.py").write_text("outside the package\n")
     assert bench_pairs.src_lines(tmp_path) == 4
+
+
+def test_code_lines_leaves_out_blanks_comments_and_docstrings(tmp_path):
+    package = tmp_path / "src" / "forumlens"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text(
+        '"""Module docstring,\n'
+        'over two lines."""\n'
+        "\n"
+        "# a comment-only line\n"
+        "import os  # code with a comment counts\n"
+        "\n"
+        "\n"
+        "class A:\n"
+        "    '''Class docstring.'''\n"
+        "\n"
+        "    def f(self, x):\n"
+        '        """Function docstring.\n'
+        "\n"
+        '        """\n'
+        "        text = '''a string that is no docstring\n"
+        "# counts on each of its lines'''\n"
+        "        return (x,\n"
+        "                # a comment inside brackets\n"
+        "                text)\n"
+        "\n"
+        "async def g():\n"
+        '    """Async function docstring."""\n'
+        "    return 1\n"
+    )
+    (package / "b.py").write_text("x = 1\n    \n")
+    (package / "sub").mkdir()
+    (package / "sub" / "c.py").write_text("a = 'a subpackage is not counted'\n")
+    (tmp_path / "tools.py").write_text("outside = 'the package'\n")
+    # a.py: import, class, def, the string's 2 lines, return's 2 code lines, async def, return
+    assert bench_pairs.code_lines(tmp_path) == 9 + 1

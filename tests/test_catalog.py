@@ -247,6 +247,22 @@ def test_snapshot_round_trip(tmp_path):
     assert loaded.cwe_to_capecs == snap.cwe_to_capecs
 
 
+def test_a_byte_order_mark_on_either_catalog_file_is_ignored(tmp_path):
+    snap = snapshot_from(
+        cve_to_cwes={"CVE-2022-45451": ["CWE-269"], "CVE-2020-0001": ["CWE-22"]},
+        capecs=[(233, "Privilege Escalation", ["CWE-269"]), (1, "Other", ["CWE-22"])],
+        skills={233: "High"},
+    )
+    cve_path, capec_path = save_snapshot(snap, tmp_path / "plain")
+    bom = tmp_path / "bom"
+    bom.mkdir()
+    for path in (cve_path, capec_path):
+        (bom / path.name).write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert load_snapshot(bom / cve_path.name, bom / capec_path.name) == load_snapshot(
+        cve_path, capec_path
+    )
+
+
 def test_load_snapshot_rejects_bad_files(tmp_path):
     csv_path = tmp_path / "cve_cwe.csv"
     capec_path = tmp_path / "capec.json"

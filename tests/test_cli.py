@@ -479,6 +479,60 @@ def test_export_graph_round_trip(pipeline_ws, tmp_path):
     assert read_export(out, "dot") == load_graph(pipeline_ws / "graph.json")
 
 
+def _inputs_with_posts(pipeline_ws, tmp_path, lines):
+    """The pipeline's inputs under ``tmp_path / "inputs"``, the post file replaced by ``lines``."""
+    inputs = tmp_path / "inputs"
+    shutil.copytree(pipeline_ws.parent / "inputs", inputs)
+    (inputs / "posts.jsonl").write_text("".join(line + "\n" for line in lines))
+    return inputs
+
+
+def _artifacts(ws):
+    return {name: (ws / name).read_bytes()
+            for stage, names in STAGE_ARTIFACTS.items() if stage != "synth" for name in names}
+
+
+def test_byte_order_marks_on_the_three_inputs_change_no_artifact(pipeline_ws, tmp_path):
+    plain, inputs = pipeline_ws.parent / "inputs", tmp_path / "inputs"
+    inputs.mkdir()
+    for name in ("posts.jsonl", "cve_cwe.csv", "capec.json"):
+        (inputs / name).write_bytes(b"\xef\xbb\xbf" + (plain / name).read_bytes())
+    assert _run_all(tmp_path / "ws", inputs) == 0
+    manifest = json.loads((tmp_path / "ws" / "manifest.json").read_text())
+    assert manifest["stages"]["ingest"]["config"]["skipped_lines"] == 0
+    assert _artifacts(tmp_path / "ws") == _artifacts(pipeline_ws)
+
+
+def test_a_lone_surrogate_actor_id_is_a_skipped_line_for_run_all(pipeline_ws, tmp_path):
+    lines = (pipeline_ws.parent / "inputs" / "posts.jsonl").read_text().splitlines()
+    # the first post again under a new id, by an actor id JSON allows and UTF-8 cannot hold
+    bad = json.loads(lines[0]) | {"post_id": "surrogate", "actor_id": "\ud800x"}
+    ws = tmp_path / "ws"
+    assert _run_all(ws, _inputs_with_posts(pipeline_ws, tmp_path, [*lines, json.dumps(bad)])) == 0
+    manifest = json.loads((ws / "manifest.json").read_text())
+    assert manifest["stages"]["ingest"]["config"]["skipped_lines"] == 1
+    actors = [row.split(",")[0] for row in (ws / "profiles.csv").read_text().splitlines()]
+    assert "\ud800x" not in actors
+    assert _artifacts(ws) == _artifacts(pipeline_ws)
+
+
+def test_export_graph_refuses_graphml_for_a_node_xml_cannot_carry(pipeline_ws, tmp_path, caplog):
+    lines = (pipeline_ws.parent / "inputs" / "posts.jsonl").read_text().splitlines()
+    posts = [json.loads(line) for line in lines]
+    for post in posts[::10]:
+        post["actor_id"] = "\x01" + post["actor_id"]
+    ws = tmp_path / "ws"
+    assert _run_all(ws, _inputs_with_posts(pipeline_ws, tmp_path, map(json.dumps, posts))) == 0
+    before = sorted(path.name for path in ws.iterdir())
+    assert main(["export-graph", "--workspace", str(ws), "--format", "graphml"]) == 1
+    assert sorted(path.name for path in ws.iterdir()) == before
+    refusal = r"node 'actor:\\x01[^']*' holds a character XML 1.0 cannot carry; use dot or csv"
+    assert re.search(refusal, caplog.text)
+    for fmt in ("dot", "csv"):
+        assert main(["export-graph", "--workspace", str(ws), "--format", fmt]) == 0
+        assert read_export(ws / f"graph.{fmt}", fmt) == load_graph(ws / "graph.json")
+
+
 def test_missing_upstream_exits_2(tmp_path):
     assert main(["graph", "--workspace", str(tmp_path / "fresh")]) == 2
     assert main(["communities", "--workspace", str(tmp_path / "fresh")]) == 2

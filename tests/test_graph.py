@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -11,14 +13,17 @@ import textwrap
 from collections import Counter
 from datetime import timedelta, timezone
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, strategies as st
 
 import forumlens
+from forumlens.community import _index_graph, leiden
 from forumlens.errors import ValidationError
 from forumlens.graph import (
     BimodalGraph,
+    Partition,
     actor_capecs,
     build_graph,
     degree_stats,
@@ -27,6 +32,7 @@ from forumlens.graph import (
     graph_of,
     load_graph,
     load_posts,
+    node_table,
     post_capec_sets,
     removal_by_skill,
     save_graph,
@@ -646,3 +652,71 @@ def test_export_unknown_format(tmp_path):
     with pytest.raises(ValidationError):
         export_graph(graph, "gexf", tmp_path / "x")
     assert not (tmp_path / "x").exists()
+
+
+def test_node_table_orders_actors_by_string_then_capecs_by_number():
+    assert node_table({"9", "10", "b"}, {100, 9}) == [
+        ("actor:10", "actor", "10"), ("actor:9", "actor", "9"), ("actor:b", "actor", "b"),
+        ("capec:9", "capec", 9), ("capec:100", "capec", 100),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_leiden_the_exports_and_graph_json_share_one_node_order(tmp_path, seed):
+    rng = random.Random(seed)
+    # ids where string and number order differ: "100" sorts before "9", CAPEC 9 before 100
+    edges = [(str(rng.randint(1, 120)), rng.randint(1, 120)) for _ in range(40)]
+    graph = bigraph(edges)
+    partition = leiden(graph, seed=seed)
+    keys, _ = _index_graph(graph)
+
+    export_graph(graph, "graphml", tmp_path / "g.graphml", partition=partition)
+    root = ElementTree.parse(tmp_path / "g.graphml").getroot()
+    graphml = [n.get("id") for n in root.iter("{http://graphml.graphdrawing.org/xmlns}node")]
+    export_graph(graph, "dot", tmp_path / "g.dot", partition=partition)
+    dot = re.findall(r'^  "([^"]*)" \[', (tmp_path / "g.dot").read_text(), re.M)
+    save_graph(graph, tmp_path / "graph.json")
+    saved = json.loads((tmp_path / "graph.json").read_text())
+    stored = [f"actor:{a}" for a in saved["actors"]] + [f"capec:{c}" for c in saved["capecs"]]
+
+    assert keys == graphml == dot == stored == [key for key, _, _ in node_table(
+        graph.actor_ids, graph.capec_ids)]
+    assert list(partition.assignment) == keys
+
+
+def test_actor_12_and_capec_12_get_distinct_leiden_indices():
+    keys, level = _index_graph(bigraph([("12", 12), ("12", 7), ("x", 12)]))
+    assert keys == ["actor:12", "actor:x", "capec:7", "capec:12"]
+    assert level.n == 4
+    assert level.adj == [[(2, 1.0), (3, 1.0)], [(3, 1.0)], [(0, 1.0)], [(0, 1.0), (1, 1.0)]]
+
+
+def test_csv_export_writes_community_0_and_an_unassigned_node_as_an_empty_field(tmp_path):
+    graph = bigraph([("a", 1), ("b", 2)])
+    partition = Partition({"actor:a": 0, "capec:1": 0, "actor:b": 1}, 0.0)  # capec:2 unassigned
+    export_graph(graph, "csv", tmp_path / "g.csv", partition=partition)
+    assert (tmp_path / "g.csv").read_text() == (
+        "actor_id,capec_id,actor_community,capec_community\na,1,0,0\nb,2,1,\n"
+    )
+
+
+@pytest.mark.parametrize("char", ["\x01", "\x1f", "\ud800", "\ufffe", "\uffff"])
+def test_graphml_export_refuses_a_node_xml_cannot_carry(tmp_path, char):
+    graph = bigraph([("alice", 1), (f"b{char}b", 1)])
+    path = tmp_path / "graph.graphml"
+    with pytest.raises(ValidationError) as exc:
+        export_graph(graph, "graphml", path)
+    assert str(exc.value) == (
+        f"node {'actor:b' + char + 'b'!r} holds a character XML 1.0 cannot carry; use dot or csv"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_graphml_keeps_the_characters_xml_allows_and_dot_and_csv_a_control_one(tmp_path):
+    graph = bigraph([("tab\there", 1), ("private\ue000", 1), ("astral\U0001f600", 2)])
+    export_graph(graph, "graphml", tmp_path / "graph.graphml")
+    assert read_export(tmp_path / "graph.graphml", "graphml") == graph
+    graph = bigraph([("alice", 1), ("b\x01b", 1)])
+    for fmt in ("dot", "csv"):
+        export_graph(graph, fmt, tmp_path / f"graph.{fmt}")
+        assert read_export(tmp_path / f"graph.{fmt}", fmt) == graph

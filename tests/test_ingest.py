@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import re
 import tempfile
+import threading
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -92,7 +95,7 @@ def test_parse_timestamp_variants():
     assert shifted.hour == 10
 
 
-def test_parse_posts_skips_malformed_lines(tmp_path):
+def test_parse_posts_skips_malformed_lines(tmp_path, caplog):
     lines = [
         _line(post_id="good"),
         "{ not json",
@@ -105,18 +108,44 @@ def test_parse_posts_skips_malformed_lines(tmp_path):
         "[" * 100_000 + "]" * 100_000,
         _line(post_id="overflow-ts", when="0001-01-01T00:00:00+14:00"),
         _line(post_id="huge-cve", mentions=["CVE-2021-" + "1" * 5000]),
+        # json.dumps escapes it, as JSON allows, but UTF-8 cannot encode a lone surrogate
+        _line(post_id="surrogate-actor", actor="\ud800x"),
     ]
     with lines_file(lines) as path:
         parsed = parse_posts(path)
     assert [r.post_id for r in parsed.records] == ["good"]
-    assert parsed.skipped == 9
+    assert parsed.skipped == 10
+    assert "skipping malformed line 12: key 'actor_id' does not encode as UTF-8: " \
+        "surrogates not allowed" in caplog.text
 
     # invalid UTF-8 costs its own line only, not the rest of the file
     path = tmp_path / "posts.jsonl"
     path.write_bytes(b"\xff\n" + "\n".join(lines).encode("utf-8") + b"\n")
     parsed = parse_posts(path)
     assert [r.post_id for r in parsed.records] == ["good"]
-    assert parsed.skipped == 10
+    assert parsed.skipped == 11
+
+
+def test_a_byte_order_mark_before_the_first_line_is_ignored(tmp_path):
+    lines = [_line(post_id="first"), "{ not json", _line(post_id="last")]
+    text = "".join(line + "\n" for line in lines).encode("utf-8")
+    (tmp_path / "plain.jsonl").write_bytes(text)
+    (tmp_path / "bom.jsonl").write_bytes(b"\xef\xbb\xbf" + text)
+    plain, bom = parse_posts(tmp_path / "plain.jsonl"), parse_posts(tmp_path / "bom.jsonl")
+    assert [r.post_id for r in bom.records] == ["first", "last"]
+    assert bom == plain and bom.skipped == 1
+
+    # the file is read once, front to back, so a pipe holding a BOM'd file works too
+    fifo = tmp_path / "posts.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(b"\xef\xbb\xbf" + text,), daemon=True)
+    writer.start()
+    assert parse_posts(fifo) == plain
+    writer.join()
+
+    # only the first line may start with one
+    (tmp_path / "later.jsonl").write_bytes(text + b"\xef\xbb\xbf" + text)
+    assert parse_posts(tmp_path / "later.jsonl").skipped == 3
 
 
 _JSON_VALUES = st.recursive(
@@ -328,7 +357,7 @@ _STREAMED_POSTS = st.lists(
 @settings(deadline=None)
 @given(_STREAMED_POSTS)
 def test_streamed_corpus_line_is_json_dumps_of_its_row(posts):
-    lines, expected = [], []
+    lines, expected, malformed = [], [], 0
     for p in posts:
         record = {k: p[k] for k in ("post_id", "actor_id", "forum_id")}
         record["timestamp"] = p["timestamp"].isoformat()
@@ -337,6 +366,10 @@ def test_streamed_corpus_line_is_json_dumps_of_its_row(posts):
         else:
             record["content"], record["mentions"] = p["content"], p["mentions"]
         lines.append(json.dumps(record))
+        # a surrogate left unpaired once JSON pairs the escapes: an actor id UTF-8 cannot hold
+        if re.search("[\ud800-\udfff]", json.loads(lines[-1])["actor_id"]):
+            malformed += 1
+            continue
         names = p["mentions"] or [p["in_content"], *map(str, extract_cve_ids(p["content"]))]
         row = dict(
             record,
@@ -350,7 +383,7 @@ def test_streamed_corpus_line_is_json_dumps_of_its_row(posts):
         save_corpus(build_corpus(parse_posts(path).records), saved)
         assert streamed.read_text(encoding="utf-8").splitlines(keepends=True) == expected
         assert saved.read_bytes() == streamed.read_bytes()
-        assert done.skipped == 0 and done.stats.n_posts == len(posts)
+        assert done.skipped == malformed and done.stats.n_posts == len(posts) - malformed
         assert load_post_table(streamed) == done.table
 
 

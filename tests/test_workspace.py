@@ -222,19 +222,6 @@ def test_require_refuses_inputs_keyed_by_stage(tmp_path):
     ws.require("graph.json")
 
 
-def test_require_does_not_check_an_entry_without_inputs(tmp_path):
-    # an entry written before inputs were recorded has none to compare
-    ws = _graph_built_from_ingest(tmp_path)
-    ws.path("corpus.jsonl").write_text("other content\n")
-    ws.record_stage("ingest", {})
-    with pytest.raises(StaleArtifactError, match="re-run 'graph'"):
-        ws.require("graph.json")
-    manifest = ws.load_manifest()
-    del manifest["stages"]["graph"]["inputs"]
-    ws.save_manifest(manifest)
-    assert ws.require("graph.json") == ws.path("graph.json")
-
-
 @pytest.mark.parametrize(
     "stage, edit, problem",
     [
@@ -242,8 +229,14 @@ def test_require_does_not_check_an_entry_without_inputs(tmp_path):
         ("graph", lambda entry: {**entry, "inputs": [1]}, "graph: inputs: expected a JSON object"),
         ("graph", lambda entry: {**entry, "artifacts": None}, "graph: artifacts: expected a JSON object"),
         ("ingest", lambda entry: {"config": {}}, "ingest: artifacts: expected a JSON object"),
+        # every entry records its inputs, so one without them is refused, not left unchecked
+        (
+            "graph",
+            lambda entry: {k: v for k, v in entry.items() if k != "inputs"},
+            "graph: inputs: expected a JSON object, got NoneType",
+        ),
     ],
-    ids=["entry", "inputs", "artifacts", "no-artifacts"],
+    ids=["entry", "inputs", "artifacts", "no-artifacts", "no-inputs"],
 )
 def test_a_misshapen_manifest_entry_names_the_stage_and_the_key(tmp_path, stage, edit, problem):
     ws = _graph_built_from_ingest(tmp_path)

@@ -11,10 +11,11 @@ even pairs and second in odd ones. Each run's result is the last line it
 prints.
 
 Above the summary it prints the line count of ``src/forumlens/*.py`` in each
-copy, the design metric that a change should lower. For each end-to-end
-metric of ``BENCHMARK.json`` it prints the parent's
-median [Q1, Q3], the change's median and the pairs the change won (ties count
-for neither side). A run that exits non-zero, prints no result or reports
+copy, the design metric that a change should lower, and beside it the count
+of code lines, which an edit to comments or docstrings cannot move. For each
+end-to-end metric of ``BENCHMARK.json`` it prints the parent's median [Q1,
+Q3], the change's median and the pairs the change won (ties count for
+neither side). A run that exits non-zero, prints no result or reports
 itself incorrect is listed by seed and side, and its pair counts as won by
 neither; its metrics stay out of the medians. The exit code is 1 when any run
 was listed. Standard library only; nothing is written inside the repository.
@@ -23,6 +24,8 @@ was listed. Standard library only; nothing is written inside the repository.
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import shutil
 import statistics
@@ -30,6 +33,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import tokenize
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -64,6 +68,28 @@ def copy_worktree(repo: Path, dest: Path) -> None:
 def src_lines(copy: Path) -> int:
     """The lines of ``src/forumlens/*.py`` under ``copy``, counted as ``wc -l`` does."""
     return sum(path.read_bytes().count(b"\n") for path in (copy / "src" / "forumlens").glob("*.py"))
+
+
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+             tokenize.ENCODING, tokenize.ENDMARKER}
+_DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def code_lines(copy: Path) -> int:
+    """The code lines of ``src/forumlens/*.py`` under ``copy``: lines that are not
+    blank, not comment-only and not inside a module, class or function docstring."""
+    total = 0
+    for path in (copy / "src" / "forumlens").glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        lines: set[int] = set()
+        for token in tokenize.generate_tokens(io.StringIO(text).readline):
+            if token.type not in _NOT_CODE:
+                lines.update(range(token.start[0], token.end[0] + 1))
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, _DOCUMENTED) and ast.get_docstring(node, clean=False) is not None:
+                lines.difference_update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        total += len(lines)
+    return total
 
 
 def run_once(copy: Path, workload: str, seed: int, seconds: float) -> Outcome:
@@ -147,6 +173,7 @@ def main(argv: list[str] | None = None) -> int:
         copy_revision(repo, args.parent, copies["parent"])
         copy_worktree(repo, copies["change"])
         lines_of = {side: src_lines(path) for side, path in copies.items()}
+        code_of = {side: code_lines(path) for side, path in copies.items()}
         for i, seed in enumerate(seeds):
             pair = {}
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
@@ -156,7 +183,8 @@ def main(argv: list[str] | None = None) -> int:
             pairs.append(pair)
     lines = summarize(spec["end_to_end"], pairs, seeds)
     print(f"{args.workload}, seeds {seeds[0]}-{seeds[-1]}, parent {args.parent}")
-    print(f"src/forumlens lines: {lines_of['parent']} -> {lines_of['change']}")
+    print(f"src/forumlens lines: {lines_of['parent']} -> {lines_of['change']}, "
+          f"code lines: {code_of['parent']} -> {code_of['change']}")
     print("\n".join(lines))
     return 1 if any(line.startswith("FAILED") for line in lines) else 0
 
