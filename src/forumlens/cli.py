@@ -407,7 +407,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         _check_flags(args)
         # one lock from the command's first stage to its last, so no other run interleaves
         with ws.lock():
-            for name, (stage, dests) in args.stages.items():
+            names = tuple(args.stages)
+            for i, (name, (stage, dests)) in enumerate(args.stages.items()):
+                # a handed-off object is held until the last of these that opens it
+                ws.to_come = names[i + 1:]
                 facts = stage(ws, args)
                 if facts is not None:
                     given = {dest: getattr(args, dest) for dest in dests}

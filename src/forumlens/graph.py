@@ -22,7 +22,7 @@ from typing import Iterable
 from . import DEFAULT_CAPEC_THRESHOLD, EXPORT_FORMATS
 from .catalog import CatalogSnapshot, SkillLevel, map_cve_to_capecs
 from .errors import ValidationError
-from .ingest import Corpus, Memo, PostTable
+from .ingest import Corpus, Memo, PostTable, encodable
 from .stats import describe
 from .workspace import field, read_json_object, replacing
 
@@ -227,7 +227,9 @@ def load_graph(path: str | Path) -> BimodalGraph:
     """Read a saved graph; every edge shares its actor's ``actor_ids`` string.
 
     A file that is no graph object with ``actors``, ``capecs`` and ``edges``
-    lists raises ``ValidationError`` naming the file and the key.
+    lists raises ``ValidationError`` naming the file and the key, and an actor
+    id that does not encode as UTF-8 (a lone surrogate, which JSON allows, and
+    which no file a stage writes can hold) one naming the file and the actor.
     """
     payload = read_json_object(path)
     for key in ("actors", "capecs", "edges"):
@@ -235,6 +237,9 @@ def load_graph(path: str | Path) -> BimodalGraph:
             problem = "missing" if key not in payload else "expected a list"
             raise ValidationError(f"{path}: {key}: {problem}")
     actors = field(path, "actors", lambda: {a: a for a in payload["actors"]})
+    for actor in actors:
+        if isinstance(actor, str):
+            field(path, actor, lambda: encodable(actor, "actor id"))
     capecs = field(path, "capecs", lambda: frozenset(int(c) for c in payload["capecs"]))
     return field(path, "edges", lambda: BimodalGraph(
         actor_ids=frozenset(actors),
@@ -266,8 +271,9 @@ def load_posts(path: str | Path, snapshot: CatalogSnapshot) -> ActorPosts:
 
     Each actor's value must be a non-empty list of ``[timestamp, [CAPEC ids]]``
     rows, each timestamp with a UTC offset and each CAPEC list non-empty and in
-    ``snapshot``, as :func:`save_posts` writes them; anything else raises
-    ``ValidationError`` naming the file and the actor.
+    ``snapshot``, as :func:`save_posts` writes them, and each actor id must
+    encode as UTF-8; anything else raises ``ValidationError`` naming the file
+    and the actor.
     """
     not_ids = "CAPEC ids must be a list of one or more integers"
 
@@ -285,7 +291,9 @@ def load_posts(path: str | Path, snapshot: CatalogSnapshot) -> ActorPosts:
             raise ValidationError(f"{not_ids}: {ids!r}")
         return shared[key]
 
-    def rows(ps: list) -> list[tuple[datetime, frozenset[int]]]:
+    def rows(actor: str, ps: list) -> list[tuple[datetime, frozenset[int]]]:
+        # a lone surrogate would fail only where a later stage writes the id
+        encodable(actor, "actor id")
         if not isinstance(ps, list) or not ps:
             raise ValidationError("expected a list of one or more [timestamp, [CAPEC ids]] rows")
         table = [(datetime.fromisoformat(ts), capecs(cs)) for ts, cs in ps]
@@ -294,7 +302,7 @@ def load_posts(path: str | Path, snapshot: CatalogSnapshot) -> ActorPosts:
             raise ValidationError("timestamp without a UTC offset")
         return table
 
-    return {a: field(path, a, lambda: rows(ps)) for a, ps in read_json_object(path).items()}
+    return {a: field(path, a, lambda: rows(a, ps)) for a, ps in read_json_object(path).items()}
 
 
 # --- partitions --------------------------------------------------------------

@@ -153,13 +153,14 @@ def _parse_record(line: str, mention_sets: Memo, actors: Memo) -> PostRecord:
                       obj["content"], mention_sets[tuple(raw_mentions)])
 
 
-def _encodable(actor_id: str) -> str:
-    """``actor_id`` if it encodes as UTF-8; a lone surrogate, which JSON allows, is refused."""
+def encodable(text: str, what: str) -> str:
+    """``text`` if it encodes as UTF-8; a lone surrogate, which JSON allows, raises
+    ``ValidationError`` as ``<what> does not encode as UTF-8: <reason>``."""
     try:
-        actor_id.encode("utf-8")
+        text.encode("utf-8")
     except UnicodeEncodeError as exc:
-        raise ValidationError(f"key 'actor_id' does not encode as UTF-8: {exc.reason}") from None
-    return actor_id
+        raise ValidationError(f"{what} does not encode as UTF-8: {exc.reason}") from None
+    return text
 
 
 class CheckedPosts:
@@ -184,7 +185,7 @@ class CheckedPosts:
     def __iter__(self) -> Iterator[PostRecord]:
         cve_ids = Memo(CveId.parse)
         mention_sets = Memo(lambda raw: frozenset([cve_ids[c] for c in raw]))
-        actors = Memo(_encodable)
+        actors = Memo(lambda actor_id: encodable(actor_id, "key 'actor_id'"))
         # bytes: each line is decoded on its own, so a bad byte costs one line; the
         # first may start with a byte order mark, and the file is never sought, so a pipe works
         with open(self.path, "rb") as handle:

@@ -8,10 +8,13 @@ recorded, the file exists, its digest still matches, and that stage's
 ``inputs`` still match the manifest; a mismatch is refused as stale unless
 forced, in which case the manifest is re-baselined to the current contents.
 
-Inside one command a stage may also hand the object it wrote to the next
-stage that opens the artifact (``hand_off`` and ``load``): the object is
-stamped with the digest recorded for the file and handed over once, and only
-while the file still has that digest; otherwise the reader parses the file.
+Inside one command a stage may also hand the object it wrote to the later
+stages that open the artifact (``hand_off`` and ``load``). ``STAGE_INPUTS``
+declares the artifacts each stage opens, and the command names the stages
+still to come (``to_come``). The object is stamped with the digest recorded
+for the file, handed to each later reader while the file still has that
+digest (otherwise the reader parses the file), and released in the load of
+the last one, so it does not outlive its use.
 """
 
 from __future__ import annotations
@@ -47,6 +50,21 @@ STAGE_ARTIFACTS: dict[str, tuple[str, ...]] = {
     "expertise": ("profiles.csv", "sample.csv", "sample_stats.json"),
     "cluster": ("clusters.json",),
     "report": ("report.json", "report.txt"),
+}
+
+# the artifacts each stage opens; a recorded stage's manifest ``inputs`` hold these keys
+STAGE_INPUTS: dict[str, tuple[str, ...]] = {
+    "synth": (),
+    "ingest": (),
+    "convert-catalog": (),
+    "graph": ("cve_cwe.csv", "capec.json", "corpus.jsonl"),
+    "communities": ("cve_cwe.csv", "capec.json", "capec_posts.json"),
+    "expertise": ("cve_cwe.csv", "capec.json", "capec_posts.json", "communities.json"),
+    "cluster": ("sample.csv",),
+    "report": (
+        "corpus_stats.json", "graph_stats.json", "removal.json", "communities.json",
+        "sample_stats.json", "clusters.json",
+    ),
 }
 
 # the stage that writes each artifact
@@ -170,6 +188,8 @@ class Workspace:
         self.root = Path(root)
         self.force = force
         self._reads: dict[str, str] = {}
+        # the stages of the running command after the one running now
+        self.to_come: tuple[str, ...] = ()
         # objects offered by the running stage, and recorded ones with their digest
         self._offered: dict[str, Any] = {}
         self._held: dict[str, tuple[str, Any]] = {}
@@ -208,8 +228,9 @@ class Workspace:
         """Hash the stage's artifacts and store them with its config and inputs.
 
         ``inputs`` are the digests of the artifacts ``require`` checked since
-        the last record. Objects the stage offered through ``hand_off`` are
-        stamped with the digests recorded here; other offers are dropped.
+        the last record. Objects the stage offered through ``hand_off`` for
+        its artifacts are stamped with the digests recorded here and held for
+        the stages to come that open them; other offers are dropped.
         """
         entry = {
             "config": dict(config),
@@ -218,7 +239,7 @@ class Workspace:
         }
         self._reads = {}
         for name, obj in self._offered.items():
-            if name in entry["artifacts"]:
+            if name in entry["artifacts"] and self._read_later(name):
                 self._held[name] = (entry["artifacts"][name], obj)
         self._offered = {}
         manifest = self.load_manifest()
@@ -280,21 +301,33 @@ class Workspace:
     def hand_off(self, name: str, obj: object) -> None:
         """Offer ``obj``, which the running stage wrote as artifact ``name``.
 
-        The offer counts once the stage is recorded; ``obj`` must equal what
-        the artifact's reader gives for the file written.
+        The offer counts once the stage is recorded, and only for the stages
+        in ``to_come`` that open the artifact. ``obj`` must equal what the
+        artifact's reader gives for the file written.
         """
         self._offered[name] = obj
 
     def load(self, name: str, read: Callable[[Path], T]) -> T:
         """Check artifact ``name`` as ``require`` does, and return its contents.
 
-        The object handed off for it comes back, once, when the file's digest
-        is still the one recorded with it; otherwise ``read(path)`` parses the
-        file.
+        The object held for it comes back while the file's digest is still the
+        one recorded with it; otherwise ``read(path)`` parses the file and the
+        object is dropped. When no stage in ``to_come`` opens the artifact,
+        this load, the last reader's, releases the object: only the caller
+        keeps it.
         """
         path = self.require(name)
-        digest, obj = self._held.pop(name, (None, None))
-        return obj if digest == self._reads[name] else read(path)
+        held = self._held.pop(name, None)
+        if held is None or held[0] != self._reads[name]:
+            del held  # a stale object is not kept alive while the file is parsed
+            return read(path)
+        if self._read_later(name):
+            self._held[name] = held
+        return held[1]
+
+    def _read_later(self, name: str) -> bool:
+        """Whether a stage in ``to_come`` opens artifact ``name``."""
+        return any(name in STAGE_INPUTS[stage] for stage in self.to_come)
 
     @contextmanager
     def lock(self) -> Iterator[None]:

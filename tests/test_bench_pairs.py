@@ -5,12 +5,17 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
-METRICS = [{"name": "wall_s", "better": "lower"}, {"name": "modularity", "better": "higher"}]
+METRICS = [
+    {"name": "wall_s", "better": "lower", "bound": 0.25},
+    {"name": "modularity", "better": "higher", "bound": 0.15},
+]
 
 
 def _pair(parent, change):
@@ -26,10 +31,11 @@ def test_summary_gives_medians_quartiles_and_pairs_won():
     ]
     assert bench_pairs.summarize(METRICS, pairs, [11, 12, 13, 14]) == [
         "4 of 4 pairs complete; parent median [Q1, Q3] -> change median",
-        # inclusive quartiles of 1, 2, 3, 4; the first and third pairs ran faster
-        "wall_s: 2.5 [1.75, 3.25] -> 2.7, change won 2/4",
+        # inclusive quartiles of 1, 2, 3, 4; the first and third pairs ran faster, and
+        # a spread of 1.5 is wider than 25% of 2.5
+        "wall_s: 2.5 [1.75, 3.25] -> 2.7, change won 2/4: unresolved",
         # higher is better, and the tie in the first pair counts for neither side
-        "modularity: 0.5 [0.475, 0.525] -> 0.55, change won 2/4",
+        "modularity: 0.5 [0.475, 0.525] -> 0.55, change won 2/4: no resolved change",
     ]
 
 
@@ -43,9 +49,51 @@ def test_a_failed_run_is_listed_and_its_pair_won_by_neither_side():
         "FAILED seed 7 change: exit 1: boom",
         "FAILED seed 9 parent: incorrect: 1/9 operations failed",
         "1 of 3 pairs complete; parent median [Q1, Q3] -> change median",
-        "wall_s: 2.5 [2.25, 2.75] -> 1, change won 1/3",
-        "modularity: 0.5 [0.5, 0.5] -> 0.55, change won 0/3",
+        "wall_s: 2.5 [2.25, 2.75] -> 1, change won 1/3: no resolved change",
+        "modularity: 0.5 [0.5, 0.5] -> 0.55, change won 0/3: no resolved change",
     ]
+
+
+# ten parent runs of wall_s: median 2.045, inclusive quartiles 2.0225 and 2.0675 (spread 0.045)
+_PARENT = [2.0 + 0.01 * i for i in range(10)]
+
+
+@pytest.mark.parametrize("change, expected", [
+    # every pair won, the median 0.5 lower
+    ([x - 0.5 for x in _PARENT], "gain"),
+    # nine pairs of ten still make a gain
+    ([x - 0.5 for x in _PARENT[:9]] + [3.0], "gain"),
+    # eight do not, and the change is no worse than the bound
+    ([x - 0.5 for x in _PARENT[:8]] + [3.0, 3.0], "no resolved change"),
+    # every pair won, but by less than the parent's own spread
+    ([x - 0.01 for x in _PARENT], "no resolved change"),
+    # the median 0.6 higher, more than 25% of 2.045
+    ([x + 0.6 for x in _PARENT], "worse"),
+    # 0.5 higher is inside the bound
+    ([x + 0.5 for x in _PARENT], "no resolved change"),
+], ids=["gain", "gain-9-of-10", "8-of-10", "inside-spread", "worse", "inside-bound"])
+def test_each_verdict_on_canned_pairs(change, expected):
+    pairs = [_pair({"wall_s": p}, {"wall_s": c}) for p, c in zip(_PARENT, change)]
+    [line] = bench_pairs.summarize(METRICS[:1], pairs, list(range(10)))[1:]
+    assert line.endswith(f": {expected}"), line
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    # median 2.35, quartiles 1.625 and 3.15: a spread of 1.525 against a bound of 0.5875
+    parent = [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 1.2, 2.2, 3.2]
+    pairs = [_pair({"wall_s": p}, {"wall_s": p + 0.1}) for p in parent]
+    [line] = bench_pairs.summarize(METRICS[:1], pairs, list(range(10)))[1:]
+    assert line.endswith(": unresolved"), line
+    # a change worse than the bound is worse, however wide the spread
+    pairs = [_pair({"wall_s": p}, {"wall_s": p + 1.0}) for p in parent]
+    [line] = bench_pairs.summarize(METRICS[:1], pairs, list(range(10)))[1:]
+    assert line.endswith(": worse"), line
+
+
+def test_where_higher_is_better_a_rise_is_the_gain_and_a_fall_the_loss():
+    assert bench_pairs.verdict([0.5] * 10, [0.6] * 10, 10, 10, -1, 0.15) == "gain"
+    assert bench_pairs.verdict([0.5] * 10, [0.4] * 10, 0, 10, -1, 0.15) == "worse"
+    assert bench_pairs.verdict([0.5] * 10, [0.45] * 10, 0, 10, -1, 0.15) == "no resolved change"
 
 
 def test_src_lines_counts_the_package_modules_as_wc_does(tmp_path):

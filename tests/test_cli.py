@@ -14,17 +14,18 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import forumlens
-from forumlens import catalog, cli, graph, ingest, synth, workspace
+from forumlens import catalog, cli, expertise, graph, ingest, synth, workspace
 from forumlens.cli import main
 from forumlens.errors import ValidationError
 from forumlens.graph import load_graph
-from forumlens.workspace import STAGE_ARTIFACTS, Workspace, sha256_file
+from forumlens.workspace import STAGE_ARTIFACTS, STAGE_INPUTS, Workspace, sha256_file
 
 from conftest import read_export
 
@@ -102,34 +103,112 @@ def _artifacts(ws):
     return {name: (ws / name).read_bytes() for name in names}
 
 
-def test_run_all_hands_each_artifact_to_the_next_stage_that_opens_it(
+def _counting(calls, name, real):
+    def wrapper(*args):
+        calls[name] += 1
+        return real(*args)
+    return wrapper
+
+
+def test_run_all_hands_each_artifact_to_every_later_stage_that_opens_it(
     pipeline_ws, tmp_path, monkeypatch
 ):
     def refuse(path):
         raise AssertionError(f"corpus loaded from {path}")
 
-    calls = Counter()
-
-    def counting(name, real):
-        def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
-        return wrapper
-
     def refuse_graph(path):
         raise AssertionError(f"graph loaded from {path}")
 
+    calls = Counter()
     # graph takes the post table ingest built
     for reader in ("load_corpus", "load_post_table"):
         monkeypatch.setattr(ingest, reader, refuse)
     # communities and expertise derive the graph from capec_posts.json
     monkeypatch.setattr(graph, "load_graph", refuse_graph)
-    monkeypatch.setattr(graph, "load_posts", counting("load_posts", graph.load_posts))
+    monkeypatch.setattr(graph, "load_posts", _counting(calls, "load_posts", graph.load_posts))
     ws = tmp_path / "ws"
     assert _run_all(ws, pipeline_ws.parent / "inputs") == 0
-    # communities takes what graph wrote; expertise, the second reader, reads the file
-    assert calls == {"load_posts": 1}
+    # communities and expertise both take the table graph wrote; neither reads the file
+    assert calls == {}
     assert _artifacts(ws) == _artifacts(pipeline_ws)
+
+
+class _Table(dict):
+    """A resolved-post table a weak reference can watch."""
+
+
+def test_run_all_releases_the_post_table_before_cluster(pipeline_ws, tmp_path, monkeypatch):
+    refs, seen = [], {}
+    surviving, build, cluster = graph.surviving_posts, expertise.build_profiles, cli.cmd_cluster
+
+    def watched(*args):
+        table = _Table(surviving(*args))
+        refs.append(weakref.ref(table))
+        return table
+
+    def building(posts, *args, **kwargs):
+        seen["expertise took it"] = posts is refs[0]()
+        return build(posts, *args, **kwargs)
+
+    def clustering(ws, args):
+        seen["alive at cluster"] = refs[0]() is not None
+        return cluster(ws, args)
+
+    monkeypatch.setattr(graph, "surviving_posts", watched)
+    monkeypatch.setattr(expertise, "build_profiles", building)
+    monkeypatch.setattr(cli, "cmd_cluster", clustering)
+    assert _run_all(tmp_path / "ws", pipeline_ws.parent / "inputs") == 0
+    assert len(refs) == 1
+    assert seen == {"expertise took it": True, "alive at cluster": False}
+
+
+def test_expertise_reads_capec_posts_on_its_own_and_after_an_edit(
+    pipeline_ws, tmp_path, monkeypatch
+):
+    calls = Counter()
+    monkeypatch.setattr(graph, "load_posts", _counting(calls, "load_posts", graph.load_posts))
+    ws = tmp_path / "ws"
+    shutil.copytree(pipeline_ws, ws)
+    assert main(["expertise", "--workspace", str(ws)]) == 0
+    assert calls == {"load_posts": 1}
+
+    # in run-all, capec_posts.json is rewritten (same table, other bytes) after communities
+    communities = cli.cmd_communities
+
+    def then_edit(ws, args):
+        facts = communities(ws, args)
+        path = ws.path("capec_posts.json")
+        path.write_text(json.dumps(json.loads(path.read_text()), indent=1))
+        return facts
+
+    monkeypatch.setattr(cli, "cmd_communities", then_edit)
+    calls.clear()
+    ws = tmp_path / "forced"
+    assert _run_all(ws, pipeline_ws.parent / "inputs", "--force") == 0
+    # the held table no longer matches the file, so expertise reads the file
+    assert calls == {"load_posts": 1}
+    for name in STAGE_ARTIFACTS["expertise"]:
+        assert (ws / name).read_bytes() == (pipeline_ws / name).read_bytes(), name
+
+
+def _declared_inputs_hold(ws):
+    manifest = json.loads((ws / "manifest.json").read_text())
+    for stage, entry in manifest["stages"].items():
+        assert set(entry["inputs"]) == set(STAGE_INPUTS[stage]), stage
+    return set(manifest["stages"])
+
+
+def test_each_stage_records_the_inputs_workspace_declares_for_it(pipeline_ws, tmp_path):
+    # require records what a stage opens; STAGE_INPUTS, which decides how long a
+    # handed-off object is held, must name the same artifacts
+    assert _declared_inputs_hold(pipeline_ws) == set(cli.PIPELINE)  # written by run-all
+    ws = tmp_path / "each"
+    assert main(["synth", "--workspace", str(ws)]) == 0
+    assert _declared_inputs_hold(ws) == {"synth"}
+    for stage, *flags in _stage_argvs(pipeline_ws.parent / "inputs"):
+        assert main([stage, "--workspace", str(ws), *flags]) == 0, stage
+        assert stage in _declared_inputs_hold(ws)
+    assert _declared_inputs_hold(ws) == set(STAGE_INPUTS)
 
 
 def _stage_argvs(inputs, *graph_flags):
@@ -514,6 +593,49 @@ def test_a_lone_surrogate_actor_id_is_a_skipped_line_for_run_all(pipeline_ws, tm
     actors = [row.split(",")[0] for row in (ws / "profiles.csv").read_text().splitlines()]
     assert "\ud800x" not in actors
     assert _artifacts(ws) == _artifacts(pipeline_ws)
+
+
+def _rename_actor_in_capec_posts(ws, old, new):
+    path = ws / "capec_posts.json"
+    posts = json.loads(path.read_text())
+    posts[new] = posts.pop(old)
+    path.write_text(json.dumps(posts))
+    path = ws / "communities.json"
+    part = json.loads(path.read_text())
+    part["assignment"][f"actor:{new}"] = part["assignment"].pop(f"actor:{old}")
+    path.write_text(json.dumps(part))
+    return ws / "capec_posts.json"
+
+
+def _rename_actor_in_graph(ws, old, new):
+    path = ws / "graph.json"
+    payload = json.loads(path.read_text())
+    payload["actors"] = [new if a == old else a for a in payload["actors"]]
+    payload["edges"] = [[new if a == old else a, c] for a, c in payload["edges"]]
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@pytest.mark.parametrize("argv, rename", [
+    (["expertise"], _rename_actor_in_capec_posts),
+    (["export-graph", "--format", "dot"], _rename_actor_in_graph),
+], ids=["expertise", "export-graph-dot"])
+def test_a_lone_surrogate_actor_id_in_an_artifact_is_refused_by_its_reader(
+    pipeline_ws, tmp_path, caplog, argv, rename
+):
+    # a hand edit JSON allows; the first file written with the id could not encode it
+    ws = tmp_path / "ws"
+    shutil.copytree(pipeline_ws, ws)
+    actor = json.loads((ws / "graph.json").read_text())["actors"][0]
+    path = rename(ws, actor, "b\ud800b")
+    caplog.clear()
+    assert main([*argv, "--workspace", str(ws), "--force"]) == 1
+    [error] = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert error.getMessage() == (
+        f"{path}: b\ud800b: actor id does not encode as UTF-8: surrogates not allowed"
+    )
+    assert error.exc_info is None
+    assert list(ws.rglob("*.tmp")) == []
 
 
 def test_export_graph_refuses_graphml_for_a_node_xml_cannot_carry(pipeline_ws, tmp_path, caplog):

@@ -563,6 +563,11 @@ def test_load_graph_shares_each_actor_string(tmp_path):
             '{"actors": ["a"], "capecs": [1], "edges": [["ghost", 1]]}',
             "edges: edge ('ghost', 1) references unknown node",
         ),
+        # JSON allows a lone surrogate; no file a stage writes can hold it
+        (
+            '{"actors": ["a", "b\\ud800b"], "capecs": [1], "edges": [["b\\ud800b", 1]]}',
+            "b\ud800b: actor id does not encode as UTF-8: surrogates not allowed",
+        ),
     ],
 )
 def test_load_graph_names_the_file_and_the_key(tmp_path, text, problem):
@@ -616,6 +621,11 @@ def test_load_graph_names_the_file_and_the_key(tmp_path, text, problem):
         (
             '{"alice": [["2021-01-01T00:00:00+00:00", [1]], ["2021-01-02T00:00:00", [1]]]}',
             "alice: timestamp without a UTC offset",
+        ),
+        (
+            '{"alice": [["2021-01-01T00:00:00+00:00", [1]]],'
+            ' "b\\ud800b": [["2021-01-01T00:00:00+00:00", [1]]]}',
+            "b\ud800b: actor id does not encode as UTF-8: surrogates not allowed",
         ),
     ],
 )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
+import weakref
 from datetime import datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
@@ -12,6 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 import forumlens
+from forumlens.cli import PIPELINE
 from forumlens.errors import (
     ForumlensError, MissingUpstreamError, StaleArtifactError, ValidationError,
 )
@@ -19,6 +21,7 @@ from forumlens.expertise import ActorProfile, save_profiles
 from forumlens.ingest import PostRecord, build_corpus, save_corpus
 from forumlens.workspace import (
     STAGE_ARTIFACTS,
+    STAGE_INPUTS,
     Workspace,
     WorkspaceLockedError,
     default_root,
@@ -140,14 +143,20 @@ def test_require_force_rebaselines(tmp_path):
     assert entry["artifacts"]["corpus.jsonl"] == sha256_file(ws.path("corpus.jsonl"))
 
 
-def _handed_off(tmp_path, held):
-    """A workspace whose ingest stage offered ``held`` for corpus.jsonl and recorded."""
+class _Held:
+    """A handed-off object a weak reference can watch."""
+
+
+def _handed_off(tmp_path, held, stage="ingest", name="corpus.jsonl"):
+    """A workspace whose ``stage`` offered ``held`` for ``name`` and recorded, with
+    the stages after it in run-all to come."""
     ws = Workspace(tmp_path)
     ws.root.mkdir(exist_ok=True)
-    for name in STAGE_ARTIFACTS["ingest"]:
-        ws.path(name).write_text(f"content of {name}\n")
-    ws.hand_off("corpus.jsonl", held)
-    ws.record_stage("ingest", {})
+    for artifact in STAGE_ARTIFACTS[stage]:
+        ws.path(artifact).write_text(f"content of {artifact}\n")
+    ws.to_come = PIPELINE[PIPELINE.index(stage) + 1:]
+    ws.hand_off(name, held)
+    ws.record_stage(stage, {})
     return ws
 
 
@@ -155,18 +164,40 @@ def _read_text(path):
     return Path(path).read_text()
 
 
-def test_load_hands_over_the_recorded_object_once(tmp_path):
-    held = object()
-    ws = _handed_off(tmp_path, held)
-    assert ws.load("corpus.jsonl", _read_text) is held
-    # handed over once: the next load of the artifact reads the file
-    assert ws.load("corpus.jsonl", _read_text) == "content of corpus.jsonl\n"
+def test_load_hands_the_object_to_each_reader_to_come_and_releases_it_at_the_last(tmp_path):
+    held = _Held()
+    ref = weakref.ref(held)
+    ws = _handed_off(tmp_path, held, "graph", "capec_posts.json")
+    del held
+    ws.to_come = ("expertise", "cluster", "report")  # communities runs; expertise reads later
+    assert ws.load("capec_posts.json", _read_text) is ref()
+    assert ref() is not None  # still held for expertise
+    ws.to_come = ("cluster", "report")  # expertise, the last reader, runs
+    assert ws.load("capec_posts.json", _read_text) is ref()
+    assert ref() is None  # released inside that load: only its caller kept it
+    assert ws.load("capec_posts.json", _read_text) == "content of capec_posts.json\n"
     # load checks what require checks, and records the digest it read
-    for name in STAGE_ARTIFACTS["graph"]:
-        ws.path(name).write_text(f"content of {name}\n")
-    assert ws.record_stage("graph", {})["inputs"] == {
-        "corpus.jsonl": sha256_file(ws.path("corpus.jsonl"))
+    for artifact in STAGE_ARTIFACTS["expertise"]:
+        ws.path(artifact).write_text(f"content of {artifact}\n")
+    assert ws.record_stage("expertise", {})["inputs"] == {
+        "capec_posts.json": sha256_file(ws.path("capec_posts.json"))
     }
+
+
+def test_an_offer_no_stage_to_come_opens_is_not_held(tmp_path):
+    held = _Held()
+    ref = weakref.ref(held)
+    ws = Workspace(tmp_path)
+    ws.root.mkdir(exist_ok=True)
+    for artifact in STAGE_ARTIFACTS["graph"]:
+        ws.path(artifact).write_text(f"content of {artifact}\n")
+    ws.to_come = ("cluster", "report")  # neither opens capec_posts.json
+    ws.hand_off("capec_posts.json", held)
+    del held
+    ws.record_stage("graph", {})
+    assert ref() is None
+    ws.to_come = ()
+    assert ws.load("capec_posts.json", _read_text) == "content of capec_posts.json\n"
 
 
 def test_load_reads_an_edited_file_under_force_and_refuses_it_without(tmp_path):
@@ -175,14 +206,20 @@ def test_load_reads_an_edited_file_under_force_and_refuses_it_without(tmp_path):
     with pytest.raises(StaleArtifactError):
         ws.load("corpus.jsonl", _read_text)
 
-    ws = _handed_off(tmp_path / "forced", object())
-    ws.path("corpus.jsonl").write_text("edited\n")
+    held = _Held()
+    ref = weakref.ref(held)
+    ws = _handed_off(tmp_path / "forced", held, "graph", "capec_posts.json")
+    del held
+    ws.path("capec_posts.json").write_text("edited\n")
     ws.force = True
-    assert ws.load("corpus.jsonl", _read_text) == "edited\n"
+    ws.to_come = ("expertise",)  # a later reader, which gets the file too
+    assert ws.load("capec_posts.json", _read_text) == "edited\n"
+    assert ref() is None  # the object no longer matches the file, so it is dropped
 
 
 def test_load_does_not_hand_over_an_object_whose_stage_never_recorded(tmp_path):
     ws = _ws_with_stage(tmp_path, "ingest")
+    ws.to_come = ("graph",)
     # offered, but the stage ended without recording, and another stage recorded next
     ws.hand_off("corpus.jsonl", object())
     _ws_with_stage(tmp_path, "convert-catalog")
@@ -192,6 +229,14 @@ def test_load_does_not_hand_over_an_object_whose_stage_never_recorded(tmp_path):
     # offered and never recorded at all
     ws.hand_off("corpus.jsonl", object())
     assert ws.load("corpus.jsonl", _read_text) == "content of corpus.jsonl\n"
+
+
+def test_stage_inputs_declares_every_stage_and_only_artifacts():
+    assert STAGE_INPUTS.keys() == STAGE_ARTIFACTS.keys()
+    written = {name for names in STAGE_ARTIFACTS.values() for name in names}
+    for stage, names in STAGE_INPUTS.items():
+        assert set(names) <= written, stage
+        assert not set(names) & set(STAGE_ARTIFACTS[stage]), stage  # no stage opens its own
 
 
 def test_require_refuses_a_stage_built_from_changed_inputs(tmp_path, caplog):

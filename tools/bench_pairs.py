@@ -14,8 +14,17 @@ Above the summary it prints the line count of ``src/forumlens/*.py`` in each
 copy, the design metric that a change should lower, and beside it the count
 of code lines, which an edit to comments or docstrings cannot move. For each
 end-to-end metric of ``BENCHMARK.json`` it prints the parent's median [Q1,
-Q3], the change's median and the pairs the change won (ties count for
-neither side). A run that exits non-zero, prints no result or reports
+Q3], the change's median, the pairs the change won (ties count for neither
+side) and a verdict, by the metric's ``bound`` (a fraction of the parent's
+median):
+
+- ``gain``: the change won at least nine tenths of the pairs run, and its
+  median is better than the parent's by more than the parent's Q3 - Q1;
+- ``worse``: the change's median is worse than the parent's by more than the
+  bound;
+- ``unresolved``: the parent's Q3 - Q1 is wider than the bound;
+- ``no resolved change``: none of these.
+ A run that exits non-zero, prints no result or reports
 itself incorrect is listed by seed and side, and its pair counts as won by
 neither; its metrics stay out of the medians. The exit code is 1 when any run
 was listed. Standard library only; nothing is written inside the repository.
@@ -118,11 +127,28 @@ def _quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
+def verdict(parent: list[float], change: list[float], won: int, pairs: int, sign: int,
+            bound: float) -> str:
+    """The verdict on one metric: ``sign`` is 1 where lower is better and -1 where
+    higher is, and ``bound`` the worsening allowed, as a fraction of the parent's median."""
+    base = statistics.median(parent)
+    better = sign * (base - statistics.median(change))  # > 0 where the change's median is better
+    q1, q3 = _quartiles(parent)
+    allowed = bound * abs(base)
+    if 10 * won >= 9 * pairs and better > q3 - q1:
+        return "gain"
+    if -better > allowed:
+        return "worse"
+    if q3 - q1 > allowed:
+        return "unresolved"
+    return "no resolved change"
+
+
 def summarize(metrics: list[dict], pairs: list[dict[str, Outcome]], seeds: list[int]) -> list[str]:
     """Report lines for ``pairs``, one ``{"parent": outcome, "change": outcome}`` per seed.
 
-    ``metrics`` are the ``end_to_end`` entries of ``BENCHMARK.json``: a name and
-    whether ``lower`` or ``higher`` is better.
+    ``metrics`` are the ``end_to_end`` entries of ``BENCHMARK.json``: a name,
+    whether ``lower`` or ``higher`` is better, and the ``bound``.
     """
     lines = []
     for seed, pair in zip(seeds, pairs):
@@ -143,9 +169,10 @@ def summarize(metrics: list[dict], pairs: list[dict[str, Outcome]], seeds: list[
             continue
         won = sum(sign * p["change"][name] < sign * p["parent"][name] for p in whole)
         q1, q3 = _quartiles(got["parent"])
+        judged = verdict(got["parent"], got["change"], won, len(pairs), sign, metric["bound"])
         lines.append(
             f"{name}: {statistics.median(got['parent']):.6g} [{q1:.6g}, {q3:.6g}] -> "
-            f"{statistics.median(got['change']):.6g}, change won {won}/{len(pairs)}"
+            f"{statistics.median(got['change']):.6g}, change won {won}/{len(pairs)}: {judged}"
         )
     return lines
 
