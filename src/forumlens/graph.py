@@ -223,29 +223,47 @@ def save_graph(graph: BimodalGraph, path: str | Path) -> None:
         handle.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
+def _actor_id(actor: object) -> str:
+    """An actor id as a stage writes it: a string that encodes as UTF-8 (a lone
+    surrogate would fail only where a later stage writes the id)."""
+    if not isinstance(actor, str):
+        raise ValidationError(f"actor id must be a string, got {type(actor).__name__}")
+    return encodable(actor, "actor id")
+
+
+def _capec_ids(ids: object) -> tuple[int, ...]:
+    """CAPEC ids as a stage writes them: a non-empty list of JSON integers."""
+    key = tuple(ids)  # a non-iterable fails here, as any other row of the wrong shape does
+    # checked before a caller hashes the key, so a string is named as written and a list
+    # or an object among the ids as an id, not as unhashable; a bool's type is not int
+    if not isinstance(ids, list) or not key or not {int}.issuperset(map(type, key)):
+        raise ValidationError(f"CAPEC ids must be a list of one or more integers: {ids!r}")
+    return key
+
+
 def load_graph(path: str | Path) -> BimodalGraph:
     """Read a saved graph; every edge shares its actor's ``actor_ids`` string.
 
     A file that is no graph object with ``actors``, ``capecs`` and ``edges``
-    lists raises ``ValidationError`` naming the file and the key, and an actor
-    id that does not encode as UTF-8 (a lone surrogate, which JSON allows, and
-    which no file a stage writes can hold) one naming the file and the actor.
+    lists raises ``ValidationError`` naming the file and the key. Each actor
+    and the CAPEC list are checked as :func:`load_posts` checks them: an actor
+    id that is no string or does not encode as UTF-8 (a lone surrogate, which
+    JSON allows) is named with the file, and ``capecs`` must be a non-empty
+    list of JSON integers; no stage writes an empty one, as ``graph`` refuses
+    an empty graph. An edge names a listed node, or the graph's check refuses it.
     """
     payload = read_json_object(path)
     for key in ("actors", "capecs", "edges"):
         if not isinstance(payload.get(key), list):
             problem = "missing" if key not in payload else "expected a list"
             raise ValidationError(f"{path}: {key}: {problem}")
-    actors = field(path, "actors", lambda: {a: a for a in payload["actors"]})
-    for actor in actors:
-        if isinstance(actor, str):
-            field(path, actor, lambda: encodable(actor, "actor id"))
-    capecs = field(path, "capecs", lambda: frozenset(int(c) for c in payload["capecs"]))
+    actors = {a: field(path, a, lambda: _actor_id(a)) for a in payload["actors"]}
+    capecs = {c: c for c in field(path, "capecs", lambda: _capec_ids(payload["capecs"]))}
     return field(path, "edges", lambda: BimodalGraph(
         actor_ids=frozenset(actors),
-        capec_ids=capecs,
-        # an unknown actor keeps its own string, and the graph's check refuses it
-        edges=frozenset((actors.get(a, a), int(c)) for a, c in payload["edges"]),
+        capec_ids=frozenset(capecs),
+        # an unlisted node keeps its own value, and the graph's check refuses it
+        edges=frozenset((actors.get(a, a), capecs.get(c, c)) for a, c in payload["edges"]),
     ))
 
 
@@ -275,28 +293,17 @@ def load_posts(path: str | Path, snapshot: CatalogSnapshot) -> ActorPosts:
     encode as UTF-8; anything else raises ``ValidationError`` naming the file
     and the actor.
     """
-    not_ids = "CAPEC ids must be a list of one or more integers"
-
     @Memo
     def shared(key: tuple) -> frozenset[int]:
         if lacked := sorted(set(key) - snapshot.capecs.keys()):
             raise ValidationError(f"CAPEC ids the catalog lacks: {lacked}")
         return frozenset(key)
 
-    def capecs(ids: list[int]) -> frozenset[int]:
-        key = tuple(ids)  # a non-iterable fails here, as any other row of the wrong shape does
-        # checked before the memo hashes the key, so a string is named as written and a list
-        # or an object among the ids as an id, not as unhashable; a bool's type is not int
-        if not isinstance(ids, list) or not key or not {int}.issuperset(map(type, key)):
-            raise ValidationError(f"{not_ids}: {ids!r}")
-        return shared[key]
-
     def rows(actor: str, ps: list) -> list[tuple[datetime, frozenset[int]]]:
-        # a lone surrogate would fail only where a later stage writes the id
-        encodable(actor, "actor id")
+        _actor_id(actor)
         if not isinstance(ps, list) or not ps:
             raise ValidationError("expected a list of one or more [timestamp, [CAPEC ids]] rows")
-        table = [(datetime.fromisoformat(ts), capecs(cs)) for ts, cs in ps]
+        table = [(datetime.fromisoformat(ts), shared[_capec_ids(cs)]) for ts, cs in ps]
         # a naive timestamp would fail only where expertise compares it with an aware one
         if any(when.tzinfo is None for when, _ in table):
             raise ValidationError("timestamp without a UTC offset")

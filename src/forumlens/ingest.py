@@ -104,8 +104,6 @@ class ParsedPosts:
 
 def parse_timestamp(value: str) -> datetime:
     """Parse an ISO-8601 timestamp to a UTC instant at second resolution."""
-    if not isinstance(value, str):
-        raise ValidationError(f"timestamp must be a string, got {type(value).__name__}")
     text = value.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"

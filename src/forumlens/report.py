@@ -10,13 +10,11 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .workspace import Workspace, field, read_json_object, replacing
+from .workspace import STAGE_ARTIFACTS, STAGE_INPUTS, Workspace, field, read_json_object, replacing
 
 
 def _fmt(value, digits: int = 2) -> str:
-    if isinstance(value, float):
-        return f"{value:.{digits}f}"
-    return str(value)
+    return f"{float(value):.{digits}f}"
 
 
 def _table(headers: Sequence[str], rows: Iterable[Sequence[str]]) -> list[str]:
@@ -34,7 +32,7 @@ def _table(headers: Sequence[str], rows: Iterable[Sequence[str]]) -> list[str]:
 
 def _stats_row(name: str, block: dict) -> list[str]:
     values = (block[key] for key in ("mean", "std", "min", "median", "p75", "max"))
-    return [name, str(block["count"]), *(_fmt(float(v)) for v in values)]
+    return [name, str(block["count"]), *(_fmt(v) for v in values)]
 
 
 # Each part below puts one input artifact into the report document and returns
@@ -61,7 +59,7 @@ def _graph(graph_stats: dict, report: dict) -> list[str]:
                 block["n_actors"],
                 block["n_capecs"],
                 block["n_edges"],
-                _fmt(float(block["density"]), 6),
+                _fmt(block["density"], 6),
             ]
         )
     lines = ["== Bimodal graph and popularity filter =="]
@@ -94,7 +92,7 @@ def _communities(communities: dict, report: dict) -> list[str]:
     }
     lines = ["== Communities of interest =="]
     lines.append(
-        f"communities: {comm['count']}  modularity: {_fmt(float(comm['modularity']), 4)}"
+        f"communities: {comm['count']}  modularity: {_fmt(comm['modularity'], 4)}"
     )
     rows = [
         [
@@ -102,9 +100,9 @@ def _communities(communities: dict, report: dict) -> list[str]:
             row["nodes"],
             row["actors"],
             row["capecs"],
-            _fmt(float(row["one_timer_pct"]), 1),
-            f"{_fmt(float(row['out_degree']['mean']))} ± {_fmt(float(row['out_degree']['std']))}",
-            f"{_fmt(float(row['specialized_posts']['mean']))} ± {_fmt(float(row['specialized_posts']['std']))}",
+            _fmt(row["one_timer_pct"], 1),
+            f"{_fmt(row['out_degree']['mean'])} ± {_fmt(row['out_degree']['std'])}",
+            f"{_fmt(row['specialized_posts']['mean'])} ± {_fmt(row['specialized_posts']['std'])}",
             " ".join(row["keywords"]),
         ]
         for row in comm["overview"]
@@ -151,15 +149,15 @@ def _clusters(clusters: dict, report: dict) -> list[str]:
         lines.append(f"clustering skipped: {clusters['reason']}")
     else:
         lines.append(
-            f"k: {clusters['k']}  silhouette: {_fmt(float(clusters['silhouette']), 4)}"
+            f"k: {clusters['k']}  silhouette: {_fmt(clusters['silhouette'], 4)}"
         )
         centroid = ("skill", "commitment", "activity_rate")
         rows = [
             [
                 row["cluster"],
-                *(_fmt(float(row["centroid_raw"][f])) for f in centroid),
+                *(_fmt(row["centroid_raw"][f]) for f in centroid),
                 row["members"],
-                _fmt(float(row["pct_of_sample"]), 1),
+                _fmt(row["pct_of_sample"], 1),
                 row["label"],
             ]
             for row in clusters["clusters"]
@@ -172,21 +170,14 @@ def _clusters(clusters: dict, report: dict) -> list[str]:
         )
         for row in clusters["clusters"]:
             shares[row["quadrant"]] = shares.get(row["quadrant"], 0.0) + row["pct_of_sample"]
-        shown = ", ".join(f"{q} {_fmt(float(pct), 1)}%" for q, pct in shares.items())
+        shown = ", ".join(f"{q} {_fmt(pct, 1)}%" for q, pct in shares.items())
         lines.append(f"quadrant shares: {shown}")
     lines.append("")
     return lines
 
 
-# the input artifacts, in the order the report opens them, and the part each feeds
-_PARTS = (
-    ("corpus_stats.json", _corpus),
-    ("graph_stats.json", _graph),
-    ("removal.json", _removal),
-    ("communities.json", _communities),
-    ("sample_stats.json", _sample),
-    ("clusters.json", _clusters),
-)
+# one part per report input, in the order of STAGE_INPUTS["report"]
+_PARTS = (_corpus, _graph, _removal, _communities, _sample, _clusters)
 
 
 def build_report(ws: Workspace) -> tuple[dict, str]:
@@ -196,18 +187,20 @@ def build_report(ws: Workspace) -> tuple[dict, str]:
     missing key or a wrong type in an input raises ``ValidationError`` as
     ``<file>: <key>: missing`` or ``<file>: <problem>``.
     """
-    inputs = [ws.load(name, read_json_object) for name, _ in _PARTS]
+    names = STAGE_INPUTS["report"]
+    inputs = [ws.load(name, read_json_object) for name in names]
     report: dict = {}
     lines: list[str] = []
-    for (name, part), data in zip(_PARTS, inputs):
+    for name, part, data in zip(names, _PARTS, inputs, strict=True):
         lines += field(ws.path(name), None, lambda: part(data, report))
     return report, "\n".join(lines)
 
 
 def emit_report(ws: Workspace) -> tuple:
-    """Write report.json and report.txt; returns both paths."""
+    """Write the report document as JSON and its text; returns both paths."""
     report, text = build_report(ws)
-    json_path = ws.write_json("report.json", report)
-    with replacing(ws.path("report.txt")) as handle:
+    json_name, text_name = STAGE_ARTIFACTS["report"]
+    json_path = ws.write_json(json_name, report)
+    with replacing(ws.path(text_name)) as handle:
         handle.write(text)
-    return json_path, ws.path("report.txt")
+    return json_path, ws.path(text_name)

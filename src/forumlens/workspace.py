@@ -52,7 +52,8 @@ STAGE_ARTIFACTS: dict[str, tuple[str, ...]] = {
     "report": ("report.json", "report.txt"),
 }
 
-# the artifacts each stage opens; a recorded stage's manifest ``inputs`` hold these keys
+# the artifacts each stage opens; a recorded stage's manifest ``inputs`` hold these keys,
+# and the report's sections follow the order of its inputs here
 STAGE_INPUTS: dict[str, tuple[str, ...]] = {
     "synth": (),
     "ingest": (),

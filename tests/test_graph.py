@@ -555,8 +555,12 @@ def test_load_graph_shares_each_actor_string(tmp_path):
         ('{"actors": "a", "capecs": [], "edges": []}', "actors: expected a list"),
         ('{"actors": [], "capecs": {"1": 1}, "edges": []}', "capecs: expected a list"),
         ('{"actors": [], "capecs": [], "edges": null}', "edges: expected a list"),
-        ('{"actors": [["a"]], "capecs": [], "edges": []}', "actors: unhashable type"),
-        ('{"actors": [], "capecs": ["x"], "edges": []}', "capecs: invalid literal"),
+        # an actor id is a string, and CAPEC ids are checked as load_posts checks them
+        ('{"actors": [["a"]], "capecs": [1], "edges": []}', "['a']: actor id must be a string"),
+        (
+            '{"actors": [], "capecs": ["x"], "edges": []}',
+            "capecs: CAPEC ids must be a list of one or more integers: ['x']",
+        ),
         ('{"actors": ["a"], "capecs": [1], "edges": [["a"]]}', "edges: not enough values"),
         ('{"actors": ["a"], "capecs": [1], "edges": [7]}', "edges: cannot unpack"),
         (
