@@ -90,6 +90,7 @@ def parse_capec_xml(path: str | Path) -> list[CapecEntry]:
             continue
         capec_id = node.get("ID")
         if capec_id is None:
+            logger.warning("skipping attack pattern %r without an ID", node.get("Name", ""))
             continue
         where = f"attack pattern ID={capec_id!r}"
         entries.append(field(path, where, lambda: _capec_entry(node, capec_id)))

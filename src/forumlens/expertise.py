@@ -247,10 +247,20 @@ def load_profiles(path: str | Path) -> list[ActorProfile]:
     A row holding a value :func:`save_profiles` never writes (no number, a
     skill outside [1, 3], a commitment outside [0, 100], a rate outside
     (0, n_posts], a post count too large for a float, or fewer than 1 post or
-    activity day) raises ``ValidationError`` naming the file and the line.
+    activity day) or an ``actor_id`` an earlier row holds raises
+    ``ValidationError`` naming the file and the line.
     """
     path = Path(path)
     with reading_csv(path) as reader:
         if reader.fieldnames is None or tuple(reader.fieldnames) != PROFILE_COLUMNS:
             raise ValidationError(f"unexpected profile columns in {path}: {reader.fieldnames}")
-        return [field(path, f"line {reader.line_num}", lambda: _profile(row)) for row in reader]
+        first_line: dict[str, int] = {}
+
+        def profile(row: dict[str, str]) -> ActorProfile:
+            checked = _profile(row)
+            line = first_line.setdefault(checked.actor_id, reader.line_num)
+            if line != reader.line_num:
+                raise ValueError(f"actor_id {checked.actor_id!r} repeats line {line}")
+            return checked
+
+        return [field(path, f"line {reader.line_num}", lambda: profile(row)) for row in reader]

@@ -335,7 +335,7 @@ def _corpus_posts(path: str | Path) -> Iterator[PostRecord]:
     checked = CheckedPosts(path)
     yield from checked
     if checked.skipped:
-        raise ValidationError(f"corpus file {path} has {checked.skipped} malformed lines")
+        raise ValidationError(f"{path}: {checked.skipped} malformed line(s)")
 
 
 def load_post_table(path: str | Path) -> PostTable:

@@ -142,3 +142,31 @@ def test_code_lines_leaves_out_blanks_comments_and_docstrings(tmp_path):
     (tmp_path / "tools.py").write_text("outside = 'the package'\n")
     # a.py: import, class, def, the string's 2 lines, return's 2 code lines, async def, return
     assert bench_pairs.code_lines(tmp_path) == 9 + 1
+
+
+_RUN = {"setup_s": 1.0, "wall_s": 2.0, "cpu_s": 2.0, "peak_rss_mb": 50.0, "modularity": 0.5,
+        "planted_agreement": 0.9, "silhouette": 0.4}
+
+
+@pytest.mark.parametrize("change, worse, code", [
+    (_RUN, [], 0),
+    # 0.4 s slower is inside wall_s's bound of 25%
+    ({**_RUN, "wall_s": 2.4}, [], 0),
+    # 1 s slower is not
+    ({**_RUN, "wall_s": 3.0}, ["wall_s"], 1),
+    # where higher is better, a fall is worse
+    ({**_RUN, "modularity": 0.3}, ["modularity"], 1),
+    # a failed run, as before
+    ("exit 1: boom", [], 1),
+], ids=["equal", "inside-bound", "worse", "worse-higher-is-better", "failed"])
+def test_main_exits_1_on_a_worse_verdict_or_a_failed_run(monkeypatch, capsys, change, worse, code):
+    # canned runs: no copy is made and no benchmark runs
+    monkeypatch.chdir(_PATH.parents[1])
+    monkeypatch.setattr(bench_pairs, "copy_revision", lambda repo, rev, dest: None)
+    monkeypatch.setattr(bench_pairs, "copy_worktree", lambda repo, dest: None)
+    outcomes = {"parent": _RUN, "change": change}
+    monkeypatch.setattr(bench_pairs, "run_once", lambda copy, *args: outcomes[copy.name])
+    argv = ["--parent", "HEAD", "--workload", "chatty", "--pairs", "3", "--seed-base", "1"]
+    assert bench_pairs.main(argv) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines if line.endswith(": worse")] == worse

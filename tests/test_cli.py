@@ -566,11 +566,6 @@ def _inputs_with_posts(pipeline_ws, tmp_path, lines):
     return inputs
 
 
-def _artifacts(ws):
-    return {name: (ws / name).read_bytes()
-            for stage, names in STAGE_ARTIFACTS.items() if stage != "synth" for name in names}
-
-
 def test_byte_order_marks_on_the_three_inputs_change_no_artifact(pipeline_ws, tmp_path):
     plain, inputs = pipeline_ws.parent / "inputs", tmp_path / "inputs"
     inputs.mkdir()
@@ -636,6 +631,35 @@ def test_a_lone_surrogate_actor_id_in_an_artifact_is_refused_by_its_reader(
     )
     assert error.exc_info is None
     assert list(ws.rglob("*.tmp")) == []
+
+
+def test_export_graph_refuses_an_actor_id_that_is_no_string(pipeline_ws, tmp_path, caplog):
+    # a number once reached node_table's sort and failed there as a TypeError
+    ws = tmp_path / "ws"
+    shutil.copytree(pipeline_ws, ws)
+    path = _rename_actor_in_graph(ws, json.loads((ws / "graph.json").read_text())["actors"][0], 5)
+    caplog.clear()
+    assert main(["export-graph", "--workspace", str(ws), "--format", "dot", "--force"]) == 1
+    [error] = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert error.getMessage() == f"{path}: 5: actor id must be a string, got int"
+    assert error.exc_info is None
+    assert not (ws / "graph.dot").exists()
+    assert list(ws.rglob("*.tmp")) == []
+
+
+def test_run_all_where_no_post_maps_to_a_capec_records_no_graph(pipeline_ws, tmp_path, caplog):
+    post = {"forum_id": "f", "timestamp": "2021-01-01T00:00:00Z", "content": "CVE-2020-0001",
+            "mentions": ["CVE-2020-0001"]}  # a CVE the catalog lacks
+    lines = [json.dumps({**post, "post_id": f"p{i}", "actor_id": f"a{i}"}) for i in range(3)]
+    ws = tmp_path / "ws"
+    caplog.clear()
+    assert _run_all(ws, _inputs_with_posts(pipeline_ws, tmp_path, lines)) == 1
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+        "no post mentions a CVE that maps to any catalog CAPEC"
+    ]
+    assert not [name for name in STAGE_ARTIFACTS["graph"] if (ws / name).exists()]
+    manifest = json.loads((ws / "manifest.json").read_text())
+    assert set(manifest["stages"]) == {"ingest", "convert-catalog"}
 
 
 def test_export_graph_refuses_graphml_for_a_node_xml_cannot_carry(pipeline_ws, tmp_path, caplog):
@@ -729,8 +753,8 @@ def test_graph_on_malformed_corpus_exits_1_with_one_line(pipeline_ws, tmp_path, 
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
     errors = [line for line in result.stderr.splitlines() if line.startswith("ERROR")]
-    assert len(errors) == 1
-    assert "corpus.jsonl has 1 malformed lines" in errors[0]
+    assert errors == [f"ERROR forumlens.cli: {ws / 'corpus.jsonl'}: 1 malformed line(s)"]
+    assert _artifacts(ws) | {"corpus.jsonl": b""} == _artifacts(pipeline_ws) | {"corpus.jsonl": b""}
 
 
 def test_locked_workspace_exits_3(tmp_path):

@@ -139,6 +139,35 @@ def test_parse_capec_xml(tmp_path):
     assert (entry.capec_id, entry.related_cwes, entry.parent_ids) == (66, {"CWE-89"}, {248})
 
 
+def test_a_malformed_cve_id_in_an_nvd_feed_is_skipped_with_a_warning(tmp_path, caplog):
+    feed = json.loads(json.dumps(_NVD_20))
+    feed["vulnerabilities"].insert(0, {"cve": {"id": "CVE-21-1", "weaknesses": []}})
+    path = tmp_path / "nvd.json"
+    path.write_text(json.dumps(feed))
+    assert {e.cve_id for e in parse_nvd_cve_json(path)} == {CveId(2022, 45451), CveId(2021, 1)}
+    assert [r.getMessage() for r in caplog.records] == ["skipping malformed CVE id 'CVE-21-1'"]
+
+
+def test_an_attack_pattern_without_an_id_is_skipped_with_a_warning(tmp_path, caplog):
+    path = tmp_path / "capec.xml"
+    path.write_text(_CAPEC_XML.replace('ID="122" Name="Privilege Abuse"', 'Name="Privilege Abuse"'))
+    assert [e.capec_id for e in parse_capec_xml(path)] == [233]
+    assert [r.getMessage() for r in caplog.records] == [
+        "skipping attack pattern 'Privilege Abuse' without an ID"
+    ]
+
+
+def test_an_unknown_skill_level_is_ignored_with_a_warning(tmp_path, caplog):
+    path = tmp_path / "capec.xml"
+    path.write_text(_CAPEC_XML.replace('Skill Level="Low"', 'Skill Level="Expert"'))
+    entries = {e.capec_id: e for e in parse_capec_xml(path)}
+    assert entries[122].skill_scenarios == (SkillLevel.MEDIUM,)
+    assert entries[233].skill_scenarios == (SkillLevel.HIGH,)
+    assert [r.getMessage() for r in caplog.records] == [
+        "CAPEC 122: ignoring unknown skill level 'Expert'"
+    ]
+
+
 def test_parse_capec_rejects_bad_xml(tmp_path):
     path = tmp_path / "capec.xml"
     path.write_text("<unclosed")

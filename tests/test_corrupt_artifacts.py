@@ -248,6 +248,23 @@ def test_a_sample_too_large_to_standardize_exits_1_and_keeps_clusters_json(s_wor
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def test_a_repeated_actor_in_sample_csv_exits_1_and_keeps_clusters_json(s_workspace):
+    # accepted, ten repeated rows gave clusters whose members summed to 110 of 100 actors
+    header, *rows = (s_workspace / "sample.csv").read_bytes().splitlines(keepends=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        ws = Path(tmp) / "ws"
+        shutil.copytree(s_workspace, ws)
+        (ws / "sample.csv").write_bytes(b"".join([header, *rows, *rows[:10]]))
+        code, errors = _run(ws, "cluster")
+        assert (ws / "clusters.json").read_bytes() == (s_workspace / "clusters.json").read_bytes()
+    actor = rows[0].split(b",")[0].decode()
+    assert code == 1
+    # the header is line 1, so the first repeat is line len(rows) + 2
+    assert [r.getMessage() for r in errors] == [
+        f"{ws / 'sample.csv'}: line {len(rows) + 2}: actor_id {actor!r} repeats line 2"
+    ]
+
+
 def test_a_huge_finite_rate_leaves_every_raw_centroid_its_members_mean(s_workspace):
     # a rate of 1e150 (from 10**151 posts) standardizes; mapped back as z * std + mean,
     # the other 99 rates' centroid cancels to -7.1e132, while their mean is about 0.53

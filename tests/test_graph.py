@@ -561,12 +561,21 @@ def test_load_graph_shares_each_actor_string(tmp_path):
             '{"actors": [], "capecs": ["x"], "edges": []}',
             "capecs: CAPEC ids must be a list of one or more integers: ['x']",
         ),
+        # int() would read these as CAPECs 12, 12 and 1; no stage writes an empty list
+        *(
+            (
+                f'{{"actors": ["a"], "capecs": [{ids}], "edges": [["a", 12]]}}',
+                f"capecs: CAPEC ids must be a list of one or more integers: [{shown}]",
+            )
+            for ids, shown in (("12.9", "12.9"), ('"12"', "'12'"), ("true", "True"), ("", ""))
+        ),
         ('{"actors": ["a"], "capecs": [1], "edges": [["a"]]}', "edges: not enough values"),
         ('{"actors": ["a"], "capecs": [1], "edges": [7]}', "edges: cannot unpack"),
         (
             '{"actors": ["a"], "capecs": [1], "edges": [["ghost", 1]]}',
             "edges: edge ('ghost', 1) references unknown node",
         ),
+        ('{"actors": ["a"], "capecs": [1], "edges": [["a", 2]]}', "edges: edge ('a', 2) references"),
         # JSON allows a lone surrogate; no file a stage writes can hold it
         (
             '{"actors": ["a", "b\\ud800b"], "capecs": [1], "edges": [["b\\ud800b", 1]]}',

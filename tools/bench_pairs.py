@@ -24,10 +24,12 @@ median):
   bound;
 - ``unresolved``: the parent's Q3 - Q1 is wider than the bound;
 - ``no resolved change``: none of these.
- A run that exits non-zero, prints no result or reports
-itself incorrect is listed by seed and side, and its pair counts as won by
-neither; its metrics stay out of the medians. The exit code is 1 when any run
-was listed. Standard library only; nothing is written inside the repository.
+
+A run that exits non-zero, prints no result or reports itself incorrect is
+listed by seed and side, and its pair counts as won by neither; its metrics
+stay out of the medians. The exit code is 1 when any run was listed or any
+metric's verdict is ``worse``. Standard library only; nothing is written
+inside the repository.
 """
 
 from __future__ import annotations
@@ -213,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"src/forumlens lines: {lines_of['parent']} -> {lines_of['change']}, "
           f"code lines: {code_of['parent']} -> {code_of['change']}")
     print("\n".join(lines))
-    return 1 if any(line.startswith("FAILED") for line in lines) else 0
+    return 1 if any(line.startswith("FAILED") or line.endswith(": worse") for line in lines) else 0
 
 
 if __name__ == "__main__":
