@@ -403,8 +403,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     ws = Workspace(args.workspace if args.workspace else default_root(), force=args.force)
+    collecting = gc.isenabled()
     try:
         _check_flags(args)
+        # no cyclic collection while the stages run: a stage leaves a few hundred cycles,
+        # a number its input does not move, while collections rescan its growing tables,
+        # and the pool workers a stage forks would copy the pages they scan
+        gc.disable()
         # one lock from the command's first stage to its last, so no other run interleaves
         with ws.lock():
             names = tuple(args.stages)
@@ -432,7 +437,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         logger.error("error: %s: %s", type(exc).__name__, exc, exc_info=args.verbose)
         return 1
     finally:
-        gc.unfreeze()  # an in-process caller keeps no permanent generation
+        gc.unfreeze()  # an in-process caller keeps no permanent generation, and its collector
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

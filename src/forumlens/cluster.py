@@ -34,11 +34,12 @@ _MAX_LLOYD_ITERATIONS = 300
 _SILHOUETTE_BLOCK_ROWS = 128
 _RELATIVE_INERTIA_TOL = 1e-8
 
-# A pool start after the first costs 6.6-10 ms of wall time and 9-12 ms of CPU;
-# a whole fit phase run pooled, transfers included, cost about 0.14 s more CPU
-# than in-process (2 vCPUs). On row subsets of the synth 8x600 sample the pool
-# saved under 0.1 s of a k sweep's fits up to 1,700 rows and nothing of its
-# silhouettes at 1,000; at 2,000 rows 0.18-0.24 s in all.
+# A multiprocessing pool start after the first cost 6.6-10 ms of wall time and
+# 9-12 ms of CPU; a whole fit phase run pooled, transfers included, cost about
+# 0.14 s more CPU than in-process (2 vCPUs; the fork pool starts in about 5 ms).
+# On row subsets of the synth 8x600 sample that pool saved under 0.1 s of a k
+# sweep's fits up to 1,700 rows and nothing of its silhouettes at 1,000; at
+# 2,000 rows 0.18-0.24 s in all.
 POOL_MIN_ROWS = 1500
 
 
@@ -325,7 +326,7 @@ def silhouettes(X: np.ndarray, labelings: Sequence[Sequence[int]]) -> list[float
     _, scored, spread = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     starts = range(0, scored.size, _SILHOUETTE_BLOCK_ROWS)
     parts, _ = map_jobs(_score_block, (X, groups, scored), starts, n >= POOL_MIN_ROWS)
-    return [float(out[spread.reshape(-1)].mean()) for out in np.concatenate(parts, axis=1)]
+    return [float(out[spread.reshape(-1)].mean()) for out in np.concatenate([*parts], axis=1)]
 
 
 def _score_block(shared: tuple, start: int) -> np.ndarray:
@@ -382,7 +383,7 @@ def sweep_k(
         "sweep_k: %d fits (k %d-%d, %d restarts) on %d rows, %d distinct, %s",
         len(jobs), k_min, k_max, restarts, X.shape[0], rows.distinct.shape[0], how,
     )
-    fitted = []
+    fitted, runs = [], list(runs)
     for i, k in enumerate(ks):
         k_runs = runs[i * restarts : (i + 1) * restarts]
         won = _best(k_runs)

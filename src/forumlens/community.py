@@ -35,9 +35,11 @@ logger = logging.getLogger(__name__)
 
 BRUTE_FORCE_NODE_CAP = 12
 
-# Importing, starting and stopping a restart pool costs about 30 ms per call
-# (2 vCPUs). At 560 nodes the pool cut ten restarts (0.16-0.26 s alone) by
-# 16-84 ms for 40-110 ms more CPU; at 1,080 nodes it saved 0.13-0.41 s.
+# Importing, starting and stopping a multiprocessing pool cost about 30 ms per
+# call (2 vCPUs). At 560 nodes that pool cut ten restarts (0.16-0.26 s alone) by
+# 16-84 ms for 40-110 ms more CPU; at 1,080 nodes it saved 0.13-0.41 s. The fork
+# pool costs about 5 ms, and at 560 nodes still gained nothing (0.201 against
+# 0.186 s, median of 10 alternations).
 POOL_MIN_NODES = 1000
 
 _GAIN_EPS = 1e-12  # floating-point guard: gains below this are treated as zero

@@ -250,7 +250,8 @@ def load_graph(path: str | Path) -> BimodalGraph:
     id that is no string or does not encode as UTF-8 (a lone surrogate, which
     JSON allows) is named with the file, and ``capecs`` must be a non-empty
     list of JSON integers; no stage writes an empty one, as ``graph`` refuses
-    an empty graph. An edge names a listed node, or the graph's check refuses it.
+    an empty graph. An edge names a listed node, or the graph's check refuses it,
+    and its CAPEC is a JSON integer, or it is named as one in ``capecs`` would be.
     """
     payload = read_json_object(path)
     for key in ("actors", "capecs", "edges"):
@@ -259,11 +260,13 @@ def load_graph(path: str | Path) -> BimodalGraph:
             raise ValidationError(f"{path}: {key}: {problem}")
     actors = {a: field(path, a, lambda: _actor_id(a)) for a in payload["actors"]}
     capecs = {c: c for c in field(path, "capecs", lambda: _capec_ids(payload["capecs"]))}
+    # an unlisted node keeps its own value, and the graph's check refuses it; an edge's
+    # CAPEC is checked first, as true and 12.0 equal the listed CAPECs 1 and 12
     return field(path, "edges", lambda: BimodalGraph(
         actor_ids=frozenset(actors),
         capec_ids=frozenset(capecs),
-        # an unlisted node keeps its own value, and the graph's check refuses it
-        edges=frozenset((actors.get(a, a), capecs.get(c, c)) for a, c in payload["edges"]),
+        edges=frozenset((actors.get(a, a), capecs.get(*_capec_ids([c]), c))
+                        for a, c in payload["edges"]),
     ))
 
 

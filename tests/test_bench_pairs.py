@@ -170,3 +170,48 @@ def test_main_exits_1_on_a_worse_verdict_or_a_failed_run(monkeypatch, capsys, ch
     assert bench_pairs.main(argv) == code
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines if line.endswith(": worse")] == worse
+
+
+@pytest.mark.parametrize("slow_on, code", [(None, 0), ("chatty", 1), ("rerun-M", 1)])
+def test_main_runs_the_pairs_of_each_workload_and_exits_1_if_any_is_worse(
+    monkeypatch, capsys, slow_on, code
+):
+    monkeypatch.chdir(_PATH.parents[1])
+    monkeypatch.setattr(bench_pairs, "copy_revision", lambda repo, rev, dest: None)
+    monkeypatch.setattr(bench_pairs, "copy_worktree", lambda repo, dest: None)
+    runs = []
+
+    def run_once(copy, workload, seed, seconds):
+        runs.append((workload, seed, copy.name))
+        worse = copy.name == "change" and workload == slow_on
+        return {**_RUN, "wall_s": 3.0} if worse else _RUN
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    argv = ["--parent", "HEAD", "--workload", "chatty", "--workload", "rerun-M",
+            "--pairs", "2", "--seed-base", "5"]
+    assert bench_pairs.main(argv) == code
+    # every pair of the first workload, then every pair of the second, each side alternating
+    assert runs == [
+        (w, seed, side) for w in ("chatty", "rerun-M")
+        for seed, sides in ((5, ("parent", "change")), (6, ("change", "parent")))
+        for side in sides
+    ]
+    out = capsys.readouterr().out.splitlines()
+    heads = [i for i, line in enumerate(out) if line.endswith(", seeds 5-6, parent HEAD")]
+    assert [out[i].split(",")[0] for i in heads] == ["chatty", "rerun-M"]
+    # each block: its pair count, then one verdict line per metric
+    for i in heads:
+        assert out[i + 1].startswith("2 of 2 pairs complete")
+        assert [line.split(":")[0] for line in out[i + 2:i + 2 + len(_RUN)]] == list(_RUN)
+    worse = [(out[max(h for h in heads if h < i)].split(",")[0], line.split(":")[0])
+             for i, line in enumerate(out) if line.endswith(": worse")]
+    assert worse == ([] if slow_on is None else [(slow_on, "wall_s")])
+
+
+def test_main_refuses_an_undeclared_workload_among_several(monkeypatch, capsys):
+    monkeypatch.chdir(_PATH.parents[1])
+    argv = ["--parent", "HEAD", "--workload", "chatty", "--workload", "huge", "--seed-base", "1"]
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv)
+    assert exc.value.code == 2
+    assert "--workload is not declared in BENCHMARK.json: huge" in capsys.readouterr().err

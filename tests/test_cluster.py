@@ -432,8 +432,9 @@ def test_sweep_k_equals_kmeans_per_k(monkeypatch, caplog, pooled):
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="the pool is Linux-only")
-def test_sweep_k_runs_in_process_inside_a_daemon(monkeypatch):
-    # a daemonic process, such as a pool worker, may not start processes of its own
+def test_sweep_k_inside_a_daemon_gives_the_result_it_gives_alone(monkeypatch):
+    # a daemonic process, such as a multiprocessing pool worker, may not start
+    # multiprocessing processes of its own; the fork pool forks its workers there too
     X = _sweep_case(0)
     monkeypatch.setattr(cluster, "POOL_MIN_ROWS", 0)
     with multiprocessing.get_context("fork").Pool(1) as pool:

@@ -234,7 +234,8 @@ def test_pool_and_in_process_restarts_give_equal_partitions(monkeypatch, caplog)
     pooled = leiden(graph, seed=41)
     assert "over 2 processes" in caplog.text
 
-    # a daemonic process, such as a pool worker, may not start processes of its own
+    # a daemonic process, such as a multiprocessing pool worker, may not start
+    # multiprocessing processes of its own; the fork pool forks its workers there too
     with multiprocessing.get_context("fork").Pool(1) as pool:
         in_daemon = pool.apply(leiden, (graph,), {"seed": 41})
 

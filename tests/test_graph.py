@@ -40,7 +40,7 @@ from forumlens.graph import (
     surviving_post_counts,
     surviving_posts,
 )
-from forumlens.ingest import CveId, _write_corpus, build_corpus, parse_posts
+from forumlens.ingest import Corpus, CveId, build_corpus, parse_posts, save_corpus
 
 from conftest import (
     bigraph, lines_file, post, post_capec_oracle, read_export, snapshot_from, ts,
@@ -433,7 +433,7 @@ def test_write_corpus_names_each_distinct_cve_once(tmp_path, monkeypatch):
         for i, ms in enumerate(mention_sets)
     ]
     path = tmp_path / "corpus.jsonl"
-    _write_corpus(posts, path)
+    save_corpus(Corpus(posts), path)
     assert named == Counter({CveId(2021, 1): 1, CveId(2021, 2): 1, CveId(2020, 9): 1})
     written = [json.loads(line)["mentions"] for line in path.read_text().splitlines()]
     assert written == [sorted(name(CveId(*m)) for m in ms) for ms in mention_sets]
@@ -576,6 +576,15 @@ def test_load_graph_shares_each_actor_string(tmp_path):
             "edges: edge ('ghost', 1) references unknown node",
         ),
         ('{"actors": ["a"], "capecs": [1], "edges": [["a", 2]]}', "edges: edge ('a', 2) references"),
+        # equal to listed CAPECs 1 and 12, but no stage writes an edge's CAPEC so
+        (
+            '{"actors": ["a"], "capecs": [1, 12], "edges": [["a", true], ["a", 12.0]]}',
+            "edges: CAPEC ids must be a list of one or more integers: [True]",
+        ),
+        (
+            '{"actors": ["a"], "capecs": [1, 12], "edges": [["a", 1], ["a", 12.0]]}',
+            "edges: CAPEC ids must be a list of one or more integers: [12.0]",
+        ),
         # JSON allows a lone surrogate; no file a stage writes can hold it
         (
             '{"actors": ["a", "b\\ud800b"], "capecs": [1], "edges": [["b\\ud800b", 1]]}',

@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import json
+import logging
 import os
 import re
 import tempfile
 import threading
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from forumlens import ingest
 from forumlens.cli import main
 
 from forumlens.errors import ValidationError
@@ -435,3 +438,84 @@ def test_ingest_writes_what_the_parse_build_save_path_wrote(lines):
         assert json.loads(ws.joinpath("corpus_stats.json").read_text()) == stats
         manifest = json.loads(ws.joinpath("manifest.json").read_text())
         assert manifest["stages"]["ingest"]["config"]["skipped_lines"] == skipped
+
+
+# A post file for the ranged reader: a byte order mark, blank lines, a malformed line
+# beside every good one, and no newline after the last line
+_RANGED_LINES = [
+    b"\xef\xbb\xbf" + _line_bytes("p1", "see CVE-2021-1111"),
+    b"{ not json",
+    _line_bytes("p2", "no id here", mentions=["cve-2020-0007", "CVE-2021-1111"]),
+    b"",
+    json.dumps({"post_id": "p3", "actor_id": "a"}).encode(),
+    _line_bytes("p3", "CVE-2019-0001 and CVE-2021-1111"),
+    b"\xff\xfe",
+    _line_bytes("p4", "no mention"),
+    b"   ",
+    _line_bytes("p5", "bad", timestamp="never"),
+    _line_bytes("p6", "CVE-2020-0007 again", actor_id="b"),
+    _line_bytes("p7", "x", mentions=["CVE-21-1"]),
+    _line_bytes("p8", "last cve-2021-1111", forum_id="g"),
+]
+_RANGED = b"\n".join(_RANGED_LINES)
+_LINE_STARTS = [i + 1 for i, byte in enumerate(_RANGED) if byte == ord("\n")]
+
+
+class _Lines(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.lines: list[str] = []
+
+    def emit(self, record):
+        self.lines.append(record.getMessage())
+
+
+def _ranged_read(data: bytes, cuts: list[int], old: bytes | None = None):
+    """What ``ingest_posts`` gives for ``data`` cut at ``cuts`` on the pool: the corpus
+    file (or the error, with the file left as ``old`` and no temp file), the table,
+    the counts, the skip count and the warning lines."""
+    handler = _Lines()
+    logger = logging.getLogger("forumlens.ingest")
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(ingest, "POOL_MIN_BYTES", 0), \
+            mock.patch.object(ingest, "_cuts", lambda size: cuts):
+        source, target = Path(tmp, "posts.jsonl"), Path(tmp, "corpus.jsonl")
+        source.write_bytes(data)
+        if old is not None:
+            target.write_bytes(old)
+        logger.addHandler(handler)
+        try:
+            done = ingest_posts(source, target)
+        except ValidationError as exc:
+            assert target.read_bytes() == old and not list(Path(tmp).glob("*.tmp"))
+            return str(exc)
+        finally:
+            logger.removeHandler(handler)
+        return target.read_bytes(), done.table, done.stats, done.skipped, handler.lines
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.integers(1, len(_RANGED) - 1), max_size=3, unique=True).map(sorted))
+@example(_LINE_STARTS[3:6])  # each cut exactly on a line start
+@example([_LINE_STARTS[0] - 1, _LINE_STARTS[0], _LINE_STARTS[0] + 1])
+@example([len(_RANGED) - 2])  # inside the last line, which has no newline
+def test_a_ranged_read_equals_a_one_range_read(cuts):
+    whole = _ranged_read(_RANGED, [])
+    assert whole[3] == 5 and len(whole[4]) == 5
+    assert whole[4][0] == "skipping malformed line 2: Expecting property name enclosed in " \
+        "double quotes: line 1 column 3 (char 2)"
+    ranged = _ranged_read(_RANGED, cuts)
+    assert ranged == whole
+    # equal actors and mention sets are one object each, across ranges too
+    table = ranged[1]
+    assert table[0][2] is table[4][2] and table[0][0] is table[4][0]
+
+
+def test_a_duplicate_post_id_across_ranges_is_refused_as_in_one_range():
+    data = _RANGED + b"\n" + _line_bytes("p2", "again CVE-2021-1111")
+    starts = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
+    old = b"the corpus before\n"
+    whole = _ranged_read(data, [], old)
+    assert whole == "duplicate post_id: 'p2'"
+    for cuts in ([starts[2]], [starts[1], starts[6], starts[-1]], [starts[-1] + 3]):
+        assert _ranged_read(data, cuts, old) == whole

@@ -8,7 +8,8 @@ hold a partial file, no lock may block, the next plain run must either run or
 name the stage to re-run, and re-running that stage must give the bytes of an
 uninterrupted run. A ``communities`` or ``cluster`` run SIGKILLed while its
 job pool (Leiden restarts, k-means fits) is up must free the lock within
-seconds and leave no worker behind.
+seconds and leave no worker behind, and so must an ``ingest`` run SIGKILLed
+while its post-file ranges are on the pool.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from pathlib import Path
 import pytest
 
 import forumlens
+from forumlens import ingest
 from forumlens.cli import PIPELINE, main
 from forumlens.community import POOL_MIN_NODES
 from forumlens.workspace import STAGE_ARTIFACTS, Workspace, WorkspaceLockedError, read_json
@@ -187,6 +189,22 @@ cluster._fit, cluster.POOL_MIN_ROWS = slow, 0
 sys.exit(cli.main(sys.argv[1:]))
 """
 
+# The same for an ``ingest`` run's post-file ranges, with the pool taken at any file
+# size.
+_SLOW_RANGES = """
+import sys, time
+from forumlens import cli, ingest
+
+real = ingest._read_range
+
+def slow(reader, span):
+    time.sleep(60)
+    return real(reader, span)
+
+ingest._read_range, ingest.POOL_MIN_BYTES = slow, 0
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
 _needs_pool = pytest.mark.skipif(
     not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
     reason="the job pool runs only on Linux with two or more CPUs",
@@ -208,18 +226,19 @@ def pool_graph(tmp_path_factory):
     return ws
 
 
-def _kill_with_pool_up(ws: Path, script: str, stage: str) -> None:
-    """SIGKILL ``stage`` run through ``script`` once its pool is up; then the lock
-    must free within 5 s, no worker may be left, and a re-run must write the
-    bytes of an uninterrupted run."""
+def _kill_with_pool_up(ws: Path, script: str, argv: list[str]) -> None:
+    """SIGKILL the stage run ``argv`` through ``script`` once its pool is up; then the
+    lock must free within 5 s, no worker may be left, and a re-run must write the
+    bytes of an uninterrupted run and leave no temp file."""
+    stage = argv[0]
     reference = ws.parent / "reference"
     shutil.copytree(ws, reference)
-    assert _run(reference, [stage]) == 0
+    assert _run(reference, argv) == 0
     expected = _artifacts(reference)
 
     src = str(Path(forumlens.__file__).resolve().parents[1])
     child = subprocess.Popen(
-        [sys.executable, "-c", script, stage, "--workspace", str(ws)],
+        [sys.executable, "-c", script, *argv, "--workspace", str(ws)],
         env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
     try:
@@ -251,7 +270,7 @@ def _kill_with_pool_up(ws: Path, script: str, stage: str) -> None:
             assert time.monotonic() < deadline, f"worker {pid} still {fields[0]} 5 s after the kill"
             time.sleep(0.01)
 
-    assert _run(ws, [stage]) == 0
+    assert _run(ws, argv) == 0
     assert _artifacts(ws) == expected
     assert sorted(ws.rglob("*.tmp")) == []
 
@@ -260,7 +279,7 @@ def _kill_with_pool_up(ws: Path, script: str, stage: str) -> None:
 def test_killed_leiden_pool_frees_the_lock_and_leaves_no_worker(pool_graph, tmp_path):
     ws = tmp_path / "ws"
     shutil.copytree(pool_graph, ws)
-    _kill_with_pool_up(ws, _SLOW_RESTARTS, "communities")
+    _kill_with_pool_up(ws, _SLOW_RESTARTS, ["communities"])
 
 
 @_needs_pool
@@ -269,4 +288,13 @@ def test_killed_cluster_pool_frees_the_lock_and_leaves_no_worker(pool_graph, tmp
     shutil.copytree(pool_graph, ws)
     assert _run(ws, ["communities"]) == 0
     assert _run(ws, ["expertise"]) == 0
-    _kill_with_pool_up(ws, _SLOW_FITS, "cluster")
+    _kill_with_pool_up(ws, _SLOW_FITS, ["cluster"])
+
+
+@_needs_pool
+def test_killed_ingest_pool_frees_the_lock_and_leaves_no_worker(pool_graph, tmp_path):
+    ws = tmp_path / "ws"
+    shutil.copytree(pool_graph, ws)
+    posts = pool_graph.parent / "inputs" / "posts.jsonl"
+    assert posts.stat().st_size > 2 * ingest._RANGE_BYTES  # so the pool has ranges to deal
+    _kill_with_pool_up(ws, _SLOW_RANGES, ["ingest", "--posts", str(posts)])

@@ -1,22 +1,24 @@
-"""Compare the working tree with a parent revision on one benchmark workload.
+"""Compare the working tree with a parent revision on benchmark workloads.
 
     python3 tools/bench_pairs.py --parent HEAD --workload full-L --pairs 8 --seed-base 4001
+    python3 tools/bench_pairs.py --parent HEAD --workload chatty --workload full-L \
+        --workload rerun-M --pairs 10 --seed-base 4001
 
 Run from anywhere inside the repository. It copies ``--parent`` (with ``git
 archive``) and the working tree (tracked and untracked files, ignored ones
 excluded) into a temporary directory, and removes both copies at the end.
-Pair ``i`` runs ``perfbench/run.py --workload NAME --seed S+i --seconds 10
---trace 0`` in each copy, one process at a time; the parent runs first in
-even pairs and second in odd ones. Each run's result is the last line it
-prints.
+For each ``--workload`` in turn, pair ``i`` runs ``perfbench/run.py
+--workload NAME --seed S+i --seconds 10 --trace 0`` in each copy, one process
+at a time; the parent runs first in even pairs and second in odd ones. Each
+run's result is the last line it prints.
 
-Above the summary it prints the line count of ``src/forumlens/*.py`` in each
-copy, the design metric that a change should lower, and beside it the count
-of code lines, which an edit to comments or docstrings cannot move. For each
-end-to-end metric of ``BENCHMARK.json`` it prints the parent's median [Q1,
-Q3], the change's median, the pairs the change won (ties count for neither
-side) and a verdict, by the metric's ``bound`` (a fraction of the parent's
-median):
+Above the summaries it prints the line count of ``src/forumlens/*.py`` in
+each copy, the design metric that a change should lower, and beside it the
+count of code lines, which an edit to comments or docstrings cannot move.
+Then, one block per workload, for each end-to-end metric of
+``BENCHMARK.json`` it prints the parent's median [Q1, Q3], the change's
+median, the pairs the change won (ties count for neither side) and a
+verdict, by the metric's ``bound`` (a fraction of the parent's median):
 
 - ``gain``: the change won at least nine tenths of the pairs run, and its
   median is better than the parent's by more than the parent's Q3 - Q1;
@@ -27,9 +29,10 @@ median):
 
 A run that exits non-zero, prints no result or reports itself incorrect is
 listed by seed and side, and its pair counts as won by neither; its metrics
-stay out of the medians. The exit code is 1 when any run was listed or any
-metric's verdict is ``worse``. Standard library only; nothing is written
-inside the repository.
+stay out of the medians. The exit code is 1 when any run of any workload was
+listed or any metric's verdict on any workload is ``worse``: a change must be
+no worse on every workload. Standard library only; nothing is written inside
+the repository.
 """
 
 from __future__ import annotations
@@ -182,7 +185,8 @@ def summarize(metrics: list[dict], pairs: list[dict[str, Outcome]], seeds: list[
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
-    parser.add_argument("--workload", required=True, help="a workload of BENCHMARK.json")
+    parser.add_argument("--workload", required=True, action="append",
+                        help="a workload of BENCHMARK.json; give it again for more")
     parser.add_argument("--pairs", type=int, default=10, help="pairs to run (default 10)")
     parser.add_argument("--seed-base", type=int, required=True, help="seed of the first pair")
     args = parser.parse_args(argv)
@@ -190,11 +194,12 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--pairs must be >= 1: {args.pairs}")
     repo = Path(_git(Path.cwd(), "rev-parse", "--show-toplevel").decode().strip())
     spec = json.loads((repo / "BENCHMARK.json").read_text())
-    if args.workload not in {w["name"] for w in spec["workloads"]}:
-        parser.error(f"--workload is not declared in BENCHMARK.json: {args.workload}")
+    for workload in args.workload:
+        if workload not in {w["name"] for w in spec["workloads"]}:
+            parser.error(f"--workload is not declared in BENCHMARK.json: {workload}")
 
     seeds = [args.seed_base + i for i in range(args.pairs)]
-    pairs: list[dict[str, Outcome]] = []
+    blocks = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         copies = {side: Path(tmp) / side for side in SIDES}
         for path in copies.values():
@@ -203,19 +208,23 @@ def main(argv: list[str] | None = None) -> int:
         copy_worktree(repo, copies["change"])
         lines_of = {side: src_lines(path) for side, path in copies.items()}
         code_of = {side: code_lines(path) for side, path in copies.items()}
-        for i, seed in enumerate(seeds):
-            pair = {}
-            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                pair[side] = run_once(copies[side], args.workload, seed, spec["run_seconds"])
-                shown = pair[side] if isinstance(pair[side], str) else json.dumps(pair[side])
-                print(f"seed {seed} {side}: {shown}", flush=True)
-            pairs.append(pair)
-    lines = summarize(spec["end_to_end"], pairs, seeds)
-    print(f"{args.workload}, seeds {seeds[0]}-{seeds[-1]}, parent {args.parent}")
+        for workload in args.workload:
+            pairs: list[dict[str, Outcome]] = []
+            for i, seed in enumerate(seeds):
+                pair = {}
+                for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                    pair[side] = run_once(copies[side], workload, seed, spec["run_seconds"])
+                    shown = pair[side] if isinstance(pair[side], str) else json.dumps(pair[side])
+                    print(f"{workload} seed {seed} {side}: {shown}", flush=True)
+                pairs.append(pair)
+            blocks.append((workload, summarize(spec["end_to_end"], pairs, seeds)))
     print(f"src/forumlens lines: {lines_of['parent']} -> {lines_of['change']}, "
           f"code lines: {code_of['parent']} -> {code_of['change']}")
-    print("\n".join(lines))
-    return 1 if any(line.startswith("FAILED") or line.endswith(": worse") for line in lines) else 0
+    for workload, lines in blocks:
+        print(f"{workload}, seeds {seeds[0]}-{seeds[-1]}, parent {args.parent}")
+        print("\n".join(lines))
+    return 1 if any(line.startswith("FAILED") or line.endswith(": worse")
+                    for _, lines in blocks for line in lines) else 0
 
 
 if __name__ == "__main__":
