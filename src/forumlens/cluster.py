@@ -10,16 +10,20 @@ The k sweep gives the bits of fitting each k on its own: distances are
 summed in an order written here, work per row is done once per distinct row,
 and sums over rows still take every row in row order. From ``POOL_MIN_ROWS``
 rows its fits and silhouette blocks run on :func:`forumlens.pool.map_jobs`.
+The sweep keeps one run per k, its best restart so far, as the fits arrive,
+and a silhouette block holds two buffers of block rows x n distances.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from contextlib import closing
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import islice
 from statistics import median
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,12 +38,12 @@ _MAX_LLOYD_ITERATIONS = 300
 _SILHOUETTE_BLOCK_ROWS = 128
 _RELATIVE_INERTIA_TOL = 1e-8
 
-# A multiprocessing pool start after the first cost 6.6-10 ms of wall time and
-# 9-12 ms of CPU; a whole fit phase run pooled, transfers included, cost about
-# 0.14 s more CPU than in-process (2 vCPUs; the fork pool starts in about 5 ms).
-# On row subsets of the synth 8x600 sample that pool saved under 0.1 s of a k
-# sweep's fits up to 1,700 rows and nothing of its silhouettes at 1,000; at
-# 2,000 rows 0.18-0.24 s in all.
+# A whole k sweep (k 2-12, ten restarts) on row subsets of the synth 8x600 sample,
+# fork pool against in-process, alternating, medians of 8 on a shared 2-vCPU host:
+# 0.224 against 0.182 s at 480 rows (pooled won 2 of 8), 0.165 against 0.267 s at
+# 1,000, 0.253 against 0.378 s at 1,500, 0.281 against 0.459 s at 2,000 (8 of 8
+# each), for 11-18% more CPU. The break-even is now below 1,000 rows; the
+# threshold was set with the multiprocessing pool and the older kernels.
 POOL_MIN_ROWS = 1500
 
 
@@ -108,12 +112,16 @@ def _squared_distances(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     The columns are summed in a fixed order: for d = 3 as (c0 + c2) + c1,
     the order ``np.einsum("ijk,ijk->ij")`` took at numpy 2.4, which the
     artifacts' bits were first written with; any other width left to right.
+    It works centroid-major in two buffers, the sums and one column's squared
+    differences, so each ufunc pass runs over the rows; the result is the
+    (rows, centroids) view of the sums, whose ``.T`` is C-contiguous.
     """
-    total = np.zeros((X.shape[0], centroids.shape[0]))
+    total = np.zeros((centroids.shape[0], X.shape[0]))
+    diff = np.empty_like(total)
     for j in (0, 2, 1) if X.shape[1] == 3 else range(X.shape[1]):
-        diff = X[:, j, None] - centroids[None, :, j]
-        total += diff * diff
-    return total
+        np.subtract(X[:, j], centroids[:, j, None], out=diff)
+        total += np.multiply(diff, diff, out=diff)
+    return total.T
 
 
 class _Rows(NamedTuple):
@@ -215,9 +223,10 @@ def _fit(rows: _Rows, job: tuple[int, int, int]) -> _Run:
     return _lloyd(rows, _kmeans_pp_init(rows, k, np.random.default_rng([seed, r])))
 
 
-def _best(runs: Sequence[_Run]) -> int:
-    """The lowest-inertia run; ties keep the earliest restart, as ``min`` does."""
-    return min(range(len(runs)), key=lambda r: runs[r][2])
+def _best(runs: Iterable[_Run]) -> tuple[int, _Run]:
+    """The lowest-inertia run and its restart, kept as the runs arrive; ties keep the
+    earliest restart, as ``min`` does."""
+    return min(enumerate(runs), key=lambda numbered: numbered[1][2])
 
 
 def _compact(labels: np.ndarray, centroids: np.ndarray) -> tuple[tuple[int, ...], np.ndarray, int]:
@@ -273,8 +282,7 @@ def kmeans(
         if init.shape != (k, X.shape[1]):
             raise ValidationError(f"init must have shape ({k}, {X.shape[1]}): {init.shape}")
         return _model(_lloyd(rows, init))
-    runs = [_fit(rows, (k, seed, r)) for r in range(restarts)]
-    return _model(runs[_best(runs)])
+    return _model(_best(_fit(rows, (k, seed, r)) for r in range(restarts))[1])
 
 
 def with_raw_centroids(model: KMeansModel, X: np.ndarray) -> KMeansModel:
@@ -334,11 +342,13 @@ def _score_block(shared: tuple, start: int) -> np.ndarray:
     X, groups, scored = shared
     block = scored[start : start + _SILHOUETTE_BLOCK_ROWS]
     rows = np.arange(block.size)
-    dist = np.sqrt(_squared_distances(X[block], X))
+    dist = _squared_distances(X[block], X).T  # point-major: row p, p's distance to each
+    np.sqrt(dist, out=dist)
     out = np.empty((len(groups), block.size))
     for i, (own, sizes, members) in enumerate(groups):
-        # per-cluster distance sums of every row in the block, shape (k, rows)
-        sums = np.stack([dist[:, m].sum(axis=1) for m in members])
+        # per-cluster distance sums of every row in the block, shape (k, rows); the
+        # member rows are added one after another in member order
+        sums = np.stack([dist[m].sum(axis=0) for m in members])
         own_block = own[block]
         own_size = sizes[own_block]
         means = sums / sizes[:, None]
@@ -363,9 +373,11 @@ def sweep_k(
 
     Equals ``kmeans(X, k, seed, restarts)`` for each k, with its silhouette:
     the k x restarts fits are seeded jobs, so from ``POOL_MIN_ROWS`` rows they
-    run through :func:`forumlens.pool.map_jobs` with the same result. Ks
-    whose fit collapses below 2 non-empty clusters are skipped (their
-    silhouette is undefined), so rows too alike for any k give an empty list.
+    run through :func:`forumlens.pool.map_jobs` with the same result. Each k's
+    best restart is kept as its runs arrive, so one run per k is held, never
+    all of them. Ks whose fit collapses below 2 non-empty clusters are skipped
+    (their silhouette is undefined), so rows too alike for any k give an
+    empty list.
     """
     X = _check_fit(X, restarts)
     if k_min < 2:
@@ -383,15 +395,16 @@ def sweep_k(
         "sweep_k: %d fits (k %d-%d, %d restarts) on %d rows, %d distinct, %s",
         len(jobs), k_min, k_max, restarts, X.shape[0], rows.distinct.shape[0], how,
     )
-    fitted, runs = [], list(runs)
-    for i, k in enumerate(ks):
-        k_runs = runs[i * restarts : (i + 1) * restarts]
-        won = _best(k_runs)
-        model = _model(k_runs[won])
-        if model.k >= 2:
-            fitted.append((k, won, model))
-        else:
-            logger.debug("sweep_k k=%d: restart %d won with 1 non-empty cluster; skipped", k, won)
+    fitted = []
+    with closing(runs):
+        for k in ks:
+            won, run = _best(islice(runs, restarts))
+            model = _model(run)
+            if model.k >= 2:
+                fitted.append((k, won, model))
+            else:
+                logger.debug("sweep_k k=%d: restart %d won with 1 non-empty cluster; skipped",
+                             k, won)
     if not fitted:
         return []
     scores = silhouettes(X, [model.labels for _, _, model in fitted])

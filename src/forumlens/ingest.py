@@ -196,29 +196,37 @@ class CheckedPosts:
     def __iter__(self) -> Iterator[PostRecord]:
         return self.span(0, None)
 
-    def span(self, start: int, end: int | None) -> Iterator[PostRecord]:
+    def span(self, start: int, end: int | bytes | None) -> Iterator[PostRecord]:
         """The good lines of the bytes from ``start`` (a line start) to ``end`` (one too,
         or the end of the file), numbered from 1 at ``start`` in ``skips`` and counted
-        in ``lines`` once read; from ``start`` 0 the file is never sought."""
-        self.skips, mention_sets, actors = [], self.mention_sets, self.actors
-        first = "utf-8" if start else "utf-8-sig"  # only the file's first line may hold a BOM
-        # bytes: each line is decoded on its own, so a bad byte costs one line
+        in ``lines`` once read; from ``start`` 0 the file is never sought. ``end`` may
+        instead be the range's bytes, as read from a pipe; the file is then not opened."""
+        if isinstance(end, bytes):
+            yield from self._check(io.BytesIO(end), start)
+            return
         with open(self.path, "rb") as handle:
             if start:
                 handle.seek(start)
-            lines = handle if end is None else io.BytesIO(handle.read(end - start))
-            lineno = 0
-            for lineno, raw in enumerate(lines, start=1):
-                # ValueError covers ValidationError, JSONDecodeError and UnicodeDecodeError
-                try:
-                    line = raw.decode("utf-8" if lineno > 1 else first)
-                    if line.isspace():
-                        continue
-                    record = _parse_record(line, mention_sets, actors)
-                except (ValueError, RecursionError) as exc:
-                    self.skips.append((lineno, str(exc)))
+            yield from self._check(handle if end is None else io.BytesIO(handle.read(end - start)),
+                                   start)
+
+    def _check(self, lines: Iterable[bytes], start: int) -> Iterator[PostRecord]:
+        """The good lines of ``lines``, the lines of the bytes from ``start`` on."""
+        self.skips, mention_sets, actors = [], self.mention_sets, self.actors
+        first = "utf-8" if start else "utf-8-sig"  # only the file's first line may hold a BOM
+        # bytes: each line is decoded on its own, so a bad byte costs one line
+        lineno = 0
+        for lineno, raw in enumerate(lines, start=1):
+            # ValueError covers ValidationError, JSONDecodeError and UnicodeDecodeError
+            try:
+                line = raw.decode("utf-8" if lineno > 1 else first)
+                if line.isspace():
                     continue
-                yield record
+                record = _parse_record(line, mention_sets, actors)
+            except (ValueError, RecursionError) as exc:
+                self.skips.append((lineno, str(exc)))
+                continue
+            yield record
         self.lines = lineno
 
 
@@ -362,8 +370,7 @@ def _cuts(size: int) -> Iterable[int]:
 
 def _spans(path: str | Path, size: int) -> list[tuple[int, int | None]]:
     """Byte ranges of whole lines covering the ``size`` bytes of the post file at
-    ``path``, each cut of :func:`_cuts` moved on to the next line start; a
-    pipe's size reads 0, so it is one range, and it is opened only to be read."""
+    ``path``, each cut of :func:`_cuts` moved on to the next line start."""
     starts = [0]
     if cuts := _cuts(size):
         with open(path, "rb") as handle:
@@ -375,7 +382,19 @@ def _spans(path: str | Path, size: int) -> list[tuple[int, int | None]]:
     return list(zip(starts, [*starts[1:], None]))
 
 
-def _read_range(reader: tuple, span: tuple[int, int | None]) -> tuple:
+def _pipe_spans(path: str | Path) -> Iterator[tuple[int, bytes]]:
+    """A pipe's bytes in ranges of whole lines, each ``_RANGE_BYTES`` and the rest of
+    its last line, as their start and their bytes: a pipe cannot be sought, so
+    each range is read as it comes, by the process that joins the ranges."""
+    with open(path, "rb") as handle:
+        start = 0
+        while chunk := handle.read(_RANGE_BYTES):
+            chunk += handle.readline()
+            yield start, chunk
+            start += len(chunk)
+
+
+def _read_range(reader: tuple, span: tuple[int, int | bytes | None]) -> tuple:
     """One range of a post file, its lines checked, its posts kept and, where ``reader``
     has a line renderer, rendered, in a form cheap to pickle: the text, each good
     line's ``post_id``, the kept posts' actors and mention sets (as their JSON lists)
@@ -409,10 +428,12 @@ def _read_posts(source: str | Path, render: bool, done: Ingested) -> Iterator[st
 
     The ranges of :func:`_spans` are read by :func:`_read_range`, on the job
     pool from ``POOL_MIN_BYTES``, with one parser and renderer, so in each
-    process their memos last for its ranges. The parent logs each skip at its
-    file line, refuses the first duplicate ``post_id`` in the file, gives each
-    actor, CVE and mention set one object, and counts the kept posts as
-    :class:`_KeptPosts` does: the actors and CVEs are the ones it gave objects.
+    process their memos last for its ranges; a pipe, whose size reads 0, is
+    read in the ranges of :func:`_pipe_spans`, in this process. The parent
+    logs each skip at its file line, refuses the first duplicate ``post_id``
+    in the file, gives each actor, CVE and mention set one object, and counts
+    the kept posts as :class:`_KeptPosts` does: the actors and CVEs are the
+    ones it gave objects.
     """
     seen, actors, forums, lines, size = set(), {}, set(), 0, os.stat(source).st_size
     # a union of frozensets takes their stored hashes, so no CveId is hashed again; the
@@ -422,7 +443,10 @@ def _read_posts(source: str | Path, render: bool, done: Ingested) -> Iterator[st
                                                      listed[2:-2].split('", "'))))
     lists = _mention_lists()
     reader = CheckedPosts(source), lists, _corpus_line(lists) if render else None
-    parts, _ = map_jobs(_read_range, reader, _spans(source, size), size >= POOL_MIN_BYTES)
+    if size:
+        parts, _ = map_jobs(_read_range, reader, _spans(source, size), size >= POOL_MIN_BYTES)
+    else:
+        parts = (_read_range(reader, span) for span in _pipe_spans(source))
     with closing(parts):
         for text, ids, part_actors, lists_of, rows, part_forums, skips, part_lines in parts:
             _log_skips(skips, lines)

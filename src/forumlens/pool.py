@@ -43,7 +43,8 @@ def _serve(fn: Callable[[Any, Any], Any], shared: Any, jobs: Sequence[Any], resu
 def _pooled(fn: Callable[[Any, Any], Any], shared: Any, jobs: Sequence[Any], procs: int
             ) -> Iterator:
     """Job ``i`` runs in forked worker ``i % procs``, which runs its jobs in turn and
-    blocks while its pipe is full."""
+    blocks while its pipe is full. A ``fork`` that fails closes its slot's pipe and
+    raises, once the workers forked before it are killed and reaped."""
     workers: list[tuple[int, BinaryIO]] = []  # pid and result pipe
     try:
         for slot in range(procs):
@@ -52,7 +53,12 @@ def _pooled(fn: Callable[[Any, Any], Any], shared: Any, jobs: Sequence[Any], pro
             # above /proc/sys/fs/pipe-max-size the default stays
             with suppress(OSError):
                 fcntl.fcntl(results_out, fcntl.F_SETPIPE_SZ, 1 << 20)
-            parent, pid = os.getpid(), os.fork()
+            try:
+                parent, pid = os.getpid(), os.fork()
+            except OSError:
+                os.close(results_in)
+                os.close(results_out)
+                raise
             if pid == 0:
                 try:
                     _serve(fn, shared, jobs[slot::procs], results_out, parent)

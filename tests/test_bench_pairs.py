@@ -215,3 +215,60 @@ def test_main_refuses_an_undeclared_workload_among_several(monkeypatch, capsys):
         bench_pairs.main(argv)
     assert exc.value.code == 2
     assert "--workload is not declared in BENCHMARK.json: huge" in capsys.readouterr().err
+
+
+def _canned(monkeypatch, change_of):
+    """Canned runs: the parent's runs are _RUN; the change's are ``change_of(workload)``."""
+    monkeypatch.chdir(_PATH.parents[1])
+    monkeypatch.setattr(bench_pairs, "copy_revision", lambda repo, rev, dest: None)
+    monkeypatch.setattr(bench_pairs, "copy_worktree", lambda repo, dest: None)
+    runs = []
+
+    def run_once(copy, workload, seed, seconds):
+        runs.append(workload)
+        return _RUN if copy.name == "parent" else change_of(workload)
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    return runs
+
+
+@pytest.mark.parametrize("change, verdict, code", [
+    # every pair won by far more than the parent's spread
+    ({**_RUN, "peak_rss_mb": 45.0}, "gain", 0),
+    # equal runs: no resolved change, so the claim fails though nothing is worse
+    (_RUN, "no resolved change", 1),
+    # 20 MB more is worse than the bound: the claim fails, and so does the run
+    ({**_RUN, "peak_rss_mb": 70.0}, "worse", 1),
+], ids=["gain", "no-change", "worse"])
+def test_claim_prints_its_verdict_and_exits_1_unless_it_is_a_gain(
+    monkeypatch, capsys, change, verdict, code
+):
+    _canned(monkeypatch, lambda workload: change)
+    argv = ["--parent", "HEAD", "--workload", "chatty", "--claim", "chatty:peak_rss_mb",
+            "--pairs", "10", "--seed-base", "1"]
+    assert bench_pairs.main(argv) == code
+    assert capsys.readouterr().out.splitlines()[-1] == f"claim chatty:peak_rss_mb: {verdict}"
+
+
+def test_claim_reads_its_own_workload_and_runs_it_if_not_given(monkeypatch, capsys):
+    # a gain on chatty only: the claim on full-L is judged on full-L's block
+    runs = _canned(monkeypatch, lambda w: {**_RUN, "wall_s": 1.0} if w == "chatty" else _RUN)
+    argv = ["--parent", "HEAD", "--workload", "chatty", "--claim", "full-L:wall_s",
+            "--pairs", "2", "--seed-base", "1"]
+    assert bench_pairs.main(argv) == 1
+    assert runs == ["chatty"] * 4 + ["full-L"] * 4
+    out = capsys.readouterr().out.splitlines()
+    assert "wall_s: 2 [2, 2] -> 1, change won 2/2: gain" in out
+    assert out[-1] == "claim full-L:wall_s: no resolved change"
+
+
+@pytest.mark.parametrize("claim", ["huge:wall_s", "chatty:speed", "chatty", "chatty:"])
+def test_claim_refuses_an_undeclared_workload_or_metric(monkeypatch, capsys, claim):
+    runs = _canned(monkeypatch, lambda workload: _RUN)
+    argv = ["--parent", "HEAD", "--workload", "chatty", "--claim", claim, "--seed-base", "1"]
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv)
+    assert exc.value.code == 2 and runs == []
+    assert f"--claim is no workload and end-to-end metric of BENCHMARK.json: {claim}" in (
+        capsys.readouterr().err
+    )

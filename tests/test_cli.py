@@ -13,6 +13,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 from collections import Counter
@@ -1466,6 +1467,35 @@ def test_ingest_and_graph_never_hold_the_corpus_text(pipeline_ws, tmp_path):
     assert json.loads((tmp_path / "ws" / "corpus_stats.json").read_text())["posts"] == 2000
     assert ingest_peak < content / 10, ingest_peak
     assert graph_peak < content / 10, graph_peak
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a FIFO")
+def test_ingest_from_a_pipe_never_holds_the_corpus_text(pipeline_ws, tmp_path):
+    inputs = pipeline_ws.parent / "inputs"
+    posts = tmp_path / "posts.jsonl"
+    content = _padded_posts(inputs, posts, 2000, 8192)
+    fifo = tmp_path / "posts.fifo"
+    os.mkfifo(fifo)
+    ws = tmp_path / "ws"
+    catalog_flags = [
+        "--cve-cwe", str(inputs / "cve_cwe.csv"), "--capec-json", str(inputs / "capec.json"),
+    ]
+    assert main(["convert-catalog", "--workspace", str(ws), *catalog_flags]) == 0
+
+    def write() -> None:  # 64 KiB at a time, so the writer's buffer stays small
+        with posts.open("rb") as source, fifo.open("wb") as sink:
+            shutil.copyfileobj(source, sink, 1 << 16)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    peak = _peak_bytes(["ingest", "--workspace", str(ws), "--posts", str(fifo)])
+    writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert json.loads((ws / "corpus_stats.json").read_text())["posts"] == 2000
+    assert peak < content / 10, peak
+    # the same corpus as from the file
+    assert main(["ingest", "--workspace", str(tmp_path / "file"), "--posts", str(posts)]) == 0
+    assert (ws / "corpus.jsonl").read_bytes() == (tmp_path / "file" / "corpus.jsonl").read_bytes()
 
 
 def test_ingest_refuses_a_duplicate_post_id_on_the_last_line(pipeline_ws, tmp_path, caplog):

@@ -324,17 +324,32 @@ def test_silhouettes_keep_the_bits_of_scoring_every_row(monkeypatch, pooled):
         assert silhouettes(X, labelings) == silhouettes_every_row(X, labelings)
 
 
-def test_silhouette_memory_is_blocked():
-    # An n x n x d difference tensor at n=3000, d=3 alone would take 216 MB.
-    X = np.random.default_rng(0).normal(size=(3000, 3))
-    labels = np.arange(3000) % 5
+def _peak_bytes(fn, *args, **kwargs) -> int:
     tracemalloc.start()
     try:
-        silhouette(X, labels)
-        _, peak = tracemalloc.get_traced_memory()
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20
+
+
+def test_silhouette_memory_is_blocked(monkeypatch):
+    # An n x n x d difference tensor at n=3000, d=3 alone would take 216 MB. In-process,
+    # since forked workers' memory is not traced: a block holds its distances and one
+    # column's differences, each block rows x n floats.
+    monkeypatch.setattr(cluster, "POOL_MIN_ROWS", 10**9)
+    X = np.random.default_rng(0).normal(size=(3000, 3))
+    peak = _peak_bytes(silhouette, X, np.arange(3000) % 5)
+    assert peak < 2.5 * _SILHOUETTE_BLOCK_ROWS * 3000 * 8, peak
+
+
+def test_sweep_k_keeps_one_run_per_k(monkeypatch):
+    # each k's winner is kept as its restarts arrive, so restarts cost no memory
+    monkeypatch.setattr(cluster, "POOL_MIN_ROWS", 10**9)
+    X = standardize(np.random.default_rng(1).normal(size=(3000, 3)))[0]
+    one = _peak_bytes(sweep_k, X, 2, 8, seed=0, restarts=1)
+    ten = _peak_bytes(sweep_k, X, 2, 8, seed=0, restarts=10)
+    assert ten < one + 0.5 * 2**20, (one, ten)
 
 
 def test_silhouette_perfect_separation_near_one():
@@ -388,8 +403,10 @@ def test_best_run_ties_keep_the_earliest_restart():
     rows = _rows(_blobs(seed=0))
     fitted = cluster._fit(rows, (2, 0, 0))
     runs = [fitted[:2] + (inertia,) + fitted[3:] for inertia in (9.0, 4.0, 4.0, 5.0, 4.0)]
-    assert cluster._best(runs) == 1
-    assert cluster._best(runs[3:]) == 1
+    assert cluster._best(runs)[0] == 1
+    assert cluster._best(runs[3:])[0] == 1
+    # it keeps the winning run itself as the runs arrive, so sweep_k need not list them
+    assert cluster._best(iter(runs))[1] is runs[1]
 
 
 def _sweep_case(seed):

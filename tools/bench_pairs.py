@@ -3,6 +3,8 @@
     python3 tools/bench_pairs.py --parent HEAD --workload full-L --pairs 8 --seed-base 4001
     python3 tools/bench_pairs.py --parent HEAD --workload chatty --workload full-L \
         --workload rerun-M --pairs 10 --seed-base 4001
+    python3 tools/bench_pairs.py --parent HEAD --workload full-L --claim full-L:peak_rss_mb \
+        --pairs 10 --seed-base 4001
 
 Run from anywhere inside the repository. It copies ``--parent`` (with ``git
 archive``) and the working tree (tracked and untracked files, ignored ones
@@ -31,8 +33,11 @@ A run that exits non-zero, prints no result or reports itself incorrect is
 listed by seed and side, and its pair counts as won by neither; its metrics
 stay out of the medians. The exit code is 1 when any run of any workload was
 listed or any metric's verdict on any workload is ``worse``: a change must be
-no worse on every workload. Standard library only; nothing is written inside
-the repository.
+no worse on every workload. ``--claim WORKLOAD:METRIC`` names a gain the
+change claims, a workload and an end-to-end metric of ``BENCHMARK.json``
+(the workload is run if ``--workload`` does not give it): its verdict is
+printed after the blocks, and the exit code is 1 too unless that verdict is
+``gain``. Standard library only; nothing is written inside the repository.
 """
 
 from __future__ import annotations
@@ -189,14 +194,24 @@ def main(argv: list[str] | None = None) -> int:
                         help="a workload of BENCHMARK.json; give it again for more")
     parser.add_argument("--pairs", type=int, default=10, help="pairs to run (default 10)")
     parser.add_argument("--seed-base", type=int, required=True, help="seed of the first pair")
+    parser.add_argument("--claim", metavar="WORKLOAD:METRIC",
+                        help="a claimed gain; exit 1 unless its verdict is gain")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error(f"--pairs must be >= 1: {args.pairs}")
     repo = Path(_git(Path.cwd(), "rev-parse", "--show-toplevel").decode().strip())
     spec = json.loads((repo / "BENCHMARK.json").read_text())
+    declared = {w["name"] for w in spec["workloads"]}
     for workload in args.workload:
-        if workload not in {w["name"] for w in spec["workloads"]}:
+        if workload not in declared:
             parser.error(f"--workload is not declared in BENCHMARK.json: {workload}")
+    if args.claim:
+        claimed, _, metric = args.claim.partition(":")
+        if claimed not in declared or metric not in {m["name"] for m in spec["end_to_end"]}:
+            parser.error(f"--claim is no workload and end-to-end metric of BENCHMARK.json: "
+                         f"{args.claim}")
+        if claimed not in args.workload:
+            args.workload.append(claimed)
 
     seeds = [args.seed_base + i for i in range(args.pairs)]
     blocks = []
@@ -223,8 +238,14 @@ def main(argv: list[str] | None = None) -> int:
     for workload, lines in blocks:
         print(f"{workload}, seeds {seeds[0]}-{seeds[-1]}, parent {args.parent}")
         print("\n".join(lines))
-    return 1 if any(line.startswith("FAILED") or line.endswith(": worse")
-                    for _, lines in blocks for line in lines) else 0
+    failed = any(line.startswith("FAILED") or line.endswith(": worse")
+                 for _, lines in blocks for line in lines)
+    if args.claim:
+        lines = next(lines for workload, lines in blocks if workload == claimed)
+        judged = next(line.rsplit(": ", 1)[-1] for line in lines if line.startswith(f"{metric}: "))
+        print(f"claim {args.claim}: {judged}")
+        failed = failed or judged != "gain"
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
