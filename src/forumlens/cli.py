@@ -420,9 +420,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 if facts is not None:
                     given = {dest: getattr(args, dest) for dest in dests}
                     ws.record_stage(name, {k: v for k, v in given.items() if v is not None} | facts)
-                # later stages' collections, and the pool workers they fork, need not
-                # scan what this stage left alive
-                gc.freeze()
         return 0
     except MissingUpstreamError as exc:
         logger.error("%s", exc)
@@ -437,7 +434,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         logger.error("error: %s: %s", type(exc).__name__, exc, exc_info=args.verbose)
         return 1
     finally:
-        gc.unfreeze()  # an in-process caller keeps no permanent generation, and its collector
         if collecting:
             gc.enable()
 

@@ -3,10 +3,13 @@
 Input is one JSON object per line with keys ``post_id``, ``actor_id``,
 ``forum_id``, ``timestamp`` (ISO-8601 UTC) and ``content``. Malformed lines
 are skipped and counted, never fatal. A corpus keeps only posts that mention
-at least one CVE. ``ingest_posts`` and ``load_post_table`` read a file in
+at least one CVE, by the one rule of ``_kept``, which ``build_corpus`` and
+each range apply. ``ingest_posts`` and ``load_post_table`` read a file in
 byte ranges of whole lines: each range is checked, kept and rendered on its
-own, on the job pool from ``POOL_MIN_BYTES``, and the caller joins the ranges
-in file order. So ``ingest_posts`` writes the corpus one range at a time,
+own, on the job pool from ``POOL_MIN_BYTES``, and returns one ``(actor_id,
+POSIX second, mention-list JSON)`` row per kept post; the caller joins the
+ranges in file order and counts the posts into ``CorpusStats`` as it joins
+them. So ``ingest_posts`` writes the corpus one range at a time,
 ``load_post_table`` reads a corpus file back as the ``(actor_id, timestamp,
 mentions)`` table the graph needs, and neither holds more of the posts'
 content than the range being joined.
@@ -19,10 +22,9 @@ import json
 import logging
 import os
 import re
-from array import array
 from collections import deque
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -173,18 +175,18 @@ def encodable(text: str, what: str) -> str:
 class CheckedPosts:
     """The lines of a JSONL post file that pass every per-line check, one at a time.
 
-    Iterating yields one :class:`PostRecord` per good line, with its UTC
-    timestamp and the mentions its line lists; :meth:`span` yields those of
-    one byte range of whole lines. Malformed lines (invalid UTF-8, bad or too
-    deeply nested JSON, missing keys, an ``actor_id`` with a lone surrogate,
-    unparseable or out-of-window timestamps) are skipped, each kept in
-    ``skips`` as its line number and reason for the caller to log; a UTF-8
-    byte order mark before the file's first line is ignored. An unreadable
-    file raises ``OSError``. The memos last as long as the object, over every
-    range it reads: each distinct mention string is parsed once, and the
-    posts naming it share that one ``CveId``; a string that fails to parse
-    fails every line with it. Posts with equal ``mentions`` lists share one
-    frozenset, and posts of one actor share one ``actor_id`` string.
+    :meth:`span` yields one :class:`PostRecord` per good line of one byte
+    range of whole lines, with its UTC timestamp and the mentions its line
+    lists. Malformed lines (invalid UTF-8, bad or too deeply nested JSON,
+    missing keys, an ``actor_id`` with a lone surrogate, unparseable or
+    out-of-window timestamps) are skipped, each kept in ``skips`` as its line
+    number and reason for the caller to log; a UTF-8 byte order mark before
+    the file's first line is ignored. An unreadable file raises ``OSError``.
+    The memos last as long as the object, over every range it reads: each
+    distinct mention string is parsed once, and the posts naming it share
+    that one ``CveId``; a string that fails to parse fails every line with
+    it. Posts with equal ``mentions`` lists share one frozenset, and posts of
+    one actor share one ``actor_id`` string.
     """
 
     def __init__(self, path: str | Path):
@@ -192,9 +194,6 @@ class CheckedPosts:
         cve_ids = Memo(CveId.parse)  # a local: a closure over self would make a cycle
         self.mention_sets = Memo(lambda raw: frozenset([cve_ids[c] for c in raw]))
         self.actors = Memo(lambda actor_id: encodable(actor_id, "key 'actor_id'"))
-
-    def __iter__(self) -> Iterator[PostRecord]:
-        return self.span(0, None)
 
     def span(self, start: int, end: int | bytes | None) -> Iterator[PostRecord]:
         """The good lines of the bytes from ``start`` (a line start) to ``end`` (one too,
@@ -239,17 +238,38 @@ def _log_skips(skips: list[tuple[int, str]], before: int = 0) -> None:
 def parse_posts(path: str | Path) -> ParsedPosts:
     """Parse a JSONL post file into records, as :class:`CheckedPosts` checks it."""
     checked = CheckedPosts(path)
-    records = list(checked)
+    records = list(checked.span(0, None))
     _log_skips(checked.skips)
     return ParsedPosts(records=records, skipped=len(checked.skips))
 
 
-@dataclass(frozen=True)
+def _kept(post: PostRecord) -> PostRecord | None:
+    """``post`` as a corpus keeps it: with the mentions its record carries, else with
+    those found in its ``content`` (into a copy); ``None`` for a post with neither."""
+    if post.mentions:
+        return post
+    mentions = frozenset(extract_cve_ids(post.content))
+    return post._replace(mentions=mentions) if mentions else None
+
+
+@dataclass
 class CorpusStats:
-    n_posts: int
-    n_actors: int
-    n_forums: int
-    n_cves: int
+    """The counts of a corpus, fed as its kept posts arrive: :meth:`add` counts a post,
+    its actor and its CVEs, and ``forums`` takes the posts' forums."""
+
+    n_posts: int = 0
+    actors: set[str] = field(default_factory=set)
+    forums: set[str] = field(default_factory=set)
+    cves: set[CveId] = field(default_factory=set)
+
+    n_actors = property(lambda self: len(self.actors))
+    n_forums = property(lambda self: len(self.forums))
+    n_cves = property(lambda self: len(self.cves))
+
+    def add(self, actor_id: str, mentions: frozenset[CveId]) -> None:
+        self.n_posts += 1
+        self.actors.add(actor_id)
+        self.cves |= mentions  # a frozenset lends its stored hashes: no CveId is rehashed
 
 
 @dataclass
@@ -257,59 +277,31 @@ class Corpus:
     """Deduplicated posts that mention at least one CVE, with their counts."""
 
     posts: list[PostRecord]
-    stats: CorpusStats = CorpusStats(0, 0, 0, 0)
+    stats: CorpusStats = field(default_factory=CorpusStats)
 
     def table(self) -> PostTable:
         """The ``(actor_id, timestamp, mentions)`` of each post, in corpus order."""
         return [(p.actor_id, p.timestamp, p.mentions) for p in self.posts]
 
 
-class _KeptPosts:
-    """The posts a corpus keeps, one at a time, and their :class:`CorpusStats` once iterated.
-
-    A post keeps the mentions its record carries, else those found in its
-    ``content`` (into a copy); a post with none is dropped. ``ids`` gets every
-    post's ``post_id``, for :func:`_refuse_duplicates`, and ``forums`` the kept
-    posts' forums.
-    """
-
-    def __init__(self, posts: Iterable[PostRecord]):
-        self.posts, self.ids, self.forums = posts, [], set()
-        self.stats = CorpusStats(0, 0, 0, 0)
-
-    def __iter__(self) -> Iterator[PostRecord]:
-        ids, forums, actors, cves, n_posts = self.ids, self.forums, set(), set(), 0
-        for post in self.posts:
-            post_id, actor_id, forum_id, _, content, mentions = post
-            ids.append(post_id)
-            if not mentions:
-                mentions = frozenset(extract_cve_ids(content))
-                if not mentions:
-                    continue
-                post = post._replace(mentions=mentions)
-            n_posts += 1
-            actors.add(actor_id)
-            forums.add(forum_id)
-            cves.update(mentions)  # a frozenset lends its stored hashes: no CveId is rehashed
-            yield post
-        self.stats = CorpusStats(n_posts, len(actors), len(forums), len(cves))
-
-
-def _refuse_duplicates(ids: Iterable[str], seen: set[str]) -> None:
-    """Add ``ids`` to ``seen``, in order; a ``post_id`` seen before is fatal."""
-    for post_id in ids:
-        if post_id in seen:
-            raise ValidationError(f"duplicate post_id: {post_id!r}")
-        seen.add(post_id)
+def _refuse_duplicate(post_id: str, seen: set[str]) -> None:
+    """Add ``post_id`` to ``seen``; a ``post_id`` seen before is fatal."""
+    if post_id in seen:
+        raise ValidationError(f"duplicate post_id: {post_id!r}")
+    seen.add(post_id)
 
 
 def build_corpus(posts: Iterable[PostRecord]) -> Corpus:
-    """Assemble a corpus: the posts :class:`_KeptPosts` keeps, in order, with their counts;
-    a duplicate ``post_id`` raises ``ValidationError``."""
-    kept = _KeptPosts(posts)
-    posts = list(kept)
-    _refuse_duplicates(kept.ids, set())
-    return Corpus(posts=posts, stats=kept.stats)
+    """Assemble a corpus: the posts :func:`_kept` keeps, in order, counted as they
+    arrive; a duplicate ``post_id`` raises ``ValidationError``."""
+    corpus, seen = Corpus(posts=[]), set()
+    for post in posts:
+        _refuse_duplicate(post.post_id, seen)
+        if post := _kept(post):
+            corpus.posts.append(post)
+            corpus.stats.add(post.actor_id, post.mentions)
+            corpus.stats.forums.add(post.forum_id)
+    return corpus
 
 
 _quote = json.encoder.encode_basestring_ascii  # how json.dumps writes a str
@@ -396,31 +388,29 @@ def _pipe_spans(path: str | Path) -> Iterator[tuple[int, bytes]]:
 
 def _read_range(reader: tuple, span: tuple[int, int | bytes | None]) -> tuple:
     """One range of a post file, its lines checked, its posts kept and, where ``reader``
-    has a line renderer, rendered, in a form cheap to pickle: the text, each good
-    line's ``post_id``, the kept posts' actors and mention sets (as their JSON lists)
-    in order of first use, a row per kept post of its actor index, POSIX second and
-    set index, the kept posts' forums, the skips and the line count."""
+    has a line renderer, rendered: the text, each good line's ``post_id``, one
+    ``(actor_id, POSIX second, mention set as its JSON list)`` row per kept post,
+    the kept posts' forums, the skips and the line count. Each actor and each JSON
+    list is one string in the range, so a pickled range names it once."""
     checked, lists, line = reader  # a CheckedPosts, a _mention_lists memo, a _corpus_line
-    kept = _KeptPosts(checked.span(*span))
-    actors: dict[str, int] = {}
-    sets: dict[frozenset[CveId], int] = {}
-    rows, text = array("q"), []
-    for post in kept:
-        rows.extend((actors.setdefault(post.actor_id, len(actors)),
-                     int(post.timestamp.timestamp()), sets.setdefault(post.mentions, len(sets))))
-        if line:
-            text.append(line(post))
-    return ("".join(text), kept.ids, [*actors], [lists[ms] for ms in sets], rows, kept.forums,
-            checked.skips, checked.lines)
+    ids, rows, forums, text = [], [], set(), []
+    for post in checked.span(*span):
+        ids.append(post.post_id)
+        if post := _kept(post):
+            rows.append((post.actor_id, int(post.timestamp.timestamp()), lists[post.mentions]))
+            forums.add(post.forum_id)
+            if line:
+                text.append(line(post))
+    return "".join(text), ids, rows, forums, checked.skips, checked.lines
 
 
 @dataclass
 class Ingested:
     """What :func:`ingest_posts` keeps of a post file once its corpus is written."""
 
-    table: PostTable
-    stats: CorpusStats
-    skipped: int
+    table: PostTable = field(default_factory=list)
+    stats: CorpusStats = field(default_factory=CorpusStats)
+    skipped: int = 0
 
 
 def _read_posts(source: str | Path, render: bool, done: Ingested) -> Iterator[str]:
@@ -431,11 +421,10 @@ def _read_posts(source: str | Path, render: bool, done: Ingested) -> Iterator[st
     process their memos last for its ranges; a pipe, whose size reads 0, is
     read in the ranges of :func:`_pipe_spans`, in this process. The parent
     logs each skip at its file line, refuses the first duplicate ``post_id``
-    in the file, gives each actor, CVE and mention set one object, and counts
-    the kept posts as :class:`_KeptPosts` does: the actors and CVEs are the
-    ones it gave objects.
+    in the file, gives each actor, CVE and mention set one object, and feeds
+    each row to ``done.stats`` as it joins it.
     """
-    seen, actors, forums, lines, size = set(), {}, set(), 0, os.stat(source).st_size
+    seen, actors, lines, size = set(), {}, 0, os.stat(source).st_size
     # a union of frozensets takes their stored hashes, so no CveId is hashed again; the
     # names in a JSON list of CVE ids hold no quote or comma
     cves = Memo(lambda name: frozenset([CveId.parse(name)]))
@@ -448,31 +437,30 @@ def _read_posts(source: str | Path, render: bool, done: Ingested) -> Iterator[st
     else:
         parts = (_read_range(reader, span) for span in _pipe_spans(source))
     with closing(parts):
-        for text, ids, part_actors, lists_of, rows, part_forums, skips, part_lines in parts:
+        for text, ids, rows, forums, skips, part_lines in parts:
             _log_skips(skips, lines)
-            _refuse_duplicates(ids, seen)
+            for post_id in ids:
+                _refuse_duplicate(post_id, seen)
             lines, done.skipped = lines + part_lines, done.skipped + len(skips)
-            actor_of = [actors.setdefault(a, a) for a in part_actors]
-            set_of = [sets[listed] for listed in lists_of]
-            triples = iter(rows)
-            done.table += [(actor_of[a], datetime.fromtimestamp(s, timezone.utc), set_of[m])
-                           for a, s, m in zip(triples, triples, triples)]
-            forums |= part_forums
+            for actor, second, listed in rows:
+                actor, mentions = actors.setdefault(actor, actor), sets[listed]
+                done.stats.add(actor, mentions)
+                done.table.append((actor, datetime.fromtimestamp(second, timezone.utc), mentions))
+            done.stats.forums |= forums
             yield text
-    done.stats = CorpusStats(len(done.table), len(actors), len(forums), len(cves))
 
 
 def ingest_posts(source: str | Path, path: str | Path) -> Ingested:
     """Write the corpus of a JSONL post file to ``path`` and return its post table.
 
     Lines are checked as :class:`CheckedPosts` checks them and posts are kept
-    as :func:`build_corpus` keeps them; the file is what :func:`save_corpus`
-    writes for that corpus. It is read in ranges (:func:`_read_posts`), and
-    no post's content outlives its range: only the post ids, the counts and
-    the ``(actor_id, timestamp, mentions)`` table are kept. A duplicate
-    ``post_id`` is fatal and leaves ``path`` as it was.
+    by :func:`_kept`, as :func:`build_corpus` keeps them; the file is what
+    :func:`save_corpus` writes for that corpus. It is read in ranges
+    (:func:`_read_posts`), and no post's content outlives its range: only the
+    post ids, the counts and the ``(actor_id, timestamp, mentions)`` table
+    are kept. A duplicate ``post_id`` is fatal and leaves ``path`` as it was.
     """
-    done = Ingested(table=[], stats=CorpusStats(0, 0, 0, 0), skipped=0)
+    done = Ingested()
     _write_corpus(_read_posts(source, True, done), path)
     return done
 
@@ -481,7 +469,7 @@ def load_post_table(path: str | Path) -> PostTable:
     """Read the post table of a corpus file as :func:`ingest_posts` reads a post file,
     never holding a post's content; a malformed line raises ``ValidationError``
     once the file is read."""
-    done = Ingested(table=[], stats=CorpusStats(0, 0, 0, 0), skipped=0)
+    done = Ingested()
     deque(_read_posts(path, False, done), maxlen=0)
     if done.skipped:
         raise ValidationError(f"{path}: {done.skipped} malformed line(s)")
@@ -498,10 +486,5 @@ def load_corpus(path: str | Path) -> Corpus:
 
 
 def save_corpus_stats(stats: CorpusStats, path: str | Path) -> None:
-    payload = {
-        "posts": stats.n_posts,
-        "actors": stats.n_actors,
-        "forums": stats.n_forums,
-        "distinct_cves": stats.n_cves,
-    }
-    write_json(path, payload)
+    write_json(path, {"posts": stats.n_posts, "actors": stats.n_actors,
+                      "forums": stats.n_forums, "distinct_cves": stats.n_cves})

@@ -272,3 +272,29 @@ def test_claim_refuses_an_undeclared_workload_or_metric(monkeypatch, capsys, cla
     assert f"--claim is no workload and end-to-end metric of BENCHMARK.json: {claim}" in (
         capsys.readouterr().err
     )
+
+
+def test_main_prints_the_code_lines_of_each_module_that_changed(monkeypatch, capsys):
+    # canned copies: a.py loses a line, b.py only a comment, c.py is new and d.py gone
+    sources = {
+        "parent": {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3\n# note\n", "d.py": "w = 4\n"},
+        "change": {"a.py": "x = 1\n", "b.py": "z = 3\n", "c.py": "v = 5\nu = 6\n"},
+    }
+
+    def write(dest, side):
+        package = dest / "src" / "forumlens"
+        package.mkdir(parents=True)
+        for name, text in sources[side].items():
+            (package / name).write_text(text)
+
+    # the repository root without git, so the test runs in an exported tree too
+    monkeypatch.setattr(bench_pairs, "_git", lambda repo, *args: str(_PATH.parents[1]).encode())
+    monkeypatch.setattr(bench_pairs, "copy_revision", lambda repo, rev, dest: write(dest, "parent"))
+    monkeypatch.setattr(bench_pairs, "copy_worktree", lambda repo, dest: write(dest, "change"))
+    monkeypatch.setattr(bench_pairs, "run_once", lambda copy, *args: _RUN)
+    argv = ["--parent", "HEAD", "--workload", "chatty", "--pairs", "1", "--seed-base", "1"]
+    assert bench_pairs.main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    head = out.index("src/forumlens lines: 5 -> 4, code lines: 4 -> 4")
+    assert out[head + 1:head + 4] == ["a.py: 2 -> 1", "c.py: 0 -> 2", "d.py: 1 -> 0"]
+    assert out[head + 4].startswith("chatty, seeds 1-1")

@@ -1389,7 +1389,7 @@ def test_only_main_locks_the_workspace_and_records_stages():
 
 @pytest.mark.parametrize("fails", [False, True], ids=["run-all", "failing-stage"])
 def test_main_leaves_no_frozen_objects(pipeline_ws, tmp_path, caplog, fails):
-    # a stage's survivors are frozen for the stages after it, and only for them
+    # main switches the collector off for its stages, freezes nothing and restores it
     extra = ("--capec-threshold", "3") if fails else ()
     assert _run_all(tmp_path / "ws", pipeline_ws.parent / "inputs", *extra) == int(fails)
     if fails:

@@ -506,9 +506,14 @@ def test_a_ranged_read_equals_a_one_range_read(cuts):
         "double quotes: line 1 column 3 (char 2)"
     ranged = _ranged_read(_RANGED, cuts)
     assert ranged == whole
-    # equal actors and mention sets are one object each, across ranges too
+    # equal actors, mention sets and CVEs are one object each, across ranges too
     table = ranged[1]
     assert table[0][2] is table[4][2] and table[0][0] is table[4][0]
+    cves = {}
+    for _, _, mentions in table:
+        for cve in mentions:
+            assert cves.setdefault(cve, cve) is cve
+    assert len(cves) == 3
 
 
 def test_a_duplicate_post_id_across_ranges_is_refused_as_in_one_range():

@@ -188,8 +188,8 @@ def test_every_top_level_name_cli_main_never_reaches_has_a_reason():
 
 
 def test_ingest_writes_a_corpus_and_refuses_a_duplicate_in_one_place_each():
-    # one line writer serves save_corpus and ingest_posts; one keep rule serves
-    # build_corpus, ingest_posts and load_post_table
+    # one line writer serves save_corpus and ingest_posts; one keep rule, the one
+    # caller of extract_cve_ids, serves build_corpus, ingest_posts and load_post_table
     tree = ast.parse(Path(forumlens.__file__).with_name("ingest.py").read_text(encoding="utf-8"))
     writes = [
         node for node in ast.walk(tree)
@@ -199,7 +199,11 @@ def test_ingest_writes_a_corpus_and_refuses_a_duplicate_in_one_place_each():
         node for node in ast.walk(tree)
         if isinstance(node, ast.Raise) and "duplicate post_id" in ast.unparse(node)
     ]
-    assert (len(writes), len(refusals)) == (1, 1)
+    extractions = [
+        top.name for top in tree.body for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "extract_cve_ids"
+    ]
+    assert (len(writes), len(refusals), extractions) == (1, 1, ["_kept"])
 
 
 def _import_time_imports(path: Path) -> set[str]:

@@ -16,7 +16,9 @@ run's result is the last line it prints.
 
 Above the summaries it prints the line count of ``src/forumlens/*.py`` in
 each copy, the design metric that a change should lower, and beside it the
-count of code lines, which an edit to comments or docstrings cannot move.
+count of code lines, which an edit to comments or docstrings cannot move,
+and below them each module whose code lines changed, as ``ingest.py: 286 ->
+267``.
 Then, one block per workload, for each end-to-end metric of
 ``BENCHMARK.json`` it prints the parent's median [Q1, Q3], the change's
 median, the pairs the change won (ties count for neither side) and a
@@ -94,10 +96,11 @@ _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, t
 _DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def code_lines(copy: Path) -> int:
-    """The code lines of ``src/forumlens/*.py`` under ``copy``: lines that are not
-    blank, not comment-only and not inside a module, class or function docstring."""
-    total = 0
+def module_code_lines(copy: Path) -> dict[str, int]:
+    """The code lines of each ``src/forumlens/*.py`` under ``copy``, by file name: lines
+    that are not blank, not comment-only and not inside a module, class or function
+    docstring."""
+    counts = {}
     for path in (copy / "src" / "forumlens").glob("*.py"):
         text = path.read_text(encoding="utf-8")
         lines: set[int] = set()
@@ -107,8 +110,14 @@ def code_lines(copy: Path) -> int:
         for node in ast.walk(ast.parse(text)):
             if isinstance(node, _DOCUMENTED) and ast.get_docstring(node, clean=False) is not None:
                 lines.difference_update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
-        total += len(lines)
-    return total
+        counts[path.name] = len(lines)
+    return counts
+
+
+def code_lines(copy: Path) -> int:
+    """The code lines of ``src/forumlens/*.py`` under ``copy``, as
+    :func:`module_code_lines` counts them."""
+    return sum(module_code_lines(copy).values())
 
 
 def run_once(copy: Path, workload: str, seed: int, seconds: float) -> Outcome:
@@ -222,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
         copy_revision(repo, args.parent, copies["parent"])
         copy_worktree(repo, copies["change"])
         lines_of = {side: src_lines(path) for side, path in copies.items()}
-        code_of = {side: code_lines(path) for side, path in copies.items()}
+        code_of = {side: module_code_lines(path) for side, path in copies.items()}
         for workload in args.workload:
             pairs: list[dict[str, Outcome]] = []
             for i, seed in enumerate(seeds):
@@ -234,7 +243,12 @@ def main(argv: list[str] | None = None) -> int:
                 pairs.append(pair)
             blocks.append((workload, summarize(spec["end_to_end"], pairs, seeds)))
     print(f"src/forumlens lines: {lines_of['parent']} -> {lines_of['change']}, "
-          f"code lines: {code_of['parent']} -> {code_of['change']}")
+          f"code lines: {sum(code_of['parent'].values())} -> {sum(code_of['change'].values())}")
+    for name in sorted(code_of["parent"].keys() | code_of["change"].keys()):
+        # a module on one side only counts 0 on the other
+        before, after = (code_of[side].get(name, 0) for side in SIDES)
+        if before != after:
+            print(f"{name}: {before} -> {after}")
     for workload, lines in blocks:
         print(f"{workload}, seeds {seeds[0]}-{seeds[-1]}, parent {args.parent}")
         print("\n".join(lines))
