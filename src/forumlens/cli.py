@@ -259,7 +259,7 @@ def _load_cut_posts(
 def cmd_communities(ws: Workspace, args: argparse.Namespace) -> dict:
     from . import community, graph
     snapshot, posts, adjacency = _load_cut_posts(ws)
-    part = community.leiden(graph.graph_of(adjacency), seed=args.seed, restarts=args.restarts)
+    part = community.leiden(adjacency, seed=args.seed, restarts=args.restarts)
     overview = community.summarize_communities(part, posts, adjacency, snapshot)
     ws.write_json(
         "communities.json",

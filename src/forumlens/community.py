@@ -20,6 +20,7 @@ import logging
 import random
 import re
 from collections import defaultdict
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -48,8 +49,13 @@ _GAIN_EPS = 1e-12  # floating-point guard: gains below this are treated as zero
 class _Level:
     """One Leiden level as CSR: ``indices[indptr[v]:indptr[v + 1]]`` are v's other
     neighbours, ascending, with ``weights`` alongside and each entry's node in
-    ``rows``; ``loop[v]`` is v's self-loop weight, and ``adj[v]`` v's
-    (neighbour, weight) pairs as a Python list for the move loops."""
+    ``rows``; ``loop[v]`` is v's self-loop weight.
+
+    The move loops walk ``nbrs[v]``, v's neighbours as a Python list in which
+    every entry of node u is the one int object ``u``, beside ``wts[v]``, their
+    weights: a list of floats, or on a level whose every weight is 1 one shared
+    endless ``repeat(1.0)``. No entry has a tuple or a float of its own.
+    """
 
     def __init__(self, n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray, loop: np.ndarray):
         # one entry per distinct (src, dst) pair with its weights summed, sorted by pair
@@ -60,16 +66,24 @@ class _Level:
         self.indptr = np.searchsorted(self.rows, np.arange(n + 1))
         self.strength = np.bincount(self.rows, self.weights, n) + 2.0 * loop
         self.total_weight = float(self.strength.sum()) / 2.0
-        entries = list(zip(self.indices.tolist(), self.weights.tolist()))
-        bounds = self.indptr.tolist()
-        self.adj = [entries[a:b] for a, b in zip(bounds, bounds[1:])]
+        ids, bounds = list(range(n)), self.indptr.tolist()
+        spans = list(zip(bounds, bounds[1:]))
+        self.nbrs = [list(map(ids.__getitem__, self.indices[a:b].tolist())) for a, b in spans]
+        unit = (self.weights == 1.0).all()
+        self.wts = [repeat(1.0)] * n if unit else [self.weights[a:b].tolist() for a, b in spans]
 
 
-def _index_graph(graph: BimodalGraph) -> tuple[list[str], _Level]:
-    nodes = node_table(graph.actor_ids, graph.capec_ids)
+def _index_graph(graph: BimodalGraph | ActorCapecs) -> tuple[list[str], _Level]:
+    """Node keys in :func:`node_table` order and level 0 of a graph, or of a post
+    table's ``actor_capecs``, whose graph is :func:`graph_of`'s."""
+    if isinstance(graph, BimodalGraph):
+        nodes, edges = node_table(graph.actor_ids, graph.capec_ids), graph.edges
+    else:
+        nodes = node_table(graph, frozenset().union(*graph.values()))
+        edges = ((a, c) for a, cs in graph.items() for c in cs)
     # one map for both modes: actor ids are str and CAPEC ids int, so none collide
     index = {node: i for i, (_, _, node) in enumerate(nodes)}
-    ends = np.array([(index[a], index[c]) for a, c in graph.edges], dtype=np.int64).reshape(-1, 2)
+    ends = np.fromiter((index[node] for edge in edges for node in edge), np.int64).reshape(-1, 2)
     src, dst = np.concatenate([ends[:, 0], ends[:, 1]]), np.concatenate([ends[:, 1], ends[:, 0]])
     level = _Level(len(nodes), src, dst, np.ones(len(src)), np.zeros(len(nodes)))
     return [key for key, _, _ in nodes], level
@@ -115,7 +129,7 @@ def _local_move(g: _Level, comm: list[int], rng: random.Random) -> None:
             cur = comm[v]
             k_v = strength[v]
             to_comm: dict[int, float] = {}
-            for u, w in g.adj[v]:
+            for u, w in zip(g.nbrs[v], g.wts[v]):
                 c = comm[u]
                 to_comm[c] = to_comm[c] + w if c in to_comm else w
             k_v_cur = to_comm.pop(cur, 0.0)
@@ -173,7 +187,7 @@ def _refine(g: _Level, comm: Sequence[int], rng: random.Random) -> list[int]:
             continue
         c_v, k_v = comm[v], strength[v]
         to_ref: dict[int, float] = {}
-        for u, w in g.adj[v]:
+        for u, w in zip(g.nbrs[v], g.wts[v]):
             if comm[u] == c_v:
                 r = refined[u]
                 to_ref[r] = to_ref[r] + w if r in to_ref else w
@@ -255,21 +269,24 @@ def modularity(graph: BimodalGraph, partition: Partition) -> float:
     return _quality(g, partition.labels(nodes))
 
 
-def leiden(graph: BimodalGraph, seed: int = 0, restarts: int = DEFAULT_LEIDEN_RESTARTS) -> Partition:
-    """Best-of-``restarts`` Leiden partition; deterministic in (seed, restarts).
+def leiden(
+    graph: BimodalGraph | ActorCapecs, seed: int = 0, restarts: int = DEFAULT_LEIDEN_RESTARTS
+) -> Partition:
+    """Best-of-``restarts`` Leiden partition of a graph, or of a post table's
+    ``actor_capecs`` as of its graph; deterministic in (seed, restarts).
 
     Each restart runs the full level loop from its own derived seed (see
     ``_restart``); the highest-modularity run wins, ties toward the earliest
     restart. The connected-components partition (whose Q is never below the
     all-in-one or singleton baselines) is kept as a floor candidate.
     """
-    if graph.n_nodes == 0:
+    nodes, g = _index_graph(graph)
+    if g.n == 0:
         raise ValidationError("cannot run community detection on an empty graph")
     if restarts < 1:
         raise ValidationError(f"restarts must be >= 1: {restarts}")
     if seed < 0:  # random.Random seeds with abs(seed): -7 would run seed 7
         raise ValidationError(f"seed must be >= 0: {seed}")
-    nodes, g = _index_graph(graph)
 
     master = random.Random(seed)
     run_seeds = [master.getrandbits(64) for _ in range(restarts)]
@@ -304,7 +321,7 @@ def brute_force_best_partition(graph: BimodalGraph) -> Partition:
     W = g.total_weight
     best_labels = [0] * g.n
     best_q = _quality(g, best_labels)
-    earlier = [[(j, w) for j, w in g.adj[i] if j < i] for i in range(g.n)]
+    earlier = [[(j, w) for j, w in zip(g.nbrs[i], g.wts[i]) if j < i] for i in range(g.n)]
     strength, loop = g.strength.tolist(), g.loop.tolist()
     # Restricted-growth strings enumerate each set partition once, labels in
     # order of first appearance; per-label intra-edge and degree totals ride

@@ -24,7 +24,7 @@ from .catalog import CatalogSnapshot, SkillLevel, map_cve_to_capecs
 from .errors import ValidationError
 from .ingest import Corpus, Memo, PostTable, encodable
 from .stats import describe
-from .workspace import field, read_json_object, replacing
+from .workspace import field, read_json_items, read_json_object, replacing
 
 
 @dataclass(frozen=True)
@@ -290,11 +290,16 @@ def save_posts(posts: ActorPosts, path: str | Path) -> None:
 def load_posts(path: str | Path, snapshot: CatalogSnapshot) -> ActorPosts:
     """Read a resolved-post table; posts with equal CAPEC lists share one frozenset.
 
-    Each actor's value must be a non-empty list of ``[timestamp, [CAPEC ids]]``
-    rows, each timestamp with a UTC offset and each CAPEC list non-empty and in
-    ``snapshot``, as :func:`save_posts` writes them, and each actor id must
-    encode as UTF-8; anything else raises ``ValidationError`` naming the file
-    and the actor.
+    The file is read one actor at a time (:func:`read_json_items`): each
+    actor's rows are checked and converted as its value arrives, so the
+    parsed document is never held beside the table. Each actor's value must
+    be a non-empty list of ``[timestamp, [CAPEC ids]]`` rows, each timestamp
+    with a UTC offset and each CAPEC list non-empty and in ``snapshot``, as
+    :func:`save_posts` writes them, each actor id must encode as UTF-8, and
+    no actor may appear twice (:func:`save_posts` never writes one twice, so
+    only a hand edit can); anything else raises ``ValidationError`` naming the
+    file and the actor. A fault in the JSON text is named after the actors
+    before it are checked, so an earlier actor's fault is the one named.
     """
     @Memo
     def shared(key: tuple) -> frozenset[int]:
@@ -312,7 +317,12 @@ def load_posts(path: str | Path, snapshot: CatalogSnapshot) -> ActorPosts:
             raise ValidationError("timestamp without a UTC offset")
         return table
 
-    return {a: field(path, a, lambda: rows(a, ps)) for a, ps in read_json_object(path).items()}
+    posts: ActorPosts = {}
+    for a, ps in read_json_items(path):
+        if a in posts:
+            raise ValidationError(f"{path}: {a}: actor appears more than once")
+        posts[a] = field(path, a, lambda: rows(a, ps))
+    return posts
 
 
 # --- partitions --------------------------------------------------------------

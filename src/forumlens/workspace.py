@@ -25,6 +25,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, TextIO, TypeVar
@@ -167,10 +168,56 @@ def _object(value: object) -> dict:
     return value
 
 
+_WS = "[ \t\n\r]*"  # the whitespace JSON allows between tokens
+_OPEN = re.compile(_WS + r"\{" + _WS + '(?=["}])')  # a first key or the close follows
+_COLON = re.compile(_WS + ":" + _WS)
+_NEXT = re.compile(_WS + "," + _WS + '(?=")|' + _WS + r"(?=\})")  # a key or the close
+_CLOSE = re.compile(r"\}" + _WS + r"\Z")  # the close ends the text
+_SCAN = json.JSONDecoder(parse_constant=_refuse_constant).scan_once
+
+
+def _past(pattern: re.Pattern, text: str, at: int) -> int:
+    if (found := pattern.match(text, at)) is None:
+        raise ValueError("not a JSON object")
+    return found.end()
+
+
+def _object_items(text: str) -> Iterator[tuple[str, Any]]:
+    """The pairs of the JSON object ``text`` holds, parsed as ``json.loads`` parses an
+    object. Other text raises ``ValueError``, or ``RuntimeError`` where a value is
+    missing or nested too deep, after the pairs before the fault."""
+    end = _past(_OPEN, text, 0)
+    while text[end] == '"':
+        key, end = json.decoder.scanstring(text, end + 1)
+        value, end = _SCAN(text, _past(_COLON, text, end))
+        yield key, value
+        end = _past(_NEXT, text, end)
+    _past(_CLOSE, text, end)
+
+
+def read_json_items(path: str | Path) -> Iterator[tuple[str, Any]]:
+    """Each top-level ``(key, value)`` pair of a JSON file that holds one object, in file
+    order, a repeated key as often as it appears; only the text and one value are held.
+
+    The file is read as :func:`read_json` reads it. A fault, in the text or a
+    document that is no object, raises the ``ValidationError`` that
+    :func:`read_json_object` raises for the whole file, after the pairs that
+    precede it.
+    """
+    try:
+        yield from _object_items(Path(path).read_text(encoding="utf-8-sig"))
+    # a missing value's StopIteration leaves a generator as a RuntimeError, of which
+    # RecursionError is one; ValueError covers both decode errors
+    except (ValueError, RuntimeError) as exc:
+        payload = read_json(path)  # the whole-file parse names the fault as it always has
+        field(path, None, lambda: _object(payload))
+        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
+
+
 def read_json_object(path: str | Path) -> dict:
-    """Parse a JSON file that holds one object; a fault names the file."""
-    payload = read_json(path)
-    return field(path, None, lambda: _object(payload))
+    """Parse a JSON file that holds one object, a repeated key keeping its last value as
+    ``json.loads`` keeps it; a fault names the file."""
+    return dict(read_json_items(path))
 
 
 def _digest(stages: Mapping, name: str) -> str | None:

@@ -161,7 +161,6 @@ _RUN = {"setup_s": 1.0, "wall_s": 2.0, "cpu_s": 2.0, "peak_rss_mb": 50.0, "modul
 ], ids=["equal", "inside-bound", "worse", "worse-higher-is-better", "failed"])
 def test_main_exits_1_on_a_worse_verdict_or_a_failed_run(monkeypatch, capsys, change, worse, code):
     # canned runs: no copy is made and no benchmark runs
-    monkeypatch.chdir(_PATH.parents[1])
     monkeypatch.setattr(bench_pairs, "copy_revision", lambda repo, rev, dest: None)
     monkeypatch.setattr(bench_pairs, "copy_worktree", lambda repo, dest: None)
     outcomes = {"parent": _RUN, "change": change}
@@ -176,7 +175,6 @@ def test_main_exits_1_on_a_worse_verdict_or_a_failed_run(monkeypatch, capsys, ch
 def test_main_runs_the_pairs_of_each_workload_and_exits_1_if_any_is_worse(
     monkeypatch, capsys, slow_on, code
 ):
-    monkeypatch.chdir(_PATH.parents[1])
     monkeypatch.setattr(bench_pairs, "copy_revision", lambda repo, rev, dest: None)
     monkeypatch.setattr(bench_pairs, "copy_worktree", lambda repo, dest: None)
     runs = []
@@ -209,7 +207,6 @@ def test_main_runs_the_pairs_of_each_workload_and_exits_1_if_any_is_worse(
 
 
 def test_main_refuses_an_undeclared_workload_among_several(monkeypatch, capsys):
-    monkeypatch.chdir(_PATH.parents[1])
     argv = ["--parent", "HEAD", "--workload", "chatty", "--workload", "huge", "--seed-base", "1"]
     with pytest.raises(SystemExit) as exc:
         bench_pairs.main(argv)
@@ -219,7 +216,6 @@ def test_main_refuses_an_undeclared_workload_among_several(monkeypatch, capsys):
 
 def _canned(monkeypatch, change_of):
     """Canned runs: the parent's runs are _RUN; the change's are ``change_of(workload)``."""
-    monkeypatch.chdir(_PATH.parents[1])
     monkeypatch.setattr(bench_pairs, "copy_revision", lambda repo, rev, dest: None)
     monkeypatch.setattr(bench_pairs, "copy_worktree", lambda repo, dest: None)
     runs = []
@@ -274,7 +270,7 @@ def test_claim_refuses_an_undeclared_workload_or_metric(monkeypatch, capsys, cla
     )
 
 
-def test_main_prints_the_code_lines_of_each_module_that_changed(monkeypatch, capsys):
+def test_main_prints_the_code_lines_of_each_module_that_changed(monkeypatch, capsys, tmp_path):
     # canned copies: a.py loses a line, b.py only a comment, c.py is new and d.py gone
     sources = {
         "parent": {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3\n# note\n", "d.py": "w = 4\n"},
@@ -287,8 +283,8 @@ def test_main_prints_the_code_lines_of_each_module_that_changed(monkeypatch, cap
         for name, text in sources[side].items():
             (package / name).write_text(text)
 
-    # the repository root without git, so the test runs in an exported tree too
-    monkeypatch.setattr(bench_pairs, "_git", lambda repo, *args: str(_PATH.parents[1]).encode())
+    # run outside any git repository: the tool finds the repository from its own path
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(bench_pairs, "copy_revision", lambda repo, rev, dest: write(dest, "parent"))
     monkeypatch.setattr(bench_pairs, "copy_worktree", lambda repo, dest: write(dest, "change"))
     monkeypatch.setattr(bench_pairs, "run_once", lambda copy, *args: _RUN)

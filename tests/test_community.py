@@ -8,6 +8,7 @@ import logging
 import multiprocessing
 import os
 import random
+import tracemalloc
 
 import pytest
 
@@ -25,7 +26,7 @@ from forumlens.community import (
 from forumlens.errors import ValidationError
 from forumlens.expertise import build_profiles
 from forumlens.graph import (
-    BimodalGraph, actor_capecs, build_graph, post_capec_sets, surviving_posts,
+    BimodalGraph, actor_capecs, build_graph, graph_of, post_capec_sets, surviving_posts,
 )
 from forumlens.ingest import build_corpus
 from forumlens.synth import SynthConfig, generate
@@ -326,3 +327,18 @@ def test_summarize_communities_fields():
     assert "attack" in alice["keywords"] or "scripting" in alice["keywords"]
     payload = overviews[0]
     assert {"community", "nodes", "one_timer_pct", "keywords"} <= set(payload)
+
+
+def test_the_leiden_index_keeps_few_bytes_per_csr_entry():
+    corpus, snapshot, _ = generate(SynthConfig(seed=7, n_communities=4, actors_per_community=40))
+    graph = graph_of(actor_capecs(post_capec_sets(corpus.table(), snapshot)))
+    tracemalloc.start()
+    try:
+        _, level = community._index_graph(graph)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # measured on this graph (2,584 entries on 200 nodes): 48 bytes per entry with the
+    # neighbour lists sharing one int per node and one unit weight, 110 with an
+    # (int, float) tuple of its own per entry
+    assert kept <= 64 * len(level.indices)

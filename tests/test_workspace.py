@@ -5,12 +5,15 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
+import tempfile
 import weakref
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, strategies as st
 
 import forumlens
 from forumlens.cli import PIPELINE
@@ -26,6 +29,8 @@ from forumlens.workspace import (
     WorkspaceLockedError,
     default_root,
     read_json,
+    read_json_items,
+    read_json_object,
     sha256_file,
     write_json,
 )
@@ -357,6 +362,104 @@ def test_read_json_refuses_the_non_standard_constants(tmp_path, constant):
     with pytest.raises(ValidationError) as excinfo:
         read_json(path)
     assert str(excinfo.value) == f"{path}: invalid JSON: {constant} is not a JSON value"
+
+
+@contextmanager
+def _json_file(data: bytes):
+    """A temporary file holding ``data``; safe inside a hypothesis test, unlike ``tmp_path``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "capec_posts.json")
+        path.write_bytes(data)
+        yield path
+
+
+def _whole_file_fault(path: Path) -> str:
+    """The message of a whole-file parse of ``path`` by ``json.loads``, then of the check
+    that it is an object: the faults the object reader must name as they always were."""
+    def refuse(name):
+        raise ValueError(f"{name} is not a JSON value")
+
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8-sig"), parse_constant=refuse)
+    except (ValueError, RecursionError) as exc:
+        return f"{path}: invalid JSON: {exc}"
+    assert not isinstance(payload, dict), "the text is a JSON object"
+    return f"{path}: expected a JSON object, got {type(payload).__name__}"
+
+
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+_SPACE = st.text(" \t\n\r", max_size=2)
+
+
+@st.composite
+def _object_texts(draw):
+    """An object and a JSON text of it: spacing and separators drawn around every top-level
+    token, values dumped with or without unicode escapes and indents, maybe after a BOM."""
+    obj = draw(st.dictionaries(st.text(), _VALUES, max_size=5))
+    ascii_only, indent = draw(st.booleans()), draw(st.sampled_from([None, 0, 2]))
+    separators = draw(st.sampled_from([None, (",", ":"), (" , ", " : ")]))
+
+    def dump(value):
+        return json.dumps(value, ensure_ascii=ascii_only, indent=indent, separators=separators)
+
+    pairs = [draw(_SPACE) + dump(k) + draw(_SPACE) + ":" + draw(_SPACE) + dump(v) + draw(_SPACE)
+             for k, v in obj.items()]
+    text = draw(_SPACE) + "{" + (",".join(pairs) or draw(_SPACE)) + "}" + draw(_SPACE)
+    return obj, draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+@given(_object_texts())
+def test_read_json_items_yields_the_pairs_json_loads_reads(case):
+    obj, text = case
+    with _json_file(text.encode("utf-8")) as path:
+        assert list(read_json_items(path)) == list(json.loads(text.lstrip("\ufeff")).items())
+        assert read_json_object(path) == obj
+
+
+def test_read_json_items_yields_a_repeated_key_each_time_and_the_object_keeps_the_last(tmp_path):
+    path = tmp_path / "capec_posts.json"
+    path.write_text('{"a": 1, "b": {"a": 2}, "a": [3]}')
+    assert list(read_json_items(path)) == [("a", 1), ("b", {"a": 2}), ("a", [3])]
+    assert read_json_object(path) == json.loads(path.read_text()) == {"a": [3], "b": {"a": 2}}
+
+
+_MALFORMED = [
+    b"", b"{", b'{"a"', b'{"a":', b'{"a": 1', b'{"a": [1, 2', b'{"a": "open',  # truncated
+    b'{"a": 1} x', b'{"a": 1}{}', b"{} []",  # trailing data
+    b'{"a": NaN}', b'{"a": [1, -Infinity]}', b'{"a": {"b": Infinity}}',  # constants
+    b"[1, 2]", b'"text"', b"3", b"null",  # not an object
+    b"\xef\xbb\xbfgarbage", b"\xef\xbb\xbf\xef\xbb\xbf{}", b"\xef\xbb\xbf[]",  # BOM first
+    b'{"a": 1,}', b'{,}', b'{"a" 1}', b'{1: 2}', b'{"a": 1 "b": 2}', b"{'a': 1}",  # grammar
+    b'{"a": "\xff"}', b'{"a": "tab\tin a string"}', b'{"a": "\\x"}',  # bytes and escapes
+    b'{"a": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",  # nesting past the recursion limit
+]
+
+
+@pytest.mark.parametrize("data", _MALFORMED, ids=range(len(_MALFORMED)))
+def test_read_json_items_names_a_fault_as_the_whole_file_parse_does(data):
+    with _json_file(data) as path:
+        for read in (lambda p: list(read_json_items(p)), read_json_object):
+            with pytest.raises(ValidationError) as exc:
+                read(path)
+            assert str(exc.value) == _whole_file_fault(path)
+
+
+@given(_object_texts(), st.data())
+def test_read_json_items_names_a_cut_or_extended_text_as_the_whole_file_parse_does(case, data):
+    _, text = case
+    end = text.rstrip(" \t\n\r").rfind("}")
+    cut = text[:data.draw(st.integers(0, end), label="cut")]
+    extended = text + data.draw(st.sampled_from(["x", "{}", "0", '"', ",", "]"]), label="tail")
+    for broken in (cut, extended):
+        with _json_file(broken.encode("utf-8")) as path:
+            with pytest.raises(ValidationError) as exc:
+                list(read_json_items(path))
+            assert str(exc.value) == _whole_file_fault(path)
 
 
 def test_default_root_env_var(monkeypatch, tmp_path):

@@ -6,9 +6,10 @@
     python3 tools/bench_pairs.py --parent HEAD --workload full-L --claim full-L:peak_rss_mb \
         --pairs 10 --seed-base 4001
 
-Run from anywhere inside the repository. It copies ``--parent`` (with ``git
-archive``) and the working tree (tracked and untracked files, ignored ones
-excluded) into a temporary directory, and removes both copies at the end.
+Run from anywhere: the repository is the one this file sits in. It copies
+``--parent`` (with ``git archive``) and the working tree (tracked and
+untracked files, ignored ones excluded) into a temporary directory, and
+removes both copies at the end.
 For each ``--workload`` in turn, pair ``i`` runs ``perfbench/run.py
 --workload NAME --seed S+i --seconds 10 --trace 0`` in each copy, one process
 at a time; the parent runs first in even pairs and second in odd ones. Each
@@ -208,7 +209,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error(f"--pairs must be >= 1: {args.pairs}")
-    repo = Path(_git(Path.cwd(), "rev-parse", "--show-toplevel").decode().strip())
+    repo = Path(__file__).resolve().parents[1]
     spec = json.loads((repo / "BENCHMARK.json").read_text())
     declared = {w["name"] for w in spec["workloads"]}
     for workload in args.workload:
