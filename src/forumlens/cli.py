@@ -206,30 +206,30 @@ def cmd_graph(ws: Workspace, args: argparse.Namespace) -> dict:
     snapshot = _load_snapshot(ws)
     # the post table is only needed to resolve posts, so no name keeps it alive
     posts = graph.post_capec_sets(ws.load("corpus.jsonl", ingest.load_post_table), snapshot)
-    adjacency = graph.actor_capecs(posts)
-    full, before = graph.graph_of(adjacency), graph.degree_stats(posts, adjacency)
-    del adjacency  # the cut gets its own union; kept, this one adds about 1 MB to the peak at L
-    if full.n_nodes == 0:
+    full = graph.actor_capecs(posts)
+    if not full:
         raise ValidationError("no post mentions a CVE that maps to any catalog CAPEC")
-    filtered, removal = graph.filter_popular_capecs(full, threshold=args.capec_threshold)
-    if not filtered.capec_ids:
+    removal = graph.filter_popular_capecs(full, threshold=args.capec_threshold)
+    before = graph.degree_stats(posts, full)
+    by_skill = graph.removal_by_skill(full, removal, snapshot)
+    del full  # the cut gets its own union; kept, this one adds to the peak
+    posts = graph.surviving_posts(posts, removal.removed_capecs)
+    if not posts:
         least = min(removal.removed_capecs.values())
         raise ValidationError(
             f"--capec-threshold {args.capec_threshold} removes every CAPEC; the least-shared "
             f"one has {least} actors, so a threshold of {least} or more keeps it"
         )
-    by_skill = graph.removal_by_skill(full, removal, snapshot)
     _warn_emptied_skill_levels(removal.threshold, by_skill)
-    posts = graph.surviving_posts(posts, filtered)
-    after = graph.degree_stats(posts, graph.actor_capecs(posts))
-    graph.save_graph(filtered, ws.path("graph.json"))
+    adjacency = graph.actor_capecs(posts)
+    after = graph.degree_stats(posts, adjacency)
+    graph.save_graph(adjacency, ws.path("graph.json"))
     graph.save_posts(posts, ws.path("capec_posts.json"))
     ws.hand_off("capec_posts.json", posts)
     ws.write_json("graph_stats.json", {"before": before, "after": after})
     ws.write_json("removal.json", {**removal.as_dict(), "by_skill": by_skill})
     print(
-        f"graph: {len(filtered.actor_ids)} actors, {len(filtered.capec_ids)} CAPECs, "
-        f"{len(filtered.edges)} edges "
+        f"graph: {after['n_actors']} actors, {after['n_capecs']} CAPECs, {after['n_edges']} edges "
         f"(removed {len(removal.removed_capecs)} CAPECs, {len(removal.removed_actors)} actors)"
     )
     return {}

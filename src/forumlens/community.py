@@ -1,4 +1,4 @@
-"""Community detection on the bimodal graph.
+"""Community detection on the bimodal graph, given as its actor -> CAPEC union.
 
 Quality is plain Newman modularity with the graph treated as undirected and
 unweighted: Q = sum_c [ e_c/m - (d_c/2m)^2 ]. Leiden runs local moving,
@@ -28,7 +28,7 @@ import numpy as np
 from . import DEFAULT_LEIDEN_RESTARTS
 from .catalog import CatalogSnapshot
 from .errors import ValidationError
-from .graph import ActorCapecs, ActorPosts, BimodalGraph, Partition, node_table
+from .graph import ActorCapecs, ActorPosts, Partition, node_table
 from .pool import map_jobs
 from .stats import describe
 
@@ -73,17 +73,13 @@ class _Level:
         self.wts = [repeat(1.0)] * n if unit else [self.weights[a:b].tolist() for a, b in spans]
 
 
-def _index_graph(graph: BimodalGraph | ActorCapecs) -> tuple[list[str], _Level]:
-    """Node keys in :func:`node_table` order and level 0 of a graph, or of a post
-    table's ``actor_capecs``, whose graph is :func:`graph_of`'s."""
-    if isinstance(graph, BimodalGraph):
-        nodes, edges = node_table(graph.actor_ids, graph.capec_ids), graph.edges
-    else:
-        nodes = node_table(graph, frozenset().union(*graph.values()))
-        edges = ((a, c) for a, cs in graph.items() for c in cs)
+def _index_graph(adjacency: ActorCapecs) -> tuple[list[str], _Level]:
+    """Node keys in :func:`node_table` order and level 0 of a union's graph."""
+    nodes = node_table(adjacency, frozenset().union(*adjacency.values()))
     # one map for both modes: actor ids are str and CAPEC ids int, so none collide
     index = {node: i for i, (_, _, node) in enumerate(nodes)}
-    ends = np.fromiter((index[node] for edge in edges for node in edge), np.int64).reshape(-1, 2)
+    pairs = (index[node] for a, cs in adjacency.items() for c in cs for node in (a, c))
+    ends = np.fromiter(pairs, np.int64).reshape(-1, 2)
     src, dst = np.concatenate([ends[:, 0], ends[:, 1]]), np.concatenate([ends[:, 1], ends[:, 0]])
     level = _Level(len(nodes), src, dst, np.ones(len(src)), np.zeros(len(nodes)))
     return [key for key, _, _ in nodes], level
@@ -263,24 +259,24 @@ def _renumber(labels: Iterable[int]) -> list[int]:
     return [first.setdefault(lab, len(first)) for lab in labels]
 
 
-def modularity(graph: BimodalGraph, partition: Partition) -> float:
-    """Newman modularity of a full assignment; 0 on an edgeless graph."""
-    nodes, g = _index_graph(graph)
+def modularity(adjacency: ActorCapecs, partition: Partition) -> float:
+    """Newman modularity of a full assignment of a union's graph; 0 on an edgeless one."""
+    nodes, g = _index_graph(adjacency)
     return _quality(g, partition.labels(nodes))
 
 
 def leiden(
-    graph: BimodalGraph | ActorCapecs, seed: int = 0, restarts: int = DEFAULT_LEIDEN_RESTARTS
+    adjacency: ActorCapecs, seed: int = 0, restarts: int = DEFAULT_LEIDEN_RESTARTS
 ) -> Partition:
-    """Best-of-``restarts`` Leiden partition of a graph, or of a post table's
-    ``actor_capecs`` as of its graph; deterministic in (seed, restarts).
+    """Best-of-``restarts`` Leiden partition of a union's graph, such as a post
+    table's ``actor_capecs``; deterministic in (seed, restarts).
 
     Each restart runs the full level loop from its own derived seed (see
     ``_restart``); the highest-modularity run wins, ties toward the earliest
     restart. The connected-components partition (whose Q is never below the
     all-in-one or singleton baselines) is kept as a floor candidate.
     """
-    nodes, g = _index_graph(graph)
+    nodes, g = _index_graph(adjacency)
     if g.n == 0:
         raise ValidationError("cannot run community detection on an empty graph")
     if restarts < 1:
@@ -304,20 +300,20 @@ def leiden(
     return Partition(assignment=dict(zip(nodes, _renumber(best_labels))), quality=best_q)
 
 
-def brute_force_best_partition(graph: BimodalGraph) -> Partition:
-    """Exhaustive modularity maximum over all set partitions; test oracle.
+def brute_force_best_partition(adjacency: ActorCapecs) -> Partition:
+    """Exhaustive modularity maximum over all set partitions of a union's graph; test oracle.
 
     Refuses graphs with more than 12 nodes. Ties keep the partition met first
     in the canonical enumeration (the all-in-one partition comes first).
     """
-    if graph.n_nodes > BRUTE_FORCE_NODE_CAP:
+    nodes, g = _index_graph(adjacency)
+    if g.n > BRUTE_FORCE_NODE_CAP:
         raise ValidationError(
             f"brute-force search refuses graphs with more than "
-            f"{BRUTE_FORCE_NODE_CAP} nodes (got {graph.n_nodes})"
+            f"{BRUTE_FORCE_NODE_CAP} nodes (got {g.n})"
         )
-    if graph.n_nodes == 0:
+    if g.n == 0:
         raise ValidationError("cannot partition an empty graph")
-    nodes, g = _index_graph(graph)
     W = g.total_weight
     best_labels = [0] * g.n
     best_q = _quality(g, best_labels)

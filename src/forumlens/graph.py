@@ -1,10 +1,12 @@
-"""The unweighted actor-CAPEC bimodal graph.
+"""The unweighted actor-CAPEC bimodal graph, held as its actor -> CAPEC union.
 
 Edges are set-semantic: an actor mentioning a CAPEC once or more yields one
-edge. The popularity filter removes CAPEC nodes shared by more than a
-threshold number of actors and then prunes actors left without edges; one
-CAPEC pass followed by one actor pass suffices because removing actors can
-only lower CAPEC degrees.
+edge, so the graph is each actor's union of its posts' CAPEC ids
+(:data:`ActorCapecs`), and its nodes are the union's actors and their CAPECs.
+The popularity filter removes CAPEC nodes shared by more than a threshold
+number of actors, and with them the actors left without edges; removing
+actors can only lower CAPEC degrees, so one count of the full union decides
+both.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import Iterable
+from typing import Collection, Iterable
 
 from . import DEFAULT_CAPEC_THRESHOLD, EXPORT_FORMATS
 from .catalog import CatalogSnapshot, SkillLevel, map_cve_to_capecs
@@ -27,33 +29,10 @@ from .stats import describe
 from .workspace import field, read_json_items, read_json_object, replacing
 
 
-@dataclass(frozen=True)
-class BimodalGraph:
-    """Bipartite actor-CAPEC graph; edges only connect the two modes."""
-
-    actor_ids: frozenset[str]
-    capec_ids: frozenset[int]
-    edges: frozenset[tuple[str, int]]
-
-    def __post_init__(self) -> None:
-        for actor, capec in self.edges:
-            if actor not in self.actor_ids or capec not in self.capec_ids:
-                raise ValidationError(f"edge ({actor!r}, {capec}) references unknown node")
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.actor_ids) + len(self.capec_ids)
-
-    def capec_adjacency(self) -> dict[int, set[str]]:
-        adj: dict[int, set[str]] = {c: set() for c in self.capec_ids}
-        for actor, capec in self.edges:
-            adj[capec].add(actor)
-        return adj
-
-
 # per actor, in corpus order: (timestamp, CAPEC ids) of each post that resolves
 ActorPosts = dict[str, list[tuple[datetime, frozenset[int]]]]
-ActorCapecs = dict[str, frozenset[int]]  # per actor: the union of its posts' CAPEC ids
+# the graph: per actor, the union of its posts' CAPEC ids, none of them empty
+ActorCapecs = dict[str, frozenset[int]]
 
 
 def post_capec_sets(table: PostTable, snapshot: CatalogSnapshot) -> ActorPosts:
@@ -77,30 +56,22 @@ def actor_capecs(posts: ActorPosts) -> ActorCapecs:
     return {a: frozenset().union(*(cs for _, cs in a_posts)) for a, a_posts in posts.items()}
 
 
-def graph_of(adjacency: ActorCapecs) -> BimodalGraph:
-    """The bimodal graph of a table's :func:`actor_capecs`: one edge per (actor, CAPEC) pair."""
-    edges = frozenset((a, c) for a, cs in adjacency.items() for c in cs)
-    return BimodalGraph(frozenset(a for a, _ in edges), frozenset(c for _, c in edges), edges)
-
-
-def build_graph(corpus: Corpus, snapshot: CatalogSnapshot) -> BimodalGraph:
+def build_graph(corpus: Corpus, snapshot: CatalogSnapshot) -> ActorCapecs:
     """Build the bimodal graph; actors whose CVEs map to no CAPEC are dropped."""
-    return graph_of(actor_capecs(post_capec_sets(corpus.table(), snapshot)))
+    return actor_capecs(post_capec_sets(corpus.table(), snapshot))
 
 
-def surviving_posts(posts: ActorPosts, graph: BimodalGraph) -> ActorPosts:
-    """Cut posts to ``graph``: only its actors and CAPECs stay; emptied posts and actors go.
+def surviving_posts(posts: ActorPosts, removed: Collection[int]) -> ActorPosts:
+    """Cut the ``removed`` CAPECs out of ``posts``; emptied posts and actors go.
 
     Each distinct CAPEC set is cut once per call, and posts with equal sets
     share the cut one.
     """
-    cut_of = Memo(lambda capecs: capecs & graph.capec_ids)
+    cut_of = Memo(lambda capecs: capecs.difference(removed))
     cut: ActorPosts = {}
     for actor, actor_posts in posts.items():
-        if actor in graph.actor_ids:
-            kept = [(when, left) for when, capecs in actor_posts if (left := cut_of[capecs])]
-            if kept:
-                cut[actor] = kept
+        if kept := [(when, left) for when, capecs in actor_posts if (left := cut_of[capecs])]:
+            cut[actor] = kept
     return cut
 
 
@@ -128,38 +99,28 @@ class RemovalReport:
 
 
 def filter_popular_capecs(
-    graph: BimodalGraph, threshold: int = DEFAULT_CAPEC_THRESHOLD
-) -> tuple[BimodalGraph, RemovalReport]:
-    """Remove CAPECs mentioned by strictly more than ``threshold`` actors.
-
-    Actors left without any edge afterwards are removed as well.
-    """
+    adjacency: ActorCapecs, threshold: int = DEFAULT_CAPEC_THRESHOLD
+) -> RemovalReport:
+    """What the filter removes from a union: the CAPECs mentioned by strictly more
+    than ``threshold`` actors, and the actors left with no other CAPEC."""
     if threshold < 1:
         raise ValidationError(f"threshold must be >= 1: {threshold}")
-
-    capec_deg = {c: len(actors) for c, actors in graph.capec_adjacency().items()}
-    removed_capecs = {c: d for c, d in capec_deg.items() if d > threshold}
-    kept_capecs = graph.capec_ids - removed_capecs.keys()
-    kept_edges = frozenset((a, c) for a, c in graph.edges if c in kept_capecs)
-    kept_actors = frozenset(a for a, _ in kept_edges)
-    removed_actors = graph.actor_ids - kept_actors
-
-    filtered = BimodalGraph(actor_ids=kept_actors, capec_ids=kept_capecs, edges=kept_edges)
-    report = RemovalReport(
+    degree = Counter(c for cs in adjacency.values() for c in cs)
+    removed = {c: d for c, d in degree.items() if d > threshold}
+    return RemovalReport(
         threshold=threshold,
-        removed_capecs=removed_capecs,
-        removed_actors=removed_actors,
+        removed_capecs=removed,
+        removed_actors=frozenset(a for a, cs in adjacency.items() if cs <= removed.keys()),
     )
-    return filtered, report
 
 
 def removal_by_skill(
-    full: BimodalGraph, removal: RemovalReport, snapshot: CatalogSnapshot
+    full: ActorCapecs, removal: RemovalReport, snapshot: CatalogSnapshot
 ) -> list[dict]:
     """The filter's ledger per skill level of ``full``'s CAPECs, Low to High, then
     ``unknown`` for CAPECs with no level: the level's CAPECs, the CAPECs removed and
     the edges they carried. A level with no CAPEC in ``full`` has no row."""
-    capecs = Counter(snapshot.skills[c] for c in full.capec_ids)
+    capecs = Counter(snapshot.skills[c] for c in frozenset().union(*full.values()))
     removed, edges = Counter(), Counter()
     for c, degree in removal.removed_capecs.items():
         removed[snapshot.skills[c]] += 1
@@ -212,12 +173,13 @@ def node_table(actors: Iterable[str], capecs: Iterable[int]) -> list[tuple[str, 
     ]
 
 
-def save_graph(graph: BimodalGraph, path: str | Path) -> None:
-    nodes = node_table(graph.actor_ids, graph.capec_ids)
+def save_graph(adjacency: ActorCapecs, path: str | Path) -> None:
+    nodes = node_table(adjacency, frozenset().union(*adjacency.values()))
+    actors = [node for _, mode, node in nodes if mode == "actor"]
     payload = {
-        "actors": [node for _, mode, node in nodes if mode == "actor"],
+        "actors": actors,
         "capecs": [node for _, mode, node in nodes if mode == "capec"],
-        "edges": sorted([a, c] for a, c in graph.edges),
+        "edges": [[a, c] for a in actors for c in sorted(adjacency[a])],
     }
     with replacing(path) as handle:
         handle.write(json.dumps(payload, sort_keys=True) + "\n")
@@ -241,8 +203,8 @@ def _capec_ids(ids: object) -> tuple[int, ...]:
     return key
 
 
-def load_graph(path: str | Path) -> BimodalGraph:
-    """Read a saved graph; every edge shares its actor's ``actor_ids`` string.
+def load_graph(path: str | Path) -> ActorCapecs:
+    """Read a saved graph as its union.
 
     A file that is no graph object with ``actors``, ``capecs`` and ``edges``
     lists raises ``ValidationError`` naming the file and the key. Each actor
@@ -250,24 +212,31 @@ def load_graph(path: str | Path) -> BimodalGraph:
     id that is no string or does not encode as UTF-8 (a lone surrogate, which
     JSON allows) is named with the file, and ``capecs`` must be a non-empty
     list of JSON integers; no stage writes an empty one, as ``graph`` refuses
-    an empty graph. An edge names a listed node, or the graph's check refuses it,
-    and its CAPEC is a JSON integer, or it is named as one in ``capecs`` would be.
+    an empty graph. An edge's CAPEC is a JSON integer, or it is named as one in
+    ``capecs`` would be, and an edge names a listed actor and a listed CAPEC.
+    Every listed node has an edge, as :func:`save_graph` lists no other.
     """
     payload = read_json_object(path)
     for key in ("actors", "capecs", "edges"):
         if not isinstance(payload.get(key), list):
             problem = "missing" if key not in payload else "expected a list"
             raise ValidationError(f"{path}: {key}: {problem}")
-    actors = {a: field(path, a, lambda: _actor_id(a)) for a in payload["actors"]}
-    capecs = {c: c for c in field(path, "capecs", lambda: _capec_ids(payload["capecs"]))}
-    # an unlisted node keeps its own value, and the graph's check refuses it; an edge's
-    # CAPEC is checked first, as true and 12.0 equal the listed CAPECs 1 and 12
-    return field(path, "edges", lambda: BimodalGraph(
-        actor_ids=frozenset(actors),
-        capec_ids=frozenset(capecs),
-        edges=frozenset((actors.get(a, a), capecs.get(*_capec_ids([c]), c))
-                        for a, c in payload["edges"]),
-    ))
+    adjacency = {field(path, a, lambda: _actor_id(a)): set() for a in payload["actors"]}
+    capecs = set(field(path, "capecs", lambda: _capec_ids(payload["capecs"])))
+
+    def link(edges: list) -> None:
+        for actor, capec in edges:
+            (capec,) = _capec_ids([capec])  # first, as true and 12.0 equal the CAPECs 1 and 12
+            if actor not in adjacency or capec not in capecs:
+                raise ValidationError(f"edge ({actor!r}, {capec}) references unknown node")
+            adjacency[actor].add(capec)
+
+    field(path, "edges", lambda: link(payload["edges"]))
+    lone = [f"{a}: actor" for a, cs in adjacency.items() if not cs]
+    lone += [f"capecs: CAPEC {c}" for c in sorted(capecs.difference(*adjacency.values()))]
+    if lone:
+        raise ValidationError(f"{path}: {lone[0]} has no edge")
+    return {a: frozenset(cs) for a, cs in adjacency.items()}
 
 
 def save_posts(posts: ActorPosts, path: str | Path) -> None:
@@ -382,7 +351,7 @@ def load_partition(path: str | Path) -> Partition:
 
 
 def export_graph(
-    graph: BimodalGraph, fmt: str, path: str | Path, partition: Partition | None = None
+    adjacency: ActorCapecs, fmt: str, path: str | Path, partition: Partition | None = None
 ) -> None:
     """Serialize the graph for external tools: 'graphml', 'dot' or 'csv'.
 
@@ -396,9 +365,9 @@ def export_graph(
     assignment = partition.assignment if partition else {}
     # a node row is (key, mode, id, community or None), an edge row its two node rows;
     # one map holds both modes, as actor ids are str and CAPEC ids int
-    rows = {node: (key, mode, node, assignment.get(key))
-            for key, mode, node in node_table(graph.actor_ids, graph.capec_ids)}
-    edges = [(rows[a], rows[c]) for a, c in sorted(graph.edges)]
+    nodes = node_table(adjacency, frozenset().union(*adjacency.values()))
+    rows = {node: (key, mode, node, assignment.get(key)) for key, mode, node in nodes}
+    edges = [(rows[a], rows[c]) for a in sorted(adjacency) for c in sorted(adjacency[a])]
     text = {"graphml": _to_graphml, "dot": _to_dot, "csv": _to_csv}[fmt](list(rows.values()), edges)
     with replacing(path) as handle:
         handle.write(text)

@@ -70,7 +70,7 @@ def _pooled(fn: Callable[[Any, Any], Any], shared: Any, jobs: Sequence[Any], pro
             pid, results = workers[i % procs]
             try:
                 ok, value = pickle.load(results)
-            except EOFError:
+            except (EOFError, pickle.UnpicklingError):  # killed before or mid-write
                 raise RuntimeError(f"pool worker {pid} died") from None
             if not ok:
                 raise value

@@ -19,7 +19,7 @@ import pytest
 
 from forumlens.catalog import CapecEntry, CatalogSnapshot, CveEntry, SkillLevel, build_snapshot
 from forumlens.errors import ValidationError
-from forumlens.graph import BimodalGraph
+from forumlens.graph import ActorCapecs, RemovalReport
 from forumlens.ingest import (
     DEFAULT_VALID_FROM, DEFAULT_VALID_TO, CveId, PostRecord, extract_cve_ids,
 )
@@ -116,19 +116,41 @@ def effective_skill_oracle(snapshot: CatalogSnapshot, capec_id: int) -> SkillLev
     return value
 
 
-def bigraph(edges: list[tuple[str, int]]) -> BimodalGraph:
-    return BimodalGraph(
-        actor_ids=frozenset(a for a, _ in edges),
-        capec_ids=frozenset(c for _, c in edges),
-        edges=frozenset(edges),
-    )
+def bigraph(edges: Iterable[tuple[str, int]]) -> ActorCapecs:
+    """The actor -> CAPEC union of an edge list: the form every graph function takes."""
+    adjacency: dict[str, set[int]] = {}
+    for actor, capec in edges:
+        adjacency.setdefault(actor, set()).add(capec)
+    return {actor: frozenset(capecs) for actor, capecs in adjacency.items()}
+
+
+def capecs_of(graph: ActorCapecs) -> frozenset[int]:
+    """The CAPEC nodes of a union's graph."""
+    return frozenset().union(*graph.values())
+
+
+def edges_of(graph: ActorCapecs) -> frozenset[tuple[str, int]]:
+    """The (actor, CAPEC) edges of a union's graph."""
+    return frozenset((actor, capec) for actor, capecs in graph.items() for capec in capecs)
+
+
+def node_keys(graph: ActorCapecs) -> list[str]:
+    """Every node key of a union's graph, actors first."""
+    return [f"actor:{a}" for a in graph] + [f"capec:{c}" for c in capecs_of(graph)]
+
+
+def filtered(graph: ActorCapecs, report: RemovalReport) -> ActorCapecs:
+    """The union the popularity filter leaves: its removed CAPECs cut, emptied actors gone."""
+    kept = {actor: capecs.difference(report.removed_capecs) for actor, capecs in graph.items()}
+    return {actor: capecs for actor, capecs in kept.items() if capecs}
 
 
 _DOT_ID = r'"((?:[^"\\]|\\.)*)"'
 
 
-def read_export(path: str | Path, fmt: str) -> BimodalGraph:
-    """Read the nodes and edges of an ``export_graph`` file back into a graph."""
+def read_export(path: str | Path, fmt: str) -> ActorCapecs:
+    """Read an ``export_graph`` file back into a union; graphml and dot list their nodes,
+    which must be the union's own."""
     text = Path(path).read_text(encoding="utf-8")
     if fmt == "csv":
         rows = csv.DictReader(text.splitlines())
@@ -145,15 +167,12 @@ def read_export(path: str | Path, fmt: str) -> BimodalGraph:
         nodes = [unquote(k) for k in re.findall(rf"^  {_DOT_ID} \[", text, re.M)]
         edge_re = rf"^  {_DOT_ID} -- {_DOT_ID};$"
         pairs = [(unquote(a), unquote(c)) for a, c in re.findall(edge_re, text, re.M)]
-    modes = [key.split(":", 1) for key in nodes]
-    return BimodalGraph(
-        actor_ids=frozenset(raw for mode, raw in modes if mode == "actor"),
-        capec_ids=frozenset(int(raw) for mode, raw in modes if mode == "capec"),
-        edges=frozenset((a.split(":", 1)[1], int(c.split(":", 1)[1])) for a, c in pairs),
-    )
+    graph = bigraph((a.split(":", 1)[1], int(c.split(":", 1)[1])) for a, c in pairs)
+    assert sorted(nodes) == sorted(node_keys(graph)), "a listed node has no edge"
+    return graph
 
 
-def two_bicliques() -> BimodalGraph:
+def two_bicliques() -> ActorCapecs:
     """Two disjoint complete 2x2 bicliques: the Q = 0.5 hand example."""
     edges = [
         ("a1", 1), ("a1", 2), ("a2", 1), ("a2", 2),
@@ -162,7 +181,7 @@ def two_bicliques() -> BimodalGraph:
     return bigraph(edges)
 
 
-def random_bigraph(rng: random.Random, max_actors: int = 4, max_capecs: int = 4) -> BimodalGraph:
+def random_bigraph(rng: random.Random, max_actors: int = 4, max_capecs: int = 4) -> ActorCapecs:
     """Random connected-ish bipartite graph with at least one edge."""
     n_a = rng.randint(1, max_actors)
     n_c = rng.randint(1, max_capecs)
@@ -176,7 +195,7 @@ def random_bigraph(rng: random.Random, max_actors: int = 4, max_capecs: int = 4)
     return bigraph(sorted(edges))
 
 
-def random_bigraph_exact(rng: random.Random, n_actors: int, n_capecs: int) -> BimodalGraph:
+def random_bigraph_exact(rng: random.Random, n_actors: int, n_capecs: int) -> ActorCapecs:
     """Random bipartite graph with exactly the requested node counts."""
     actors = [f"a{i}" for i in range(n_actors)]
     capecs = list(range(1, n_capecs + 1))
@@ -192,18 +211,19 @@ def random_bigraph_exact(rng: random.Random, n_actors: int, n_capecs: int) -> Bi
     return bigraph(sorted(edges))
 
 
-def modularity_oracle(graph: BimodalGraph, assignment: dict[str, int]) -> float:
+def modularity_oracle(graph: ActorCapecs, assignment: dict[str, int]) -> float:
     """Direct-formula modularity computed straight off the edge list.
 
     Independent of the package's adjacency-based implementation: accumulates
     intra-community edges and community degree sums in one pass over edges.
     """
-    m = len(graph.edges)
+    edges = edges_of(graph)
+    m = len(edges)
     if m == 0:
         return 0.0
     intra: dict[int, int] = {}
     degree_sum: dict[int, int] = {}
-    for actor, capec in graph.edges:
+    for actor, capec in edges:
         ca = assignment[f"actor:{actor}"]
         cc = assignment[f"capec:{capec}"]
         degree_sum[ca] = degree_sum.get(ca, 0) + 1
@@ -405,12 +425,12 @@ def silhouette_oracle(X, labels) -> float:
     return sum(scores) / n
 
 
-def community_members_connected(graph: BimodalGraph, members: set[str]) -> bool:
+def community_members_connected(graph: ActorCapecs, members: set[str]) -> bool:
     """Whether the subgraph induced by a set of node keys is connected."""
     if not members:
         return True
     adjacency: dict[str, set[str]] = {key: set() for key in members}
-    for actor, capec in graph.edges:
+    for actor, capec in edges_of(graph):
         a_key, c_key = f"actor:{actor}", f"capec:{capec}"
         if a_key in adjacency and c_key in adjacency:
             adjacency[a_key].add(c_key)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -40,8 +41,10 @@ from forumlens.synth import SynthConfig, community_agreement, generate
 from conftest import (
     bigraph,
     community_members_connected,
+    filtered,
     lloyd_reference,
     modularity_oracle,
+    node_keys,
     random_bigraph,
     random_bigraph_exact,
     silhouette_oracle,
@@ -118,9 +121,7 @@ def test_criterion_3_modularity_oracle():
 
     # Hand case: everything in one community scores exactly 0.
     graph = two_bicliques()
-    keys = sorted(
-        [f"actor:{a}" for a in graph.actor_ids] + [f"capec:{c}" for c in graph.capec_ids]
-    )
+    keys = sorted(node_keys(graph))
     all_in_one = Partition(assignment={k: 0 for k in keys}, quality=0.0)
     assert modularity(graph, all_in_one) == 0.0
 
@@ -138,12 +139,8 @@ def test_criterion_3_modularity_oracle():
     rng = random.Random(2024)
     for _ in range(200):
         g = random_bigraph(rng, max_actors=4, max_capecs=4)
-        assert g.n_nodes <= 8
-        assignment = {
-            key: rng.randrange(4)
-            for key in [f"actor:{a}" for a in g.actor_ids]
-            + [f"capec:{c}" for c in g.capec_ids]
-        }
+        assert len(node_keys(g)) <= 8
+        assignment = {key: rng.randrange(4) for key in node_keys(g)}
         ours = modularity(g, Partition(assignment=assignment, quality=0.0))
         reference = modularity_oracle(g, assignment)
         assert abs(ours - reference) <= 1e-12
@@ -165,8 +162,8 @@ def _leiden_suite():
     suite.append(random_bigraph_exact(rng, 5, 4))
     suite.append(random_bigraph_exact(rng, 5, 5))
     suite.append(random_bigraph_exact(rng, 5, 5))
-    assert all(g.n_nodes <= 10 for g in suite)
-    assert max(g.n_nodes for g in suite) == 10
+    assert all(len(node_keys(g)) <= 10 for g in suite)
+    assert max(len(node_keys(g)) for g in suite) == 10
     return suite
 
 
@@ -195,8 +192,7 @@ def test_criterion_5_planted_community_recovery():
     for seed in range(5):
         corpus, snapshot, truth = generate(SynthConfig(seed=seed, **config_base))
         graph = build_graph(corpus, snapshot)
-        filtered, _ = filter_popular_capecs(graph, threshold=500)
-        partition = leiden(filtered, seed=0)
+        partition = leiden(filtered(graph, filter_popular_capecs(graph, threshold=500)), seed=0)
         scores.append(community_agreement(partition, truth))
     assert sum(scores) / len(scores) >= 0.9
 
@@ -243,17 +239,18 @@ def test_criterion_7_popularity_filter_semantics():
     edges += [(f"z{i}", 3) for i in range(501)]
     edges.append(("z0", 1))  # z0 keeps a second home and must survive
     graph = bigraph(edges)
-    degrees = {c: len(a) for c, a in graph.capec_adjacency().items()}
+    degrees = Counter(c for capecs in graph.values() for c in capecs)
     assert degrees == {1: 500, 2: 500, 3: 501}
 
-    filtered, report = filter_popular_capecs(graph, threshold=500)
+    report = filter_popular_capecs(graph, threshold=500)
     assert set(report.removed_capecs) == {3}
-    assert filtered.capec_ids == {1, 2}
+    kept = filtered(graph, report)
+    assert frozenset().union(*kept.values()) == {1, 2}
     assert report.removed_actors == {f"z{i}" for i in range(1, 501)}
-    assert "z0" in filtered.actor_ids
+    assert "z0" in kept
 
-    again, second = filter_popular_capecs(filtered, threshold=500)
-    assert again == filtered
+    second = filter_popular_capecs(kept, threshold=500)
+    assert filtered(kept, second) == kept
     assert not second.removed_capecs and not second.removed_actors
 
 

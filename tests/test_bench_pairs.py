@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import importlib.util
+import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -294,3 +298,34 @@ def test_main_prints_the_code_lines_of_each_module_that_changed(monkeypatch, cap
     head = out.index("src/forumlens lines: 5 -> 4, code lines: 4 -> 4")
     assert out[head + 1:head + 4] == ["a.py: 2 -> 1", "c.py: 0 -> 2", "d.py: 1 -> 0"]
     assert out[head + 4].startswith("chatty, seeds 1-1")
+
+
+_SLOW_COPY = """
+import importlib.util, sys, time
+spec = importlib.util.spec_from_file_location("bench_pairs", sys.argv[1])
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+def slow_copy(repo, rev, dest):
+    print("copying", flush=True)
+    time.sleep(60)
+
+bench_pairs.copy_revision = slow_copy
+bench_pairs.main(["--parent", "HEAD", "--workload", "chatty", "--pairs", "1", "--seed-base", "1"])
+"""
+
+
+def test_a_sigterm_removes_the_temporary_copies(tmp_path):
+    env = {**os.environ, "TMPDIR": str(tmp_path)}
+    child = subprocess.Popen([sys.executable, "-c", _SLOW_COPY, str(_PATH)], env=env,
+                             stdout=subprocess.PIPE, text=True)
+    try:
+        assert child.stdout.readline() == "copying\n"
+        assert [path.name.startswith("bench_pairs-") for path in tmp_path.iterdir()] == [True]
+        child.send_signal(signal.SIGTERM)
+        assert child.wait(timeout=30) == 128 + signal.SIGTERM
+    finally:
+        child.kill()
+        child.wait()
+        child.stdout.close()
+    assert list(tmp_path.iterdir()) == []

@@ -281,7 +281,7 @@ def test_run_all_writes_what_the_stages_run_one_by_one_write(inputs_s, tmp_path,
     one = tmp_path / "one"
     snapshot = catalog.load_snapshot(one / "cve_cwe.csv", one / "capec.json")
     adjacency = graph.actor_capecs(graph.load_posts(one / "capec_posts.json", snapshot))
-    assert graph.graph_of(adjacency) == load_graph(one / "graph.json")
+    assert adjacency == load_graph(one / "graph.json")
 
 
 def test_small_random_pipelines_exit_0_or_1_and_rerun_to_the_same_bytes(tmp_path, caplog):
@@ -860,7 +860,7 @@ def test_graph_refuses_a_threshold_that_removes_every_capec(pipeline_ws, tmp_pat
     # the threshold the message names keeps a CAPEC
     least = re.search(r"has (\d+) actors", errors[0]).group(1)
     assert main(["graph", "--workspace", str(ws), "--capec-threshold", least]) == 0
-    assert load_graph(ws / "graph.json").capec_ids
+    assert any(load_graph(ws / "graph.json").values())
 
 
 def test_unknown_command_exits_1(capsys):

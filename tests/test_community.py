@@ -25,9 +25,7 @@ from forumlens.community import (
 )
 from forumlens.errors import ValidationError
 from forumlens.expertise import build_profiles
-from forumlens.graph import (
-    BimodalGraph, actor_capecs, build_graph, graph_of, post_capec_sets, surviving_posts,
-)
+from forumlens.graph import actor_capecs, build_graph, post_capec_sets
 from forumlens.ingest import build_corpus
 from forumlens.synth import SynthConfig, generate
 
@@ -35,6 +33,7 @@ from conftest import (
     bigraph,
     community_members_connected,
     modularity_oracle,
+    node_keys,
     post,
     random_bigraph,
     snapshot_from,
@@ -78,9 +77,7 @@ def test_modularity_matches_direct_formula_on_random_graphs():
     rng = random.Random(42)
     for _ in range(60):
         graph = random_bigraph(rng)
-        keys = [f"actor:{a}" for a in graph.actor_ids] + [
-            f"capec:{c}" for c in graph.capec_ids
-        ]
+        keys = node_keys(graph)
         assignment = {key: rng.randrange(3) for key in keys}
         partition = Partition(assignment=assignment, quality=0.0)
         assert modularity(graph, partition) == pytest.approx(
@@ -118,7 +115,7 @@ def test_modularity_requires_full_assignment(user, missing, named):
         ]
     )
     graph = build_graph(corpus, snapshot)
-    posts = surviving_posts(post_capec_sets(corpus.table(), snapshot), graph)
+    posts = post_capec_sets(corpus.table(), snapshot)
     assignment = {key: 0 for key in ("actor:alice", "actor:bob", "capec:7", "capec:63")}
     _MEMBERSHIP_USERS[user](graph, Partition(assignment, 0.0), posts, snapshot)  # complete: accepted
     for key in missing:
@@ -177,9 +174,7 @@ def test_leiden_quality_matches_reported_assignment():
 def test_leiden_assigns_every_node():
     graph = two_bicliques()
     partition = leiden(graph, seed=0)
-    assert set(partition.assignment) == {
-        f"actor:{a}" for a in graph.actor_ids
-    } | {f"capec:{c}" for c in graph.capec_ids}
+    assert set(partition.assignment) == set(node_keys(graph))
 
 
 def test_leiden_canonical_labels():
@@ -218,7 +213,7 @@ def _digest(assignment: dict[str, int]) -> str:
 def test_leiden_reproduces_recorded_partitions(seed, caplog):
     corpus, snapshot, _ = generate(SynthConfig(seed=seed, n_communities=4, actors_per_community=25))
     graph = build_graph(corpus, snapshot)
-    assert graph.n_nodes < POOL_MIN_NODES
+    assert len(node_keys(graph)) < POOL_MIN_NODES
     with caplog.at_level(logging.DEBUG, logger="forumlens.community"):
         found = leiden(graph, seed=seed)
     assert (_digest(found.assignment), found.quality) == RECORDED[seed]
@@ -229,7 +224,7 @@ def test_leiden_reproduces_recorded_partitions(seed, caplog):
 def test_pool_and_in_process_restarts_give_equal_partitions(monkeypatch, caplog):
     corpus, snapshot, _ = generate(SynthConfig(seed=3, n_communities=4, actors_per_community=250))
     graph = build_graph(corpus, snapshot)
-    assert graph.n_nodes >= POOL_MIN_NODES
+    assert len(node_keys(graph)) >= POOL_MIN_NODES
     caplog.set_level(logging.DEBUG, logger="forumlens.community")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     pooled = leiden(graph, seed=41)
@@ -241,7 +236,7 @@ def test_pool_and_in_process_restarts_give_equal_partitions(monkeypatch, caplog)
         in_daemon = pool.apply(leiden, (graph,), {"seed": 41})
 
     caplog.clear()
-    monkeypatch.setattr(community, "POOL_MIN_NODES", graph.n_nodes + 1)
+    monkeypatch.setattr(community, "POOL_MIN_NODES", len(node_keys(graph)) + 1)
     alone = leiden(graph, seed=41)
     assert "in-process" in caplog.text
     assert pooled.assignment == alone.assignment == in_daemon.assignment
@@ -250,10 +245,11 @@ def test_pool_and_in_process_restarts_give_equal_partitions(monkeypatch, caplog)
 
 def test_edgeless_graph_and_star_keep_their_partitions():
     # values recorded before the levels became arrays; these take the empty
-    # and zero-count paths of the CSR build, bincount and the component split
-    edgeless = BimodalGraph(frozenset({"a", "b"}), frozenset({1}), frozenset())
+    # and zero-count paths of the CSR build, bincount and the component split.
+    # A union holds no isolated CAPEC, so the edgeless graph is two actors with none
+    edgeless = {"a": frozenset(), "b": frozenset()}
     found = leiden(edgeless, seed=0)
-    assert found == Partition({"actor:a": 0, "actor:b": 1, "capec:1": 2}, 0.0)
+    assert found == Partition({"actor:a": 0, "actor:b": 1}, 0.0)
     assert modularity(edgeless, Partition(dict.fromkeys(found.assignment, 0), 0.0)) == 0.0
     assert modularity(bigraph([]), Partition({}, 0.0)) == 0.0
 
@@ -269,7 +265,7 @@ def test_edgeless_graph_and_star_keep_their_partitions():
 def test_brute_force_node_cap():
     edges = [(f"a{i}", j) for i in range(7) for j in range(1, 8)]
     graph = bigraph(edges)
-    assert graph.n_nodes == 14 > BRUTE_FORCE_NODE_CAP
+    assert len(node_keys(graph)) == 14 > BRUTE_FORCE_NODE_CAP
     with pytest.raises(ValidationError):
         brute_force_best_partition(graph)
 
@@ -314,7 +310,7 @@ def test_summarize_communities_fields():
     )
     graph = build_graph(corpus, snapshot)
     partition = leiden(graph, seed=0)
-    posts = surviving_posts(post_capec_sets(corpus.table(), snapshot), graph)
+    posts = post_capec_sets(corpus.table(), snapshot)
     overviews = summarize_communities(partition, posts, actor_capecs(posts), snapshot)
 
     assert len(overviews) == len(partition.communities())
@@ -331,7 +327,7 @@ def test_summarize_communities_fields():
 
 def test_the_leiden_index_keeps_few_bytes_per_csr_entry():
     corpus, snapshot, _ = generate(SynthConfig(seed=7, n_communities=4, actors_per_community=40))
-    graph = graph_of(actor_capecs(post_capec_sets(corpus.table(), snapshot)))
+    graph = build_graph(corpus, snapshot)
     tracemalloc.start()
     try:
         _, level = community._index_graph(graph)

@@ -23,7 +23,7 @@ from forumlens.expertise import (
     save_profiles,
     skill_score,
 )
-from forumlens.graph import actor_capecs, build_graph, post_capec_sets, surviving_posts
+from forumlens.graph import actor_capecs, post_capec_sets
 
 from conftest import post, snapshot_from, ts
 
@@ -143,7 +143,6 @@ def _profile_fixture():
             post("p4", "bob", "2021-03-01", "CVE-2021-0003"),
         ]
     )
-    graph = build_graph(corpus, snapshot)
     assignment = {
         "actor:alice": 0,
         "capec:63": 0,
@@ -152,11 +151,11 @@ def _profile_fixture():
         "capec:126": 1,
     }
     partition = Partition(assignment=assignment, quality=0.0)
-    return corpus, snapshot, graph, partition
+    return corpus, snapshot, partition
 
 
-def _profiles(corpus, snapshot, graph, partition):
-    posts = surviving_posts(post_capec_sets(corpus.table(), snapshot), graph)
+def _profiles(corpus, snapshot, partition):
+    posts = post_capec_sets(corpus.table(), snapshot)
     return build_profiles(posts, actor_capecs(posts), snapshot, partition)
 
 
@@ -182,12 +181,12 @@ def test_build_profiles_features():
 
 
 def test_build_profiles_counts_skill_per_occurrence():
-    corpus, snapshot, graph, partition = _profile_fixture()
+    corpus, snapshot, partition = _profile_fixture()
     corpus = build_corpus(
         corpus.posts + [post("p5", "alice", "2021-01-25", "CVE-2021-0002 encore")]
     )
     alice = next(
-        p for p in _profiles(corpus, snapshot, graph, partition) if p.actor_id == "alice"
+        p for p in _profiles(corpus, snapshot, partition) if p.actor_id == "alice"
     )
     # CAPEC 66 appears in two posts, so its skill value counts twice
     assert sorted(alice.skill_values) == [1, 2, 3, 3]
@@ -199,9 +198,8 @@ def test_build_profiles_drops_unscorable_actor():
         capecs=[(63, "XSS", ["CWE-79"])],
     )
     corpus = build_corpus([post("p1", "alice", "2021-01-01", "CVE-2021-0001")])
-    graph = build_graph(corpus, snapshot)
     partition = Partition(assignment={"actor:alice": 0, "capec:63": 0}, quality=0.0)
-    assert _profiles(corpus, snapshot, graph, partition) == []
+    assert _profiles(corpus, snapshot, partition) == []
 
 
 def test_build_profiles_warns_once_with_the_count_of_unscorable_actors(caplog):
@@ -220,7 +218,7 @@ def test_build_profiles_warns_once_with_the_count_of_unscorable_actors(caplog):
     assignment.update({f"actor:{a}": 1 for a in unscorable})
     partition = Partition(assignment=assignment, quality=0.0)
     with caplog.at_level(logging.WARNING, logger="forumlens.expertise"):
-        profiles = _profiles(corpus, snapshot, build_graph(corpus, snapshot), partition)
+        profiles = _profiles(corpus, snapshot, partition)
     assert [p.actor_id for p in profiles] == ["alice"]
     assert [r.getMessage() for r in caplog.records if r.name == "forumlens.expertise"] == [
         "dropped 7 actor(s) with no skill information for any CAPEC (first: u0, u1, u2, u3, u4)"

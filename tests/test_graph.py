@@ -23,14 +23,12 @@ import forumlens
 from forumlens.community import _index_graph, leiden
 from forumlens.errors import ValidationError
 from forumlens.graph import (
-    BimodalGraph,
     Partition,
     actor_capecs,
     build_graph,
     degree_stats,
     export_graph,
     filter_popular_capecs,
-    graph_of,
     load_graph,
     load_posts,
     node_table,
@@ -45,7 +43,8 @@ from forumlens.ingest import Corpus, CveId, build_corpus, parse_posts, save_corp
 from forumlens.synth import SynthConfig, generate
 
 from conftest import (
-    bigraph, lines_file, post, post_capec_oracle, read_export, snapshot_from, ts,
+    bigraph, capecs_of, filtered, lines_file, post, post_capec_oracle, read_export, snapshot_from,
+    ts,
 )
 
 
@@ -78,9 +77,7 @@ def test_build_graph_set_semantics(corpus_and_snapshot):
     corpus, snapshot = corpus_and_snapshot
     graph = build_graph(corpus, snapshot)
     # carol's only CVE maps to nothing, so she is not a node at all.
-    assert graph.actor_ids == {"alice", "bob"}
-    assert graph.capec_ids == {63, 66}
-    assert graph.edges == {("alice", 63), ("alice", 66), ("bob", 63)}
+    assert graph == {"alice": {63, 66}, "bob": {63}}
 
 
 def test_build_graph_repeat_mentions_collapse():
@@ -95,7 +92,7 @@ def test_build_graph_repeat_mentions_collapse():
         ]
     )
     graph = build_graph(corpus, snapshot)
-    assert graph.edges == {("alice", 63)}
+    assert graph == {"alice": {63}}
 
 
 def test_post_capec_sets(corpus_and_snapshot):
@@ -106,7 +103,7 @@ def test_post_capec_sets(corpus_and_snapshot):
         "alice": [(ts("2021-01-01"), {63}), (ts("2021-01-02"), {66})],
         "bob": [(ts("2021-01-03"), {63})],
     }
-    assert graph_of(actor_capecs(posts)) == build_graph(corpus, snapshot)
+    assert actor_capecs(posts) == build_graph(corpus, snapshot)
 
 
 _CVE_CWES = {
@@ -221,30 +218,20 @@ def test_post_path_parses_and_resolves_each_distinct_value_once(monkeypatch):
     assert len({id(capecs) for capecs in capec_sets}) == len(mention_sets)
 
 
-def test_graph_rejects_dangling_edges():
-    with pytest.raises(ValidationError):
-        BimodalGraph(
-            actor_ids=frozenset({"a"}),
-            capec_ids=frozenset({1}),
-            edges=frozenset({("ghost", 1)}),
-        )
-
-
 def test_filter_strictly_greater_than_threshold():
     edges = _star(1, 3, "x") + _star(2, 4, "y")
     graph = bigraph(edges)
-    filtered, report = filter_popular_capecs(graph, threshold=3)
-    assert filtered.capec_ids == {1}
+    report = filter_popular_capecs(graph, threshold=3)
     assert report.removed_capecs == {2: 4}
     # The y actors only touched the removed CAPEC and cascade out.
     assert report.removed_actors == {f"y{i}" for i in range(4)}
-    assert filtered.actor_ids == {"x0", "x1", "x2"}
+    assert filtered(graph, report) == bigraph(_star(1, 3, "x"))
 
 
 def test_filter_keeps_degree_equal_to_threshold():
     graph = bigraph(_star(1, 5, "a"))
-    filtered, report = filter_popular_capecs(graph, threshold=5)
-    assert filtered == graph
+    report = filter_popular_capecs(graph, threshold=5)
+    assert filtered(graph, report) == graph
     assert report.removed_capecs == {}
     assert report.removed_actors == frozenset()
 
@@ -252,9 +239,8 @@ def test_filter_keeps_degree_equal_to_threshold():
 def test_filter_actor_survives_via_other_capec():
     edges = _star(9, 4, "m") + [("m0", 7)]
     graph = bigraph(edges)
-    filtered, report = filter_popular_capecs(graph, threshold=3)
-    assert filtered.capec_ids == {7}
-    assert filtered.actor_ids == {"m0"}
+    report = filter_popular_capecs(graph, threshold=3)
+    assert filtered(graph, report) == {"m0": {7}}
     assert report.removed_actors == {"m1", "m2", "m3"}
 
 
@@ -272,7 +258,7 @@ def test_removal_by_skill_counts_each_level_and_the_unknown_one():
     )
     edges = _star(1, 4, "a") + _star(2, 1, "b") + _star(3, 2, "c") + _star(4, 5, "d")
     full = bigraph(edges + _star(5, 1, "e"))
-    _, report = filter_popular_capecs(full, threshold=3)
+    report = filter_popular_capecs(full, threshold=3)
     assert removal_by_skill(full, report, snapshot) == [
         {"level": "Low", "capecs": 2, "removed_capecs": 1, "removed_edges": 4},
         {"level": "High", "capecs": 1, "removed_capecs": 0, "removed_edges": 0},
@@ -282,9 +268,10 @@ def test_removal_by_skill_counts_each_level_and_the_unknown_one():
 
 def test_filter_idempotent():
     edges = _star(1, 6, "a") + _star(2, 2, "b")
-    once, _ = filter_popular_capecs(bigraph(edges), threshold=4)
-    twice, report = filter_popular_capecs(once, threshold=4)
-    assert twice == once
+    full = bigraph(edges)
+    once = filtered(full, filter_popular_capecs(full, threshold=4))
+    report = filter_popular_capecs(once, threshold=4)
+    assert filtered(once, report) == once
     assert not report.removed_capecs and not report.removed_actors
 
 
@@ -369,11 +356,10 @@ def test_degree_stats_independent_of_hash_seed():
 
 def test_surviving_post_counts(corpus_and_snapshot):
     corpus, snapshot = corpus_and_snapshot
-    graph = build_graph(corpus, snapshot)
-    filtered, _ = filter_popular_capecs(graph, threshold=1)
+    report = filter_popular_capecs(build_graph(corpus, snapshot), threshold=1)
     # CAPEC 63 (degree 2) is removed; only alice's p2 still maps into the graph.
     posts = post_capec_sets(corpus.table(), snapshot)
-    counts = surviving_post_counts(surviving_posts(posts, filtered))
+    counts = surviving_post_counts(surviving_posts(posts, report.removed_capecs))
     assert counts == {"alice": 1}
 
 
@@ -384,23 +370,26 @@ def test_surviving_posts_cuts_drops_posts_and_actors():
         "bob": [(t1, frozenset({2}))],
         "carol": [(t2, frozenset({3}))],
     }
-    graph = bigraph([("alice", 1), ("alice", 3), ("carol", 3)])
-    assert surviving_posts(posts, graph) == {
+    assert surviving_posts(posts, {2}) == {
         # {1, 2} is cut to {1}; {2} is left empty and dropped; order is kept
         "alice": [(t1, {1}), (t3, {3})],
         # bob's only post is dropped, and bob with it
         "carol": [(t2, {3})],
     }
-    assert surviving_posts(posts, bigraph([("carol", 3)])) == {"carol": [(t2, {3})]}
+    assert surviving_posts(posts, {1, 2}) == {"alice": [(t3, {3})], "carol": [(t2, {3})]}
+    # the filter's ledger maps each removed CAPEC to its degree
+    assert surviving_posts(posts, {3: 2}) == {
+        "alice": [(t1, {1, 2}), (t2, {2})], "bob": [(t1, {2})],
+    }
 
 
 def test_surviving_posts_cuts_each_distinct_capec_set_once():
     cuts: Counter[frozenset[int]] = Counter()
 
     class Counted(frozenset):
-        def __and__(self, other):
+        def difference(self, *others):
             cuts[frozenset(self)] += 1
-            return frozenset.__and__(self, other)
+            return frozenset.difference(self, *others)
 
     # equal sets are distinct objects, so only a memo keyed by value shares the cut
     t1, t2 = ts("2021-01-01"), ts("2021-01-02")
@@ -408,7 +397,7 @@ def test_surviving_posts_cuts_each_distinct_capec_set_once():
         "alice": [(t1, Counted({1, 2})), (t2, Counted({2, 1})), (t2, Counted({3}))],
         "bob": [(t1, Counted({1, 2})), (t2, Counted({2}))],
     }
-    cut = surviving_posts(posts, bigraph([("alice", 1), ("alice", 3), ("bob", 1)]))
+    cut = surviving_posts(posts, {2: 3})
     assert cuts == Counter({frozenset({1, 2}): 1, frozenset({3}): 1, frozenset({2}): 1})
     assert cut == {"alice": [(t1, {1}), (t2, {1}), (t2, {3})], "bob": [(t1, {1})]}
     assert cut["alice"][0][1] is cut["alice"][1][1] is cut["bob"][0][1]
@@ -454,11 +443,14 @@ _TABLES = st.dictionaries(
 def test_the_filtered_graph_is_the_graph_of_its_surviving_posts(table):
     # communities and expertise rebuild the filtered graph from capec_posts.json this way
     posts = {a: [(ts(f"2021-01-0{d}"), capecs) for d, capecs in rows] for a, rows in table.items()}
-    full = graph_of(actor_capecs(posts))
+    full = actor_capecs(posts)
     # past the number of actors no threshold removes anything
-    for threshold in range(1, len(full.actor_ids) + 2):
-        filtered, _ = filter_popular_capecs(full, threshold=threshold)
-        assert graph_of(actor_capecs(surviving_posts(posts, filtered))) == filtered
+    for threshold in range(1, len(full) + 2):
+        report = filter_popular_capecs(full, threshold=threshold)
+        cut = actor_capecs(surviving_posts(posts, report.removed_capecs))
+        assert cut == filtered(full, report)
+        # an actor the filter names as removed is one the cut table lost
+        assert report.removed_actors == full.keys() - cut.keys()
 
 
 def _catalog(*ids):
@@ -547,19 +539,34 @@ def test_graph_json_round_trip(tmp_path):
     assert load_graph(path) == graph
 
 
-def test_load_graph_shares_each_actor_string(tmp_path):
+def test_graph_rejects_dangling_edges(tmp_path):
     path = tmp_path / "graph.json"
-    # names longer than one character: CPython shares one-character strings anyway
     save_graph(bigraph([("alice", 1), ("bob", 2), ("alice", 2), ("bob", 3)]), path)
-    loaded = load_graph(path)
-    members = {a: a for a in loaded.actor_ids}
-    assert all(actor is members[actor] for actor, _ in loaded.edges)
-
     payload = json.loads(path.read_text())
-    payload["edges"].append(["ghost", 1])
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ValidationError):
+    for edge, named in ((["ghost", 1], "('ghost', 1)"), (["alice", 9], "('alice', 9)")):
+        path.write_text(json.dumps({**payload, "edges": payload["edges"] + [edge]}))
+        with pytest.raises(ValidationError) as exc:
+            load_graph(path)
+        assert str(exc.value) == f"{path}: edges: edge {named} references unknown node"
+
+
+@pytest.mark.parametrize(
+    "nodes, problem",
+    [
+        ({"actors": ["alice", "bob", "carol"], "capecs": [1, 2]}, "carol: actor has no edge"),
+        ({"actors": ["", "alice", "bob"], "capecs": [1, 2, 7]}, ": actor has no edge"),
+        ({"actors": ["alice", "bob"], "capecs": [1, 2, 7]}, "capecs: CAPEC 7 has no edge"),
+        ({"actors": ["alice", "bob"], "capecs": [1, 2, 12, 7]}, "capecs: CAPEC 7 has no edge"),
+    ],
+    ids=["actor", "empty-actor-id-before-capec", "capec", "lowest-capec"],
+)
+def test_load_graph_refuses_a_listed_node_with_no_edge(tmp_path, nodes, problem):
+    # save_graph lists the nodes of a union, which holds no node without an edge
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({**nodes, "edges": [["alice", 1], ["bob", 2]]}))
+    with pytest.raises(ValidationError) as exc:
         load_graph(path)
+    assert str(exc.value) == f"{path}: {problem}"
 
 
 @pytest.mark.parametrize(
@@ -736,7 +743,7 @@ def test_leiden_the_exports_and_graph_json_share_one_node_order(tmp_path, seed):
     stored = [f"actor:{a}" for a in saved["actors"]] + [f"capec:{c}" for c in saved["capecs"]]
 
     assert keys == graphml == dot == stored == [key for key, _, _ in node_table(
-        graph.actor_ids, graph.capec_ids)]
+        graph, capecs_of(graph))]
     assert list(partition.assignment) == keys
 
 
@@ -750,7 +757,7 @@ def test_actor_12_and_capec_12_get_distinct_leiden_indices():
         [(2, 1.0), (3, 1.0)], [(3, 1.0)], [(0, 1.0)], [(0, 1.0), (1, 1.0)]
     ]
     assert len({id(ws) for ws in level.wts}) == 1
-    # the communities stage indexes the post table's actor_capecs: the same keys and level
+    # the union's own order does not move the keys or the level
     keys_of_table, of_table = _index_graph({"x": frozenset({12}), "12": frozenset({7, 12})})
     assert keys_of_table == keys and of_table.nbrs == level.nbrs
 

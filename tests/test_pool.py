@@ -98,6 +98,25 @@ def test_a_worker_killed_mid_run_raises_that_it_died(two_cpus, forked):
     assert all(map(_reaped, forked)) and _open_fds() == before
 
 
+def test_a_worker_killed_mid_write_raises_that_it_died(two_cpus, forked, monkeypatch):
+    parent, real_write = os.getpid(), os.write
+
+    def write(fd: int, data) -> int:
+        if os.getpid() != parent:  # a worker: half of its first result, then death
+            real_write(fd, bytes(data[:len(data) // 2]))
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_write(fd, data)
+
+    monkeypatch.setattr(os, "write", write)
+    before = _open_fds()
+    results, _ = pool.map_jobs(_scaled, 3, [1, 2, 3, 4], True)
+    # a truncated pickle, not only an empty pipe, is a dead worker's
+    with pytest.raises(RuntimeError) as exc:
+        next(results)
+    assert str(exc.value) == f"pool worker {forked[0]} died"
+    assert all(map(_reaped, forked)) and _open_fds() == before
+
+
 def test_closing_after_the_first_result_reaps_every_worker(two_cpus, forked):
     before = _open_fds()
     results, procs = pool.map_jobs(_where, -1, list(range(8)), True)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -86,13 +87,8 @@ def test_only_export_graph_reads_graph_json():
 
 def test_post_summaries_take_the_post_table_alone():
     # the cut post table, and the one actor_capecs union its stage derives from it,
-    # are the inputs of every post summary; only Leiden and the exports need the
-    # graph object, so expertise builds none
+    # are the inputs of every post summary
     package = Path(forumlens.__file__).parent
-    tree = ast.parse((package / "expertise.py").read_text(encoding="utf-8"))
-    names = {getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None)
-             for n in ast.walk(tree)}
-    assert "graph_of" not in names
     annotations = {}
     for module, function in (
         ("graph.py", "degree_stats"), ("community.py", "summarize_communities"),
@@ -101,10 +97,17 @@ def test_post_summaries_take_the_post_table_alone():
         for node in ast.walk(ast.parse((package / module).read_text(encoding="utf-8"))):
             if isinstance(node, ast.FunctionDef) and node.name == function:
                 args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
-                annotations[function] = " ".join(ast.unparse(a.annotation) for a in args
-                                                 if a.annotation)
+                annotations[function] = [ast.unparse(a.annotation) for a in args if a.annotation]
     assert len(annotations) == 4
-    assert [f for f, text in annotations.items() if "BimodalGraph" in text] == []
+    assert [f for f, names in annotations.items() if "ActorCapecs" not in names] == []
+
+
+def test_the_union_is_the_only_graph_form():
+    # every layer takes the actor -> CAPEC union; no module names a second graph form
+    package = Path(forumlens.__file__).parent
+    named = [path.name for path in sorted(package.glob("*.py"))
+             if re.search(r"\b(BimodalGraph|graph_of)\b", path.read_text(encoding="utf-8"))]
+    assert named == []
 
 
 def test_cli_catches_no_key_error():

@@ -20,7 +20,7 @@ from forumlens.synth import (
     write_synth,
 )
 
-from conftest import bigraph, community_members_connected
+from conftest import bigraph, community_members_connected, edges_of, filtered, node_keys
 
 
 def _small_config(**overrides) -> SynthConfig:
@@ -135,8 +135,7 @@ def test_load_truth_names_the_file(tmp_path, change, problem):
 def test_planted_communities_recovered():
     corpus, snapshot, truth = generate(SynthConfig(seed=3))
     graph = build_graph(corpus, snapshot)
-    filtered, _ = filter_popular_capecs(graph, threshold=500)
-    partition = leiden(filtered, seed=0)
+    partition = leiden(filtered(graph, filter_popular_capecs(graph, threshold=500)), seed=0)
     assert community_agreement(partition, truth) >= 0.9
 
 
@@ -190,11 +189,8 @@ def test_synthetic_capec_graph_is_actor_connected():
         actors = {a for a, c in truth.actor_community.items() if c == comm}
         capecs = {c for c, cc in truth.capec_community.items() if cc == comm}
         intra = [
-            (a, c) for a, c in graph.edges if a in actors and c in capecs
+            (a, c) for a, c in edges_of(graph) if a in actors and c in capecs
         ]
         sub = bigraph(intra)
-        members = {f"actor:{a}" for a in sub.actor_ids} | {
-            f"capec:{c}" for c in sub.capec_ids
-        }
-        assert community_members_connected(sub, members)
-        assert actors <= sub.actor_ids
+        assert community_members_connected(sub, set(node_keys(sub)))
+        assert actors <= sub.keys()

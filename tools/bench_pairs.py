@@ -9,7 +9,7 @@
 Run from anywhere: the repository is the one this file sits in. It copies
 ``--parent`` (with ``git archive``) and the working tree (tracked and
 untracked files, ignored ones excluded) into a temporary directory, and
-removes both copies at the end.
+removes both copies at the end, also when it is stopped by SIGTERM or Ctrl-C.
 For each ``--workload`` in turn, pair ``i`` runs ``perfbench/run.py
 --workload NAME --seed S+i --seconds 10 --trace 0`` in each copy, one process
 at a time; the parent runs first in even pairs and second in odd ones. Each
@@ -50,6 +50,7 @@ import ast
 import io
 import json
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -197,6 +198,12 @@ def summarize(metrics: list[dict], pairs: list[dict[str, Outcome]], seeds: list[
     return lines
 
 
+def _exit_on_sigterm(signum: int, frame: object) -> None:
+    """Unwind on SIGTERM as on an exit: the temporary copies are removed, and
+    ``subprocess.run`` kills the benchmark run it is waiting for."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
@@ -225,6 +232,9 @@ def main(argv: list[str] | None = None) -> int:
 
     seeds = [args.seed_base + i for i in range(args.pairs)]
     blocks = []
+    # Python's default SIGTERM action ends the process without unwinding, which would
+    # leave the copies behind
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         copies = {side: Path(tmp) / side for side in SIDES}
         for path in copies.values():
