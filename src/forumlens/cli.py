@@ -30,7 +30,7 @@ from . import (
     __version__,
 )
 from .errors import ForumlensError, MissingUpstreamError, ValidationError
-from .workspace import Workspace, WorkspaceLockedError, default_root, field
+from .workspace import LOCK_NAME, STAGE_ARTIFACTS, Workspace, WorkspaceLockedError, default_root, field
 
 if TYPE_CHECKING:
     from . import catalog, graph, synth
@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_flags(args: argparse.Namespace) -> None:
+def _check_flags(args: argparse.Namespace, ws: Workspace) -> None:
     """Refuse a bad flag before the lock is taken or any artifact is read."""
     for dest, flag, low in args.bounds:
         if getattr(args, dest) < low:
@@ -153,6 +153,13 @@ def _check_flags(args: argparse.Namespace) -> None:
         raise ValidationError(f"--skill-percentile must be in (0, 100]: {args.skill_percentile}")
     if "synth_seed" in given:
         _synth_config(args).validate()
+    if given.get("out"):  # synth writes its files into --out, export-graph writes --out
+        names = [Path(n).name for n in STAGE_ARTIFACTS["synth"]] if "synth" in args.stages else [""]
+        kept = {ws.path(n) for s, ns in STAGE_ARTIFACTS.items() if s not in args.stages for n in ns}
+        kept = {path.resolve() for path in kept | {ws.manifest_path, ws.path(LOCK_NAME)}}
+        for out in (Path(args.out, name) for name in names):
+            if out.resolve() in kept:
+                raise ValidationError(f"--out would overwrite {out}, which the workspace records")
     if "nvd_json" in given:
         raw, pre = (args.nvd_json, args.capec_xml), (args.cve_cwe, args.capec_json)
         if any(raw) == any(pre):
@@ -405,7 +412,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     ws = Workspace(args.workspace if args.workspace else default_root(), force=args.force)
     collecting = gc.isenabled()
     try:
-        _check_flags(args)
+        _check_flags(args, ws)
         # no cyclic collection while the stages run: a stage leaves a few hundred cycles,
         # a number its input does not move, while collections rescan its growing tables,
         # and the pool workers a stage forks would copy the pages they scan

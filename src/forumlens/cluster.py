@@ -261,27 +261,14 @@ def _check_fit(X: np.ndarray, restarts: int) -> np.ndarray:
 
 
 def kmeans(
-    X: np.ndarray,
-    k: int,
-    seed: int = 0,
-    restarts: int = DEFAULT_CLUSTER_RESTARTS,
-    init: np.ndarray | None = None,
+    X: np.ndarray, k: int, seed: int = 0, restarts: int = DEFAULT_CLUSTER_RESTARTS
 ) -> KMeansModel:
-    """Best-of-``restarts`` k-means++ with Lloyd iterations; deterministic.
-
-    ``init`` bypasses seeding with explicit starting centroids (one restart),
-    which lets tests compare against a reference run from the same start.
-    """
+    """Best-of-``restarts`` k-means++ with Lloyd iterations; deterministic."""
     X = _check_fit(X, restarts)
     n = X.shape[0]
     if not 1 <= k <= n:
         raise ValidationError(f"k must satisfy 1 <= k <= {n}: {k}")
     rows = _rows(X)
-    if init is not None:
-        init = np.asarray(init, dtype=float)
-        if init.shape != (k, X.shape[1]):
-            raise ValidationError(f"init must have shape ({k}, {X.shape[1]}): {init.shape}")
-        return _model(_lloyd(rows, init))
     return _model(_best(_fit(rows, (k, seed, r)) for r in range(restarts))[1])
 
 
@@ -414,17 +401,6 @@ def sweep_k(
             k, won, model.inertia, model.k, score,
         )
     return [replace(model, silhouette=score) for (_, _, model), score in zip(fitted, scores)]
-
-
-def select_k(
-    X: np.ndarray,
-    k_min: int = DEFAULT_K_MIN,
-    k_max: int = DEFAULT_K_MAX,
-    seed: int = 0,
-    restarts: int = DEFAULT_CLUSTER_RESTARTS,
-) -> KMeansModel:
-    """The silhouette-maximizing model over the k sweep; ties pick smaller k."""
-    return best_by_silhouette(sweep_k(X, k_min, k_max, seed, restarts))
 
 
 def best_by_silhouette(models: Sequence[KMeansModel]) -> KMeansModel:

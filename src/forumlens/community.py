@@ -34,8 +34,6 @@ from .stats import describe
 
 logger = logging.getLogger(__name__)
 
-BRUTE_FORCE_NODE_CAP = 12
-
 # Importing, starting and stopping a multiprocessing pool cost about 30 ms per
 # call (2 vCPUs). At 560 nodes that pool cut ten restarts (0.16-0.26 s alone) by
 # 16-84 ms for 40-110 ms more CPU; at 1,080 nodes it saved 0.13-0.41 s. The fork
@@ -297,55 +295,6 @@ def leiden(
     how = "in-process" if procs == 1 else f"over {procs} processes"
     won = "the connected-components floor" if best is None else f"restart {best}"
     logger.debug("leiden: %d restarts on %d nodes %s; %s won at Q=%r", restarts, g.n, how, won, best_q)
-    return Partition(assignment=dict(zip(nodes, _renumber(best_labels))), quality=best_q)
-
-
-def brute_force_best_partition(adjacency: ActorCapecs) -> Partition:
-    """Exhaustive modularity maximum over all set partitions of a union's graph; test oracle.
-
-    Refuses graphs with more than 12 nodes. Ties keep the partition met first
-    in the canonical enumeration (the all-in-one partition comes first).
-    """
-    nodes, g = _index_graph(adjacency)
-    if g.n > BRUTE_FORCE_NODE_CAP:
-        raise ValidationError(
-            f"brute-force search refuses graphs with more than "
-            f"{BRUTE_FORCE_NODE_CAP} nodes (got {g.n})"
-        )
-    if g.n == 0:
-        raise ValidationError("cannot partition an empty graph")
-    W = g.total_weight
-    best_labels = [0] * g.n
-    best_q = _quality(g, best_labels)
-    earlier = [[(j, w) for j, w in zip(g.nbrs[i], g.wts[i]) if j < i] for i in range(g.n)]
-    strength, loop = g.strength.tolist(), g.loop.tolist()
-    # Restricted-growth strings enumerate each set partition once, labels in
-    # order of first appearance; per-label intra-edge and degree totals ride
-    # along, and each leaf sums Q's terms in label order, as _quality does.
-    labels, intra, degree = [0] * g.n, [0.0] * g.n, [0.0] * g.n
-
-    def grow(i: int, n_used: int) -> None:
-        nonlocal best_q, best_labels
-        if i == g.n:
-            q = 0.0
-            for e, d in zip(intra[:n_used], degree[:n_used]):
-                q += e / W - (d / (2.0 * W)) ** 2
-            if q > best_q:
-                best_q, best_labels = q, list(labels)
-            return
-        inside = [loop[i]] * (n_used + 1)
-        for j, w in earlier[i]:
-            inside[labels[j]] += w
-        for c in range(n_used + 1):
-            labels[i] = c
-            intra[c] += inside[c]
-            degree[c] += strength[i]
-            grow(i + 1, max(n_used, c + 1))
-            intra[c] -= inside[c]
-            degree[c] -= strength[i]
-
-    if W > 0:  # on an edgeless graph every partition scores 0.0, so the first stands
-        grow(0, 0)
     return Partition(assignment=dict(zip(nodes, _renumber(best_labels))), quality=best_q)
 
 

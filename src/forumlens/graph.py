@@ -303,12 +303,6 @@ class Partition:
     assignment: dict[str, int]
     quality: float
 
-    def communities(self) -> dict[int, frozenset[str]]:
-        groups: dict[int, set[str]] = defaultdict(set)
-        for key, comm in self.assignment.items():
-            groups[comm].add(key)
-        return {c: frozenset(members) for c, members in groups.items()}
-
     def labels(self, keys: list[str]) -> list[int]:
         """The community of each node key, in order; the first key left unassigned is refused."""
         try:

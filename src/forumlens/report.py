@@ -86,8 +86,8 @@ def _communities(communities: dict, report: dict) -> list[str]:
     comm = report["communities"] = {
         "modularity": communities["modularity"],
         "count": communities["n_communities"],
-        "seed": communities.get("seed"),
-        "restarts": communities.get("restarts"),
+        "seed": communities["seed"],
+        "restarts": communities["restarts"],
         "overview": communities["communities"],
     }
     lines = ["== Communities of interest =="]

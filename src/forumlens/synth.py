@@ -90,11 +90,15 @@ class SynthConfig:
             raise ValidationError(f"seed must be >= 0: {self.seed}")
         if self.n_communities < 2:
             raise ValidationError(f"need at least 2 communities: {self.n_communities}")
+        if self.n_communities > 100:  # actor a{community:02d}{index:03d} ids stay distinct
+            raise ValidationError(f"at most 100 communities: {self.n_communities}")
         if self.capecs_per_community < 6:
             raise ValidationError(
                 "need at least 6 CAPECs per community (2 per skill level): "
                 f"{self.capecs_per_community}"
             )
+        if self.capecs_per_community > 1000:  # CAPEC ids are (community + 1) * 1000 + j
+            raise ValidationError(f"at most 1000 CAPECs per community: {self.capecs_per_community}")
         if self.actors_per_community < 1:
             raise ValidationError(f"need at least 1 actor per community: {self.actors_per_community}")
         if not 0.0 <= self.noise < 0.5:

@@ -37,6 +37,7 @@ logger = logging.getLogger(__name__)
 T = TypeVar("T")
 
 MANIFEST_NAME = "manifest.json"
+LOCK_NAME = ".lock"
 MANIFEST_VERSION = 1
 
 WORKSPACE_ENV_VAR = "FORUMLENS_WORKSPACE"
@@ -386,7 +387,7 @@ class Workspace:
         one inode.
         """
         self.root.mkdir(parents=True, exist_ok=True)
-        with open(self.root / ".lock", "a") as handle:
+        with open(self.path(LOCK_NAME), "a") as handle:
             try:
                 fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
             except BlockingIOError:

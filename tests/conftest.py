@@ -11,15 +11,16 @@ import tempfile
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
+from forumlens import cluster
 from forumlens.catalog import CapecEntry, CatalogSnapshot, CveEntry, SkillLevel, build_snapshot
 from forumlens.errors import ValidationError
-from forumlens.graph import ActorCapecs, RemovalReport
+from forumlens.graph import ActorCapecs, Partition, RemovalReport
 from forumlens.ingest import (
     DEFAULT_VALID_FROM, DEFAULT_VALID_TO, CveId, PostRecord, extract_cve_ids,
 )
@@ -235,6 +236,75 @@ def modularity_oracle(graph: ActorCapecs, assignment: dict[str, int]) -> float:
     )
 
 
+BRUTE_FORCE_NODE_CAP = 12
+
+
+def brute_force_optimum(graph: ActorCapecs) -> Partition:
+    """The exhaustive modularity maximum over every set partition of a union's graph.
+
+    Restricted-growth strings enumerate each set partition once, labels in
+    order of first appearance over :func:`node_keys`; each label's
+    intra-community edge count and degree sum are updated as a node is placed,
+    so a leaf sums Q's terms without a pass over the edges. Ties keep the
+    partition met first, the all-in-one partition coming first. Refuses graphs
+    of more than ``BRUTE_FORCE_NODE_CAP`` nodes.
+    """
+    keys = node_keys(graph)
+    n = len(keys)
+    if n > BRUTE_FORCE_NODE_CAP:
+        raise ValidationError(
+            f"brute-force search refuses graphs with more than {BRUTE_FORCE_NODE_CAP} nodes "
+            f"(got {n})"
+        )
+    if n == 0:
+        raise ValidationError("cannot partition an empty graph")
+    index = {key: i for i, key in enumerate(keys)}
+    earlier: list[list[int]] = [[] for _ in keys]  # each node's neighbours placed before it
+    strength = [0] * n
+    for actor, capec in edges_of(graph):
+        a, c = index[f"actor:{actor}"], index[f"capec:{capec}"]
+        earlier[max(a, c)].append(min(a, c))
+        strength[a] += 1
+        strength[c] += 1
+    m = sum(strength) // 2
+    labels, intra, degree = [0] * n, [0] * n, [0] * n
+    # the all-in-one partition, the first leaf, scores 0.0, as every partition of an
+    # edgeless graph does
+    best_q, best_labels = 0.0, [0] * n
+
+    def grow(i: int, n_used: int) -> None:
+        nonlocal best_q, best_labels
+        if i == n:
+            q = 0.0
+            for e, d in zip(intra[:n_used], degree[:n_used]):
+                q += e / m - (d / (2 * m)) ** 2
+            if q > best_q:
+                best_q, best_labels = q, list(labels)
+            return
+        inside = [0] * (n_used + 1)
+        for j in earlier[i]:
+            inside[labels[j]] += 1
+        for c in range(n_used + 1):
+            labels[i] = c
+            intra[c] += inside[c]
+            degree[c] += strength[i]
+            grow(i + 1, max(n_used, c + 1))
+            intra[c] -= inside[c]
+            degree[c] -= strength[i]
+
+    if m:
+        grow(0, 0)
+    return Partition(assignment=dict(zip(keys, best_labels)), quality=best_q)
+
+
+def grouped(assignment: Mapping) -> dict[int, frozenset]:
+    """The keys of each label of an assignment, such as a partition's communities."""
+    groups: dict[int, set] = {}
+    for key, label in assignment.items():
+        groups.setdefault(label, set()).add(key)
+    return {label: frozenset(keys) for label, keys in groups.items()}
+
+
 def post_capec_oracle(
     records: list[tuple[str, datetime, set[str]]],
     cve_cwes: dict[str, list[str]],
@@ -344,6 +414,12 @@ def lloyd_every_row(X, centroids, max_iter: int = 300, tol: float = 1e-8):
             break
         prev_labels, prev_inertia = labels, inertia
     return labels, centroids, path[-1], path
+
+
+def kmeans_from(X, init) -> cluster.KMeansModel:
+    """The k-means model of one Lloyd run from the given starting centroids."""
+    X = np.asarray(X, dtype=float)
+    return cluster._model(cluster._lloyd(cluster._rows(X), np.asarray(init, dtype=float)))
 
 
 def kmeans_pp_init_every_row(X, k: int, rng: np.random.Generator) -> np.ndarray:

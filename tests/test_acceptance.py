@@ -2,8 +2,8 @@
 
 Each test covers exactly one numbered guarantee, so a verbose run prints one
 pass/fail line per criterion. Oracles are implemented independently in
-conftest (direct-formula modularity, pure-python Lloyd, definitional
-silhouette) or inline (exhaustive partition search).
+conftest: direct-formula modularity and the exhaustive partition search, both
+off the edge list, pure-python Lloyd and the definitional silhouette.
 """
 
 from __future__ import annotations
@@ -20,13 +20,13 @@ from forumlens.catalog import SkillLevel
 from forumlens.cli import main
 from forumlens.cluster import (
     KMeansModel,
-    kmeans,
+    best_by_silhouette,
     label_clusters,
-    select_k,
     silhouette,
     standardize,
+    sweep_k,
 )
-from forumlens.community import brute_force_best_partition, leiden, modularity
+from forumlens.community import leiden, modularity
 from forumlens.expertise import (
     ActorProfile,
     activity_rate,
@@ -40,8 +40,11 @@ from forumlens.synth import SynthConfig, community_agreement, generate
 
 from conftest import (
     bigraph,
+    brute_force_optimum,
     community_members_connected,
     filtered,
+    grouped,
+    kmeans_from,
     lloyd_reference,
     modularity_oracle,
     node_keys,
@@ -169,7 +172,7 @@ def _leiden_suite():
 
 def test_criterion_4_leiden_quality_and_guarantees():
     for graph in _leiden_suite():
-        optimum = brute_force_best_partition(graph)
+        optimum = brute_force_optimum(graph)
         found = leiden(graph, seed=0, restarts=10)
 
         threshold = 0.95 * optimum.quality
@@ -177,7 +180,7 @@ def test_criterion_4_leiden_quality_and_guarantees():
             threshold = optimum.quality / 0.95  # a negative optimum flips the bound
         assert found.quality >= threshold - 1e-12
 
-        for members in found.communities().values():
+        for members in grouped(found.assignment).values():
             assert community_members_connected(graph, set(members))
 
         repeats = [leiden(graph, seed=0, restarts=10) for _ in range(3)]
@@ -205,7 +208,7 @@ def test_criterion_6_kmeans_and_silhouette_oracles():
         k = int(rng.integers(2, min(6, n)))
         X = rng.normal(size=(n, d))
         init = X[rng.choice(n, size=k, replace=False)]
-        model = kmeans(X, k, init=init)
+        model = kmeans_from(X, init)
 
         path = model.inertia_path
         assert all(later <= earlier + 1e-9 for earlier, later in zip(path, path[1:]))
@@ -229,7 +232,7 @@ def test_criterion_6_kmeans_and_silhouette_oracles():
             ]
         )
         Z, _ = standardize(X)
-        assert select_k(Z, 2, 8, seed=seed).k == 3
+        assert best_by_silhouette(sweep_k(Z, 2, 8, seed=seed)).k == 3
 
 
 def test_criterion_7_popularity_filter_semantics():

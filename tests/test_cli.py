@@ -485,8 +485,11 @@ def test_expertise_names_the_artifacts_that_disagree(pipeline_ws, tmp_path, capl
             "'int' object is not iterable",
         ),
         ("removal.json", lambda payload: payload.pop("threshold"), "threshold: missing"),
+        ("communities.json", lambda payload: payload.pop("seed"), "seed: missing"),
+        ("communities.json", lambda payload: payload.pop("restarts"), "restarts: missing"),
     ],
-    ids=["clusters-missing-key", "sample-stats-null", "communities-wrong-type", "removal-missing"],
+    ids=["clusters-missing-key", "sample-stats-null", "communities-wrong-type", "removal-missing",
+         "communities-missing-seed", "communities-missing-restarts"],
 )
 def test_report_names_the_input_that_lacks_a_key_or_has_a_wrong_type(
     pipeline_ws, tmp_path, caplog, name, change, problem
@@ -920,6 +923,42 @@ def test_synth_out_naming_the_workspace_synth_dir_records_stage(tmp_path, monkey
     assert not (tmp_path / "ws2" / "manifest.json").exists()
 
 
+def _files(ws):
+    """The bytes of each file directly in ``ws``, by name."""
+    return {path.name: path.read_bytes() for path in ws.iterdir() if path.is_file()}
+
+
+@pytest.mark.parametrize("kept", ["manifest.json", ".lock", "graph.json", "synth/../removal.json"])
+def test_export_graph_refuses_an_out_the_workspace_records(pipeline_ws, tmp_path, caplog, kept):
+    ws = tmp_path / "ws"
+    shutil.copytree(pipeline_ws, ws)
+    before = _files(ws)
+    caplog.clear()
+    argv = ["export-graph", "--workspace", str(ws), "--format", "csv"]
+    assert main([*argv, "--out", str(ws / kept)]) == 1
+    [error] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert error == f"--out would overwrite {ws / kept}, which the workspace records"
+    assert _files(ws) == before
+    assert main(["report", "--workspace", str(ws)]) == 0
+    assert main(argv) == 0 and (ws / "graph.csv").is_file()
+
+
+def test_synth_refuses_an_out_over_the_recorded_catalog(pipeline_ws, tmp_path, caplog):
+    ws = tmp_path / "ws"
+    shutil.copytree(pipeline_ws, ws)
+    before = _files(ws)
+    flags = ["--seed", "1", "--communities", "2", "--actors", "4", "--capecs", "6"]
+    caplog.clear()
+    assert main(["synth", "--workspace", str(ws), "--out", str(ws), *flags]) == 1
+    [error] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert error == f"--out would overwrite {ws / 'cve_cwe.csv'}, which the workspace records"
+    assert _files(ws) == before and not (ws / "synth").exists()
+    # synth's own directory is its to write
+    assert main(["synth", "--workspace", str(ws), "--out", str(ws / "synth"), *flags]) == 0
+    assert main(["synth", "--workspace", str(ws), *flags]) == 0
+    assert set(json.loads((ws / "manifest.json").read_text())["stages"]) == {"synth", *cli.PIPELINE}
+
+
 def test_cluster_skips_tiny_sample(tmp_path):
     # Two committed actors: enough posts to survive sampling, too few actors
     # to cluster. The stage must succeed and record the skip.
@@ -1101,8 +1140,9 @@ def test_run_all_takes_every_pipeline_stage_option_and_each_command_prints_help(
 @pytest.mark.parametrize(
     "flags",
     [["--noise", "0.9"], ["--noise", "-0.1"], ["--actors", "0"], ["--communities", "1"],
-     ["--capecs", "5"], ["--seed", "-3"]],
-    ids=["noise-0.9", "noise-negative", "actors-0", "communities-1", "capecs-5", "seed-negative"],
+     ["--communities", "101"], ["--capecs", "5"], ["--capecs", "1001"], ["--seed", "-3"]],
+    ids=["noise-0.9", "noise-negative", "actors-0", "communities-1", "communities-101", "capecs-5",
+         "capecs-1001", "seed-negative"],
 )
 def test_bad_synth_flag_exits_1_before_the_lock_is_taken(tmp_path, monkeypatch, caplog, flags):
     monkeypatch.setattr(synth, "generate", lambda config: pytest.fail("generate was called"))

@@ -31,7 +31,6 @@ from forumlens.cluster import (
     feature_matrix,
     kmeans,
     label_clusters,
-    select_k,
     silhouette,
     silhouettes,
     standardize,
@@ -43,6 +42,8 @@ from forumlens.errors import ValidationError
 from forumlens.expertise import ActorProfile
 
 from conftest import (
+    grouped,
+    kmeans_from,
     kmeans_pp_init_every_row,
     lloyd_every_row,
     lloyd_reference,
@@ -136,17 +137,12 @@ def test_kmeans_matches_reference_from_same_start():
         X = rng.normal(size=(25, 3))
         k = 2 + trial % 3
         init = X[rng.choice(25, size=k, replace=False)]
-        model = kmeans(X, k, init=init)
+        model = kmeans_from(X, init)
         ref_labels, ref_inertia = lloyd_reference(X, init)
         assert model.inertia == pytest.approx(ref_inertia, rel=1e-9, abs=1e-9)
         # _compact renames but never regroups; compare the groupings.
-        groups = {}
-        for idx, lab in enumerate(model.labels):
-            groups.setdefault(lab, set()).add(idx)
-        ref_groups = {}
-        for idx, lab in enumerate(ref_labels):
-            ref_groups.setdefault(lab, set()).add(idx)
-        assert set(map(frozenset, groups.values())) == set(map(frozenset, ref_groups.values()))
+        groups = grouped(dict(enumerate(model.labels))).values()
+        assert set(groups) == set(grouped(dict(enumerate(ref_labels))).values())
 
 
 def test_squared_distances_sum_three_columns_in_einsums_order():
@@ -180,7 +176,7 @@ def test_kmeans_keeps_the_bits_of_every_row_lloyd():
             X[:, 1] = -0.0  # signed zeros in a constant column
         k = int(rng.integers(1, min(8, n) + 1))
         init = X[rng.choice(n, size=k, replace=False)]  # may repeat a row: revives run
-        model = kmeans(X, k, init=init)
+        model = kmeans_from(X, init)
         labels, centroids, inertia, path = lloyd_every_row(X, init)
         dense, kept, k_eff = _compact(labels, centroids)
         assert (model.k, model.labels) == (k_eff, dense)
@@ -225,7 +221,7 @@ def test_kmeans_empty_cluster_reseeded():
     init = np.array([[0.0, 0.0], [0.01, 0.0], [50.0, 50.0]])
     d2 = ((X[:, None, :] - init[None, :, :]) ** 2).sum(axis=2)
     assert 2 not in set(d2.argmin(axis=1).tolist())
-    model = kmeans(X, 3, init=init)
+    model = kmeans_from(X, init)
     assert model.k == 3
     assert model.inertia == pytest.approx(0.0, abs=1e-12)
 
@@ -238,8 +234,6 @@ def test_kmeans_validation():
         kmeans(X, 5)
     with pytest.raises(ValidationError):
         kmeans(X, 2, restarts=0)
-    with pytest.raises(ValidationError):
-        kmeans(X, 2, init=np.zeros((3, 2)))
     with pytest.raises(ValidationError):
         kmeans(np.zeros((0, 2)), 1)
 
@@ -380,14 +374,14 @@ def test_sweep_and_select_k_on_blobs():
     Z, _ = standardize(X)
     models = sweep_k(Z, 2, 6, seed=0)
     assert all(m.silhouette is not None for m in models)
-    best = select_k(Z, 2, 6, seed=0)
+    best = best_by_silhouette(models)
     assert best.k == 3
 
 
 def test_select_k_tie_prefers_smaller_k():
     # Strictly-greater replacement keeps the first (smallest-k) model on ties.
     X = _blobs(seed=2, centers=((0, 0, 0), (9, 9, 9)))
-    best = select_k(standardize(X)[0], 2, 5, seed=1)
+    best = best_by_silhouette(sweep_k(standardize(X)[0], 2, 5, seed=1))
     assert best.k == 2
 
 

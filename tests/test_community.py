@@ -14,10 +14,8 @@ import pytest
 
 from forumlens import community
 from forumlens.community import (
-    BRUTE_FORCE_NODE_CAP,
     POOL_MIN_NODES,
     Partition,
-    brute_force_best_partition,
     keyword_digest,
     leiden,
     modularity,
@@ -30,8 +28,11 @@ from forumlens.ingest import build_corpus
 from forumlens.synth import SynthConfig, generate
 
 from conftest import (
+    BRUTE_FORCE_NODE_CAP,
     bigraph,
+    brute_force_optimum,
     community_members_connected,
+    grouped,
     modularity_oracle,
     node_keys,
     post,
@@ -129,7 +130,7 @@ def test_leiden_recovers_bicliques():
     graph = two_bicliques()
     partition = leiden(graph, seed=0)
     assert partition.quality == pytest.approx(0.5, abs=1e-12)
-    comms = partition.communities()
+    comms = grouped(partition.assignment)
     assert len(comms) == 2
     assert {"actor:a1", "actor:a2", "capec:1", "capec:2"} in comms.values()
 
@@ -138,7 +139,7 @@ def test_leiden_matches_brute_force_on_small_graphs():
     rng = random.Random(7)
     for _ in range(25):
         graph = random_bigraph(rng, max_actors=4, max_capecs=4)
-        best = brute_force_best_partition(graph)
+        best = brute_force_optimum(graph)
         found = leiden(graph, seed=0, restarts=10)
         assert found.quality >= best.quality - 1e-9
         # Safety net: the heuristic can never beat the exhaustive optimum.
@@ -157,7 +158,7 @@ def test_leiden_communities_connected():
     for _ in range(20):
         graph = random_bigraph(rng, max_actors=5, max_capecs=5)
         partition = leiden(graph, seed=1)
-        for members in partition.communities().values():
+        for members in grouped(partition.assignment).values():
             assert community_members_connected(graph, set(members))
 
 
@@ -267,13 +268,13 @@ def test_brute_force_node_cap():
     graph = bigraph(edges)
     assert len(node_keys(graph)) == 14 > BRUTE_FORCE_NODE_CAP
     with pytest.raises(ValidationError):
-        brute_force_best_partition(graph)
+        brute_force_optimum(graph)
 
 
 def test_brute_force_finds_known_optimum():
-    best = brute_force_best_partition(two_bicliques())
+    best = brute_force_optimum(two_bicliques())
     assert best.quality == pytest.approx(0.5, abs=1e-12)
-    assert len(best.communities()) == 2
+    assert len(grouped(best.assignment)) == 2
 
 
 def test_keyword_digest_ranks_and_filters():
@@ -313,7 +314,7 @@ def test_summarize_communities_fields():
     posts = post_capec_sets(corpus.table(), snapshot)
     overviews = summarize_communities(partition, posts, actor_capecs(posts), snapshot)
 
-    assert len(overviews) == len(partition.communities())
+    assert len(overviews) == len(grouped(partition.assignment))
     by_community = {o["community"]: o for o in overviews}
     alice = by_community[partition.assignment["actor:alice"]]
     bob = by_community[partition.assignment["actor:bob"]]

@@ -101,6 +101,13 @@ def test_config_validation():
         _small_config(noise=0.5).validate()
     with pytest.raises(ValidationError, match="seed must be >= 0: -3"):
         _small_config(seed=-3).validate()
+    # past these, community 10's actor 1000 and community 101's actor 0 would both be
+    # a101000, and CAPEC 1000 of community 0 would be CAPEC 0 of community 1
+    _small_config(n_communities=100, capecs_per_community=1000).validate()
+    with pytest.raises(ValidationError, match="at most 100 communities: 101"):
+        _small_config(n_communities=101).validate()
+    with pytest.raises(ValidationError, match="at most 1000 CAPECs per community: 1001"):
+        _small_config(capecs_per_community=1001).validate()
 
 
 def test_write_and_load_round_trip(tmp_path):
